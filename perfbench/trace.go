@@ -15,9 +15,12 @@ package main
 //	    RunBitTrueTDBC/MABC at Workers = 1, and the job's cache-key stream
 //	    replayed through cache.Store.Lookup/Add
 //
-// A layer's self time is the difference between the medians of adjacent
-// levels, so L0 = http + admission + checkpoint + csv self times + L4.
-// Spans are kept in memory and written under .bench_build/traces at exit.
+// The levels run interleaved: job i goes through every level before job
+// i+1 starts, so a change in host speed during the run moves all levels
+// alike. A layer's self time is the difference between the medians of
+// adjacent levels, so L0 = http + admission + checkpoint + csv self times
+// + L4. Spans are kept in memory and written under .bench_build/traces at
+// exit.
 
 import (
 	"bytes"
@@ -44,48 +47,117 @@ import (
 	"bicoop/internal/sweep"
 )
 
-// levelRuns is the number of timed levels after the first L0 pass (L0
-// traced, L1, L2, L3, three L4 passes, L5), used to split the window.
-const levelRuns = 8
+// Jobs per traced run: at least minLevelJobs, then more while the window
+// lasts, at most maxLevelJobs.
+const (
+	minLevelJobs = 3
+	maxLevelJobs = 50
+)
 
-// levels holds one traced run's per-job samples.
+// levels is one traced run's shared state.
 type levels struct {
 	cfg   config
 	w     workload
 	g     *generator
-	k     int // jobs per level: jobs 0..k-1 of the sequence
 	ck    *checker
 	nproc int
 	rep   *report
+	snap  string // post-warm-up store copy (cached workloads)
 
 	replays []float64 // ms per OpenCacheLog replay
+}
+
+// level is one in-process entry point; call runs one job through it and
+// records the job in s.
+type level struct {
+	s     sample
+	call  func(ctx context.Context, i int, j job, s *sample) error
+	close func() error
 }
 
 func layered(ctx context.Context, cfg config, w workload, rep *report) error {
 	g := newGenerator(cfg.seed, cfg.sz)
 	lv := &levels{cfg: cfg, w: w, g: g, ck: newChecker(w.cached), nproc: runtime.NumCPU(), rep: rep}
 
-	// L0 untraced: the reference for trace_overhead, and the job time that
-	// sizes every later level to the window.
+	// L0 twice, untraced (the base of trace_overhead) and traced, on two
+	// daemons that take turns.
 	sU, err := startSession(ctx, cfg, w, g, filepath.Join(cfg.work, "l0u"), nil)
 	if err != nil {
 		return err
 	}
-	recsU, errsU, _ := loop(ctx, sU, w, g, cfg.window/4, 0)
-	sU.close()
-	if len(recsU) == 0 {
-		return fmt.Errorf("no job completed: %w", errors.Join(errsU...))
-	}
-	perJob := median(latencies(recsU)) / 1000
-	lv.k = min(max(3, int(0.75*cfg.window.Seconds()/(levelRuns*perJob))), 50)
-
+	defer sU.close()
 	tr := &tracer{t0: time.Now()}
 	sT, err := startSession(ctx, cfg, w, g, filepath.Join(cfg.work, "l0t"), tr)
 	if err != nil {
 		return err
 	}
-	recsT, errsT, _ := loop(ctx, sT, w, g, 0, lv.k)
-	sT.close()
+	defer sT.close()
+	lv.snap = sU.snap
+
+	l1, err := lv.serviceLevel(ctx)
+	if err != nil {
+		return fmt.Errorf("L1: %w", err)
+	}
+	l2, err := lv.logLevel(ctx, true)
+	if err != nil {
+		return fmt.Errorf("L2: %w", err)
+	}
+	l3, err := lv.logLevel(ctx, false)
+	if err != nil {
+		return fmt.Errorf("L3: %w", err)
+	}
+	l4, err := lv.engineLevel(lv.nproc, false)
+	if err != nil {
+		return fmt.Errorf("L4: %w", err)
+	}
+	l4w1, err := lv.engineLevel(1, false)
+	if err != nil {
+		return fmt.Errorf("L4 Workers=1: %w", err)
+	}
+	l4ck, err := lv.engineLevel(lv.nproc, true)
+	if err != nil {
+		return fmt.Errorf("L4 checkpoint: %w", err)
+	}
+	l5, err := lv.kernelLevel()
+	if err != nil {
+		return fmt.Errorf("L5: %w", err)
+	}
+	inProcess := []*level{l1, l2, l3, l4, l4w1, l4ck, &l5.level}
+
+	var recsU, recsT []record
+	var errsU, errsT []error
+	deadline := time.Now().Add(cfg.window)
+	var runErr error
+	for i := 0; i < maxLevelJobs && (i < minLevelJobs || time.Now().Before(deadline)); i++ {
+		j := lv.job(i)
+		rU, err := runRecorded(ctx, sU.c, i, j, w.cached)
+		if err != nil {
+			errsU = append(errsU, fmt.Errorf("job %d: %w", i, err))
+			break
+		}
+		recsU = append(recsU, rU)
+		rT, err := runRecorded(ctx, sT.c, i, j, w.cached)
+		if err != nil {
+			errsT = append(errsT, fmt.Errorf("job %d: %w", i, err))
+			break
+		}
+		recsT = append(recsT, rT)
+		for li, l := range inProcess {
+			if err := l.call(ctx, i, j, &l.s); err != nil {
+				runErr = fmt.Errorf("level %d, job %d: %w", li+1, i, err)
+				break
+			}
+		}
+		if runErr != nil {
+			break
+		}
+	}
+	for _, l := range inProcess {
+		runErr = errors.Join(runErr, l.close())
+	}
+	if runErr != nil {
+		return runErr
+	}
 	if err := writeSpans(cfg, w, tr); err != nil {
 		return err
 	}
@@ -94,57 +166,31 @@ func layered(ctx context.Context, cfg config, w workload, rep *report) error {
 	rep.fail(errsT...)
 	rep.fail(verify(ctx, w.cached, append(append(append(sU.warm, sT.warm...), recsU...), recsT...))...)
 	rep.gateDigest(ctx, w, cfg)
-	if len(recsT) == 0 {
-		return errors.New("no traced job completed")
+	k := len(l5.s.times)
+	if k == 0 || len(recsT) < k {
+		return errors.New("no job completed every level")
 	}
-	lv.k = len(recsT)
-	snap := sU.snap
-
-	l1, cpu, err := lv.serviceLevel(ctx, snap)
+	cpu, err := cpuShares(ctx, filepath.Join(cfg.work, "l1"))
 	if err != nil {
-		return fmt.Errorf("L1: %w", err)
-	}
-	l2, err := lv.logLevel(ctx, snap, true)
-	if err != nil {
-		return fmt.Errorf("L2: %w", err)
-	}
-	l3, err := lv.logLevel(ctx, snap, false)
-	if err != nil {
-		return fmt.Errorf("L3: %w", err)
-	}
-	l4, err := lv.engineLevel(ctx, snap, lv.nproc, false)
-	if err != nil {
-		return fmt.Errorf("L4: %w", err)
-	}
-	l4w1, err := lv.engineLevel(ctx, snap, 1, false)
-	if err != nil {
-		return fmt.Errorf("L4 Workers=1: %w", err)
-	}
-	l4ck, err := lv.engineLevel(ctx, snap, lv.nproc, true)
-	if err != nil {
-		return fmt.Errorf("L4 checkpoint: %w", err)
-	}
-	l5, err := lv.kernelLevel(ctx, snap)
-	if err != nil {
-		return fmt.Errorf("L5: %w", err)
+		return err
 	}
 
 	// Telescoping self times.
-	l0 := median(latencies(recsT))
+	l0 := median(latencies(recsT[:k]))
 	rep.set("service.l0_job_ms", l0)
-	rep.set("service.http_self_ms", l0-l1.ms())
-	rep.set("service.admission_self_ms", l1.ms()-l2.ms())
-	rep.set("service.checkpoint_self_ms", l2.ms()-l3.ms())
-	rep.set("service.csv_self_ms", l3.ms()-l4.ms())
-	rep.set("sweep.engine_job_ms", l4.ms())
-	rep.set("sweep.engine_job_w1_ms", l4w1.ms())
-	rep.set("sweep.parallel_speedup", l4w1.ms()/l4.ms())
-	rep.set("sweep.core_self_ms", l4w1.ms()-l5.ms())
-	rep.set("trace_overhead", l0/median(latencies(recsU[:min(lv.k, len(recsU))])))
+	rep.set("service.http_self_ms", l0-l1.s.ms())
+	rep.set("service.admission_self_ms", l1.s.ms()-l2.s.ms())
+	rep.set("service.checkpoint_self_ms", l2.s.ms()-l3.s.ms())
+	rep.set("service.csv_self_ms", l3.s.ms()-l4.s.ms())
+	rep.set("sweep.engine_job_ms", l4.s.ms())
+	rep.set("sweep.engine_job_w1_ms", l4w1.s.ms())
+	rep.set("sweep.parallel_speedup", l4w1.s.ms()/l4.s.ms())
+	rep.set("sweep.core_self_ms", l4w1.s.ms()-l5.s.ms())
+	rep.set("trace_overhead", l0/median(latencies(recsU[:k])))
 
 	var submit, results []float64
 	polls, hits, lookups, evictions := 0, 0.0, 0.0, 0.0
-	for _, r := range recsT {
+	for _, r := range recsT[:k] {
 		submit = append(submit, ms(r.o.submit))
 		results = append(results, ms(r.o.results))
 		polls += r.o.polls
@@ -152,24 +198,24 @@ func layered(ctx context.Context, cfg config, w workload, rep *report) error {
 		lookups += float64(r.stats.Hits + r.stats.Misses)
 		evictions += float64(r.stats.Evictions)
 	}
-	n := float64(len(recsT))
+	n := float64(k)
 	rep.set("service.http_submit_ms", median(submit))
 	rep.set("service.http_results_ms", median(results))
 	rep.set("service.polls_per_job", float64(polls)/n)
-	rep.set("service.checkpoint_saves", float64(len(l4ck.saves))/float64(lv.k))
-	rep.set("service.checkpoint_save_ms", medianOr0(l4ck.saves))
-	rep.set("service.csv_bytes", mean(l2.bytes))
-	rep.set("service.cachelog_flush_ms", medianOr0(l2.flushes))
+	rep.set("service.checkpoint_saves", float64(len(l4ck.s.saves))/n)
+	rep.set("service.checkpoint_save_ms", medianOr0(l4ck.s.saves))
+	rep.set("service.csv_bytes", mean(l2.s.bytes))
+	rep.set("service.cachelog_flush_ms", medianOr0(l2.s.flushes))
 	rep.set("service.cachelog_replay_ms", medianOr0(lv.replays))
-	rep.set("service.cachelog_bytes", meanOr0(l2.logBytes))
+	rep.set("service.cachelog_bytes", meanOr0(l2.s.logBytes))
 	rep.set("cache.hit_ratio", ratioOr0(hits, lookups))
 	rep.set("cache.lookups", lookups/n)
 	rep.set("cache.evictions", evictions/n)
 	rep.set("cache.lookup_ns", ratioOr0(l5.cacheNS, l5.cacheOps))
 
-	items := float64(lv.items())
-	rep.set("service.allocs_per_point", (l2.allocs()-l4.allocs())/items)
-	rep.set("sweep.allocs_per_point", (l4w1.allocs()-l5.allocs())/items)
+	items := float64(lv.items(k))
+	rep.set("service.allocs_per_point", (l2.s.allocs()-l4.s.allocs())/items)
+	rep.set("sweep.allocs_per_point", (l4w1.s.allocs()-l5.s.allocs())/items)
 	rep.set("protocols.allocs_per_point", ratioOr0(l5.evalAllocs, l5.evalItems))
 	rep.set("sim.allocs_per_block", ratioOr0(l5.simAllocs, l5.blocks))
 	rep.set("protocols.lp_us_per_point", ratioOr0(l5.lpUS, l5.lpN))
@@ -186,16 +232,16 @@ func layered(ctx context.Context, cfg config, w workload, rep *report) error {
 	}
 
 	if w.name == "sweep" || w.name == "sweep-cached" {
-		for i, saves := range l4ck.perJob {
+		for i, saves := range l4ck.s.perJob {
 			if limit := (lv.job(i).units + sweep.ChunkSize - 1) / sweep.ChunkSize; saves < 1 || saves > limit {
 				rep.fail(fmt.Errorf("job %d: %d checkpoint saves, want 1..%d", i, saves, limit))
 			}
 		}
 	}
 	rep.note("levels: %d jobs each; L0 %.3f = http %.3f + admission %.3f + checkpoint %.3f + csv %.3f + engine %.3f ms",
-		lv.k, l0, l0-l1.ms(), l1.ms()-l2.ms(), l2.ms()-l3.ms(), l3.ms()-l4.ms(), l4.ms())
+		k, l0, l0-l1.s.ms(), l1.s.ms()-l2.s.ms(), l2.s.ms()-l3.s.ms(), l3.s.ms()-l4.s.ms(), l4.s.ms())
 	rep.note("L4 Workers=1 %.3f ms = core %.3f + L5 kernels %.3f ms; per-point figures count %s",
-		l4w1.ms(), l4w1.ms()-l5.ms(), l5.ms(), lv.itemName())
+		l4w1.s.ms(), l4w1.s.ms()-l5.s.ms(), l5.s.ms(), lv.itemName())
 	if w.cached {
 		rep.note("L2 and L3 append to and flush the cache log, so csv_self_ms includes cachelog_flush_ms")
 	}
@@ -212,11 +258,11 @@ func latencies(recs []record) []float64 {
 
 func (lv *levels) job(i int) job { return lv.w.next(lv.g, i) }
 
-// items is the engine work in the level jobs: grid points, support
+// items is the engine work in the first k jobs: grid points, support
 // directions or blocks.
-func (lv *levels) items() int {
+func (lv *levels) items(k int) int {
 	n := 0
-	for i := 0; i < lv.k; i++ {
+	for i := 0; i < k; i++ {
 		j := lv.job(i)
 		if j.region != nil {
 			n += j.region.Size() * (j.region.Angles + 2)
@@ -256,22 +302,19 @@ func (s sample) allocs() float64 {
 	return t
 }
 
-// timed runs f once per level job, recording its wall time and mallocs.
-func (lv *levels) timed(s *sample, f func(i int, j job) error) error {
+// measure runs f, recording its wall time and heap allocations in s.
+func measure(s *sample, f func() error) error {
 	var ms0, ms1 runtime.MemStats
-	for i := 0; i < lv.k; i++ {
-		j := lv.job(i)
-		runtime.ReadMemStats(&ms0)
-		t0 := time.Now()
-		err := f(i, j)
-		d := time.Since(t0)
-		runtime.ReadMemStats(&ms1)
-		if err != nil {
-			return fmt.Errorf("job %d: %w", i, err)
-		}
-		s.times = append(s.times, ms(d))
-		s.mallocs = append(s.mallocs, float64(ms1.Mallocs-ms0.Mallocs))
+	runtime.ReadMemStats(&ms0)
+	t0 := time.Now()
+	err := f()
+	d := time.Since(t0)
+	runtime.ReadMemStats(&ms1)
+	if err != nil {
+		return err
 	}
+	s.times = append(s.times, ms(d))
+	s.mallocs = append(s.mallocs, float64(ms1.Mallocs-ms0.Mallocs))
 	return nil
 }
 
@@ -279,11 +322,11 @@ func (lv *levels) timed(s *sample, f func(i int, j job) error) error {
 // snapshot, or nil for uncached workloads. With withLog the replay goes
 // through service.OpenCacheLog on a copy of the snapshot's cache.log, as
 // bccd's start-up does, and the open log is returned.
-func (lv *levels) store(snap, dir string, withLog bool) (*cache.Store, *service.CacheLog, error) {
+func (lv *levels) store(dir string, withLog bool) (*cache.Store, *service.CacheLog, error) {
 	if !lv.w.cached {
 		return nil, nil, nil
 	}
-	data, err := os.ReadFile(filepath.Join(snap, "cache.log"))
+	data, err := os.ReadFile(filepath.Join(lv.snap, "cache.log"))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -319,73 +362,76 @@ func levelDir(cfg config, name string) (string, error) {
 	return dir, os.MkdirAll(dir, 0o755)
 }
 
-// serviceLevel is L1, CPU-profiled: the profile's package shares are the
-// cpu_share metrics.
-func (lv *levels) serviceLevel(ctx context.Context, snap string) (sample, map[string]float64, error) {
-	var s sample
+// closeLog closes a cache log that may be nil.
+func closeLog(clog *service.CacheLog) error {
+	if clog == nil {
+		return nil
+	}
+	return clog.Close()
+}
+
+// serviceLevel is L1. Each job runs under a CPU profile of its own; the
+// profiles' package shares are the cpu_share metrics.
+func (lv *levels) serviceLevel(ctx context.Context) (*level, error) {
 	dir, err := levelDir(lv.cfg, "l1")
 	if err != nil {
-		return s, nil, err
+		return nil, err
 	}
-	st, clog, err := lv.store(snap, dir, true)
+	st, clog, err := lv.store(dir, true)
 	if err != nil {
-		return s, nil, err
+		return nil, err
 	}
 	jobs, err := service.OpenStore(filepath.Join(dir, "jobs"))
 	if err != nil {
-		return s, nil, err
+		return nil, errors.Join(err, closeLog(clog))
 	}
-	opts := service.Options{CacheLog: clog}
-	svc := service.New(ctx, jobs, lv.engine(st, lv.nproc), opts)
+	svc := service.New(ctx, jobs, lv.engine(st, lv.nproc), service.Options{CacheLog: clog})
 	if err := svc.Start(); err != nil {
-		return s, nil, err
+		return nil, errors.Join(err, closeLog(clog))
 	}
-	specs := make([]service.JobSpec, lv.k)
-	for i := range specs {
-		if specs[i], err = service.ParseJobSpec(lv.job(i).body); err != nil {
-			return s, nil, err
-		}
-	}
-	prof := filepath.Join(dir, "cpu.pprof")
-	pf, err := os.Create(prof)
-	if err != nil {
-		return s, nil, err
-	}
-	if err := pprof.StartCPUProfile(pf); err != nil {
-		pf.Close()
-		return s, nil, err
-	}
-	runErr := lv.timed(&s, func(i int, j job) error {
-		id, err := svc.Submit(specs[i])
+	l := &level{}
+	l.call = func(ctx context.Context, i int, j job, s *sample) error {
+		spec, err := service.ParseJobSpec(j.body)
 		if err != nil {
 			return err
 		}
-		stt, err := svc.Wait(ctx, id)
+		pf, err := os.Create(filepath.Join(dir, fmt.Sprintf("cpu%03d.pprof", i)))
 		if err != nil {
 			return err
 		}
-		if stt.State != service.StateDone {
-			return fmt.Errorf("job ended %s: %s", stt.State, stt.Error)
+		if err := pprof.StartCPUProfile(pf); err != nil {
+			pf.Close()
+			return err
 		}
-		data, _, err := svc.Results(id)
-		if err == nil {
-			lv.rep.fail(lv.check(ctx, j, data))
+		var data []byte
+		err = measure(s, func() error {
+			id, err := svc.Submit(spec)
+			if err != nil {
+				return err
+			}
+			stt, err := svc.Wait(ctx, id)
+			if err != nil {
+				return err
+			}
+			if stt.State != service.StateDone {
+				return fmt.Errorf("job ended %s: %s", stt.State, stt.Error)
+			}
+			data, _, err = svc.Results(id)
+			return err
+		})
+		pprof.StopCPUProfile()
+		if err := errors.Join(err, pf.Close()); err != nil {
+			return err
 		}
-		return err
-	})
-	pprof.StopCPUProfile()
-	closeErr := pf.Close()
-	dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	drainErr := svc.Drain(dctx)
-	if clog != nil {
-		drainErr = errors.Join(drainErr, clog.Close())
+		lv.rep.fail(lv.check(ctx, j, data))
+		return nil
 	}
-	if err := errors.Join(runErr, closeErr, drainErr); err != nil {
-		return s, nil, err
+	l.close = func() error {
+		dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+		defer cancel()
+		return errors.Join(svc.Drain(dctx), closeLog(clog))
 	}
-	shares, err := cpuShares(ctx, prof)
-	return s, shares, err
+	return l, nil
 }
 
 // runLog runs the job's emitter into log, as bccd's executor does.
@@ -403,60 +449,55 @@ func runLog(ctx context.Context, eng *bicoop.Engine, j job, log *service.ResultL
 }
 
 // logLevel is L2 (checkpointed) or L3 (no checkpoint).
-func (lv *levels) logLevel(ctx context.Context, snap string, checkpointed bool) (sample, error) {
-	var s sample
+func (lv *levels) logLevel(ctx context.Context, checkpointed bool) (*level, error) {
 	name := "l3"
 	if checkpointed {
 		name = "l2"
 	}
 	dir, err := levelDir(lv.cfg, name)
 	if err != nil {
-		return s, err
+		return nil, err
 	}
-	st, clog, err := lv.store(snap, dir, true)
+	st, clog, err := lv.store(dir, true)
 	if err != nil {
-		return s, err
+		return nil, err
 	}
 	eng := lv.engine(st, lv.nproc)
-	csvs := make([]string, lv.k)
-	err = lv.timed(&s, func(i int, j job) error {
-		csvs[i] = filepath.Join(dir, fmt.Sprintf("%d.csv", i))
+	logPath := filepath.Join(dir, "cache.log")
+	l := &level{close: func() error { return closeLog(clog) }}
+	l.call = func(ctx context.Context, i int, j job, s *sample) error {
+		csv := filepath.Join(dir, fmt.Sprintf("%d.csv", i))
 		ckpt := ""
 		if checkpointed {
 			ckpt = filepath.Join(dir, fmt.Sprintf("%d.ckpt", i))
 		}
-		log, err := service.OpenResultLog(csvs[i], ckpt)
+		err := measure(s, func() error {
+			log, err := service.OpenResultLog(csv, ckpt)
+			if err != nil {
+				return err
+			}
+			if err := runLog(ctx, eng, j, log); err != nil || clog == nil {
+				return err
+			}
+			before := fileSize(logPath)
+			t0 := time.Now()
+			err = clog.Flush()
+			s.flushes = append(s.flushes, ms(time.Since(t0)))
+			s.logBytes = append(s.logBytes, float64(fileSize(logPath)-before))
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		if err := runLog(ctx, eng, j, log); err != nil {
-			return err
-		}
-		if clog == nil {
-			return nil
-		}
-		before := fileSize(filepath.Join(dir, "cache.log"))
-		t0 := time.Now()
-		err = clog.Flush()
-		s.flushes = append(s.flushes, ms(time.Since(t0)))
-		s.logBytes = append(s.logBytes, float64(fileSize(filepath.Join(dir, "cache.log"))-before))
-		return err
-	})
-	if clog != nil {
-		err = errors.Join(err, clog.Close())
-	}
-	if err != nil {
-		return s, err
-	}
-	for i, path := range csvs {
-		data, err := os.ReadFile(path)
+		data, err := os.ReadFile(csv)
 		if err != nil {
-			return s, err
+			return err
 		}
 		s.bytes = append(s.bytes, float64(len(data)))
-		lv.rep.fail(lv.check(ctx, lv.job(i), data))
+		lv.rep.fail(lv.check(ctx, j, data))
+		return os.Remove(csv)
 	}
-	return s, nil
+	return l, nil
 }
 
 func fileSize(path string) int64 {
@@ -482,18 +523,18 @@ func (t *timedSaver) Save(watermark int) error {
 
 // engineLevel is L4: the engine call with a no-op yield, optionally
 // checkpointing into a ResultLog through a timedSaver.
-func (lv *levels) engineLevel(ctx context.Context, snap string, workers int, checkpoint bool) (sample, error) {
-	var s sample
+func (lv *levels) engineLevel(workers int, checkpoint bool) (*level, error) {
 	dir, err := levelDir(lv.cfg, fmt.Sprintf("l4-w%d-ck%t", workers, checkpoint))
 	if err != nil {
-		return s, err
+		return nil, err
 	}
-	st, _, err := lv.store(snap, dir, false)
+	st, _, err := lv.store(dir, false)
 	if err != nil {
-		return s, err
+		return nil, err
 	}
 	eng := lv.engine(st, workers)
-	err = lv.timed(&s, func(i int, j job) error {
+	l := &level{close: func() error { return nil }}
+	l.call = func(ctx context.Context, i int, j job, s *sample) error {
 		var ck bicoop.Checkpointer
 		var saver *timedSaver
 		if checkpoint {
@@ -505,33 +546,36 @@ func (lv *levels) engineLevel(ctx context.Context, snap string, workers int, che
 			saver = &timedSaver{log: log}
 			ck = saver
 		}
-		var err error
-		switch {
-		case j.sweep != nil:
-			spec := *j.sweep
-			spec.Workers, spec.Checkpoint = workers, ck
-			err = eng.Sweep(ctx, spec, func(bicoop.SweepPoint) error { return nil })
-		case j.region != nil:
-			spec := *j.region
-			spec.Workers, spec.Checkpoint = workers, ck
-			err = eng.RegionBatch(ctx, spec, func(bicoop.RegionBatchPoint) error { return nil })
-		default:
-			spec := *j.campaign
-			spec.Workers, spec.Checkpoint = workers, ck
-			_, err = eng.SimulateBatch(ctx, spec, nil)
-		}
+		err := measure(s, func() error {
+			switch {
+			case j.sweep != nil:
+				spec := *j.sweep
+				spec.Workers, spec.Checkpoint = workers, ck
+				return eng.Sweep(ctx, spec, func(bicoop.SweepPoint) error { return nil })
+			case j.region != nil:
+				spec := *j.region
+				spec.Workers, spec.Checkpoint = workers, ck
+				return eng.RegionBatch(ctx, spec, func(bicoop.RegionBatchPoint) error { return nil })
+			default:
+				spec := *j.campaign
+				spec.Workers, spec.Checkpoint = workers, ck
+				_, err := eng.SimulateBatch(ctx, spec, nil)
+				return err
+			}
+		})
 		if saver != nil {
 			s.saves = append(s.saves, saver.saves...)
 			s.perJob = append(s.perJob, len(saver.saves))
 		}
 		return err
-	})
-	return s, err
+	}
+	return l, nil
 }
 
 // kernels is L5: serial kernel time per job plus the per-kernel splits.
 type kernels struct {
-	sample
+	level
+	long                  int // the block length labelled n4000
 	evalAllocs, evalItems float64
 	simAllocs, blocks     float64
 	lpUS, lpN             float64
@@ -573,22 +617,29 @@ type evalPoint struct {
 	key      cache.Key
 }
 
-func (lv *levels) kernelLevel(ctx context.Context, snap string) (kernels, error) {
-	k := kernels{blockMS: map[string][]float64{"tdbc": {0, 0}, "mabc": {0, 0}}, blockN: map[string][]float64{"tdbc": {0, 0}, "mabc": {0, 0}}}
+func (lv *levels) kernelLevel() (*kernels, error) {
+	k := &kernels{long: lv.cfg.sz.blockLens[1], blockMS: map[string][]float64{"tdbc": {0, 0}, "mabc": {0, 0}}, blockN: map[string][]float64{"tdbc": {0, 0}, "mabc": {0, 0}}}
 	dir, err := levelDir(lv.cfg, "l5")
 	if err != nil {
-		return k, err
+		return nil, err
 	}
-	st, _, err := lv.store(snap, dir, false)
+	st, _, err := lv.store(dir, false)
 	if err != nil {
-		return k, err
+		return nil, err
 	}
 	ev := protocols.NewEvaluator()
+	k.close = func() error { return nil }
+	k.call = func(ctx context.Context, _ int, j job, s *sample) error {
+		return k.run(ctx, ev, st, j, s)
+	}
+	return k, nil
+}
+
+// run times one job's kernels: the job's kernel time is the sum of its
+// timed pieces, and allocations are counted around the kernel calls only.
+func (k *kernels) run(ctx context.Context, ev *protocols.Evaluator, st *cache.Store, j job, s *sample) error {
 	var ms0, ms1 runtime.MemStats
-	// Each job's kernel time is the sum of its timed pieces; allocations
-	// are counted around the kernel calls only.
-	for i := 0; i < lv.k; i++ {
-		j := lv.job(i)
+	{
 		total := 0.0
 		allocs := 0.0
 		if j.campaign != nil {
@@ -599,10 +650,10 @@ func (lv *levels) kernelLevel(ctx context.Context, snap string) (kernels, error)
 				d := time.Since(t0)
 				runtime.ReadMemStats(&ms1)
 				if err != nil {
-					return k, err
+					return err
 				}
 				li := 0
-				if n == lv.cfg.sz.blockLens[1] {
+				if n == k.long {
 					li = 1
 				}
 				k.blockMS[name][li] += ms(d)
@@ -612,13 +663,13 @@ func (lv *levels) kernelLevel(ctx context.Context, snap string) (kernels, error)
 				total += ms(d)
 				allocs += float64(ms1.Mallocs - ms0.Mallocs)
 			}
-			k.times = append(k.times, total)
-			k.mallocs = append(k.mallocs, allocs)
-			continue
+			s.times = append(s.times, total)
+			s.mallocs = append(s.mallocs, allocs)
+			return nil
 		}
 		pts, nCurves, angles, err := flatten(j)
 		if err != nil {
-			return k, err
+			return err
 		}
 		// Cache replay: the misses are what the engine solves.
 		if st != nil {
@@ -645,7 +696,7 @@ func (lv *levels) kernelLevel(ctx context.Context, snap string) (kernels, error)
 			d := time.Since(t0)
 			runtime.ReadMemStats(&ms1)
 			if err != nil {
-				return k, err
+				return err
 			}
 			if lp {
 				k.lpUS += float64(d.Microseconds())
@@ -662,17 +713,17 @@ func (lv *levels) kernelLevel(ctx context.Context, snap string) (kernels, error)
 			k.directions += float64(len(pts))
 			d, err := assemble(pts, out, nCurves, angles)
 			if err != nil {
-				return k, err
+				return err
 			}
 			k.assembleUS += float64(d.Microseconds())
 			k.curves += float64(nCurves)
 			total += ms(d)
 		}
 		k.evalAllocs += allocs
-		k.times = append(k.times, total)
-		k.mallocs = append(k.mallocs, allocs)
+		s.times = append(s.times, total)
+		s.mallocs = append(s.mallocs, allocs)
 	}
-	return k, nil
+	return nil
 }
 
 // runSim runs one bit-true spec serially, as a campaign runs it.
@@ -810,9 +861,15 @@ func assemble(pts []evalPoint, out []protocols.Optimum, nCurves, angles int) (ti
 	return time.Since(t0), nil
 }
 
-// cpuShares buckets a CPU profile by package with `go tool pprof -top`.
-func cpuShares(ctx context.Context, prof string) (map[string]float64, error) {
-	out, err := exec.CommandContext(ctx, "go", "tool", "pprof", "-top", "-nodecount=1000000", prof).Output()
+// cpuShares buckets the CPU profiles in dir by package with
+// `go tool pprof -top`, which merges them.
+func cpuShares(ctx context.Context, dir string) (map[string]float64, error) {
+	profs, err := filepath.Glob(filepath.Join(dir, "cpu*.pprof"))
+	if err != nil || len(profs) == 0 {
+		return nil, fmt.Errorf("no CPU profiles in %s", dir)
+	}
+	args := append([]string{"tool", "pprof", "-top", "-nodecount=1000000"}, profs...)
+	out, err := exec.CommandContext(ctx, "go", args...).Output()
 	if err != nil {
 		return nil, fmt.Errorf("go tool pprof: %w", err)
 	}
