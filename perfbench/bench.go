@@ -157,15 +157,15 @@ func runRecorded(ctx context.Context, c *client, idx int, j job, cached bool) (r
 	return rec, nil
 }
 
-// loop runs jobs 0, 1, ... of the sequence until the window has passed (or
-// max jobs ran, when max > 0). A job that fails is counted and the loop
-// goes on, unless three fail in a row.
-func loop(ctx context.Context, s *session, w workload, g *generator, window time.Duration, max int) ([]record, []error, time.Duration) {
+// loop runs jobs 0, 1, ... of the sequence until the window has passed,
+// each followed by the host-speed probe. A job that fails is counted and
+// the loop goes on, unless three fail in a row.
+func loop(ctx context.Context, s *session, w workload, g *generator, window time.Duration) ([]record, []error) {
 	var recs []record
 	var errs []error
 	t0 := time.Now()
 	streak := 0
-	for i := 0; (max == 0 || i < max) && (max > 0 || time.Since(t0) < window); i++ {
+	for i := 0; time.Since(t0) < window; i++ {
 		rec, err := runRecorded(ctx, s.c, i, w.next(g, i), w.cached)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("job %d: %w", i, err))
@@ -183,7 +183,7 @@ func loop(ctx context.Context, s *session, w workload, g *generator, window time
 		}
 		recs = append(recs, rec)
 	}
-	return recs, errs, time.Since(t0)
+	return recs, errs
 }
 
 // verify checks every recorded job: reference bytes, and the counter
@@ -221,12 +221,12 @@ func endToEnd(ctx context.Context, cfg config, w workload, rep *report) error {
 	}
 	defer s.close()
 	syscall.Sync()
-	cpu0, err := s.d.cpuSeconds()
+	user0, sys0, err := s.d.cpuSeconds()
 	if err != nil {
 		return err
 	}
-	recs, errs, _ := loop(ctx, s, w, g, cfg.window, 0)
-	cpu1, err1 := s.d.cpuSeconds()
+	recs, errs := loop(ctx, s, w, g, cfg.window)
+	user1, sys1, err1 := s.d.cpuSeconds()
 	rss, err2 := s.d.peakRSSMB()
 	if err := errors.Join(err1, err2); err != nil {
 		return err
@@ -246,8 +246,10 @@ func endToEnd(ctx context.Context, cfg config, w workload, rep *report) error {
 
 	// Job times are reported host-speed adjusted, each by the probe run
 	// right after the job (see probe.go); the raw figures go to the notes.
-	// Set-up time is reported raw, and CPU time too except on the CPU-bound
-	// workload, where the run's median probe scales it.
+	// Set-up time is reported raw, and user CPU time too except on the
+	// CPU-bound workload, where the run's median probe scales it. System
+	// CPU time, which on this kind of host swings 2x with the disk's state,
+	// goes to the notes.
 	lat := make([]float64, len(recs))
 	adj := make([]float64, len(recs))
 	probes := make([]float64, len(recs))
@@ -256,7 +258,7 @@ func endToEnd(ctx context.Context, cfg config, w workload, rep *report) error {
 		probes[i] = ms(r.probe)
 		adj[i] = lat[i] * ms(probeNominal) / probes[i]
 	}
-	cpu := (cpu1 - cpu0) / float64(len(recs))
+	cpu := (user1 - user0) / float64(len(recs))
 	rawCPU := cpu
 	if !w.ioBound {
 		cpu *= ms(probeNominal) / median(probes)
@@ -271,13 +273,13 @@ func endToEnd(ctx context.Context, cfg config, w workload, rep *report) error {
 	rep.set("job_p50_ms", median(adj))
 	rep.set("job_tail_ms", tail)
 	rep.set("throughput_per_s", perJob/median(adj)*1000)
-	rep.set("server_cpu_s_per_job", cpu)
+	rep.set("server_user_cpu_s_per_job", cpu)
 	rep.set("server_rss_mb", rss)
 	rep.note("jobs=%d poll_interval_ms=%g job_tail_ms is p%.1f of %d jobs; throughput_per_s is %s_per_s at the median job; failed_frac=%.4g",
 		len(recs), ms(pollInterval), pct, len(lat), w.unit, float64(rep.failed)/float64(rep.attempted))
 	rawTail, _ := tailOf(lat)
-	rep.note("host-speed adjusted to a %g ms probe (run median %.3f ms); raw job_p50_ms=%.6g job_tail_ms=%.6g throughput_per_s=%.6g server_cpu_s_per_job=%.6g",
-		ms(probeNominal), median(probes), median(lat), rawTail, perJob/median(lat)*1000, rawCPU)
+	rep.note("host-speed adjusted to a %g ms probe (run median %.3f ms); raw job_p50_ms=%.6g job_tail_ms=%.6g throughput_per_s=%.6g server_user_cpu_s_per_job=%.6g; server_sys_cpu_s_per_job=%.6g",
+		ms(probeNominal), median(probes), median(lat), rawTail, perJob/median(lat)*1000, rawCPU, (sys1-sys0)/float64(len(recs)))
 	return nil
 }
 

@@ -124,25 +124,25 @@ func (d *daemon) kill() {
 	<-d.exited
 }
 
-// cpuSeconds is the daemon's utime+stime so far.
-func (d *daemon) cpuSeconds() (float64, error) {
+// cpuSeconds is the daemon's user and system CPU time so far.
+func (d *daemon) cpuSeconds() (user, sys float64, err error) {
 	b, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", d.cmd.Process.Pid))
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	// Fields after the parenthesised command name, which may hold spaces:
 	// state is field 3 of the line, utime 14 and stime 15.
 	s := string(b)
 	f := strings.Fields(s[strings.LastIndexByte(s, ')')+1:])
 	if len(f) < 13 {
-		return 0, fmt.Errorf("short /proc stat line %q", s)
+		return 0, 0, fmt.Errorf("short /proc stat line %q", s)
 	}
 	ut, err1 := strconv.ParseUint(f[11], 10, 64)
 	st, err2 := strconv.ParseUint(f[12], 10, 64)
 	if err := errors.Join(err1, err2); err != nil {
-		return 0, fmt.Errorf("parsing /proc stat: %w", err)
+		return 0, 0, fmt.Errorf("parsing /proc stat: %w", err)
 	}
-	return float64(ut+st) / clockTicks, nil
+	return float64(ut) / clockTicks, float64(st) / clockTicks, nil
 }
 
 // peakRSSMB is the daemon's VmHWM in MiB.

@@ -15,7 +15,7 @@ var allMetrics = []metricDef{
 	{"job_p50_ms", "ms", true},
 	{"job_tail_ms", "ms", true},
 	{"throughput_per_s", "1/s", true},
-	{"server_cpu_s_per_job", "s", true},
+	{"server_user_cpu_s_per_job", "s", true},
 	{"server_rss_mb", "MB", true},
 
 	{"service.l0_job_ms", "ms", false},
