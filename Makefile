@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands (see .github/workflows/ci.yml).
 
-.PHONY: all build vet test bench bench-smoke bench-baseline bench-compare fmt-check lint region-artifacts bccd service-smoke service-chaos
+.PHONY: all build vet test perfbench-check bench bench-smoke bench-baseline bench-compare fmt-check lint region-artifacts bccd service-smoke service-chaos
 
 all: build vet test lint
 
@@ -26,6 +26,12 @@ vet:
 
 test:
 	go test ./...
+
+# perfbench-check compiles, vets and smoke-tests the end-to-end benchmark
+# program. perfbench/ is a Go module of its own, so the root `go build ./...`
+# never sees it; this catches a library change that breaks it.
+perfbench-check:
+	go -C perfbench vet ./... && go -C perfbench test ./...
 
 # bench writes the current performance ledger (compare against
 # BENCH_baseline.json; see doc.go "Performance and profiling").

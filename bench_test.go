@@ -285,7 +285,7 @@ func BenchmarkBER(b *testing.B) { benchExperiment(b, "ber") }
 func batchScenarios() []bicoop.Scenario { return grid(1000) }
 
 // BenchmarkEngineSumRateBatch measures Engine.SumRateBatch over a
-// 1k-scenario grid: one warm evaluator across the batch, one shared
+// 1k-scenario grid: one pooled evaluator across the batch, one shared
 // durations backing array, no per-call pool traffic.
 func BenchmarkEngineSumRateBatch(b *testing.B) {
 	eng := bicoop.NewEngine()
@@ -302,7 +302,7 @@ func BenchmarkEngineSumRateBatch(b *testing.B) {
 
 // BenchmarkEngineSweep measures Engine.SweepAll over a Fig 3 style
 // placement grid (37 positions × 5 protocols at 15 dB) — the sharded
-// streaming grid path with per-chunk warm-started Naive4/HBC LPs.
+// streaming grid path with cold-solved Naive4/HBC LPs.
 func BenchmarkEngineSweep(b *testing.B) {
 	eng := bicoop.NewEngine()
 	spec := bicoop.SweepSpec{PowersDB: []float64{15}}
@@ -326,7 +326,7 @@ func BenchmarkEngineSweep(b *testing.B) {
 
 // BenchmarkRegionParallel measures Engine.RegionBatch over the six Fig 4
 // curves at quick resolution — the region workload on the sharded core
-// (flattened angle axis, per-chunk warm-started HBC LPs, streamed hulls).
+// (flattened angle axis, cold-solved HBC LPs, streamed hulls).
 // On a single-core container it pins the sharding overhead against the old
 // serial support sweep; on multi-core hosts the angle axis scales like the
 // grid axes.

@@ -1,19 +1,17 @@
 package bicoop_test
 
 // cache_test.go — the result cache's public contract: cache-on output is
-// bit-identical to cache-off output, for every worker count, whether a
-// point hits or misses. The references here are always COLD solves —
-// Engine.SumRate singles or another cache-enabled run — because cached
-// runs disable LP warm starting (see internal/cache's package doc): a
-// degenerate LP has several optimal vertices, and the warm pivot path may
-// pick a different one than the cold path, so warm-batch rates are NOT
-// comparable bitwise for the LP-backed protocols (Naive4, HBC). The
-// closed-form protocols (DT, MABC, TDBC) are history-free, so for them
-// cached output must equal even the warm uncached batch bit for bit.
+// bit-identical to cache-off output, for all five protocols and both
+// bounds, at every worker count, whether a point hits or misses. Every LP
+// is solved cold, so a point's result depends only on the point itself,
+// never on the points solved before it; the references here are plain
+// uncached engines (batch, sweep, region or single-point SumRate),
+// compared with ==.
 
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -129,27 +127,33 @@ func TestCachedBatchBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCachedFastPathMatchesWarmBatch pins that for the closed-form
-// protocols (no LP, no pivot history) a cached batch equals the plain
-// warm-started batch bit for bit — caching must be invisible there even
-// against the warm reference.
-func TestCachedFastPathMatchesWarmBatch(t *testing.T) {
-	plain := bicoop.NewEngine()
-	cached := bicoop.NewEngine(bicoop.WithCache(1 << 12))
+// TestCachedBatchMatchesUncachedBatch pins a cached SumRateBatch to the
+// plain uncached batch bit for bit, for every protocol and bound at
+// Workers 1, 2 and 7, on the fill pass and on the all-hit rerun. The
+// degenerate Naive4/HBC points of this grid have several optimal vertices,
+// so the batch and the cache must both report the cold solve's vertex.
+func TestCachedBatchMatchesUncachedBatch(t *testing.T) {
 	ctx := context.Background()
 	scenarios := grid(64)
-	for _, proto := range []bicoop.Protocol{bicoop.DT, bicoop.MABC, bicoop.TDBC} {
-		want, err := plain.SumRateBatch(ctx, proto, bicoop.Inner, scenarios)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cached.SumRateBatch(ctx, proto, bicoop.Inner, scenarios)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if !sameResult(got[i], want[i]) {
-				t.Fatalf("%v point %d: cached %+v != warm uncached %+v", proto, i, got[i], want[i])
+	for _, workers := range []int{1, 2, 7} {
+		plain := bicoop.NewEngine(bicoop.WithWorkers(workers))
+		cached := bicoop.NewEngine(bicoop.WithCache(1<<12), bicoop.WithWorkers(workers))
+		for _, c := range allBounds() {
+			want, err := plain.SumRateBatch(ctx, c.Protocol, c.Bound, scenarios)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pass := 0; pass < 2; pass++ { // pass 0 fills, pass 1 is all hits
+				got, err := cached.SumRateBatch(ctx, c.Protocol, c.Bound, scenarios)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if !sameResult(got[i], want[i]) {
+						t.Fatalf("%v/%v workers=%d pass=%d point %d: cached %+v != uncached %+v",
+							c.Protocol, c.Bound, workers, pass, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}
@@ -208,51 +212,64 @@ func TestCachedRandomizedEquivalence(t *testing.T) {
 }
 
 // TestCachedSweepMatchesCanonical pins SweepAll (including the erasure
-// axis) on a cached engine against an independent cold cached run, and a
-// warm-store rerun against the first pass.
+// axis) on cached engines at Workers 1, 2 and 7 against a plain uncached
+// sweep, and a warm-store rerun against the same reference.
 func TestCachedSweepMatchesCanonical(t *testing.T) {
 	spec := bicoop.SweepSpec{
 		Base:     bicoop.Scenario{GabDB: -7, GarDB: 0, GbrDB: 5},
-		PowersDB: []float64{0, 5, 10},
+		PowersDB: []float64{-5, 0, 5, 10, 15},
+		Placements: []bicoop.RelayPlacement{
+			{Pos: 0.2, Exponent: 3},
+			{Pos: 0.5, Exponent: 3},
+			{Pos: 0.8, Exponent: 3},
+		},
 		Erasures: []bicoop.ErasureLinks{{EpsAR: 0.2, EpsBR: 0.1, EpsAB: 0.6}},
-		Workers:  2,
 	}
 	ctx := context.Background()
-	first := bicoop.NewEngine(bicoop.WithCache(1 << 12))
-	second := bicoop.NewEngine(bicoop.WithCache(1<<12), bicoop.WithWorkers(7))
-	a, err := first.SweepAll(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := second.SweepAll(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rerun, err := first.SweepAll(ctx, spec) // served from the warm store
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs := first.CacheStats(); cs.Hits == 0 {
-		t.Fatalf("rerun recorded no hits: %+v", cs)
-	}
-	for i := range a {
-		if !sameResult(a[i].Result, b[i].Result) {
-			t.Errorf("point %d: independent cold cached runs differ: %+v vs %+v", i, a[i].Result, b[i].Result)
+	for _, bound := range []bicoop.Bound{bicoop.Inner, bicoop.Outer} {
+		spec.Bound = bound
+		spec.Workers = 1
+		want, err := bicoop.NewEngine().SweepAll(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !sameResult(a[i].Result, rerun[i].Result) {
-			t.Errorf("point %d: warm-store rerun differs: %+v vs %+v", i, rerun[i].Result, a[i].Result)
+		for _, workers := range []int{1, 2, 7} {
+			spec.Workers = workers
+			eng := bicoop.NewEngine(bicoop.WithCache(1 << 12))
+			for pass := 0; pass < 2; pass++ { // pass 1 is served from the warm store
+				got, err := eng.SweepAll(ctx, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%v workers=%d: %d points, want %d", bound, workers, len(got), len(want))
+				}
+				for i := range want {
+					if !sameResult(got[i].Result, want[i].Result) {
+						t.Errorf("%v workers=%d pass=%d point %d: cached %+v != uncached %+v",
+							bound, workers, pass, i, got[i].Result, want[i].Result)
+					}
+				}
+			}
+			if cs := eng.CacheStats(); cs.Hits == 0 {
+				t.Fatalf("%v workers=%d: rerun recorded no hits: %+v", bound, workers, cs)
+			}
 		}
 	}
 }
 
-// TestCachedRegionMatchesCanonical pins RegionBatch vertex caching: two
-// independent cached engines at different worker counts and a warm-store
-// rerun must produce identical polygons.
+// TestCachedRegionMatchesCanonical pins RegionBatch vertex caching: cached
+// engines at Workers 1, 2 and 7, and a warm-store rerun, must produce the
+// polygons of a plain uncached run bit for bit, for every protocol and
+// bound.
 func TestCachedRegionMatchesCanonical(t *testing.T) {
 	spec := bicoop.RegionBatchSpec{
-		Scenarios: []bicoop.Scenario{{PowerDB: 10, GabDB: -7, GarDB: 0, GbrDB: 5}},
-		Curves:    allBounds(),
-		Angles:    31,
+		Scenarios: []bicoop.Scenario{
+			{PowerDB: 10, GabDB: -7, GarDB: 0, GbrDB: 5},
+			{PowerDB: 0, GabDB: -3, GarDB: 2, GbrDB: 1},
+		},
+		Curves: allBounds(),
+		Angles: 31,
 	}
 	ctx := context.Background()
 	collect := func(eng *bicoop.Engine, workers int) [][]bicoop.RatePoint {
@@ -267,21 +284,22 @@ func TestCachedRegionMatchesCanonical(t *testing.T) {
 		}
 		return out
 	}
-	first := bicoop.NewEngine(bicoop.WithCache(1 << 13))
-	a := collect(first, 1)
-	b := collect(bicoop.NewEngine(bicoop.WithCache(1<<13)), 7)
-	rerun := collect(first, 2)
-	if cs := first.CacheStats(); cs.Hits == 0 {
-		t.Fatalf("rerun recorded no hits: %+v", cs)
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) || len(a[i]) != len(rerun[i]) {
-			t.Fatalf("curve %d: vertex counts differ: %d cold, %d cold-w7, %d warm", i, len(a[i]), len(b[i]), len(rerun[i]))
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] || a[i][j] != rerun[i][j] {
-				t.Fatalf("curve %d vertex %d: %v vs %v vs %v", i, j, a[i][j], b[i][j], rerun[i][j])
+	want := collect(bicoop.NewEngine(), 1)
+	for _, workers := range []int{1, 2, 7} {
+		eng := bicoop.NewEngine(bicoop.WithCache(1 << 13))
+		for pass := 0; pass < 2; pass++ { // pass 1 is served from the warm store
+			got := collect(eng, workers)
+			if len(got) != len(want) {
+				t.Fatalf("workers=%d pass=%d: %d curves, want %d", workers, pass, len(got), len(want))
 			}
+			for i := range want {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("workers=%d pass=%d curve %d: cached %v != uncached %v", workers, pass, i, got[i], want[i])
+				}
+			}
+		}
+		if cs := eng.CacheStats(); cs.Hits == 0 {
+			t.Fatalf("workers=%d: rerun recorded no hits: %+v", workers, cs)
 		}
 	}
 }

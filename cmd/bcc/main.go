@@ -495,9 +495,9 @@ func cmdSweep(ctx context.Context, args []string) error {
 	defer cancel()
 	sweepEng := eng
 	if *cacheCap > 0 {
-		// A dedicated engine so the cached run solves cold (see the cache
-		// package doc): results stay byte-identical whether points hit or
-		// miss, at the cost of not warm-starting the misses.
+		// A dedicated engine carrying the result cache. Every solve is
+		// position-independent, so the CSV is byte-identical to a
+		// cache-off run's whether points hit or miss.
 		sweepEng = bicoop.NewEngine(bicoop.WithCache(*cacheCap))
 	}
 	return runSweepCSV(ctx, sweepEng, spec, *out, *ckPath)

@@ -50,6 +50,13 @@ func run(args []string) error {
 	if *store == "" {
 		return fmt.Errorf("-store is required")
 	}
+	// Install the drain handler before anything is started or announced:
+	// a SIGTERM that arrives once -addrfile exists (or even while the store
+	// is being recovered) is then queued and drained like any other,
+	// instead of killing the process with the default action.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigc)
 
 	st, err := service.OpenStore(*store)
 	if err != nil {
@@ -102,8 +109,6 @@ func run(args []string) error {
 	go func() { errc <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "bccd: listening on %s, store %s\n", ln.Addr(), *store)
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case err := <-errc:
 		return err

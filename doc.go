@@ -47,7 +47,7 @@
 //	err = eng.RegionBatch(ctx, bicoop.RegionBatchSpec{...}, func(pt bicoop.RegionBatchPoint) error { ... })
 //
 //	// Batches: thousands of scenarios sharded across a worker pool, each
-//	// worker holding one warm evaluator.
+//	// worker holding one pooled evaluator.
 //	results, err := eng.SumRateBatch(ctx, bicoop.TDBC, bicoop.Inner, scenarios)
 //
 //	// Declarative grids (power × relay placement × protocol, plus an
@@ -192,18 +192,13 @@
 // the stored value is the exact solve of the exact scenario, so a hit
 // returns bit-identical output, not a grid-rounded approximation.
 //
-// Cached values are canonical cold solves. A warm-started simplex solve
-// carries its predecessor's basis, and on degenerate LPs (multiple
-// optimal vertices) the warm and cold paths can legitimately pick
-// different optimal rate points — same objective, different (Ra, Rb)
-// split. A cache hit must not depend on which points happened to precede
-// the miss that filled it, so cache-enabled runs disable warm starting
-// and every cached value is position-independent. Consequences: a cached
-// run equals another cached run, a single-point SumRate, and itself at
-// any worker count, bit for bit (pinned by == tests at Workers 1/2/7);
-// for the closed-form bounds (DT, MABC, TDBC) it also equals a warm
-// batch; for Naive4/HBC a warm uncached sweep may report a different —
-// equally optimal — vertex at degenerate points.
+// Cached values are the same solves an uncached run performs. Every LP
+// is solved cold, from the all-slack basis, so a solve depends only on
+// its own point and never on which points preceded it. A cached run
+// therefore equals an uncached run, another cached run, a single-point
+// SumRate, and itself at any worker count, bit for bit, for all five
+// protocols (pinned by == tests at Workers 1/2/7), even at degenerate
+// points with several optimal vertices.
 //
 // The in-process tier is a sharded store: 64 shards, one mutex and a
 // flat entry array per shard, second-chance (clock) eviction, zero
@@ -245,30 +240,30 @@
 // figure experiments — executes through one generic sharded core,
 // internal/sweep.RunCore: an indexed point set is split into fixed-size
 // chunks pulled by a worker pool (claim = one atomic add), each worker owns
-// private state supplied by a Hooks[W] triple (NewWorker/ResetWorker/
-// CloseWorker), completed chunks stream to an ordered emitter under a
+// private state supplied by a Hooks[W] pair (NewWorker/CloseWorker),
+// completed chunks stream to an ordered emitter under a
 // bounded backpressure window (~2x workers chunks live), and cancellation
 // is a context.AfterFunc flipping one atomic flag polled per chunk, with
 // the contiguous completed prefix reported alongside the context error.
 // Sharding a new axis is three decisions: flatten the axis into point
 // indices (the grid flattens power x placement x protocol; regions flatten
 // curves x support directions; campaigns flatten whole simulation runs at
-// chunk size 1), pick the per-worker state W and its per-chunk reset (warm
-// evaluators reset their LP bases; stateless workloads pass
-// Hooks[struct{}]{}), and write results into index-addressed storage so
-// the emitter can stream them in enumeration order. Because chunk
-// boundaries depend only on the point count and chunk size — never on
-// Workers — any state reset happens at the same indices for every worker
-// count, which is what makes every result bit-identical from 1 worker to N.
+// chunk size 1), pick the per-worker state W (a leased evaluator;
+// stateless workloads pass Hooks[struct{}]{}), and write results into
+// index-addressed storage so the emitter can stream them in enumeration
+// order. W is scratch, never memory: a point's result must not depend on
+// what its worker evaluated before, which is what makes every result
+// bit-identical from 1 worker to N. Chunk boundaries depend only on the
+// point count and chunk size — never on Workers — so checkpoints and
+// retries land on the same indices for every worker count.
 //
-// For the LP grids concretely: each worker holds one warm evaluator, and
-// within a chunk the Naive4/HBC LPs warm-start from the previous point's
-// optimal basis (simplex.SolveWarmIn — usually zero phase-2 pivots on
-// adjacent grid points or region angles). The parallel knobs: WithWorkers
-// sets an engine-wide default; SweepSpec.Workers, RegionOptions.Workers,
-// RegionBatchSpec.Workers and CampaignSpec.Workers override per run; all
-// default to GOMAXPROCS. A post-solve refinement step makes every LP
-// solution a function of its final basis alone, so batch, sweep and region
+// For the LP grids concretely: each worker holds one pooled evaluator, and
+// every Naive4/HBC LP is a cold simplex.SolveIn solve. The parallel knobs:
+// WithWorkers sets an engine-wide default; SweepSpec.Workers,
+// RegionOptions.Workers, RegionBatchSpec.Workers and CampaignSpec.Workers
+// override per run; all default to GOMAXPROCS. A post-solve refinement
+// step makes every LP solution a function of its final basis alone,
+// independent of the pivot path's rounding. Batch, sweep and region
 // results are bit-identical for every Workers setting — worker count only
 // trades wall-clock time for cores. Campaigns keep the same guarantee one
 // level up: every SimSpec carries its own seed, and inside a campaign a

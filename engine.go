@@ -110,9 +110,9 @@ func WithWorkers(n int) Option {
 // The analytic bounds are pure functions of the scenario, so SumRate,
 // SumRateBatch, Sweep and RegionBatch serve repeat points from the cache
 // instead of re-solving their LPs. Cached results are bit-identical to
-// cache-off results — see doc.go "Result cache" for the grid resolution,
-// memory bound and warm-start interaction. Non-positive capacity leaves
-// caching off.
+// cache-off results for every protocol — see doc.go "Result cache" for the
+// grid resolution and memory bound. Non-positive capacity leaves caching
+// off.
 func WithCache(capacity int) Option {
 	return func(e *Engine) {
 		if capacity > 0 {
@@ -273,12 +273,11 @@ func (e *Engine) SumRate(p Protocol, b Bound, s Scenario) (SumRateResult, error)
 // SumRateBatch evaluates the bound's optimal sum rate for every scenario.
 // The grid is sharded by internal/sweep: fixed-size chunks are pulled by a
 // worker pool (the engine's WithWorkers default), each worker holding one
-// warm pooled evaluator — no per-call spec compilation, and the Naive4/HBC
-// LPs warm-start from the previous scenario's basis within a chunk. Chunk
-// boundaries are worker-count-independent, so results are bit-identical for
-// every Workers setting and are returned in input order. On cancellation it
-// returns the contiguous prefix of completed results alongside the context
-// error.
+// pooled evaluator — no per-call spec compilation. Every Naive4/HBC LP is
+// a cold solve of its own scenario, so results equal single-point SumRate
+// calls and a cached batch bit for bit, for every Workers setting, and are
+// returned in input order. On cancellation it returns the contiguous
+// prefix of completed results alongside the context error.
 func (e *Engine) SumRateBatch(ctx context.Context, p Protocol, b Bound, scenarios []Scenario) ([]SumRateResult, error) {
 	ip, ib, err := resolveEnums(p, b)
 	if err != nil {

@@ -87,7 +87,7 @@ func ExampleNewEngine() {
 }
 
 // ExampleEngine_SumRateBatch evaluates a power sweep in one engine call,
-// amortizing a single warm evaluator across the whole grid — the access
+// amortizing a single pooled evaluator across the whole grid — the access
 // pattern of the paper's figure sweeps and of any bulk query service.
 func ExampleEngine_SumRateBatch() {
 	eng := bicoop.NewEngine()

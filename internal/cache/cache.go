@@ -12,11 +12,10 @@
 // The cachekey analyzer (internal/lint/analyzers) enforces that no other
 // package assembles a Key by hand.
 //
-// Cached values are canonical cold solves: cache-enabled runs disable LP
-// warm starting (see internal/sweep), because a warm-started solve's last
-// bits depend on the pivot history of the points before it, which a cache
-// hit would otherwise perturb. Cold solves are position-independent, so
-// hits, misses and worker counts cannot change a single output bit.
+// Cached values are the same cold solves an uncached run performs: every
+// LP solve depends only on its own point, never on the points solved
+// before it, so hits, misses and worker counts cannot change a single
+// output bit.
 //
 // The Store is the in-process tier: sharded by key hash, per-shard
 // mutex, fixed-size entry arrays with second-chance (clock) eviction,

@@ -221,54 +221,22 @@ type Evaluator struct {
 	aeqFlat []float64
 	aeq     [][]float64
 	beq     []float64
-
-	// Warm-start state for the simplex fallback (Naive4/HBC weighted-rate
-	// LPs): the optimal basis of the previous solve per (protocol, bound),
-	// used as a SolveWarmIn hint when warm starting is enabled. Off by
-	// default so results are bit-reproducible regardless of call history;
-	// grid sweeps enable it and reset at deterministic chunk boundaries.
-	warmOn bool
-	warm   [HBC + 1][BoundOuter + 1]warmBasis
 }
 
-// warmBasis is one saved LP basis; n == 0 means no hint.
-type warmBasis struct {
-	basis [maxTplCons + 1]int
-	n     int
-}
+// SetWarmStart is a no-op. Every Naive4/HBC weighted-rate LP is the cold
+// SolveIn solve, so results never depend on call history.
+//
+// Deprecated: LP warm starting was removed. The method stays only because
+// perfbench/trace.go still calls it, and the perfbench module changes only
+// together with the benchmark itself; delete it when that call goes.
+func (e *Evaluator) SetWarmStart(bool) {}
 
-// SetWarmStart toggles LP warm starting across consecutive solves of the
-// same (protocol, bound). Warm-started solves reach the same optimum as cold
-// ones (objectives agree to ~1e-12; the pivot path, and hence the last bits
-// of rounding, may differ), typically in zero phase-2 pivots on adjacent
-// sweep grid points. Enabling it makes results depend on solve order, so
-// deterministic pipelines must reset at fixed boundaries (ResetWarmStart).
-func (e *Evaluator) SetWarmStart(on bool) {
-	e.warmOn = on
-	if !on {
-		e.ResetWarmStart()
-	}
-}
-
-// ResetWarmStart drops every saved warm-start basis. Chunked sweeps call it
-// at chunk boundaries so a chunk's results never depend on which worker
-// evaluated the previous chunk.
-func (e *Evaluator) ResetWarmStart() {
-	for p := range e.warm {
-		for b := range e.warm[p] {
-			e.warm[p][b].n = 0
-		}
-	}
-}
-
-// warmFor returns the warm-start slot for (p, b) when warm starting is
-// enabled and the enums are in range, else nil.
-func (e *Evaluator) warmFor(p Protocol, b Bound) *warmBasis {
-	if !e.warmOn || p < DT || p > HBC || b < BoundInner || b > BoundOuter {
-		return nil
-	}
-	return &e.warm[p][b]
-}
+// ResetWarmStart is a no-op: there is no warm-start state to drop.
+//
+// Deprecated: LP warm starting was removed. The method stays only because
+// perfbench/trace.go still calls it, and the perfbench module changes only
+// together with the benchmark itself; delete it when that call goes.
+func (e *Evaluator) ResetWarmStart() {}
 
 // NewEvaluator returns a ready-to-use evaluator.
 func NewEvaluator() *Evaluator { return &Evaluator{} }
@@ -783,19 +751,9 @@ func (e *Evaluator) simplexWeighted(tpl *specTemplate, p Protocol, b Bound, muA,
 	e.aub[m] = row
 	e.bub[m] = 1
 
-	prob := simplex.Problem{C: e.c, AUb: e.aub, BUb: e.bub}
-	var sol simplex.Solution
-	var err error
-	if w := e.warmFor(p, b); w != nil && w.n == m+1 {
-		sol, err = prob.SolveWarmIn(&e.ws, w.basis[:w.n])
-	} else {
-		sol, err = prob.SolveIn(&e.ws)
-	}
+	sol, err := simplex.Problem{C: e.c, AUb: e.aub, BUb: e.bub}.SolveIn(&e.ws)
 	if err != nil {
 		return Optimum{}, fmt.Errorf("protocols: %v %v weighted-rate LP: %w", p, b, err)
-	}
-	if w := e.warmFor(p, b); w != nil {
-		w.n = len(e.ws.Basis(w.basis[:0]))
 	}
 	sum := 0.0
 	for l := 0; l < k; l++ {

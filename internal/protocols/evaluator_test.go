@@ -3,6 +3,7 @@ package protocols
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bicoop/internal/xmath"
@@ -347,8 +348,8 @@ func TestEvaluatorSwapSymmetry(t *testing.T) {
 
 // TestEvaluatorZeroAllocs is the allocation-regression gate for the
 // steady-state LP hot path: sum-rate and feasibility evaluation must not
-// allocate for any protocol, on either the closed-form or the simplex
-// fallback path.
+// allocate for any protocol, on either the closed-form or the cold simplex
+// path (Naive4, HBC).
 func TestEvaluatorZeroAllocs(t *testing.T) {
 	e := NewEvaluator()
 	s := NewScenarioDB(10, -7, 0, 5)
@@ -375,6 +376,36 @@ func TestEvaluatorZeroAllocs(t *testing.T) {
 				}
 			}); n != 0 {
 				t.Errorf("%v %v: Feasible allocates %.1f/op, want 0", p, b, n)
+			}
+		}
+	}
+}
+
+// TestWarmStartOffIsDefault pins that evaluator results are history-free:
+// an evaluator that has just solved other scenarios returns the same bits
+// as a fresh one for every simplex-backed bound, so no solve carries state
+// (such as a previous basis) into the next.
+func TestWarmStartOffIsDefault(t *testing.T) {
+	s := NewScenarioDB(10, -7, 0, 5)
+	history := []Scenario{NewScenarioDB(-5, -7, 0, 5), NewScenarioDB(0, -3, 2, 1), NewScenarioDB(10, -7, 0.1, 5)}
+	used := NewEvaluator()
+	for _, p := range []Protocol{Naive4, HBC} {
+		for _, b := range allBounds {
+			for _, h := range history {
+				if _, err := used.WeightedRate(p, b, h, 1, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := used.WeightedRate(p, b, s, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewEvaluator().WeightedRate(p, b, s, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Objective != want.Objective || got.Rates != want.Rates || !slices.Equal(got.Durations, want.Durations) {
+				t.Errorf("%v %v: history changed the result: %+v vs fresh %+v", p, b, got, want)
 			}
 		}
 	}

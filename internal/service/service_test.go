@@ -17,8 +17,8 @@ var testScenario = bicoop.Scenario{PowerDB: 10, GabDB: -7, GarDB: 0, GbrDB: 5}
 
 // longSweep is a grid big enough that a job is reliably observable in the
 // running state and interruptible mid-flight — tens of thousands of LP
-// points (warm-started LPs run in tens of microseconds, so "long" needs to
-// be genuinely large).
+// points (the LPs run in tens of microseconds, so "long" needs to be
+// genuinely large).
 func longSweep(workers int) JobSpec {
 	spec := JobSpec{Sweep: &SweepJob{
 		Base:     testScenario,

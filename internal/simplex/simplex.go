@@ -147,122 +147,6 @@ func (p Problem) Solve() (Solution, error) {
 	return p.SolveIn(&ws)
 }
 
-// Basis appends the basic-variable column index of each tableau row of the
-// workspace's most recent solve to dst and returns the extended slice — a
-// warm-start hint for SolveWarmIn on a nearby problem. The snapshot is only
-// meaningful while the problem shape is unchanged; SolveWarmIn validates it
-// and ignores unusable hints.
-func (ws *Workspace) Basis(dst []int) []int {
-	return append(dst, ws.basis...)
-}
-
-// SolveWarmIn is SolveIn with a warm-start hint: basis is a Basis snapshot
-// from a previous solve of a same-shaped problem (grid sweeps re-solve the
-// same LP with slightly perturbed coefficients, where the optimal basis
-// rarely changes between adjacent points). The hint is used only when it is
-// sound end to end — the problem is in pure inequality form with
-// non-negative right-hand sides, the basis indexes structural/slack columns
-// bijectively, the crash pivots are numerically stable, and the crashed
-// vertex is primal feasible; in every other case the call falls back to
-// SolveIn. SolveWarmIn therefore never fails where SolveIn would succeed,
-// and always returns an optimum of p itself.
-func (p Problem) SolveWarmIn(ws *Workspace, basis []int) (Solution, error) {
-	if sol, ok, err := p.trySolveWarm(ws, basis); ok {
-		return sol, err
-	}
-	return p.SolveIn(ws)
-}
-
-// trySolveWarm attempts the warm-started solve. ok reports whether the hint
-// applied; when false the caller must run the cold path (the workspace may
-// have been dirtied, which SolveIn's ensure resets).
-func (p Problem) trySolveWarm(ws *Workspace, basis []int) (Solution, bool, error) {
-	nStruct := len(p.C)
-	nSlack := len(p.AUb)
-	if nStruct == 0 || nSlack == 0 || len(p.AEq) != 0 || len(p.BEq) != 0 ||
-		len(basis) != nSlack || len(p.BUb) != nSlack {
-		return Solution{}, false, nil
-	}
-	for _, row := range p.AUb {
-		if len(row) != nStruct {
-			return Solution{}, false, nil
-		}
-	}
-	for _, b := range p.BUb {
-		if b < 0 {
-			return Solution{}, false, nil
-		}
-	}
-	nCols := nStruct + nSlack
-	if nCols > 64 {
-		// The bitmap below caps the column count; the LPs this fast path
-		// serves are far smaller.
-		return Solution{}, false, nil
-	}
-	var seen uint64
-	for _, b := range basis {
-		if b < 0 || b >= nCols || seen&(1<<uint(b)) != 0 {
-			return Solution{}, false, nil
-		}
-		seen |= 1 << uint(b)
-	}
-
-	ws.ensure(nSlack, nCols, nStruct)
-	t := tableau{
-		rows:    ws.rows,
-		obj:     ws.obj,
-		art:     ws.art,
-		basis:   ws.basis,
-		nStruct: nStruct,
-		nSlack:  nSlack,
-		nCols:   nCols,
-	}
-	for i, src := range p.AUb {
-		row := t.rows[i]
-		copy(row, src)
-		row[nStruct+i] = 1
-		row[nCols] = p.BUb[i]
-		t.basis[i] = nStruct + i
-	}
-	for j := 0; j < nStruct; j++ {
-		t.obj[j] = -p.C[j]
-	}
-
-	// Basis crash: pivot each hinted basic column into its row. Pivots keep
-	// the tableau exactly consistent in any order; a (near-)zero pivot
-	// element means the hinted basis is singular for this problem, so hand
-	// back to the cold path.
-	for i, col := range basis {
-		if t.basis[i] == col {
-			continue
-		}
-		if math.Abs(t.rows[i][col]) <= pivotTol {
-			return Solution{}, false, nil
-		}
-		t.pivot(i, col)
-	}
-	// The crashed vertex must be primal feasible to start phase 2; a hinted
-	// basis that turned infeasible at this grid point is a genuine vertex
-	// change, not an error — cold-solve it.
-	for _, r := range t.rows {
-		if r[t.nCols] < 0 {
-			return Solution{}, false, nil
-		}
-	}
-	if err := t.iterate(t.obj, t.nCols); err != nil {
-		if errors.Is(err, ErrUnbounded) {
-			// From a feasible basis, unboundedness is a property of p itself.
-			return Solution{}, true, ErrUnbounded
-		}
-		// Iteration-limit anomalies may be an artifact of the warm path's
-		// pivot history; let the cold path decide.
-		return Solution{}, false, nil
-	}
-	sol := t.solution(ws)
-	p.refineSolution(ws, &t, &sol)
-	return sol, true, nil
-}
-
 // SolveIn maximizes the problem using the given workspace's storage. Repeat
 // solves of same-shaped (or smaller) problems perform no heap allocation.
 // The returned Solution.X aliases workspace memory: it is valid until the
@@ -302,12 +186,12 @@ func (p Problem) SolveIn(ws *Workspace) (Solution, error) {
 // directly from the original problem data given the final basis, via dense
 // Gaussian elimination with partial pivoting. It applies to pure-inequality
 // problems with non-negative right-hand sides (the shape the evaluator hot
-// path emits and SolveWarmIn accepts). The tableau's pivot history then no
-// longer influences the returned numbers: every solve ending in the same
-// basis returns bitwise-identical results, which is what makes warm-started
-// sweeps agree with cold ones to ~1e-12 instead of accumulated pivot
-// rounding. On a singular or out-of-shape system it leaves the tableau
-// solution untouched.
+// path emits). The tableau's pivot history then no longer influences the
+// returned numbers: every solve ending in the same basis returns
+// bitwise-identical results, whatever pivot path reached it, so the last
+// bits of the published figures depend only on the final basis, not on
+// accumulated pivot rounding. On a singular or out-of-shape system it leaves
+// the tableau solution untouched.
 func (p Problem) refineSolution(ws *Workspace, t *tableau, sol *Solution) {
 	if len(p.AEq) != 0 || t.nArt != 0 {
 		return

@@ -4,15 +4,15 @@ package sweep
 // evaluator-grid entry point in sweep.go), RegionBatch (region.go) and the
 // facade's simulation campaigns all execute through RunCore: an indexed
 // point set is split into fixed-size chunks pulled by a worker pool, each
-// worker owning private state W supplied by Hooks and reset at every chunk
-// boundary, with an ordered streaming emitter under bounded backpressure.
+// worker owning private state W supplied by Hooks, with an ordered
+// streaming emitter under bounded backpressure.
 //
 // The contract every workload inherits:
 //
 //   - chunk claim is one atomic add; chunk boundaries depend only on n and
-//     the chunk size, never on Workers, so any per-chunk state reset happens
-//     at the same indices for every worker count and results stay
-//     bit-identical;
+//     the chunk size, never on Workers, so chunk-local state a workload
+//     builds inside do starts at the same indices for every worker count
+//     and results stay bit-identical;
 //   - emit(start, end) observes completed chunks in strictly ascending
 //     order, with at most ~2×workers chunks of results live (ticket
 //     semaphore), so streaming consumers hold O(workers) chunks, not the
@@ -30,18 +30,16 @@ import (
 )
 
 // Hooks supplies the per-worker state of a generic sharded run. Every worker
-// goroutine owns one W for its lifetime; ResetWorker runs at each chunk
-// boundary so a chunk's results depend only on the chunk itself, never on
-// which worker evaluated the previous one. All fields are optional: a nil
-// NewWorker gives every worker W's zero value (stateless workloads such as
-// simulation campaigns pass Hooks[struct{}]{}).
+// goroutine owns one W for its lifetime (a retry recreates it). W is
+// scratch, not memory: a chunk's results must not depend on what the
+// worker evaluated before, so they stay the same whichever worker runs the
+// chunk. All fields are optional: a nil NewWorker gives every worker W's
+// zero value (stateless workloads such as simulation campaigns pass
+// Hooks[struct{}]{}).
 type Hooks[W any] struct {
-	// NewWorker returns the state one worker owns (e.g. a leased warm
-	// evaluator). Called once per worker goroutine.
+	// NewWorker returns the state one worker owns (e.g. a leased
+	// evaluator). Called once per worker goroutine and once per retry.
 	NewWorker func() W
-	// ResetWorker clears any cross-chunk state (e.g. LP warm-start bases)
-	// at every chunk boundary, before do runs on the chunk.
-	ResetWorker func(W)
 	// CloseWorker releases the state when the worker exits (e.g. returns
 	// the evaluator to its pool). Runs even when the run halts early.
 	CloseWorker func(W)
@@ -53,12 +51,6 @@ func (h Hooks[W]) newWorker() W {
 	}
 	var zero W
 	return zero
-}
-
-func (h Hooks[W]) reset(w W) {
-	if h.ResetWorker != nil {
-		h.ResetWorker(w)
-	}
 }
 
 func (h Hooks[W]) close(w W) {
@@ -76,9 +68,9 @@ type CoreOptions struct {
 	// ChunkSize is the number of consecutive points one worker evaluates
 	// per claim; non-positive means ChunkSize (64). Pick it per workload —
 	// 1 for heavyweight points like whole simulation runs — but never
-	// derive it from Workers: chunk boundaries are the worker-state reset
-	// points, so determinism across worker counts depends on them being
-	// fixed.
+	// derive it from Workers: chunk boundaries are the checkpoint and retry
+	// granules, so resumability and determinism across worker counts
+	// depend on them being fixed.
 	ChunkSize int
 	// Start resumes a run: points [0, Start) are assumed already evaluated
 	// and emitted by an earlier run, so neither do nor emit sees them.
@@ -109,12 +101,11 @@ func (o CoreOptions) chunkSize() int {
 }
 
 // RunCore evaluates n indexed points with per-worker state W. do(w, start,
-// end) evaluates the contiguous chunk [start, end) — freshly reset via
-// Hooks.ResetWorker — and must write its results into caller-owned,
-// index-addressed storage; emit(start, end), when non-nil, is invoked for
-// completed chunks in strictly ascending order (the streaming sink). A do or
-// emit error, or context cancellation, halts the run within one chunk per
-// worker.
+// end) evaluates the contiguous chunk [start, end) and must write its
+// results into caller-owned, index-addressed storage; emit(start, end), when
+// non-nil, is invoked for completed chunks in strictly ascending order (the
+// streaming sink). A do or emit error, or context cancellation, halts the
+// run within one chunk per worker.
 //
 // Failures are contained per chunk: a do error (including a recovered
 // workload panic, surfaced as a *PanicError) is reported as a *ChunkError,
@@ -274,7 +265,7 @@ func watermarkOf(nextEmit, n, cs int) int {
 }
 
 // runCoreSequential is the single-worker path: same chunk boundaries and
-// worker-state resets as the pool, so its outputs are bit-identical, without
+// retry handling as the pool, so its outputs are bit-identical, without
 // goroutine or channel overhead.
 func runCoreSequential[W any](ctx context.Context, n, nChunks, cs, startChunk int, opts CoreOptions, hooks Hooks[W], do func(w W, start, end int) error, emit func(start, end int) error) (int, error) {
 	st := hooks.newWorker()

@@ -188,10 +188,9 @@ func (spec Spec) resolve() (resolvedGrid, error) {
 }
 
 // Sweep evaluates the grid across opts.Workers and streams every point to
-// yield in enumeration order. One warm evaluator is held per worker; within
-// each fixed-size chunk the Naive4/HBC LPs warm-start from the previous
-// point's basis, and the warm state resets at chunk boundaries so results
-// are bit-identical for every worker count. A yield error or context
+// yield in enumeration order. One pooled evaluator is held per worker, and
+// every Naive4/HBC LP is a cold solve that depends only on its own point, so
+// results are bit-identical for every worker count. A yield error or context
 // cancellation stops the sweep within one chunk per worker.
 func Sweep(ctx context.Context, spec Spec, opts Options, yield func(Point) error) error {
 	grid, err := spec.resolve()

@@ -7,8 +7,7 @@ package sweep
 // (scenarios × protocol bounds) into one indexed point set — every support
 // direction of every curve is one point — and runs it through RunCore, so
 // the angle axis shards exactly like the grid axes: fixed 64-point chunks,
-// per-worker warm evaluators reset at chunk boundaries, bounded streaming,
-// runGate cancellation. Completed curves are assembled and streamed in
+// per-worker pooled evaluators, bounded streaming, runGate cancellation. Completed curves are assembled and streamed in
 // enumeration order; results are bit-identical for every worker count.
 
 import (
@@ -67,10 +66,10 @@ type RegionResult struct {
 // RegionBatch computes every curve of the batch and streams completed
 // polygons to yield in enumeration order (scenario outer, curve inner). The
 // flattened support-direction axis — angles + 2 exact axis solves per curve
-// — is sharded across opts.Workers via RunCore with warm per-worker
-// evaluators: within a chunk the Naive4/HBC weighted-rate LPs warm-start
-// from the previous direction's basis, and warm state resets at fixed chunk
-// boundaries, so every polygon is bit-identical for every worker count. A
+// — is sharded across opts.Workers via RunCore with pooled per-worker
+// evaluators. Every Naive4/HBC weighted-rate LP is a cold solve that
+// depends only on its own direction, so every polygon is bit-identical for
+// every worker count. A
 // yield error or context cancellation stops the batch within one chunk per
 // worker; curves yielded before the stop are complete and valid.
 func RegionBatch(ctx context.Context, spec RegionSpec, opts Options, yield func(RegionResult) error) error {

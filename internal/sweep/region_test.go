@@ -45,7 +45,7 @@ func collectRegions(t *testing.T, spec RegionSpec, workers int) []RegionResult {
 
 // TestRegionBatchBitIdenticalAcrossWorkers is the sharding determinism
 // contract for the region workload: every worker count must produce the
-// same polygon vertices bit for bit, warm-started Naive4/HBC curves
+// same polygon vertices bit for bit, simplex-solved Naive4/HBC curves
 // included.
 func TestRegionBatchBitIdenticalAcrossWorkers(t *testing.T) {
 	spec := regionTestSpec(61)
@@ -87,10 +87,9 @@ func TestRegionBatchEnumerationOrder(t *testing.T) {
 }
 
 // TestRegionBatchMatchesSerialRegion cross-checks the sharded path against
-// the serial Evaluator.Region sweep. The closed-form protocols (DT, MABC,
-// TDBC) never touch the warm-started simplex, so their polygons must agree
-// bit for bit; the simplex-solved HBC/Naive4 curves agree to LP-refinement
-// tolerance.
+// the serial Evaluator.Region sweep. Every LP is a cold solve of its own
+// direction, so the polygons must agree bit for bit for every protocol,
+// the simplex-solved Naive4/HBC curves included.
 func TestRegionBatchMatchesSerialRegion(t *testing.T) {
 	spec := regionTestSpec(45)
 	got := collectRegions(t, spec, 3)
@@ -102,24 +101,9 @@ func TestRegionBatchMatchesSerialRegion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gv, wv := r.Polygon.Vertices(), want.Vertices()
-		fast := c.Proto == protocols.DT || c.Proto == protocols.MABC || c.Proto == protocols.TDBC
-		if fast {
-			if !reflect.DeepEqual(gv, wv) {
-				t.Errorf("%v %v scenario %d: sharded vertices differ from serial:\n  got  %v\n  want %v",
-					c.Proto, c.Bound, r.ScenarioIdx, gv, wv)
-			}
-			continue
-		}
-		if d := math.Abs(r.Polygon.Area() - want.Area()); d > 1e-9 {
-			t.Errorf("%v %v scenario %d: area gap %g between sharded and serial",
-				c.Proto, c.Bound, r.ScenarioIdx, d)
-		}
-		for _, v := range wv {
-			if !r.Polygon.Contains(v, 1e-7) {
-				t.Errorf("%v %v scenario %d: serial vertex %v outside sharded polygon",
-					c.Proto, c.Bound, r.ScenarioIdx, v)
-			}
+		if gv, wv := r.Polygon.Vertices(), want.Vertices(); !reflect.DeepEqual(gv, wv) {
+			t.Errorf("%v %v scenario %d: sharded vertices differ from serial:\n  got  %v\n  want %v",
+				c.Proto, c.Bound, r.ScenarioIdx, gv, wv)
 		}
 	}
 }

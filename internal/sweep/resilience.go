@@ -151,15 +151,13 @@ func runChunkOnce[W any](do func(W, int, int) error, w W, lo, hi int) (err error
 	return do(w, lo, hi)
 }
 
-// runChunkAttempts evaluates chunk c with the retry policy: each attempt
-// resets (and, between attempts, tears down and recreates) the worker state
-// *st through hooks, so a retried chunk starts from the same fresh state a
-// first attempt gets and the bit-identical-across-Workers guarantee holds
-// through failures. Returns nil on success, or the final attempt's
-// *ChunkError.
+// runChunkAttempts evaluates chunk c with the retry policy: between
+// attempts it tears down and recreates the worker state *st through hooks,
+// so a retry never sees what a failed attempt left behind and the
+// bit-identical-across-Workers guarantee holds through failures. Returns
+// nil on success, or the final attempt's *ChunkError.
 func runChunkAttempts[W any](ctx context.Context, hooks Hooks[W], st *W, retry *RetryPolicy, c, lo, hi int, do func(W, int, int) error) error {
 	for attempt := 1; ; attempt++ {
-		hooks.reset(*st)
 		err := runChunkOnce(do, *st, lo, hi)
 		if err == nil {
 			return nil

@@ -21,21 +21,23 @@ var resilienceWorkers = []int{1, 2, 7}
 // TestRunCoreChaosBitIdentical is the headline resilience pin: a run with
 // ~20% injected transient chunk faults, retried through the policy with
 // per-retry worker-state teardown, completes with results == to a fault-free
-// run at every worker count. The workload's output depends on chunk-fresh
-// worker state, so any retry that leaked state across attempts would change
-// the bits.
+// run at every worker count. A failed attempt poisons its worker state and
+// the workload refuses poisoned state, so any retry that reused the failed
+// attempt's state would fail the run instead of completing it.
 func TestRunCoreChaosBitIdentical(t *testing.T) {
 	const n, cs = 40*8 + 5, 8
 	run := func(workers int, inj *chaos.Injector) ([]int, error) {
 		out := make([]int, n)
-		// W is a per-worker accumulator reset at chunk boundaries: each
-		// point records its position within the chunk, so results expose
-		// both chunk boundaries and any stale worker state.
-		hooks := Hooks[*int]{
-			NewWorker:   func() *int { return new(int) },
-			ResetWorker: func(w *int) { *w = 0 },
-		}
+		// W is a per-worker counter the workload restarts at every chunk:
+		// each point records its position within the chunk, so results
+		// expose the chunk boundaries. -1 marks state a failed attempt
+		// left behind.
+		hooks := Hooks[*int]{NewWorker: func() *int { return new(int) }}
 		do := func(w *int, lo, hi int) error {
+			if *w < 0 {
+				return errors.New("retry reused a failed attempt's worker state")
+			}
+			*w = 0
 			for i := lo; i < hi; i++ {
 				*w++
 				out[i] = i*1000 + *w
@@ -43,7 +45,14 @@ func TestRunCoreChaosBitIdentical(t *testing.T) {
 			return nil
 		}
 		if inj != nil {
-			do = chaos.Wrap(inj, do)
+			faulty := chaos.Wrap(inj, do)
+			do = func(w *int, lo, hi int) error {
+				err := faulty(w, lo, hi)
+				if err != nil {
+					*w = -1
+				}
+				return err
+			}
 		}
 		prefix, err := RunCore(context.Background(), n, CoreOptions{
 			Workers:   workers,
@@ -72,10 +81,11 @@ func TestRunCoreChaosBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunChaosWarmEvaluators runs the real warm-evaluator workload (HBC LPs
-// warm-started within chunks) under injected faults and pins bit-identical
-// results: a retried chunk recreates its evaluator through the hooks, so the
-// warm-start state a retry sees matches a first attempt exactly.
+// TestRunChaosWarmEvaluators runs the real pooled-evaluator workload (HBC
+// LPs, evaluators leased and reused across chunks) under injected faults
+// and pins bit-identical results: a retried chunk recreates its evaluator
+// through the hooks, and a reused evaluator's results never depend on the
+// solves before them.
 func TestRunChaosWarmEvaluators(t *testing.T) {
 	scen := testScenarios(3*ChunkSize + 11)
 	type opt3 struct{ Sum, Ra, Rb float64 }

@@ -2,15 +2,15 @@
 // sweep, region and campaign APIs and the figure harness in
 // internal/experiments. The workload-generic machinery lives in RunCore
 // (core.go): an indexed point set is split into fixed-size chunks pulled by
-// a worker pool, each worker owning private state supplied by Hooks and
-// reset at every chunk boundary, so the numbers a chunk produces depend
-// only on the chunk itself — results are bit-identical for every worker
-// count, and the streaming emit callback observes points in strict
-// enumeration order regardless of completion order.
+// a worker pool, each worker owning private state supplied by Hooks. The
+// numbers a chunk produces depend only on the chunk itself — results are
+// bit-identical for every worker count, and the streaming emit callback
+// observes points in strict enumeration order regardless of completion
+// order.
 //
 // This file instantiates the core for the evaluator-grid workloads (Run,
-// Batch, Sweep): each worker owns a warm protocols.Evaluator whose LP
-// warm-start state is the per-chunk reset. region.go instantiates it for
+// Batch, Sweep): each worker leases one protocols.Evaluator, whose results
+// never depend on the solves before them. region.go instantiates it for
 // rate-region support sweeps; the facade instantiates it (stateless) for
 // simulation campaigns.
 //
@@ -35,10 +35,10 @@ import (
 
 // ChunkSize is the number of consecutive points one worker evaluates per
 // claim. It is a fixed constant — never derived from the worker count — so
-// chunk boundaries (and with them the warm-start reset points, and hence
-// every result bit) are identical no matter how many workers run. 64 points
-// amortize the claim and reset cost while keeping cancellation latency and
-// tail imbalance to a few milliseconds of work.
+// chunk boundaries (and with them the checkpoint watermarks and retry
+// granules) are identical no matter how many workers run. 64 points
+// amortize the claim cost while keeping cancellation latency and tail
+// imbalance to a few milliseconds of work.
 const ChunkSize = 64
 
 // Pool supplies worker evaluators. Implementations must be safe for
@@ -74,12 +74,9 @@ type Options struct {
 	Checkpoint Checkpointer
 	Retry      *RetryPolicy
 	// Cache, when non-nil, serves already-solved points from the
-	// scenario-keyed result store and fills it on misses. Cache-enabled
-	// runs disable LP warm starting, making every solve the canonical
-	// cold solve: a warm-started solve's last bits depend on the pivot
-	// history of the points before it, which a cache hit would otherwise
-	// perturb. Cold solves are position-independent, so cached results
-	// are bit-identical to a cache-off run of the same points and to the
+	// scenario-keyed result store and fills it on misses. Every solve is
+	// a position-independent cold solve, so cached results are
+	// bit-identical to a cache-off run of the same points and to the
 	// facade's single-point solves, at every worker count.
 	Cache *cache.Store
 }
@@ -115,48 +112,12 @@ func ctxErr(ctx context.Context) error {
 	return err
 }
 
-// evalHooks builds the warm-evaluator worker hooks shared by Run and
-// RegionBatch: each worker leases one evaluator from the pool with LP warm
-// starting enabled, the warm bases reset at every chunk boundary, and the
-// evaluator is returned (warm state dropped) when the worker exits.
-func evalHooks(pool Pool) Hooks[*protocols.Evaluator] {
-	return Hooks[*protocols.Evaluator]{
-		NewWorker: func() *protocols.Evaluator {
-			ev := pool.Get()
-			ev.SetWarmStart(true)
-			return ev
-		},
-		ResetWorker: func(ev *protocols.Evaluator) { ev.ResetWarmStart() },
-		CloseWorker: func(ev *protocols.Evaluator) {
-			ev.SetWarmStart(false) // drops warm state before re-pooling
-			pool.Put(ev)
-		},
-	}
-}
-
-// coldEvalHooks leases evaluators with warm starting disabled, for
-// cache-enabled runs: every miss must be the canonical cold solve (see
-// Options.Cache), so the per-chunk reset is a no-op — there is no warm
-// state to reset.
-func coldEvalHooks(pool Pool) Hooks[*protocols.Evaluator] {
-	return Hooks[*protocols.Evaluator]{
-		NewWorker: func() *protocols.Evaluator {
-			ev := pool.Get()
-			ev.SetWarmStart(false)
-			return ev
-		},
-		ResetWorker: func(*protocols.Evaluator) {},
-		CloseWorker: func(ev *protocols.Evaluator) { pool.Put(ev) },
-	}
-}
-
 // Run evaluates n indexed points. do(ev, start, end) evaluates the
-// contiguous chunk [start, end) with a warm evaluator (warm starting
-// enabled, reset at the chunk's start) and must write its results into
-// caller-owned, index-addressed storage; emit(start, end), when non-nil, is
-// invoked for completed chunks in strictly ascending order — the streaming
-// sink. A do or emit error, or context cancellation, halts the run within
-// one chunk per worker.
+// contiguous chunk [start, end) with the worker's pooled evaluator and must
+// write its results into caller-owned, index-addressed storage; emit(start,
+// end), when non-nil, is invoked for completed chunks in strictly ascending
+// order — the streaming sink. A do or emit error, or context cancellation,
+// halts the run within one chunk per worker.
 //
 // Run returns the length of the contiguous prefix of points whose chunks
 // completed (and, when emit is set, were emitted) without error — n on
@@ -169,9 +130,7 @@ func Run(ctx context.Context, n int, opts Options, do func(ev *protocols.Evaluat
 		Checkpoint: opts.Checkpoint,
 		Retry:      opts.Retry,
 	}
-	hooks := evalHooks(opts.pool())
-	if opts.Cache != nil {
-		hooks = coldEvalHooks(opts.pool())
-	}
+	pool := opts.pool()
+	hooks := Hooks[*protocols.Evaluator]{NewWorker: pool.Get, CloseWorker: pool.Put}
 	return RunCore(ctx, n, core, hooks, do, emit)
 }

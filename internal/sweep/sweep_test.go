@@ -41,7 +41,7 @@ func testSpec() Spec {
 
 // TestBatchBitIdenticalAcrossWorkers is the sharding determinism contract:
 // every worker count produces the same bits, for the fast-path protocols and
-// for the warm-started simplex ones alike.
+// for the simplex ones alike.
 func TestBatchBitIdenticalAcrossWorkers(t *testing.T) {
 	scen := testScenarios(5*ChunkSize + 17)
 	runBatch := func(proto protocols.Protocol, workers int) []Result {
@@ -101,27 +101,33 @@ func TestSweepBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSweepWarmMatchesColdObjectives re-derives every Naive4/HBC sweep point
-// with a cold evaluator and pins the warm-started objective to 1e-12.
-func TestSweepWarmMatchesColdObjectives(t *testing.T) {
+// TestSweepMatchesSinglePointSolves re-derives every Naive4/HBC sweep point
+// with a fresh evaluator's single-point solve and pins objective, rates and
+// durations with ==: a sweep point depends only on its own scenario, never
+// on the points its worker solved before it.
+func TestSweepMatchesSinglePointSolves(t *testing.T) {
 	spec := testSpec()
 	spec.Protocols = []protocols.Protocol{protocols.Naive4, protocols.HBC}
-	cold := protocols.NewEvaluator()
-	err := Sweep(context.Background(), spec, Options{Workers: 1}, func(pt Point) error {
-		if pt.ErasureIdx >= 0 {
+	for _, workers := range []int{1, 3} {
+		err := Sweep(context.Background(), spec, Options{Workers: workers}, func(pt Point) error {
+			if pt.ErasureIdx >= 0 {
+				return nil
+			}
+			opt, err := protocols.NewEvaluator().WeightedRate(pt.Proto, pt.Bound, pt.Scenario.internal(), 1, 1)
+			if err != nil {
+				return err
+			}
+			if pt.Sum != opt.Objective || pt.Ra != opt.Rates.Ra || pt.Rb != opt.Rates.Rb ||
+				!reflect.DeepEqual(pt.Durations, opt.Durations) {
+				t.Errorf("workers=%d point %d (%v): sweep (%.17g, %.17g, %.17g, %v), single (%.17g, %.17g, %.17g, %v)",
+					workers, pt.Index, pt.Proto, pt.Sum, pt.Ra, pt.Rb, pt.Durations,
+					opt.Objective, opt.Rates.Ra, opt.Rates.Rb, opt.Durations)
+			}
 			return nil
-		}
-		opt, err := cold.WeightedRate(pt.Proto, pt.Bound, pt.Scenario.internal(), 1, 1)
+		})
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if d := pt.Sum - opt.Objective; d > 1e-12 || d < -1e-12 {
-			t.Errorf("point %d (%v): warm %.17g cold %.17g", pt.Index, pt.Proto, pt.Sum, opt.Objective)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

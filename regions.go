@@ -6,9 +6,9 @@ package bicoop
 // family of curves — scenarios × protocol bounds — and Engine.RegionBatch
 // streams the completed polygons in enumeration order, with the flattened
 // angle axis sharded by the same chunked core as the sum-rate grids
-// (internal/sweep): per-worker warm evaluators reset at fixed chunk
-// boundaries, bounded streaming backpressure, and cancellation within one
-// chunk. Results are bit-identical for every Workers setting.
+// (internal/sweep): per-worker pooled evaluators, fixed chunk boundaries,
+// bounded streaming backpressure, and cancellation within one chunk.
+// Results are bit-identical for every Workers setting.
 
 import (
 	"context"
@@ -112,8 +112,8 @@ type RegionBatchPoint struct {
 // region to yield in enumeration order (scenario outer, curve inner). The
 // support-direction axis of the whole batch is flattened and sharded across
 // spec.Workers goroutines exactly like the sum-rate grids — fixed chunk
-// boundaries, per-worker warm evaluators — so the polygons are bit-identical
-// for every worker count. A non-nil error from yield stops the batch and is
+// boundaries, per-worker pooled evaluators — so the polygons are
+// bit-identical for every worker count. A non-nil error from yield stops the batch and is
 // returned. Cancelling ctx stops the workers within one chunk of LP solves;
 // curves yielded before the stop are complete and valid.
 func (e *Engine) RegionBatch(ctx context.Context, spec RegionBatchSpec, yield func(RegionBatchPoint) error) error {

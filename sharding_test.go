@@ -3,7 +3,7 @@ package bicoop_test
 // sharding_test.go — determinism contract of the sharded grid paths: the
 // worker count must never change a single result bit, only the wall-clock
 // time. These tests exercise the facade end to end (engine pool, chunked
-// internal/sweep core, warm-started Naive4/HBC LPs).
+// internal/sweep core, simplex-solved Naive4/HBC LPs).
 
 import (
 	"context"
@@ -60,7 +60,7 @@ func TestSumRateBatchBitIdenticalAcrossWorkers(t *testing.T) {
 
 // TestRegionBitIdenticalAcrossWorkers pins the region determinism contract
 // at the facade: every vertex of every curve of a RegionBatch — including
-// the warm-started simplex protocols — must be bit-identical (==) for every
+// the simplex-solved protocols — must be bit-identical (==) for every
 // Workers setting.
 func TestRegionBitIdenticalAcrossWorkers(t *testing.T) {
 	spec := bicoop.RegionBatchSpec{
@@ -159,7 +159,7 @@ func TestCampaignBitIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestSweepAllBitIdenticalAcrossWorkers pins every SweepPoint field across
-// Workers settings, including the warm-started Naive4/HBC curves and the
+// Workers settings, including the simplex-solved Naive4/HBC curves and the
 // erasure axis.
 func TestSweepAllBitIdenticalAcrossWorkers(t *testing.T) {
 	var places []bicoop.RelayPlacement

@@ -350,8 +350,8 @@ func (e *Engine) SimulateBatch(ctx context.Context, spec CampaignSpec, yield fun
 	var yieldErr error
 	// ChunkSize 1: each point is a whole simulation run, so the outer pool
 	// pipelines runs individually. The specs are mutually independent and
-	// individually deterministic, so — unlike the warm-started LP grids —
-	// no per-chunk state exists and any chunking would only serialize runs.
+	// individually deterministic, so no per-chunk state exists and any
+	// chunking would only serialize runs.
 	// (With ChunkSize 1 the checkpoint watermark and Start are plain spec
 	// counts — no chunk-boundary flooring.)
 	prefix, err := sweep.RunCore(ctx, len(spec.Specs),

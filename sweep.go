@@ -6,9 +6,8 @@ package bicoop
 // and Engine.Sweep streams the evaluated points through a callback in
 // enumeration order. Evaluation itself is sharded by internal/sweep: the
 // grid is split into fixed-size chunks pulled by a worker pool, each worker
-// holds a warm evaluator whose Naive4/HBC LPs warm-start from the previous
-// point within a chunk, and chunk boundaries are worker-count-independent,
-// so results are bit-identical for every Workers setting.
+// holds a pooled evaluator, and every LP is a cold solve of its own point,
+// so results are bit-identical for every Workers setting, cache on or off.
 
 import (
 	"context"
@@ -195,7 +194,7 @@ func publicBound(ib protocols.Bound) Bound {
 // chunk of points.
 //
 // Evaluation is sharded across spec.Workers goroutines (default: the
-// engine's WithWorkers setting, then GOMAXPROCS), each holding one warm
+// engine's WithWorkers setting, then GOMAXPROCS), each holding one
 // pooled evaluator across its chunks, so no per-point spec compilation or
 // workspace allocation occurs — and the results are bit-identical for
 // every worker count.
