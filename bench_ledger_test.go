@@ -7,9 +7,9 @@ package bicoop_test
 //
 //   - every pattern alternative must match a benchmark that still exists
 //     (catches renames and typos);
-//   - every benchmark function in the ledgered packages must either match a
-//     pattern or appear in the explicit exemption list below (catches new
-//     benchmarks being forgotten — exempting is a visible diff);
+//   - every benchmark function in the ledgered packages must match a
+//     pattern (catches new benchmarks being forgotten: a benchmark that no
+//     gate reads does not belong in the tree);
 //   - every name in the committed ledgers must correspond to an existing
 //     benchmark function (catches stale ledgers).
 //
@@ -27,32 +27,6 @@ import (
 
 // ledgerDirs are the packages scripts/bench.sh benchmarks.
 var ledgerDirs = []string{".", "internal/protocols", "internal/sim", "internal/simplex", "internal/sweep", "internal/service", "internal/cache", "internal/gf2"}
-
-// nonLedgerBenchmarks are deliberately excluded from the performance ledger:
-// whole-experiment end-to-end runs and substrate micro-benchmarks that
-// duplicate a ledgered kernel. Adding a benchmark to the ledgered packages
-// requires either adding it to scripts/bench.sh or listing it here.
-var nonLedgerBenchmarks = map[string]string{
-	"BenchmarkFig4LowSNR":             "experiment end-to-end; region kernel ledgered via BenchmarkFig3",
-	"BenchmarkFig4HighSNR":            "experiment end-to-end",
-	"BenchmarkClaimHBCOutside":        "experiment end-to-end",
-	"BenchmarkClaimHBCStrict":         "covered by BenchmarkSumRateLP",
-	"BenchmarkMABCTightness":          "experiment end-to-end",
-	"BenchmarkDeltaAblation":          "experiment end-to-end",
-	"BenchmarkPathLossAblation":       "experiment end-to-end",
-	"BenchmarkBitsimTDBC":             "experiment end-to-end; kernels ledgered as BenchmarkBitTrue*",
-	"BenchmarkBitsimMABC":             "experiment end-to-end",
-	"BenchmarkDMCBounds":              "experiment end-to-end",
-	"BenchmarkBlahutArimoto":          "experiment end-to-end",
-	"BenchmarkBaselines":              "experiment end-to-end",
-	"BenchmarkBER":                    "experiment end-to-end",
-	"BenchmarkAllExperimentsRendered": "full registry render; far too slow for the ledger benchtime",
-	"BenchmarkRegionBuild":            "covered by BenchmarkEvaluatorSolve + region tests",
-	"BenchmarkBlahutIteration":        "substrate micro-benchmark, off the paper's hot path",
-	"BenchmarkGF2Solve":               "covered by the ledgered bit-true block kernels",
-	"BenchmarkFadingDraw":             "covered by BenchmarkOutageTrial",
-	"BenchmarkBitTrueBlock":           "superseded by BenchmarkBitTrueTDBCBlock",
-}
 
 var benchFuncRE = regexp.MustCompile(`(?m)^func (Benchmark[A-Za-z0-9_]+)\(b \*testing\.B\)`)
 
@@ -123,20 +97,10 @@ func TestBenchLedgerCoverage(t *testing.T) {
 		}
 	}
 
-	// Every source benchmark is either ledgered or visibly exempted.
+	// Every source benchmark is ledgered.
 	for name := range src {
-		if !matched[name] && nonLedgerBenchmarks[name] == "" {
-			t.Errorf("benchmark %s is neither matched by scripts/bench.sh nor exempted in nonLedgerBenchmarks — add it to the ledger or exempt it explicitly", name)
-		}
-	}
-	// And no stale exemptions for benchmarks that no longer exist or are
-	// now ledgered.
-	for name := range nonLedgerBenchmarks {
-		if !src[name] {
-			t.Errorf("nonLedgerBenchmarks exempts %s, which no longer exists", name)
-		}
-		if matched[name] {
-			t.Errorf("nonLedgerBenchmarks exempts %s, but bench.sh now ledgers it — drop the exemption", name)
+		if !matched[name] {
+			t.Errorf("benchmark %s is not matched by scripts/bench.sh — add it to the ledger or delete it", name)
 		}
 	}
 }

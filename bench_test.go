@@ -1,23 +1,20 @@
 package bicoop_test
 
-// Benchmark harness: one benchmark per reproduced figure/claim (each drives
-// the same experiment registry the CLI uses, in quick mode so a -bench run
-// finishes in minutes), plus micro-benchmarks for the load-bearing
-// primitives (LP solve, region construction, Blahut-Arimoto, GF(2) solve,
-// fading draws, bit-true blocks).
+// Benchmark harness: the root package's half of the performance ledger
+// (scripts/bench.sh selects every benchmark here; TestBenchLedgerCoverage
+// keeps it that way). Three figure-level experiments run through the same
+// registry the CLI uses, in quick mode; micro-benchmarks cover the LP and
+// outage primitives; the rest measure the Engine's batch, sweep, region,
+// campaign and result-cache paths.
 
 import (
 	"context"
-	"io"
-	"math/rand"
 	"testing"
 
 	"bicoop"
 	"bicoop/internal/cache"
 	"bicoop/internal/channel"
-	"bicoop/internal/dmc"
 	"bicoop/internal/experiments"
-	"bicoop/internal/gf2"
 	"bicoop/internal/protocols"
 	"bicoop/internal/sim"
 	"bicoop/internal/simplex"
@@ -34,82 +31,16 @@ func benchExperiment(b *testing.B, id string) {
 	}
 }
 
-// --- One benchmark per paper artifact (see DESIGN.md experiment index). ---
+// --- Figure-level experiments (the registry's ids: fig3, crossover, fading). ---
 
 // BenchmarkFig3 regenerates Fig 3: sum rates vs relay placement.
 func BenchmarkFig3(b *testing.B) { benchExperiment(b, "fig3") }
 
-// BenchmarkFig4LowSNR regenerates Fig 4 (top): regions at P = 0 dB.
-func BenchmarkFig4LowSNR(b *testing.B) { benchExperiment(b, "fig4a") }
-
-// BenchmarkFig4HighSNR regenerates Fig 4 (bottom): regions at P = 10 dB.
-func BenchmarkFig4HighSNR(b *testing.B) { benchExperiment(b, "fig4b") }
-
 // BenchmarkSNRCrossover sweeps the MABC/TDBC crossover claim.
 func BenchmarkSNRCrossover(b *testing.B) { benchExperiment(b, "crossover") }
 
-// BenchmarkClaimHBCOutside verifies the HBC-beyond-both-outer-bounds claim.
-func BenchmarkClaimHBCOutside(b *testing.B) { benchExperiment(b, "hbc-escape") }
-
-// BenchmarkClaimHBCStrict measures the strict HBC sum-rate advantage point.
-func BenchmarkClaimHBCStrict(b *testing.B) {
-	s, err := bicoop.RelayPlacement{Pos: 0.31, Exponent: 3}.Scenario(15)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		hbc, err := bicoop.OptimalSumRate(bicoop.HBC, bicoop.Inner, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mabc, err := bicoop.OptimalSumRate(bicoop.MABC, bicoop.Inner, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tdbc, err := bicoop.OptimalSumRate(bicoop.TDBC, bicoop.Inner, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if hbc.Sum <= mabc.Sum || hbc.Sum <= tdbc.Sum {
-			b.Fatal("strict HBC advantage lost")
-		}
-	}
-}
-
-// BenchmarkMABCTightness verifies Theorem 2's inner = outer on random draws.
-func BenchmarkMABCTightness(b *testing.B) { benchExperiment(b, "mabc-tight") }
-
-// BenchmarkDeltaAblation measures the optimal-vs-equal-durations ablation.
-func BenchmarkDeltaAblation(b *testing.B) { benchExperiment(b, "delta-ablation") }
-
-// BenchmarkPathLossAblation sweeps Fig 3 across path-loss exponents.
-func BenchmarkPathLossAblation(b *testing.B) { benchExperiment(b, "pathloss") }
-
 // BenchmarkFadingOutage runs the Rayleigh fading Monte Carlo.
 func BenchmarkFadingOutage(b *testing.B) { benchExperiment(b, "fading") }
-
-// BenchmarkBitsimTDBC runs the bit-true waterfall experiment end to end
-// (the kernel-level bit-true benchmarks live in internal/sim as
-// BenchmarkBitTrueTDBC*).
-func BenchmarkBitsimTDBC(b *testing.B) { benchExperiment(b, "bitsim") }
-
-// BenchmarkDMCBounds evaluates the theorems on the all-BSC network.
-func BenchmarkDMCBounds(b *testing.B) { benchExperiment(b, "dmc") }
-
-// BenchmarkBlahutArimoto measures quantized-AWGN capacity convergence.
-func BenchmarkBlahutArimoto(b *testing.B) { benchExperiment(b, "blahut") }
-
-// BenchmarkAllExperimentsRendered runs the registry end to end including
-// ASCII rendering — the full `bcc all -quick` path.
-func BenchmarkAllExperimentsRendered(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, id := range bicoop.Experiments() {
-			if err := bicoop.RunExperiment(context.Background(), id, true, 1, io.Discard); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
 
 // --- Micro-benchmarks for the primitives. ---
 
@@ -123,20 +54,6 @@ func BenchmarkSumRateLP(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := protocols.OptimalSumRate(protocols.HBC, protocols.BoundInner, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRegionBuild measures a full 181-angle region construction.
-func BenchmarkRegionBuild(b *testing.B) {
-	spec, err := protocols.CompileGaussian(protocols.TDBC, protocols.BoundOuter, fig4Scenario(10))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := spec.Region(protocols.RegionOptions{Angles: 181}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -180,73 +97,6 @@ func BenchmarkSimplexSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkBlahutIteration measures BA capacity of a 2x64 quantized channel.
-func BenchmarkBlahutIteration(b *testing.B) {
-	ch, err := dmc.QuantizeAWGN(1.0, 64, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ch.Capacity(1e-9, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGF2Solve measures solving a 256x256 GF(2) system.
-func BenchmarkGF2Solve(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	var m gf2.Matrix
-	for {
-		m = gf2.RandomMatrix(256, 256, r)
-		if m.Rank() == 256 {
-			break
-		}
-	}
-	x := gf2.RandomVector(256, r)
-	rhs, err := m.MulVec(x)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Solve(rhs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFadingDraw measures quasi-static gain sampling.
-func BenchmarkFadingDraw(b *testing.B) {
-	f, err := channel.NewFading(channel.GainsFromDB(-7, 0, 5), rand.New(rand.NewSource(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = f.Draw()
-	}
-}
-
-// BenchmarkBitTrueBlock measures one bit-true TDBC block (1000 uses).
-func BenchmarkBitTrueBlock(b *testing.B) {
-	cfg := sim.BitTrueConfig{
-		Net:         sim.ErasureNetwork{EpsAR: 0.2, EpsBR: 0.1, EpsAB: 0.6},
-		Rates:       protocols.RatePair{Ra: 0.2, Rb: 0.2},
-		BlockLength: 1000,
-		Trials:      1,
-		Seed:        1,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		if _, err := sim.RunBitTrueTDBC(context.Background(), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkOutageBlock measures one fading block across three protocols.
 func BenchmarkOutageBlock(b *testing.B) {
 	cfg := sim.OutageConfig{
@@ -266,20 +116,9 @@ func BenchmarkOutageBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkBaselines runs the AF / full-duplex baseline comparison sweep.
-func BenchmarkBaselines(b *testing.B) { benchExperiment(b, "baselines") }
+// --- Engine batch, sweep, region and campaign paths. ---
 
-// BenchmarkBitsimMABC runs the compute-and-forward MABC waterfall
-// experiment end to end (kernel-level counterpart: internal/sim's
-// BenchmarkBitTrueMABC*).
-func BenchmarkBitsimMABC(b *testing.B) { benchExperiment(b, "bitsim-mabc") }
-
-// BenchmarkBER runs the symbol-level BER validation sweep.
-func BenchmarkBER(b *testing.B) { benchExperiment(b, "ber") }
-
-// --- Engine batch vs legacy one-shot facade. ---
-
-// batchScenarios builds the 1000-point power × gain grid both batch
+// batchScenarios builds the 1000-point power × gain grid the batch
 // benchmarks evaluate, mirroring a Fig 3 style bulk query — the same grid
 // shape the correctness tests pin (see grid in engine_test.go).
 func batchScenarios() []bicoop.Scenario { return grid(1000) }
@@ -454,29 +293,6 @@ func BenchmarkSweepCached(b *testing.B) {
 		}
 		if len(pts) != spec.Size() {
 			b.Fatal("short sweep")
-		}
-	}
-}
-
-// BenchmarkOneShotSumRateBatch evaluates the same 1k-scenario grid through
-// the legacy one-shot facade — one OptimalSumRate call per scenario,
-// results collected exactly as SumRateBatch returns them. This is the
-// baseline Engine.SumRateBatch is measured against.
-func BenchmarkOneShotSumRateBatch(b *testing.B) {
-	scenarios := batchScenarios()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := make([]bicoop.SumRateResult, 0, len(scenarios))
-		for _, s := range scenarios {
-			res, err := bicoop.OptimalSumRate(bicoop.HBC, bicoop.Inner, s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			out = append(out, res)
-		}
-		if len(out) != len(scenarios) {
-			b.Fatal("short batch")
 		}
 	}
 }

@@ -82,8 +82,8 @@ func exitFor(err error) (code int, note string) {
 }
 
 // eng is the CLI's session engine: one evaluator pool shared by every
-// subcommand, batch and sweep.
-var eng = bicoop.DefaultEngine()
+// subcommand, batch, sweep and experiment run.
+var eng = bicoop.NewEngine()
 
 func run(ctx context.Context, args []string) error {
 	if len(args) == 0 {
@@ -358,7 +358,7 @@ func cmdBounds(args []string) error {
 				proto, b, res.Point.Ra, res.Point.Rb, res.Sum, strings.Join(durs, " "))
 		}
 	}
-	fmt.Println("\nnote: DT/Naive4/MABC outer = inner (tight); HBC outer is the independent-input heuristic (see DESIGN.md).")
+	fmt.Println("\nnote: DT/Naive4/MABC outer = inner (tight); HBC outer is the independent-input heuristic (see go doc bicoop.Outer).")
 	return nil
 }
 

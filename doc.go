@@ -24,10 +24,12 @@
 //
 // # The Engine
 //
-// The API centers on the concurrency-safe Engine: it owns pooled
-// evaluators (compiled constraint templates keyed by (protocol, bound),
-// reusable LP workspaces, closed-form fast paths) and the simulator worker
-// pools, and exposes context-aware methods for every workload shape:
+// The API centers on the concurrency-safe Engine, the single entry point
+// for the protocol bounds, the simulators and the experiments. It owns
+// pooled evaluators (compiled constraint templates keyed by (protocol,
+// bound), reusable LP workspaces, closed-form fast paths) and the
+// simulator worker pools, and exposes context-aware methods for every
+// workload shape:
 //
 //	eng := bicoop.NewEngine()
 //	s := bicoop.Scenario{PowerDB: 10, GabDB: -7, GarDB: 0, GbrDB: 5}
@@ -70,20 +72,6 @@
 // Inputs are validated up front with typed sentinels (ErrInvalidScenario,
 // ErrInvalidTrials, ErrInvalidBlockLength, ...) so malformed scenarios fail
 // loudly instead of propagating NaNs into results.
-//
-// # One-shot conveniences and migration
-//
-// The historical free functions (OptimalSumRate, RateRegion, Feasible,
-// SimulateFading, SimulateBitTrueTDBC, SimulateBitTrueMABC, RunExperiment)
-// remain and behave as before; they are now thin wrappers over a shared
-// package-level engine (DefaultEngine). Existing code keeps working
-// unchanged. Code that evaluates many scenarios — figure sweeps, parameter
-// studies, services — should migrate to an Engine and the batch/sweep
-// APIs, which amortize evaluator reuse across calls instead of paying pool
-// traffic and result allocation per scenario; code that runs simulations
-// interactively should migrate to Engine.Simulate for context
-// cancellation and progress reporting. The machinery lives under internal/
-// (see DESIGN.md for the system inventory).
 //
 // # Resilience
 //
@@ -319,8 +307,8 @@
 //	    -benchmem   # word-parallel masks vs the retired scalar sampler
 //	go test ./internal/gf2/ -run '^$' -bench 'BenchmarkSolve(Incremental|M4RI)' \
 //	    -benchtime 20x -benchmem   # elimination ladder at 256/1k/4k unknowns
-//	go test . -run '^$' -bench 'Benchmark(Engine|OneShot)SumRateBatch$' \
-//	    -benchmem   # engine batch vs 1k one-shot calls over the same grid
+//	go test . -run '^$' -bench 'BenchmarkEngineSumRateBatch$' \
+//	    -benchmem   # engine batch over a 1k-scenario grid
 //	go test ./internal/sim/ -run '^$' -bench 'BenchmarkBitTrue(TDBC|MABC)(Parallel)?$' \
 //	    -benchtime 10x -benchmem   # full runs, sequential vs sharded
 //	go tool pprof -top /tmp/trial.prof

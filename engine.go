@@ -4,11 +4,11 @@ package bicoop
 // the pooled evaluator machinery (compiled constraint templates keyed by
 // (protocol, bound), reusable simplex workspaces, closed-form fast paths)
 // and the simulator worker-pool defaults, and exposes context-aware batch,
-// sweep and simulation entry points. The package-level one-shot functions in
-// bicoop.go are thin wrappers over a shared default engine; workloads that
-// evaluate many scenarios (grids, Monte Carlo posts, services) should hold
-// an Engine and use the batch APIs, which amortize evaluator reuse across
-// calls instead of paying pool traffic and result allocation per scenario.
+// sweep and simulation entry points. It is the only way into the bounds and
+// simulators; workloads that evaluate many scenarios (grids, Monte Carlo
+// posts, services) should use the batch APIs, which amortize evaluator
+// reuse across calls instead of paying pool traffic and result allocation
+// per scenario.
 
 import (
 	"context"
@@ -162,14 +162,6 @@ func NewEngine(opts ...Option) *Engine {
 	}
 	return e
 }
-
-// defaultEngine backs the package-level one-shot convenience functions.
-var defaultEngine = NewEngine()
-
-// DefaultEngine returns the shared engine behind the package-level one-shot
-// functions, for callers that want to mix the two styles without a second
-// evaluator pool.
-func DefaultEngine() *Engine { return defaultEngine }
 
 func (e *Engine) getEval() *protocols.Evaluator   { return e.evals.Get().(*protocols.Evaluator) }
 func (e *Engine) putEval(ev *protocols.Evaluator) { e.evals.Put(ev) }
@@ -333,7 +325,7 @@ func (e *Engine) RunExperiment(ctx context.Context, id string, quick bool, seed 
 	if err != nil {
 		return fmt.Errorf("bicoop: %w", err)
 	}
-	return renderResult(res, w)
+	return res.Render(w)
 }
 
 // RunExperimentArtifacts executes a reproduction experiment and writes its

@@ -26,7 +26,7 @@ func grid(n int) []bicoop.Scenario {
 	return out
 }
 
-func TestSumRateBatchMatchesOneShot(t *testing.T) {
+func TestSumRateBatchMatchesSumRate(t *testing.T) {
 	eng := bicoop.NewEngine()
 	scenarios := grid(64)
 	for _, p := range bicoop.AllProtocols() {
@@ -39,12 +39,12 @@ func TestSumRateBatchMatchesOneShot(t *testing.T) {
 				t.Fatalf("%v %v: got %d results, want %d", p, b, len(batch), len(scenarios))
 			}
 			for i, s := range scenarios {
-				one, err := bicoop.OptimalSumRate(p, b, s)
+				one, err := eng.SumRate(p, b, s)
 				if err != nil {
 					t.Fatalf("%v %v scenario %d: %v", p, b, i, err)
 				}
-				if math.Abs(batch[i].Sum-one.Sum) > 1e-9 {
-					t.Errorf("%v %v scenario %d: batch sum %g, one-shot %g", p, b, i, batch[i].Sum, one.Sum)
+				if !sameResult(batch[i], one) {
+					t.Errorf("%v %v scenario %d: batch %+v, SumRate %+v", p, b, i, batch[i], one)
 				}
 				var total float64
 				for _, d := range batch[i].Durations {
@@ -81,10 +81,6 @@ func TestEngineValidation(t *testing.T) {
 		if _, err := eng.Simulate(ctx, bicoop.SimSpec{Fading: &bicoop.FadingSpec{Scenario: s}, Trials: 1}); !errors.Is(err, bicoop.ErrInvalidScenario) {
 			t.Errorf("Simulate fading err = %v, want ErrInvalidScenario", err)
 		}
-	}
-	// The legacy one-shot wrappers inherit the typed validation.
-	if _, err := bicoop.OptimalSumRate(bicoop.MABC, bicoop.Inner, nanScenario); !errors.Is(err, bicoop.ErrInvalidScenario) {
-		t.Errorf("legacy OptimalSumRate err = %v, want ErrInvalidScenario", err)
 	}
 
 	if _, err := eng.Feasible(bicoop.MABC, bicoop.Inner, good, bicoop.RatePoint{Ra: math.NaN()}); !errors.Is(err, bicoop.ErrInvalidRates) {
@@ -127,37 +123,6 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if err := eng.Sweep(ctx, bicoop.SweepSpec{}, nil); !errors.Is(err, bicoop.ErrInvalidSweepSpec) {
 		t.Errorf("nil yield err = %v, want ErrInvalidSweepSpec", err)
-	}
-}
-
-func TestSimulateMatchesLegacyFacade(t *testing.T) {
-	eng := bicoop.NewEngine()
-	s := bicoop.Scenario{PowerDB: 5, GabDB: -7, GarDB: 0, GbrDB: 5}
-	res, err := eng.Simulate(context.Background(), bicoop.SimSpec{
-		Fading: &bicoop.FadingSpec{Scenario: s, Target: bicoop.RatePoint{Ra: 0.5, Rb: 0.5}},
-		Trials: 300,
-		Seed:   42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := bicoop.SimulateFading(context.Background(), bicoop.FadingConfig{
-		Scenario: s,
-		Target:   bicoop.RatePoint{Ra: 0.5, Rb: 0.5},
-		Trials:   300,
-		Seed:     42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trials != 300 {
-		t.Errorf("Trials = %d, want 300", res.Trials)
-	}
-	for p, st := range legacy {
-		got := res.Fading[p]
-		if got != st {
-			t.Errorf("%v: engine %+v, legacy %+v", p, got, st)
-		}
 	}
 }
 
@@ -314,14 +279,14 @@ func TestSweepGrid(t *testing.T) {
 	if pts[2].Placement.Pos != 0.5 {
 		t.Errorf("third point placement = %v, want 0.5", pts[2].Placement.Pos)
 	}
-	// Gaussian points must match the one-shot facade on the same scenario.
+	// Gaussian points must match SumRate on the same scenario.
 	for _, pt := range pts[:want-1] {
-		one, err := bicoop.OptimalSumRate(pt.Protocol, pt.Bound, pt.Scenario)
+		one, err := eng.SumRate(pt.Protocol, pt.Bound, pt.Scenario)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(pt.Result.Sum-one.Sum) > 1e-9 {
-			t.Errorf("point %d: sweep %g vs one-shot %g", pt.Index, pt.Result.Sum, one.Sum)
+			t.Errorf("point %d: sweep %g vs SumRate %g", pt.Index, pt.Result.Sum, one.Sum)
 		}
 	}
 	// The erasure point is the Theorem 3 erasure optimum.

@@ -146,8 +146,9 @@ func TestEmpiricalMIAgreesWithProtocolTerm(t *testing.T) {
 func TestFacadeAgreesWithInternals(t *testing.T) {
 	pub := bicoop.Scenario{PowerDB: 10, GabDB: -7, GarDB: 0, GbrDB: 5}
 	intl := protocols.NewScenarioDB(10, -7, 0, 5)
+	eng := bicoop.NewEngine()
 	for _, pp := range bicoop.AllProtocols() {
-		pubRes, err := bicoop.OptimalSumRate(pp, bicoop.Inner, pub)
+		pubRes, err := eng.SumRate(pp, bicoop.Inner, pub)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,8 @@
 // Package experiments is the reproduction harness: every figure of the
 // paper's evaluation (Figs 3 and 4) and every textual claim around them is a
-// named, parameterized, reproducible experiment, plus the ablations and
-// Monte Carlo extensions listed in DESIGN.md. The cmd/bcc CLI and the
+// named, parameterized, reproducible experiment, plus ablations and Monte
+// Carlo extensions. Each sibling file registers its experiments at init
+// time (see register; IDs lists them all). The cmd/bcc CLI and the
 // module-level benchmarks both drive this registry, so the reported numbers
 // always come from the same code path.
 package experiments
@@ -54,7 +55,7 @@ func (c Config) sweepOpts() sweep.Options {
 }
 
 // Result is a completed experiment: charts and tables ready to render, plus
-// free-form findings (the check outcomes recorded in EXPERIMENTS.md).
+// free-form findings (the outcomes of the experiment's checks).
 type Result struct {
 	// ID is the experiment identifier (e.g. "fig3").
 	ID string

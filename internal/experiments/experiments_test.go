@@ -8,7 +8,7 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	// Every experiment promised by DESIGN.md is registered.
+	// Every figure, claim, ablation and extension experiment is registered.
 	want := []string{
 		"fig3", "fig4a", "fig4b",
 		"crossover", "hbc-escape", "mabc-tight",
@@ -28,7 +28,7 @@ func TestRegistryComplete(t *testing.T) {
 		}
 	}
 	if len(ids) != len(want) {
-		t.Errorf("registry has %d experiments, DESIGN.md lists %d: %v", len(ids), len(want), ids)
+		t.Errorf("registry has %d experiments, want %d: %v", len(ids), len(want), ids)
 	}
 }
 

@@ -26,7 +26,7 @@ func init() {
 
 // Fig4Gains returns the gain triple used throughout the Fig 4 experiments,
 // assigned to satisfy the paper's standing assumption Gab <= Gar <= Gbr (the
-// OCR of the caption loses the subscripts; see DESIGN.md).
+// OCR of the caption loses the subscripts).
 func Fig4Gains() channel.Gains {
 	return channel.GainsFromDB(-7, 0, 5)
 }

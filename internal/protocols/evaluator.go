@@ -897,26 +897,3 @@ func (e *Evaluator) Region(p Protocol, b Bound, s Scenario, opts RegionOptions) 
 		return e.WeightedRateLinks(p, b, li, muA, muB)
 	}, opts)
 }
-
-// OptimalSumRates evaluates the bound's optimal sum rate for a slice of
-// scenarios with a single pooled evaluator — the batch companion of
-// OptimalSumRate for sweep and Monte Carlo style workloads.
-func OptimalSumRates(p Protocol, b Bound, scenarios []Scenario) ([]SumRateResult, error) {
-	e := evalPool.Get().(*Evaluator)
-	defer evalPool.Put(e)
-	out := make([]SumRateResult, 0, len(scenarios))
-	for _, s := range scenarios {
-		opt, err := e.WeightedRate(p, b, s, 1, 1)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SumRateResult{
-			Protocol:  p,
-			Kind:      b,
-			Sum:       opt.Objective,
-			Rates:     opt.Rates,
-			Durations: append([]float64(nil), opt.Durations...),
-		})
-	}
-	return out, nil
-}

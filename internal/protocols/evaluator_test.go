@@ -283,16 +283,6 @@ func TestEvaluateBatch(t *testing.T) {
 			t.Errorf("sum rate not increasing in power: %v", got)
 		}
 	}
-	// OptimalSumRates mirrors the batch values with full results.
-	res, err := OptimalSumRates(TDBC, BoundInner, scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res {
-		if !xmath.ApproxEqual(res[i].Sum, got[i], 1e-12) {
-			t.Errorf("OptimalSumRates[%d] = %g, want %g", i, res[i].Sum, got[i])
-		}
-	}
 }
 
 func TestEvaluatorRegionMatchesSpecRegion(t *testing.T) {

@@ -20,28 +20,6 @@ func fig4sc(pdb float64) bicoop.Scenario {
 	return bicoop.Scenario{PowerDB: pdb, GabDB: -7, GarDB: 0, GbrDB: 5}
 }
 
-// TestRegionMatchesLegacyFacade pins the new ctx/options Region against the
-// one-shot RateRegion wrapper on the same scenario.
-func TestRegionMatchesLegacyFacade(t *testing.T) {
-	eng := bicoop.NewEngine()
-	s := fig4sc(10)
-	got, err := eng.Region(context.Background(), bicoop.TDBC, bicoop.Inner, s, bicoop.RegionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := bicoop.RateRegion(context.Background(), bicoop.TDBC, bicoop.Inner, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MaxRa() != legacy.MaxRa() || got.MaxRb() != legacy.MaxRb() || got.Area() != legacy.Area() {
-		t.Errorf("Region (%g, %g, %g) differs from RateRegion (%g, %g, %g)",
-			got.MaxRa(), got.MaxRb(), got.Area(), legacy.MaxRa(), legacy.MaxRb(), legacy.Area())
-	}
-	if !got.Contains(bicoop.RatePoint{Ra: 0, Rb: 0}) {
-		t.Error("region does not contain the origin")
-	}
-}
-
 // TestRegionBatchStreamsInOrder pins enumeration order (scenario outer,
 // curve inner) and the spec echo fields.
 func TestRegionBatchStreamsInOrder(t *testing.T) {

@@ -8,12 +8,11 @@
 # evaluator solve per protocol, the Monte Carlo per-block kernel, and the
 # figure-level sweeps (Fig 3 relay placement, MABC/TDBC crossover, fading
 # Monte Carlo) — plus the bit-true path at two levels: full TDBC/MABC runs
-# (sequential and sharded) and the per-block kernels, the engine facade
-# pair (Engine.SumRateBatch vs the same 1k-scenario grid through one-shot
-# calls), and the sharded-core pair (RunCore bare vs resilience-armed —
-# retry policy + checkpointer on a zero-fault run — pinning the happy-path
-# price of the resilience layer), and the job-service pair
-# (BenchmarkServiceJobOverhead vs BenchmarkServiceJobDirect — the fixed
+# (sequential and sharded) and the per-block kernels, the engine's batch,
+# sweep, region and campaign paths, and the sharded-core pair (RunCore bare
+# vs resilience-armed — retry policy + checkpointer on a zero-fault run —
+# pinning the happy-path price of the resilience layer), and the job-service
+# pair (BenchmarkServiceJobOverhead vs BenchmarkServiceJobDirect — the fixed
 # durability cost of running a sweep as a bccd job: store create, queue,
 # executor claim, checkpointed log, state renames), and the result-cache
 # set (BenchmarkSumRateBatchCachedHit vs ...Miss plus BenchmarkSweepCached
@@ -36,9 +35,9 @@ cd "$(dirname "$0")/.."
 
 # The pattern lists are guarded by TestBenchLedgerCoverage (bench_ledger_test.go):
 # every alternative must match an existing benchmark, and every benchmark in the
-# ledger packages must either appear here or be explicitly exempted there — a new
-# benchmark cannot be dropped from the ledger silently.
-pattern='BenchmarkSimplexSolve$|BenchmarkEvaluatorSolve|BenchmarkEvaluatorFeasible$|BenchmarkOutageTrial$|BenchmarkSumRateLP$|BenchmarkFeasibility$|BenchmarkOutageBlock$|BenchmarkFig3$|BenchmarkSNRCrossover$|BenchmarkFadingOutage$|BenchmarkBitTrueTDBCBlock$|BenchmarkBitTrueMABCBlock$|BenchmarkErasureMaskScalar$|BenchmarkErasureMaskWord$|BenchmarkEngineSumRateBatch$|BenchmarkEngineSweep$|BenchmarkOneShotSumRateBatch$|BenchmarkRegionParallel$|BenchmarkCampaign$|BenchmarkRunCore$|BenchmarkRunCoreResilient$|BenchmarkServiceJobOverhead$|BenchmarkServiceJobDirect$|BenchmarkSumRateBatchCachedHit$|BenchmarkSumRateBatchCachedMiss$|BenchmarkSweepCached$|BenchmarkCacheHit$'
+# ledger packages must appear here — a new benchmark cannot be dropped from the
+# ledger silently.
+pattern='BenchmarkSimplexSolve$|BenchmarkEvaluatorSolve|BenchmarkEvaluatorFeasible$|BenchmarkOutageTrial$|BenchmarkSumRateLP$|BenchmarkFeasibility$|BenchmarkOutageBlock$|BenchmarkFig3$|BenchmarkSNRCrossover$|BenchmarkFadingOutage$|BenchmarkBitTrueTDBCBlock$|BenchmarkBitTrueMABCBlock$|BenchmarkErasureMaskScalar$|BenchmarkErasureMaskWord$|BenchmarkEngineSumRateBatch$|BenchmarkEngineSweep$|BenchmarkRegionParallel$|BenchmarkCampaign$|BenchmarkRunCore$|BenchmarkRunCoreResilient$|BenchmarkServiceJobOverhead$|BenchmarkServiceJobDirect$|BenchmarkSumRateBatchCachedHit$|BenchmarkSumRateBatchCachedMiss$|BenchmarkSweepCached$|BenchmarkCacheHit$'
 bitpattern='BenchmarkBitTrueTDBC$|BenchmarkBitTrueTDBCParallel$|BenchmarkBitTrueMABC$|BenchmarkBitTrueMABCParallel$|BenchmarkSolveIncremental256$|BenchmarkSolveM4RI256$|BenchmarkSolveIncremental1k$|BenchmarkSolveM4RI1k$|BenchmarkSolveIncremental4k$|BenchmarkSolveM4RI4k$'
 
 # The bench runs land in a temp file first, NOT straight into the benchjson
