@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -437,10 +438,10 @@ func cmdPlace(ctx context.Context, args []string) error {
 
 // cmdSweep evaluates a power × placement × protocol grid and streams it as
 // CSV — the CLI face of Engine.Sweep, and the resilience showcase: -timeout
-// bounds the run (exit 124), -retries arms the chunk retry policy, and
-// -checkpoint makes the sweep resumable. An interrupted checkpointed sweep,
-// rerun with the same arguments, picks up where the delivered prefix ended
-// and the final CSV is byte-identical to an uninterrupted run's.
+// bounds the run (exit 124) and -checkpoint makes the sweep resumable. An
+// interrupted checkpointed sweep, rerun with the same arguments, picks up
+// where the delivered prefix ended and the final CSV is byte-identical to an
+// uninterrupted run's.
 func cmdSweep(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	gab := fs.Float64("gab", -7, "direct link gain Gab in dB (base gains, and reference for -places)")
@@ -454,7 +455,6 @@ func cmdSweep(ctx context.Context, args []string) error {
 	out := fs.String("o", "", "write CSV to this file (default stdout)")
 	ckPath := fs.String("checkpoint", "", "checkpoint file enabling resume across reruns; requires -o")
 	workers := fs.Int("workers", 0, "goroutines sharding the grid (0 = GOMAXPROCS)")
-	retries := fs.Int("retries", 0, "retry failed chunks up to this many attempts (0 = fail fast)")
 	cacheCap := fs.Int("cache", 0, "in-process result-cache capacity in entries; repeated points (e.g. across placements) are served from cache (0 = off)")
 	timeout := timeoutFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -488,9 +488,6 @@ func cmdSweep(ctx context.Context, args []string) error {
 	default:
 		return fmt.Errorf("unknown bound %q", *boundName)
 	}
-	if *retries > 0 {
-		spec.Retry = &bicoop.RetryPolicy{MaxAttempts: *retries}
-	}
 	ctx, cancel := withDeadline(ctx, *timeout)
 	defer cancel()
 	sweepEng := eng
@@ -512,6 +509,11 @@ func parsePowers(s string) ([]float64, error) {
 			v, err := strconv.ParseFloat(strings.TrimSpace(parts[i]), 64)
 			if err != nil {
 				return nil, fmt.Errorf("-powers %q: %w", s, err)
+			}
+			// NaN defeats both range checks below and an infinite bound
+			// never ends the axis loop, so neither may reach them.
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("-powers %q: lo, hi and step must be finite", s)
 			}
 			*dst = v
 		}

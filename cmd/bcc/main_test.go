@@ -103,6 +103,10 @@ func TestParsePowers(t *testing.T) {
 		{in: "0:10:0", wantErr: true},
 		{in: "0:10:x", wantErr: true},
 		{in: "a,b", wantErr: true},
+		{in: "nan:10:1", wantErr: true},
+		{in: "0:10:nan", wantErr: true},
+		{in: "0:inf:1", wantErr: true},
+		{in: "-inf:0:1", wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.in, func(t *testing.T) {

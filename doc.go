@@ -75,27 +75,19 @@
 //
 // # Resilience
 //
-// Production-scale sweeps meet transient failure: flaky infrastructure, a
-// workload panic, an evicted process. The streaming specs (SweepSpec,
-// RegionBatchSpec, CampaignSpec) share three resilience primitives, built
-// into the sharded core so every guarantee below composes with the
-// bit-identical-across-Workers contract.
+// Long sweeps and campaigns get interrupted: a Ctrl-C, a deadline, a killed
+// process, a workload panic. The streaming specs (SweepSpec,
+// RegionBatchSpec, CampaignSpec) share two resilience primitives, built into
+// the sharded core so every guarantee below composes with the
+// bit-identical-across-Workers contract. Failed chunks are not retried:
+// every result is a deterministic function of its spec, so a chunk that
+// failed once would fail the same way again, and the run stops at its first
+// failed chunk.
 //
 // Panic containment: a panic inside a worker never crashes the process. It
 // is recovered per chunk and surfaced as a *ChunkError wrapping a
 // *PanicError (recovered value + stack), reachable through errors.As on the
 // returned error.
-//
-// Retry: a spec's Retry field re-runs failed chunks — MaxAttempts bounds
-// the tries, BaseDelay/MaxDelay shape a capped exponential backoff whose
-// jitter is derived deterministically from the chunk index, and IsTransient
-// classifies which errors are worth retrying (nil retries everything except
-// context cancellation). Between attempts the failed worker's state is torn
-// down and recreated through the same hooks that built it, so a chunk that
-// succeeds on attempt 3 produces exactly the bits it would have produced on
-// attempt 1:
-//
-//	spec.Retry = &bicoop.RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Millisecond}
 //
 // Checkpoint/resume: a spec's Checkpoint field observes the resume
 // watermark — the contiguous prefix of results already delivered to the
@@ -115,11 +107,11 @@
 // rerun truncates the CSV to the checkpointed offset and resumes from the
 // watermark, and the finished file is byte-identical to an uninterrupted
 // run's — through any number of Ctrl-C, -timeout (exit 124), or kill -9
-// interruptions. Deterministic fault injection for testing retry paths
+// interruptions. Deterministic fault injection for testing these paths
 // lives in internal/sweep/chaos: it wraps a workload with seed-keyed
-// transient/permanent faults and panics, every injection a pure function of
-// (seed, chunk, attempt), so a chaos-wrapped run retried to completion is
-// asserted bit-identical to a fault-free one at every worker count.
+// delays, permanent faults and panics, every injection a pure function of
+// (seed, chunk), so a delay-injected run is asserted bit-identical to a
+// fault-free one at every worker count.
 //
 // # Running bccd
 //
@@ -142,7 +134,7 @@
 //
 // A job is exactly one of "sweep", "region_batch" or "campaign" (mirroring
 // SweepSpec, RegionBatchSpec, CampaignSpec; enums travel as names), plus
-// optional "retry" and "timeout_ms":
+// an optional "timeout_ms":
 //
 //	{"sweep": {"base": {"PowerDB": 0, "GabDB": -7, "GarDB": 0, "GbrDB": 5},
 //	           "powers_db": [0, 10, 20], "protocols": ["MABC", "TDBC"]}}
@@ -242,8 +234,8 @@
 // order. W is scratch, never memory: a point's result must not depend on
 // what its worker evaluated before, which is what makes every result
 // bit-identical from 1 worker to N. Chunk boundaries depend only on the
-// point count and chunk size — never on Workers — so checkpoints and
-// retries land on the same indices for every worker count.
+// point count and chunk size — never on Workers — so checkpoints land on
+// the same indices for every worker count.
 //
 // For the LP grids concretely: each worker holds one pooled evaluator, and
 // every Naive4/HBC LP is a cold simplex.SolveIn solve. The parallel knobs:

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -144,10 +145,67 @@ func TestSubmitRejectsInvalidSpec(t *testing.T) {
 	if _, err := svc.Submit(region); !errors.Is(err, bicoop.ErrInvalidRegionSpec) {
 		t.Errorf("region with no curves: err = %v, want ErrInvalidRegionSpec", err)
 	}
-	badRetry := tinySweep(0)
-	badRetry.Retry = &RetryConfig{MaxAttempts: -1}
-	if _, err := svc.Submit(badRetry); !errors.Is(err, ErrInvalidJob) {
-		t.Errorf("negative retry attempts: err = %v, want ErrInvalidJob", err)
+	// "retry" is not part of the wire form: a submission carrying it is an
+	// unknown field like any typo, rejected before admission.
+	withRetry := `{"sweep": {"base": {"PowerDB": 10, "GabDB": -7, "GarDB": 0, "GbrDB": 5}}, "retry": {"max_attempts": 3}}`
+	if _, err := ParseJobSpec([]byte(withRetry)); !errors.Is(err, ErrInvalidJob) {
+		t.Errorf(`submission with "retry": err = %v, want ErrInvalidJob`, err)
+	}
+}
+
+// TestLegacyRetrySpecRecovers pins the other side of the wire change: a
+// spec.json an older daemon stored with a "retry" policy still loads (the
+// store decodes leniently), and the restarted service runs the job to
+// completion with results byte-identical to a run that never had one.
+func TestLegacyRetrySpecRecovers(t *testing.T) {
+	spec := JobSpec{Sweep: &SweepJob{Base: testScenario, PowersDB: powerAxis(0, 20, 1), Workers: 2}}
+	for i := 0; i < 4; i++ {
+		spec.Sweep.Placements = append(spec.Sweep.Placements, bicoop.RelayPlacement{
+			Pos: 0.2 + 0.2*float64(i), Exponent: 3, GabDB: testScenario.GabDB,
+		})
+	}
+	want := referenceCSV(t, spec)
+	dir := filepath.Join(t.TempDir(), "jobs")
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := st.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	data, err := os.ReadFile(st.specPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["retry"] = json.RawMessage(`{"max_attempts": 3, "base_delay_ms": 10}`)
+	if data, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.specPath(id), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, _ := newTestService(t, dir, Options{})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	js, err := svc.Wait(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js.State != StateDone {
+		t.Fatalf("legacy job state = %s (err %q), want done", js.State, js.Error)
+	}
+	got, err := os.ReadFile(st.ResultsPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("legacy job results differ from a retry-free run: got %d bytes, want %d", len(got), len(want))
 	}
 }
 

@@ -2,18 +2,17 @@ package service
 
 // spec.go — the wire form of a job. The engine specs carry fields that
 // cannot cross a JSON boundary (Checkpoint is an interface the service owns,
-// Retry and Progress hold funcs), so the service accepts JSON-clean mirrors
-// and converts at admission time. Enums travel as names via the facade's
-// TextMarshalers ("MABC", "inner"); retry and deadline policy are plain
-// numbers. Validation happens before a job is queued, with the facade's
-// typed sentinels surfacing as HTTP 400s.
+// Progress holds a func), so the service accepts JSON-clean mirrors and
+// converts at admission time. Enums travel as names via the facade's
+// TextMarshalers ("MABC", "inner"); the deadline is a plain number.
+// Validation happens before a job is queued, with the facade's typed
+// sentinels surfacing as HTTP 400s.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"bicoop"
 )
@@ -89,35 +88,14 @@ func (j *CampaignJob) spec() bicoop.CampaignSpec {
 	return out
 }
 
-// RetryConfig is the wire form of bicoop.RetryPolicy: plain numbers, no
-// classifier func (the service retries every chunk error).
-type RetryConfig struct {
-	MaxAttempts int   `json:"max_attempts"`
-	BaseDelayMS int64 `json:"base_delay_ms,omitempty"`
-	MaxDelayMS  int64 `json:"max_delay_ms,omitempty"`
-}
-
-func (c *RetryConfig) policy() *bicoop.RetryPolicy {
-	if c == nil {
-		return nil
-	}
-	return &bicoop.RetryPolicy{
-		MaxAttempts: c.MaxAttempts,
-		BaseDelay:   time.Duration(c.BaseDelayMS) * time.Millisecond,
-		MaxDelay:    time.Duration(c.MaxDelayMS) * time.Millisecond,
-	}
-}
-
 // JobSpec is a submitted job: exactly one of Sweep, RegionBatch and
-// Campaign, plus optional retry policy and deadline. It is stored verbatim
-// as the job's spec.json, so a restart re-derives exactly the work the
-// submission described.
+// Campaign, plus an optional deadline. It is stored verbatim as the job's
+// spec.json, so a restart re-derives exactly the work the submission
+// described.
 type JobSpec struct {
 	Sweep       *SweepJob    `json:"sweep,omitempty"`
 	RegionBatch *RegionJob   `json:"region_batch,omitempty"`
 	Campaign    *CampaignJob `json:"campaign,omitempty"`
-	// Retry arms chunk retries for the job (see bicoop.RetryPolicy).
-	Retry *RetryConfig `json:"retry,omitempty"`
 	// TimeoutMS bounds the job's total running time (resume time included
 	// per process lifetime — the deadline restarts with the job). Zero means
 	// no deadline. A job past its deadline lands in state "timeout" with its
@@ -126,7 +104,8 @@ type JobSpec struct {
 }
 
 // ErrInvalidJob tags admission failures that are not one of the facade's
-// typed spec sentinels (wrong variant count, bad retry numbers).
+// typed spec sentinels (wrong variant count, negative deadline, unknown
+// fields).
 var ErrInvalidJob = fmt.Errorf("service: invalid job")
 
 // Validate checks the job without running it, with the same sentinels the
@@ -141,9 +120,6 @@ func (s JobSpec) Validate() error {
 	}
 	if variants != 1 {
 		return fmt.Errorf("%w: %d of sweep/region_batch/campaign set, want exactly 1", ErrInvalidJob, variants)
-	}
-	if s.Retry != nil && s.Retry.MaxAttempts <= 0 {
-		return fmt.Errorf("%w: retry.max_attempts must be positive, got %d", ErrInvalidJob, s.Retry.MaxAttempts)
 	}
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("%w: negative timeout_ms %d", ErrInvalidJob, s.TimeoutMS)
@@ -179,16 +155,10 @@ func ParseJobSpec(data []byte) (JobSpec, error) {
 func (s JobSpec) run(ctx context.Context, eng *bicoop.Engine, log *ResultLog) error {
 	switch {
 	case s.Sweep != nil:
-		spec := s.Sweep.spec()
-		spec.Retry = s.Retry.policy()
-		return RunSweep(ctx, eng, spec, log)
+		return RunSweep(ctx, eng, s.Sweep.spec(), log)
 	case s.RegionBatch != nil:
-		spec := s.RegionBatch.spec()
-		spec.Retry = s.Retry.policy()
-		return RunRegionBatch(ctx, eng, spec, log)
+		return RunRegionBatch(ctx, eng, s.RegionBatch.spec(), log)
 	default:
-		spec := s.Campaign.spec()
-		spec.Retry = s.Retry.policy()
-		return RunCampaign(ctx, eng, spec, log)
+		return RunCampaign(ctx, eng, s.Campaign.spec(), log)
 	}
 }

@@ -33,22 +33,17 @@ func benchCoreRun(b *testing.B, opts CoreOptions) {
 }
 
 // BenchmarkRunCore is the baseline for the resilience-overhead pair: the
-// sharded core with no retry policy, no checkpointer.
+// sharded core with no checkpointer.
 func BenchmarkRunCore(b *testing.B) {
 	benchCoreRun(b, CoreOptions{Workers: 4})
 }
 
-// BenchmarkRunCoreResilient runs the identical workload with the full
-// resilience layer armed — retry policy installed, per-chunk attempt
-// accounting, checkpointer saving every watermark advance — but zero faults,
-// so the delta against BenchmarkRunCore is the price of resilience on the
-// happy path. The ledger gate keeps that price from creeping.
+// BenchmarkRunCoreResilient runs the identical workload with the
+// checkpointer armed — saving every watermark advance — so the delta
+// against BenchmarkRunCore is the price of checkpointing on the happy path.
+// The ledger gate keeps that price from creeping.
 func BenchmarkRunCoreResilient(b *testing.B) {
-	benchCoreRun(b, CoreOptions{
-		Workers:    4,
-		Retry:      &RetryPolicy{MaxAttempts: 3},
-		Checkpoint: nullCheckpointer{},
-	})
+	benchCoreRun(b, CoreOptions{Workers: 4, Checkpoint: nullCheckpointer{}})
 }
 
 type nullCheckpointer struct{}

@@ -1,19 +1,17 @@
 // Package chaos injects deterministic faults into sweep workloads, for
-// testing the resilience layer of internal/sweep (retry, panic containment,
+// testing the fault handling of internal/sweep (panic containment,
 // checkpoint/resume) without any real failure source. Every injection
-// decision is a pure function of (Seed, chunk start, attempt number) — never
-// of timing, worker identity, or worker count — so a chaos-wrapped run
-// retried to completion produces results bit-identical to a fault-free run
-// at every Workers setting, which is exactly the property the resilience
-// tests pin.
+// decision is a pure function of (Seed, chunk start) — never of timing,
+// worker identity, worker count, or how often a chunk has run — so a
+// delay-injected run produces results bit-identical to a fault-free run at
+// every Workers setting, and a faulted chunk fails the same way on every
+// run, which are exactly the properties the resilience tests pin.
 //
 // Downstream packages use it the same way the sweep tests do: wrap the do
 // function handed to sweep.Run/RunCore,
 //
-//	inj := chaos.Injector{Seed: 7, TransientRate: 0.2}
-//	_, err := sweep.RunCore(ctx, n, sweep.CoreOptions{
-//	        Retry: &sweep.RetryPolicy{IsTransient: chaos.Transient},
-//	    }, hooks, chaos.Wrap(&inj, do), emit)
+//	inj := chaos.Injector{Seed: 7, DelayRate: 0.2, Delay: time.Millisecond}
+//	_, err := sweep.RunCore(ctx, n, opts, hooks, chaos.Wrap(&inj, do), emit)
 //
 // and assert the results match an unwrapped run.
 package chaos
@@ -21,78 +19,38 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 )
 
-// ErrInjected is the transient fault the injector returns; classify it with
-// Transient (the natural RetryPolicy.IsTransient for chaos tests).
-var ErrInjected = errors.New("chaos: injected transient fault")
-
-// ErrPermanent is the non-transient fault injected at PermanentStarts.
+// ErrPermanent is the fault injected at PermanentStarts.
 var ErrPermanent = errors.New("chaos: injected permanent fault")
-
-// Transient reports whether err is (or wraps) an injected transient fault —
-// a ready-made RetryPolicy.IsTransient classifier that retries injected
-// transients and lets ErrPermanent halt the run.
-func Transient(err error) bool { return errors.Is(err, ErrInjected) }
 
 // Injector configures deterministic fault injection, keyed by the start
 // index of each chunk (the lo argument of do), which identifies a chunk
 // independently of worker count and chunk size.
 type Injector struct {
-	// Seed drives the per-chunk fault draws.
+	// Seed drives the per-chunk delay draws.
 	Seed int64
-	// TransientRate is the probability in [0, 1] that a chunk's first
-	// attempt fails with ErrInjected; with MaxFaults > 1, later attempts
-	// fail with the same per-attempt rate up to the cap.
-	TransientRate float64
-	// MaxFaults caps consecutive injected transient failures per chunk;
-	// non-positive means 1, so a single retry always clears an injected
-	// transient.
-	MaxFaults int
-	// PanicStarts lists chunk start indices whose first attempt panics
-	// (subsequent attempts run clean — an injected panic is transient).
+	// PanicStarts lists chunk start indices whose do call panics.
 	PanicStarts []int
-	// PermanentStarts lists chunk start indices that fail every attempt
-	// with ErrPermanent.
+	// PermanentStarts lists chunk start indices whose do call fails with
+	// ErrPermanent.
 	PermanentStarts []int
-	// DelayRate and Delay inject latency: each chunk attempt drawn at
-	// DelayRate sleeps Delay before running. Delays perturb scheduling
-	// only, never results.
+	// DelayRate and Delay inject latency: each chunk drawn at DelayRate
+	// sleeps Delay before running. Delays perturb scheduling only, never
+	// results.
 	DelayRate float64
 	Delay     time.Duration
-
-	mu       sync.Mutex
-	attempts map[int]int
 }
 
-// faults returns how many leading attempts of the chunk starting at lo fail
-// transiently — a pure function of (Seed, lo), identical for every worker
-// count.
-func (inj *Injector) faults(lo int) int {
-	max := inj.MaxFaults
-	if max <= 0 {
-		max = 1
-	}
-	k := 0
-	for k < max && inj.draw(lo, k, 0) < inj.TransientRate {
-		k++
-	}
-	return k
+// delayed reports whether the chunk starting at lo is drawn for a delay — a
+// pure function of (Seed, lo), identical for every worker count.
+func (inj *Injector) delayed(lo int) bool {
+	x := splitmix64(uint64(inj.Seed) ^ uint64(lo)*0x9E3779B97F4A7C15)
+	return float64(x>>11)/float64(1<<53) < inj.DelayRate
 }
 
-// draw maps (Seed, lo, attempt, stream) to a float in [0, 1) via splitmix64.
-func (inj *Injector) draw(lo, attempt, stream int) float64 {
-	x := uint64(inj.Seed)
-	x = splitmix64(x ^ uint64(lo)*0x9E3779B97F4A7C15)
-	x = splitmix64(x ^ uint64(attempt)*0xBF58476D1CE4E5B9)
-	x = splitmix64(x ^ uint64(stream)*0x94D049BB133111EB)
-	return float64(x>>11) / float64(1<<53)
-}
-
-// splitmix64 is the standard splitmix64 finalizer (the same mixer the retry
-// policy uses for its jitter).
+// splitmix64 is the standard splitmix64 finalizer.
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
@@ -100,47 +58,21 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// attempt records and returns the 1-based attempt count for the chunk at lo.
-// Retries of one chunk are sequential (the worker's retry loop), so the
-// count is deterministic even though distinct chunks run concurrently.
-func (inj *Injector) attempt(lo int) int {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	if inj.attempts == nil {
-		inj.attempts = make(map[int]int)
-	}
-	inj.attempts[lo]++
-	return inj.attempts[lo]
-}
-
-// Reset clears the per-chunk attempt counters so the injector replays the
-// same fault schedule on a fresh run.
-func (inj *Injector) Reset() {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	inj.attempts = nil
-}
-
 // Wrap returns a do function that injects inj's faults before delegating to
-// do. A faulted attempt fails before any workload code runs, so caller
-// storage is untouched until an attempt goes through — and a retried chunk
-// overwrites its slots wholesale either way.
+// do. A faulted chunk fails before any workload code runs, so caller
+// storage is untouched.
 func Wrap[W any](inj *Injector, do func(W, int, int) error) func(W, int, int) error {
 	panics := indexSet(inj.PanicStarts)
 	perms := indexSet(inj.PermanentStarts)
 	return func(w W, lo, hi int) error {
-		a := inj.attempt(lo)
-		if inj.Delay > 0 && inj.DelayRate > 0 && inj.draw(lo, a, 1) < inj.DelayRate {
+		if inj.Delay > 0 && inj.delayed(lo) {
 			time.Sleep(inj.Delay)
 		}
 		if perms[lo] {
 			return fmt.Errorf("chunk [%d,%d): %w", lo, hi, ErrPermanent)
 		}
-		if panics[lo] && a == 1 {
+		if panics[lo] {
 			panic(fmt.Sprintf("chaos: injected panic at chunk [%d,%d)", lo, hi))
-		}
-		if a <= inj.faults(lo) {
-			return fmt.Errorf("chunk [%d,%d) attempt %d: %w", lo, hi, a, ErrInjected)
 		}
 		return do(w, lo, hi)
 	}

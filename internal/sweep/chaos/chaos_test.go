@@ -5,48 +5,43 @@ import (
 	"testing"
 )
 
-// TestFaultScheduleDeterministic pins that the fault schedule is a pure
+// TestFaultScheduleDeterministic pins that the delay schedule is a pure
 // function of (Seed, chunk start): two injectors with the same seed agree on
-// every chunk, and the schedule survives Reset.
+// every chunk, and asking again gives the same answer.
 func TestFaultScheduleDeterministic(t *testing.T) {
-	a := &Injector{Seed: 42, TransientRate: 0.3, MaxFaults: 3}
-	b := &Injector{Seed: 42, TransientRate: 0.3, MaxFaults: 3}
+	a := &Injector{Seed: 42, DelayRate: 0.3}
+	b := &Injector{Seed: 42, DelayRate: 0.3}
 	for lo := 0; lo < 4096; lo += 64 {
-		if a.faults(lo) != b.faults(lo) {
-			t.Fatalf("chunk %d: schedules disagree between same-seed injectors", lo)
+		if a.delayed(lo) != b.delayed(lo) || a.delayed(lo) != a.delayed(lo) {
+			t.Fatalf("chunk %d: schedules disagree between same-seed draws", lo)
 		}
-	}
-	before := a.faults(128)
-	a.Reset()
-	if a.faults(128) != before {
-		t.Error("Reset must not change the fault schedule, only the attempt counters")
 	}
 }
 
 // TestFaultRate sanity-checks that the configured rate roughly matches the
-// fraction of faulted chunks.
+// fraction of delayed chunks.
 func TestFaultRate(t *testing.T) {
-	inj := &Injector{Seed: 1, TransientRate: 0.2}
-	faulted := 0
+	inj := &Injector{Seed: 1, DelayRate: 0.2}
+	delayed := 0
 	const chunks = 2000
 	for c := 0; c < chunks; c++ {
-		if inj.faults(c*64) > 0 {
-			faulted++
+		if inj.delayed(c * 64) {
+			delayed++
 		}
 	}
-	got := float64(faulted) / chunks
+	got := float64(delayed) / chunks
 	if got < 0.15 || got > 0.25 {
-		t.Errorf("fault rate %.3f, want ~0.2", got)
+		t.Errorf("delay rate %.3f, want ~0.2", got)
 	}
 }
 
 // TestSeedVariesSchedule pins that distinct seeds give distinct schedules.
 func TestSeedVariesSchedule(t *testing.T) {
-	a := &Injector{Seed: 1, TransientRate: 0.5}
-	b := &Injector{Seed: 2, TransientRate: 0.5}
+	a := &Injector{Seed: 1, DelayRate: 0.5}
+	b := &Injector{Seed: 2, DelayRate: 0.5}
 	same := true
 	for lo := 0; lo < 64*64; lo += 64 {
-		if a.faults(lo) != b.faults(lo) {
+		if a.delayed(lo) != b.delayed(lo) {
 			same = false
 			break
 		}
@@ -56,34 +51,14 @@ func TestSeedVariesSchedule(t *testing.T) {
 	}
 }
 
-// TestWrapTransientThenClean pins the attempt progression: a faulted chunk's
-// first attempt(s) return ErrInjected, then the wrapped do runs.
-func TestWrapTransientThenClean(t *testing.T) {
-	inj := &Injector{Seed: 3, TransientRate: 1, MaxFaults: 2}
-	ran := 0
-	do := Wrap(inj, func(_ struct{}, lo, hi int) error { ran++; return nil })
-	for a := 1; a <= 2; a++ {
-		if err := do(struct{}{}, 0, 64); !errors.Is(err, ErrInjected) {
-			t.Fatalf("attempt %d: err = %v, want ErrInjected", a, err)
-		}
-	}
-	if err := do(struct{}{}, 0, 64); err != nil || ran != 1 {
-		t.Fatalf("attempt 3: err = %v ran = %d, want clean pass-through", err, ran)
-	}
-}
-
-// TestWrapPermanent pins that permanent faults hit every attempt and are not
-// classified transient.
+// TestWrapPermanent pins that a permanent fault hits every call on its
+// chunk and no other chunk.
 func TestWrapPermanent(t *testing.T) {
 	inj := &Injector{Seed: 3, PermanentStarts: []int{64}}
 	do := Wrap(inj, func(_ struct{}, lo, hi int) error { return nil })
-	for a := 0; a < 3; a++ {
-		err := do(struct{}{}, 64, 128)
-		if !errors.Is(err, ErrPermanent) {
-			t.Fatalf("attempt %d: err = %v, want ErrPermanent", a+1, err)
-		}
-		if Transient(err) {
-			t.Fatal("ErrPermanent must not classify as transient")
+	for call := 1; call <= 3; call++ {
+		if err := do(struct{}{}, 64, 128); !errors.Is(err, ErrPermanent) {
+			t.Fatalf("call %d: err = %v, want ErrPermanent", call, err)
 		}
 	}
 	if err := do(struct{}{}, 0, 64); err != nil {
@@ -91,31 +66,22 @@ func TestWrapPermanent(t *testing.T) {
 	}
 }
 
-// TestWrapPanicOnce pins that an injected panic fires on the first attempt
-// only — it models a transient crash a retry clears.
+// TestWrapPanicOnce pins that an injected panic fires once per call on its
+// chunk, on every call, and never on an unlisted chunk.
 func TestWrapPanicOnce(t *testing.T) {
 	inj := &Injector{Seed: 3, PanicStarts: []int{0}}
 	do := Wrap(inj, func(_ struct{}, lo, hi int) error { return nil })
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("first attempt did not panic")
-			}
+	for call := 1; call <= 2; call++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("call %d did not panic", call)
+				}
+			}()
+			_ = do(struct{}{}, 0, 64)
 		}()
-		_ = do(struct{}{}, 0, 64)
-	}()
-	if err := do(struct{}{}, 0, 64); err != nil {
-		t.Errorf("second attempt: %v, want clean", err)
 	}
-}
-
-// TestTransientClassifier pins the classifier against wrapped and foreign
-// errors.
-func TestTransientClassifier(t *testing.T) {
-	if !Transient(ErrInjected) {
-		t.Error("ErrInjected must be transient")
-	}
-	if Transient(errors.New("io timeout")) {
-		t.Error("foreign errors must not be transient")
+	if err := do(struct{}{}, 64, 128); err != nil {
+		t.Errorf("unlisted chunk: %v, want clean", err)
 	}
 }

@@ -30,7 +30,7 @@ import (
 )
 
 // Hooks supplies the per-worker state of a generic sharded run. Every worker
-// goroutine owns one W for its lifetime (a retry recreates it). W is
+// goroutine owns one W for its lifetime; it is never recreated mid-run. W is
 // scratch, not memory: a chunk's results must not depend on what the
 // worker evaluated before, so they stay the same whichever worker runs the
 // chunk. All fields are optional: a nil NewWorker gives every worker W's
@@ -38,7 +38,7 @@ import (
 // Hooks[struct{}]{}).
 type Hooks[W any] struct {
 	// NewWorker returns the state one worker owns (e.g. a leased
-	// evaluator). Called once per worker goroutine and once per retry.
+	// evaluator). Called once per worker goroutine.
 	NewWorker func() W
 	// CloseWorker releases the state when the worker exits (e.g. returns
 	// the evaluator to its pool). Runs even when the run halts early.
@@ -68,9 +68,9 @@ type CoreOptions struct {
 	// ChunkSize is the number of consecutive points one worker evaluates
 	// per claim; non-positive means ChunkSize (64). Pick it per workload —
 	// 1 for heavyweight points like whole simulation runs — but never
-	// derive it from Workers: chunk boundaries are the checkpoint and retry
-	// granules, so resumability and determinism across worker counts
-	// depend on them being fixed.
+	// derive it from Workers: chunk boundaries are the checkpoint granules,
+	// so resumability and determinism across worker counts depend on them
+	// being fixed.
 	ChunkSize int
 	// Start resumes a run: points [0, Start) are assumed already evaluated
 	// and emitted by an earlier run, so neither do nor emit sees them.
@@ -83,10 +83,6 @@ type CoreOptions struct {
 	// error halts the run like an emit error. Feed the last saved value
 	// back as Start to resume.
 	Checkpoint Checkpointer
-	// Retry re-runs failed chunks per the policy, recreating the worker's
-	// state W through the run's Hooks between attempts; nil fails fast on
-	// the first error. See RetryPolicy.
-	Retry *RetryPolicy
 }
 
 func (o CoreOptions) workers() int {
@@ -108,8 +104,7 @@ func (o CoreOptions) chunkSize() int {
 // run within one chunk per worker.
 //
 // Failures are contained per chunk: a do error (including a recovered
-// workload panic, surfaced as a *PanicError) is reported as a *ChunkError,
-// and opts.Retry re-runs transiently failed chunks with fresh worker state.
+// workload panic, surfaced as a *PanicError) is reported as a *ChunkError.
 // opts.Start resumes past an already-emitted prefix and opts.Checkpoint
 // persists the emitted watermark as it advances (see CoreOptions).
 //
@@ -183,7 +178,7 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 		go func() {
 			defer wg.Done()
 			st := hooks.newWorker()
-			defer func() { hooks.close(st) }()
+			defer hooks.close(st)
 			for {
 				select {
 				case <-tickets:
@@ -195,7 +190,11 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 					return
 				}
 				lo, hi := chunkBoundsOf(c, n, cs)
-				if err := runChunkAttempts(ctx, hooks, &st, opts.Retry, c, lo, hi, do); err != nil {
+				// A failed chunk may leave st in any state, and the worker
+				// keeps it: every chunk it claims later has a higher index,
+				// and the emitter stops at the first failed chunk, so
+				// nothing computed from that state reaches the output.
+				if err := runChunk(do, st, c, lo, hi); err != nil {
 					chunkErr[c] = err
 					halt()
 				}
@@ -265,17 +264,17 @@ func watermarkOf(nextEmit, n, cs int) int {
 }
 
 // runCoreSequential is the single-worker path: same chunk boundaries and
-// retry handling as the pool, so its outputs are bit-identical, without
+// failure handling as the pool, so its outputs are bit-identical, without
 // goroutine or channel overhead.
 func runCoreSequential[W any](ctx context.Context, n, nChunks, cs, startChunk int, opts CoreOptions, hooks Hooks[W], do func(w W, start, end int) error, emit func(start, end int) error) (int, error) {
 	st := hooks.newWorker()
-	defer func() { hooks.close(st) }()
+	defer hooks.close(st)
 	for c := startChunk; c < nChunks; c++ {
 		if err := ctxErr(ctx); err != nil {
 			return c * cs, err
 		}
 		lo, hi := chunkBoundsOf(c, n, cs)
-		if err := runChunkAttempts(ctx, hooks, &st, opts.Retry, c, lo, hi, do); err != nil {
+		if err := runChunk(do, st, c, lo, hi); err != nil {
 			return lo, err
 		}
 		if emit != nil {

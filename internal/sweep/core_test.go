@@ -8,10 +8,9 @@ import (
 	"testing"
 )
 
-// TestRunCoreHookLifecycle pins the generic worker-state contract: one
-// NewWorker/CloseWorker pair per worker goroutine (never more than Workers
-// of them), and chunk boundaries that depend only on (n, ChunkSize) — the
-// invariant checkpoints and retries rest on.
+// TestRunCoreHookLifecycle pins the generic worker-state contract: exactly
+// one NewWorker/CloseWorker pair per worker goroutine, and chunk boundaries
+// that depend only on (n, ChunkSize) — the invariant checkpoints rest on.
 func TestRunCoreHookLifecycle(t *testing.T) {
 	const n, cs = 103, 10
 	for _, workers := range []int{1, 3} {
@@ -41,7 +40,7 @@ func TestRunCoreHookLifecycle(t *testing.T) {
 		if err != nil || prefix != n {
 			t.Fatalf("workers=%d: prefix=%d err=%v", workers, prefix, err)
 		}
-		if news != closes || news == 0 || news > workers {
+		if news != workers || closes != workers {
 			t.Errorf("workers=%d: %d NewWorker vs %d CloseWorker calls", workers, news, closes)
 		}
 		wantChunks := (n + cs - 1) / cs

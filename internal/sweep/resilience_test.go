@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -19,24 +18,18 @@ import (
 var resilienceWorkers = []int{1, 2, 7}
 
 // TestRunCoreChaosBitIdentical is the headline resilience pin: a run with
-// ~20% injected transient chunk faults, retried through the policy with
-// per-retry worker-state teardown, completes with results == to a fault-free
-// run at every worker count. A failed attempt poisons its worker state and
-// the workload refuses poisoned state, so any retry that reused the failed
-// attempt's state would fail the run instead of completing it.
+// ~20% of its chunks delayed — so chunks finish out of order and land on
+// different workers from run to run — completes with results == to a
+// fault-free run at every worker count.
 func TestRunCoreChaosBitIdentical(t *testing.T) {
 	const n, cs = 40*8 + 5, 8
-	run := func(workers int, inj *chaos.Injector) ([]int, error) {
+	run := func(workers int, inj *chaos.Injector) []int {
 		out := make([]int, n)
 		// W is a per-worker counter the workload restarts at every chunk:
 		// each point records its position within the chunk, so results
-		// expose the chunk boundaries. -1 marks state a failed attempt
-		// left behind.
+		// expose the chunk boundaries.
 		hooks := Hooks[*int]{NewWorker: func() *int { return new(int) }}
 		do := func(w *int, lo, hi int) error {
-			if *w < 0 {
-				return errors.New("retry reused a failed attempt's worker state")
-			}
 			*w = 0
 			for i := lo; i < hi; i++ {
 				*w++
@@ -45,36 +38,18 @@ func TestRunCoreChaosBitIdentical(t *testing.T) {
 			return nil
 		}
 		if inj != nil {
-			faulty := chaos.Wrap(inj, do)
-			do = func(w *int, lo, hi int) error {
-				err := faulty(w, lo, hi)
-				if err != nil {
-					*w = -1
-				}
-				return err
-			}
+			do = chaos.Wrap(inj, do)
 		}
-		prefix, err := RunCore(context.Background(), n, CoreOptions{
-			Workers:   workers,
-			ChunkSize: cs,
-			Retry:     &RetryPolicy{MaxAttempts: 3, IsTransient: chaos.Transient},
-		}, hooks, do, nil)
-		if err == nil && prefix != n {
-			t.Fatalf("workers=%d: prefix=%d, want %d", workers, prefix, n)
+		prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: workers, ChunkSize: cs}, hooks, do, nil)
+		if err != nil || prefix != n {
+			t.Fatalf("workers=%d: prefix=%d err=%v", workers, prefix, err)
 		}
-		return out, err
+		return out
 	}
 
-	clean, err := run(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := run(1, nil)
 	for _, workers := range resilienceWorkers {
-		inj := &chaos.Injector{Seed: 7, TransientRate: 0.2}
-		got, err := run(workers, inj)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		got := run(workers, &chaos.Injector{Seed: 7, DelayRate: 0.2, Delay: 200 * time.Microsecond})
 		if !reflect.DeepEqual(got, clean) {
 			t.Fatalf("workers=%d: chaos run differs from fault-free run", workers)
 		}
@@ -82,10 +57,10 @@ func TestRunCoreChaosBitIdentical(t *testing.T) {
 }
 
 // TestRunChaosWarmEvaluators runs the real pooled-evaluator workload (HBC
-// LPs, evaluators leased and reused across chunks) under injected faults
-// and pins bit-identical results: a retried chunk recreates its evaluator
-// through the hooks, and a reused evaluator's results never depend on the
-// solves before them.
+// LPs, evaluators leased and reused across chunks) under injected delays
+// and pins bit-identical results: delays reshuffle which evaluator solves
+// which chunk, and a reused evaluator's results never depend on the solves
+// before them.
 func TestRunChaosWarmEvaluators(t *testing.T) {
 	scen := testScenarios(3*ChunkSize + 11)
 	type opt3 struct{ Sum, Ra, Rb float64 }
@@ -103,12 +78,10 @@ func TestRunChaosWarmEvaluators(t *testing.T) {
 			}
 			return nil
 		}
-		opts := Options{Workers: workers}
 		if inj != nil {
 			do = chaos.Wrap(inj, do)
-			opts.Retry = &RetryPolicy{MaxAttempts: 4, IsTransient: chaos.Transient}
 		}
-		prefix, err := Run(context.Background(), len(scen), opts, do, nil)
+		prefix, err := Run(context.Background(), len(scen), Options{Workers: workers}, do, nil)
 		if err != nil || prefix != len(scen) {
 			t.Fatalf("workers=%d: prefix=%d err=%v", workers, prefix, err)
 		}
@@ -116,7 +89,7 @@ func TestRunChaosWarmEvaluators(t *testing.T) {
 	}
 	clean := run(1, nil)
 	for _, workers := range resilienceWorkers {
-		got := run(workers, &chaos.Injector{Seed: 3, TransientRate: 0.2})
+		got := run(workers, &chaos.Injector{Seed: 3, DelayRate: 0.2, Delay: 200 * time.Microsecond})
 		for i := range clean {
 			if got[i] != clean[i] {
 				t.Fatalf("workers=%d: point %d differs under chaos: %+v vs %+v", workers, i, got[i], clean[i])
@@ -127,8 +100,7 @@ func TestRunChaosWarmEvaluators(t *testing.T) {
 
 // TestRunCorePanicContained pins panic containment: an injected worker panic
 // surfaces as a *ChunkError wrapping a *PanicError — the process stays alive
-// — and without a retry policy the run halts with the panicking chunk
-// identified.
+// — and the run halts with the panicking chunk identified.
 func TestRunCorePanicContained(t *testing.T) {
 	const n, cs = 96, 8
 	const panicLo = 5 * cs
@@ -140,8 +112,8 @@ func TestRunCorePanicContained(t *testing.T) {
 		if !errors.As(err, &cerr) {
 			t.Fatalf("workers=%d: err = %v, want a *ChunkError", workers, err)
 		}
-		if cerr.Chunk != panicLo/cs || cerr.Start != panicLo || cerr.Attempt != 1 {
-			t.Errorf("workers=%d: ChunkError = %+v, want chunk %d at [%d,...) attempt 1", workers, cerr, panicLo/cs, panicLo)
+		if cerr.Chunk != panicLo/cs || cerr.Start != panicLo {
+			t.Errorf("workers=%d: ChunkError = %+v, want chunk %d at [%d,...)", workers, cerr, panicLo/cs, panicLo)
 		}
 		var perr *PanicError
 		if !errors.As(err, &perr) {
@@ -153,118 +125,30 @@ func TestRunCorePanicContained(t *testing.T) {
 	}
 }
 
-// TestRunCorePanicRetried pins that a panic is just another chunk failure to
-// the retry layer: with a policy that classifies it transient, the run
-// completes and the results match a fault-free run.
-func TestRunCorePanicRetried(t *testing.T) {
-	const n, cs = 96, 8
-	for _, workers := range resilienceWorkers {
-		out := make([]int, n)
-		inj := &chaos.Injector{Seed: 1, PanicStarts: []int{0, 5 * cs}}
-		prefix, err := RunCore(context.Background(), n, CoreOptions{
-			Workers:   workers,
-			ChunkSize: cs,
-			Retry:     &RetryPolicy{MaxAttempts: 2}, // nil IsTransient: retry everything
-		}, Hooks[struct{}]{},
-			chaos.Wrap(inj, func(_ struct{}, lo, hi int) error {
-				for i := lo; i < hi; i++ {
-					out[i] = i + 1
-				}
-				return nil
-			}), nil)
-		if err != nil || prefix != n {
-			t.Fatalf("workers=%d: prefix=%d err=%v", workers, prefix, err)
-		}
-		for i, v := range out {
-			if v != i+1 {
-				t.Fatalf("workers=%d: point %d = %d, want %d", workers, i, v, i+1)
-			}
-		}
-	}
-}
-
-// TestRunCorePermanentFaultPrefix pins the halt semantics of a
-// non-transient fault under retry: the error identifies the failed chunk
-// with one attempt spent, the emitted prefix never passes the failed chunk,
-// and the sequential path stops exactly at it.
+// TestRunCorePermanentFaultPrefix pins the halt semantics of a chunk
+// failure: the error identifies the failed chunk, the emitted prefix never
+// passes it, and the sequential path stops exactly at it.
 func TestRunCorePermanentFaultPrefix(t *testing.T) {
 	const n, cs = 120, 8
 	const permLo = 7 * cs
 	for _, workers := range resilienceWorkers {
 		inj := &chaos.Injector{Seed: 9, PermanentStarts: []int{permLo}}
 		var emitted atomic.Int64
-		prefix, err := RunCore(context.Background(), n, CoreOptions{
-			Workers:   workers,
-			ChunkSize: cs,
-			Retry:     &RetryPolicy{MaxAttempts: 5, IsTransient: chaos.Transient},
-		}, Hooks[struct{}]{},
+		prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: workers, ChunkSize: cs}, Hooks[struct{}]{},
 			chaos.Wrap(inj, func(_ struct{}, lo, hi int) error { return nil }),
 			func(lo, hi int) error { emitted.Store(int64(hi)); return nil })
 		var cerr *ChunkError
 		if !errors.As(err, &cerr) || !errors.Is(err, chaos.ErrPermanent) {
 			t.Fatalf("workers=%d: err = %v, want ChunkError wrapping ErrPermanent", workers, err)
 		}
-		if cerr.Chunk != permLo/cs || cerr.Attempt != 1 {
-			t.Errorf("workers=%d: ChunkError = %+v, want chunk %d after 1 attempt", workers, cerr, permLo/cs)
+		if cerr.Chunk != permLo/cs || cerr.Start != permLo {
+			t.Errorf("workers=%d: ChunkError = %+v, want chunk %d", workers, cerr, permLo/cs)
 		}
 		if prefix > permLo || int(emitted.Load()) != prefix {
 			t.Errorf("workers=%d: prefix=%d emitted=%d, want prefix <= %d and equal", workers, prefix, emitted.Load(), permLo)
 		}
 		if workers == 1 && prefix != permLo {
 			t.Errorf("sequential prefix = %d, want exactly %d", prefix, permLo)
-		}
-	}
-}
-
-// TestRunCoreTransientExhaustion pins that a chunk whose faults outlast
-// MaxAttempts fails with the final attempt recorded.
-func TestRunCoreTransientExhaustion(t *testing.T) {
-	inj := &chaos.Injector{Seed: 2, TransientRate: 1, MaxFaults: 10}
-	_, err := RunCore(context.Background(), 32, CoreOptions{Workers: 2, ChunkSize: 8,
-		Retry: &RetryPolicy{MaxAttempts: 3, IsTransient: chaos.Transient}},
-		Hooks[struct{}]{},
-		chaos.Wrap(inj, func(_ struct{}, lo, hi int) error { return nil }), nil)
-	var cerr *ChunkError
-	if !errors.As(err, &cerr) || !errors.Is(err, chaos.ErrInjected) {
-		t.Fatalf("err = %v, want ChunkError wrapping ErrInjected", err)
-	}
-	if cerr.Attempt != 3 {
-		t.Errorf("gave up at attempt %d, want 3 (MaxAttempts)", cerr.Attempt)
-	}
-}
-
-// TestRunCoreRetryRecreatesWorkerState pins the teardown contract: every
-// retry closes the failed attempt's worker state and creates a fresh one, so
-// NewWorker/CloseWorker stay paired with exactly one extra pair per injected
-// fault.
-func TestRunCoreRetryRecreatesWorkerState(t *testing.T) {
-	const n, cs = 80, 8
-	for _, workers := range resilienceWorkers {
-		var mu sync.Mutex
-		news, closes := 0, 0
-		hooks := Hooks[*int]{
-			NewWorker:   func() *int { mu.Lock(); news++; mu.Unlock(); return new(int) },
-			CloseWorker: func(*int) { mu.Lock(); closes++; mu.Unlock() },
-		}
-		// TransientRate 1 faults the first attempt of every chunk exactly
-		// once (MaxFaults defaults to 1).
-		inj := &chaos.Injector{Seed: 4, TransientRate: 1}
-		nChunks := n / cs
-		prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: workers, ChunkSize: cs,
-			Retry: &RetryPolicy{MaxAttempts: 2, IsTransient: chaos.Transient}},
-			hooks,
-			chaos.Wrap(inj, func(_ *int, lo, hi int) error { return nil }), nil)
-		if err != nil || prefix != n {
-			t.Fatalf("workers=%d: prefix=%d err=%v", workers, prefix, err)
-		}
-		if news != closes {
-			t.Errorf("workers=%d: %d NewWorker vs %d CloseWorker — retries must keep them paired", workers, news, closes)
-		}
-		// One state per worker goroutine plus one recreation per faulted
-		// chunk (every chunk faulted once).
-		wantExtra := nChunks
-		if news < wantExtra+1 || news > wantExtra+workers {
-			t.Errorf("workers=%d: %d worker states created, want %d faults + <=%d workers", workers, news, wantExtra, workers)
 		}
 	}
 }
@@ -309,18 +193,14 @@ func TestRunCoreCheckpointResume(t *testing.T) {
 				CoreOptions{Workers: workers, ChunkSize: cs, Start: resumeAt},
 				Hooks[struct{}]{},
 				func(_ struct{}, lo, hi int) error {
-					if int64(lo) < lowest.Load() {
-						lowest.Store(int64(lo))
-					}
+					storeMin(&lowest, int64(lo))
 					for i := lo; i < hi; i++ {
 						out[i] = 7 * i
 					}
 					return nil
 				},
 				func(lo, hi int) error {
-					if int64(lo) < emitLow.Load() {
-						emitLow.Store(int64(lo))
-					}
+					storeMin(&emitLow, int64(lo))
 					return nil
 				})
 			if err != nil || prefix != n {
@@ -398,68 +278,11 @@ func TestRunCoreEmitErrorParity(t *testing.T) {
 	}
 }
 
-// TestRunCoreEmitErrorParityWithRetry repeats the parity pin with the retry
-// layer enabled and transient faults injected before the emit failure: the
-// resilience layer must not perturb the emit-error contract.
-func TestRunCoreEmitErrorParityWithRetry(t *testing.T) {
-	const n, cs = 12 * 8, 8
-	sentinel := errors.New("sink full")
-	stopAt := 6 * cs
-	for _, workers := range resilienceWorkers {
-		inj := &chaos.Injector{Seed: 11, TransientRate: 0.3}
-		prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: workers, ChunkSize: cs,
-			Retry: &RetryPolicy{MaxAttempts: 3, IsTransient: chaos.Transient}},
-			Hooks[struct{}]{},
-			chaos.Wrap(inj, func(_ struct{}, lo, hi int) error { return nil }),
-			func(lo, hi int) error {
-				if lo == stopAt {
-					return sentinel
-				}
-				return nil
-			})
-		if prefix != stopAt || err != sentinel {
-			t.Fatalf("workers=%d: (prefix, err) = (%d, %v), want (%d, sentinel)", workers, prefix, err, stopAt)
-		}
-	}
-}
-
-// TestRetryPolicyDelay pins the backoff shape: pure function of (chunk,
-// attempt), exponential growth, MaxDelay cap, jitter within [d, 1.5d).
-func TestRetryPolicyDelay(t *testing.T) {
-	p := &RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond}
-	for c := 0; c < 5; c++ {
-		for a := 1; a <= 4; a++ {
-			d1, d2 := p.delay(c, a), p.delay(c, a)
-			if d1 != d2 {
-				t.Fatalf("delay(%d,%d) not deterministic: %v vs %v", c, a, d1, d2)
-			}
-			base := 10 * time.Millisecond << (a - 1)
-			if base > p.MaxDelay {
-				base = p.MaxDelay
-			}
-			if d1 < base || d1 >= base+base/2 {
-				t.Errorf("delay(%d,%d) = %v, want in [%v, %v)", c, a, d1, base, base+base/2)
-			}
-		}
-	}
-	if d := p.delay(3, 1); d == p.delay(4, 1) {
-		t.Log("adjacent chunks drew equal jitter (possible but unlikely); not a failure")
-	}
-	zero := &RetryPolicy{}
-	if zero.delay(0, 1) != 0 {
-		t.Error("zero BaseDelay must mean no waiting")
-	}
-}
-
-// TestRetryPolicyNeverRetriesContextErrors pins that cancellation is not a
-// retryable fault even under a retry-everything classifier.
-func TestRetryPolicyNeverRetriesContextErrors(t *testing.T) {
-	p := &RetryPolicy{MaxAttempts: 5}
-	if p.retryable(context.Canceled) || p.retryable(fmt.Errorf("spec 3: %w", context.DeadlineExceeded)) {
-		t.Error("context errors must never be retried")
-	}
-	if !p.retryable(errors.New("io timeout")) {
-		t.Error("nil IsTransient must retry ordinary errors")
+// storeMin lowers m to v unless m already holds a smaller value. Workers
+// record their chunk starts concurrently, so a plain load-then-store could
+// let a later chunk overwrite an earlier one.
+func storeMin(m *atomic.Int64, v int64) {
+	for cur := m.Load(); v < cur && !m.CompareAndSwap(cur, v); cur = m.Load() {
 	}
 }
 

@@ -35,8 +35,8 @@ import (
 
 // ChunkSize is the number of consecutive points one worker evaluates per
 // claim. It is a fixed constant — never derived from the worker count — so
-// chunk boundaries (and with them the checkpoint watermarks and retry
-// granules) are identical no matter how many workers run. 64 points
+// chunk boundaries (and with them the checkpoint watermarks) are identical
+// no matter how many workers run. 64 points
 // amortize the claim cost while keeping cancellation latency and tail
 // imbalance to a few milliseconds of work.
 const ChunkSize = 64
@@ -67,12 +67,10 @@ type Options struct {
 	// Pool supplies worker evaluators; nil uses a package-level pool.
 	Pool Pool
 	// Start resumes a run past an already-emitted point prefix; Checkpoint
-	// persists the emitted watermark as it advances; Retry re-runs
-	// transiently failed chunks with fresh worker state. All three are
-	// forwarded to the core verbatim — see CoreOptions.
+	// persists the emitted watermark as it advances. Both are forwarded to
+	// the core verbatim — see CoreOptions.
 	Start      int
 	Checkpoint Checkpointer
-	Retry      *RetryPolicy
 	// Cache, when non-nil, serves already-solved points from the
 	// scenario-keyed result store and fills it on misses. Every solve is
 	// a position-independent cold solve, so cached results are
@@ -128,7 +126,6 @@ func Run(ctx context.Context, n int, opts Options, do func(ev *protocols.Evaluat
 		Workers:    opts.Workers,
 		Start:      opts.Start,
 		Checkpoint: opts.Checkpoint,
-		Retry:      opts.Retry,
 	}
 	pool := opts.pool()
 	hooks := Hooks[*protocols.Evaluator]{NewWorker: pool.Get, CloseWorker: pool.Put}

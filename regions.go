@@ -62,9 +62,6 @@ type RegionBatchSpec struct {
 	// advances — whole curves, the unit RegionBatch yields in (see
 	// Checkpointer). A Save error stops the batch.
 	Checkpoint Checkpointer
-	// Retry, when non-nil, re-runs transiently failed chunks of the angle
-	// axis on fresh evaluator state (see RetryPolicy).
-	Retry *RetryPolicy
 }
 
 // Size returns the number of curves the batch will yield.
@@ -137,7 +134,6 @@ func (e *Engine) RegionBatch(ctx context.Context, spec RegionBatchSpec, yield fu
 		ispec.Curves = append(ispec.Curves, sweep.RegionCurve{Proto: ip, Bound: ib})
 	}
 	opts := e.sweepOpts(spec.Workers)
-	opts.Retry = spec.Retry.internal()
 	var yieldErr error
 	err := sweep.RegionBatch(ctx, ispec, opts, func(r sweep.RegionResult) error {
 		pub := RegionBatchPoint{

@@ -1,16 +1,13 @@
 package bicoop
 
 // resilience.go — the public face of the resilience layer in internal/sweep.
-// Long sweeps and campaigns are the workloads the library exists for, and at
-// production scale they meet transient failure: a flaky allocator, an
-// evicted node, a workload panic. The facade exposes the three resilience
-// primitives on every streaming spec (SweepSpec, RegionBatchSpec,
-// CampaignSpec):
+// Long sweeps and campaigns are the workloads the library exists for, and
+// they get interrupted: a Ctrl-C, a deadline, a killed process, a workload
+// panic. The facade exposes two resilience primitives on every streaming
+// spec (SweepSpec, RegionBatchSpec, CampaignSpec); a failed chunk is not
+// retried, because every result is a deterministic function of its spec and
+// a retry could only repeat the failure:
 //
-//   - RetryPolicy re-runs a failed chunk with fresh worker state, with
-//     capped exponential backoff and deterministic jitter — a retried chunk
-//     produces results bit-identical to a first-attempt success, because
-//     worker state is recreated through the same hooks that built it;
 //   - Checkpointer observes the resume watermark (the contiguous prefix of
 //     delivered results) as it advances, and the spec's Start field resumes
 //     a later run past it — the concatenation of the two runs' yields is
@@ -28,45 +25,9 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"bicoop/internal/sweep"
 )
-
-// RetryPolicy re-runs failed chunks of a sweep, region batch or campaign.
-// Between attempts the failed worker's state is torn down and recreated (a
-// pooled evaluator is surrendered and a fresh one leased), so a retried
-// chunk is indistinguishable from one that succeeded first try and the
-// bit-identical-across-Workers guarantee survives retries. Context
-// cancellation and deadline expiry are never retried.
-type RetryPolicy struct {
-	// MaxAttempts bounds the tries per chunk (first run included);
-	// non-positive means 3.
-	MaxAttempts int
-	// BaseDelay is the wait before the first retry; each further retry
-	// doubles it, capped at MaxDelay (when positive). The actual delay adds
-	// up to 50% deterministic jitter derived from the chunk index, so
-	// concurrent retries de-synchronize identically on every run. Zero
-	// means retry immediately.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// IsTransient classifies errors worth retrying; nil retries every
-	// chunk error (context cancellation excepted).
-	IsTransient func(error) bool
-}
-
-// internal converts to the core policy; nil stays nil (fail fast).
-func (p *RetryPolicy) internal() *sweep.RetryPolicy {
-	if p == nil {
-		return nil
-	}
-	return &sweep.RetryPolicy{
-		MaxAttempts: p.MaxAttempts,
-		BaseDelay:   p.BaseDelay,
-		MaxDelay:    p.MaxDelay,
-		IsTransient: p.IsTransient,
-	}
-}
 
 // Checkpointer persists the resume watermark of a streaming run: the length
 // of the contiguous prefix of results already delivered to the caller. Save
@@ -123,30 +84,25 @@ func (c *FileCheckpoint) Load() (int, error) {
 	return w, nil
 }
 
-// ChunkError reports the failure of one chunk of a sharded run, after
-// retries (if a policy was set) were exhausted or declined. Err is the last
-// attempt's failure — errors.Is/As see through to it, so sentinel checks on
+// ChunkError reports the failure of one chunk of a sharded run. Err is the
+// chunk's failure — errors.Is/As see through to it, so sentinel checks on
 // the underlying cause keep working.
 type ChunkError struct {
 	// Chunk is the chunk index; Start and End are its point range
 	// [Start, End) in the run's enumeration order.
 	Chunk, Start, End int
-	// Attempt is the 1-based attempt count the failure occurred on.
-	Attempt int
 	// Err is the underlying failure (a *PanicError for contained panics).
 	Err error
 }
 
 func (e *ChunkError) Error() string {
-	return fmt.Sprintf("chunk %d [%d,%d) attempt %d: %v", e.Chunk, e.Start, e.End, e.Attempt, e.Err)
+	return fmt.Sprintf("chunk %d [%d,%d): %v", e.Chunk, e.Start, e.End, e.Err)
 }
 
 func (e *ChunkError) Unwrap() error { return e.Err }
 
 // PanicError is a workload panic contained by the sharded core: the process
-// survives, the panic surfaces as an error inside a *ChunkError, and — with
-// a RetryPolicy that classifies it transient — the chunk is retried on
-// fresh worker state.
+// survives and the panic surfaces as an error inside a *ChunkError.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
@@ -169,10 +125,7 @@ func translateResilience(err error) error {
 	if errors.As(inner, &perr) {
 		inner = &PanicError{Value: perr.Value, Stack: perr.Stack}
 	}
-	return &ChunkError{
-		Chunk: cerr.Chunk, Start: cerr.Start, End: cerr.End,
-		Attempt: cerr.Attempt, Err: inner,
-	}
+	return &ChunkError{Chunk: cerr.Chunk, Start: cerr.Start, End: cerr.End, Err: inner}
 }
 
 // validateResume rejects a negative Start with the given spec sentinel —

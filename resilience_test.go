@@ -63,13 +63,13 @@ func TestFileCheckpointEmptyFile(t *testing.T) {
 
 func TestTranslateResilience(t *testing.T) {
 	underlying := errors.New("lp blew up")
-	internal := &sweep.ChunkError{Chunk: 3, Start: 192, End: 256, Attempt: 2, Err: underlying}
+	internal := &sweep.ChunkError{Chunk: 3, Start: 192, End: 256, Err: underlying}
 	err := translateResilience(internal)
 	var cerr *ChunkError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("translated error %v is not a public *ChunkError", err)
 	}
-	if cerr.Chunk != 3 || cerr.Start != 192 || cerr.End != 256 || cerr.Attempt != 2 {
+	if cerr.Chunk != 3 || cerr.Start != 192 || cerr.End != 256 {
 		t.Errorf("coordinates lost in translation: %+v", cerr)
 	}
 	if !errors.Is(err, underlying) {
@@ -171,31 +171,6 @@ func TestSweepCheckpointResume(t *testing.T) {
 	}
 	if final, _ := ck.Load(); final != n {
 		t.Errorf("final watermark %d, want %d", final, n)
-	}
-}
-
-// TestSweepRetryNoFaultsIdentical pins that arming the retry policy on a
-// healthy run changes nothing: same points, same bits.
-func TestSweepRetryNoFaultsIdentical(t *testing.T) {
-	eng := NewEngine()
-	ctx := context.Background()
-	spec := resumeSpec()
-	plain, err := eng.SweepAll(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Retry = &RetryPolicy{MaxAttempts: 3}
-	armed, err := eng.SweepAll(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(armed) != len(plain) {
-		t.Fatalf("%d vs %d points", len(armed), len(plain))
-	}
-	for i := range plain {
-		if keyOf(armed[i]) != keyOf(plain[i]) {
-			t.Fatalf("point %d differs with retry armed: %+v vs %+v", i, keyOf(armed[i]), keyOf(plain[i]))
-		}
 	}
 }
 

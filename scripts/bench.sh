@@ -10,8 +10,8 @@
 # Monte Carlo) — plus the bit-true path at two levels: full TDBC/MABC runs
 # (sequential and sharded) and the per-block kernels, the engine's batch,
 # sweep, region and campaign paths, and the sharded-core pair (RunCore bare
-# vs resilience-armed — retry policy + checkpointer on a zero-fault run —
-# pinning the happy-path price of the resilience layer), and the job-service
+# vs resilience-armed — checkpointer saving every watermark on a zero-fault
+# run — pinning the happy-path price of checkpointing), and the job-service
 # pair (BenchmarkServiceJobOverhead vs BenchmarkServiceJobDirect — the fixed
 # durability cost of running a sweep as a bccd job: store create, queue,
 # executor claim, checkpointed log, state renames), and the result-cache

@@ -313,10 +313,6 @@ type CampaignSpec struct {
 	// Checkpoint, when non-nil, observes the completed-run watermark as it
 	// advances (see Checkpointer). A Save error halts the campaign.
 	Checkpoint Checkpointer
-	// Retry, when non-nil, re-runs transiently failed simulation runs (see
-	// RetryPolicy). Runs are seed-deterministic, so a retry reproduces
-	// exactly the statistics an untroubled first attempt would have.
-	Retry *RetryPolicy
 }
 
 // Validate checks the campaign without running it: at least one spec, every
@@ -360,7 +356,6 @@ func (e *Engine) SimulateBatch(ctx context.Context, spec CampaignSpec, yield fun
 			ChunkSize:  1,
 			Start:      spec.Start,
 			Checkpoint: spec.Checkpoint,
-			Retry:      spec.Retry.internal(),
 		},
 		sweep.Hooks[struct{}]{},
 		func(_ struct{}, lo, hi int) error {

@@ -59,9 +59,6 @@ type SweepSpec struct {
 	// Checkpoint, when non-nil, observes the yielded-point watermark as it
 	// advances (see Checkpointer). A Save error stops the sweep.
 	Checkpoint Checkpointer
-	// Retry, when non-nil, re-runs transiently failed chunks on fresh
-	// evaluator state instead of failing the sweep (see RetryPolicy).
-	Retry *RetryPolicy
 }
 
 // Size returns the number of points the sweep will yield.
@@ -212,7 +209,6 @@ func (e *Engine) Sweep(ctx context.Context, spec SweepSpec, yield func(SweepPoin
 	opts := e.sweepOpts(spec.Workers)
 	opts.Start = spec.Start
 	opts.Checkpoint = spec.Checkpoint
-	opts.Retry = spec.Retry.internal()
 	var yieldErr error
 	err = sweep.Sweep(ctx, ispec, opts, func(pt sweep.Point) error {
 		pub := SweepPoint{
