@@ -10,6 +10,7 @@ package bicoop_test
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -159,6 +160,57 @@ func TestCachedBatchMatchesUncachedBatch(t *testing.T) {
 	}
 }
 
+// TestCachedNextafterNeighboursMatchUncached pins exact cache keys: a
+// scenario one ulp away from a cached one is a different scenario and must
+// be solved, not served its neighbour's entry. Keys once rounded
+// coordinates to a 1e-9 grid, and a cached DT inner sum rate at
+// {10, -7, 0, 5} was then returned for its PowerDB neighbour too, whose
+// cold solve differs in the last digits. Every protocol and bound is
+// checked through SumRate and SumRateBatch at Workers 1 and 2.
+func TestCachedNextafterNeighboursMatchUncached(t *testing.T) {
+	ctx := context.Background()
+	base := bicoop.Scenario{PowerDB: 10, GabDB: -7, GarDB: 0, GbrDB: 5}
+	scenarios := []bicoop.Scenario{base}
+	for _, d := range []float64{math.Inf(1), math.Inf(-1)} {
+		for f := 0; f < 4; f++ {
+			s := base
+			field := [...]*float64{&s.PowerDB, &s.GabDB, &s.GarDB, &s.GbrDB}[f]
+			*field = math.Nextafter(*field, d)
+			scenarios = append(scenarios, s)
+		}
+	}
+	plain := bicoop.NewEngine()
+	for _, workers := range []int{1, 2} {
+		single := bicoop.NewEngine(bicoop.WithCache(1 << 12))
+		batch := bicoop.NewEngine(bicoop.WithCache(1<<12), bicoop.WithWorkers(workers))
+		for _, c := range allBounds() {
+			got, err := batch.SumRateBatch(ctx, c.Protocol, c.Bound, scenarios)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range scenarios {
+				want, err := plain.SumRate(c.Protocol, c.Bound, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				one, err := single.SumRate(c.Protocol, c.Bound, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameResult(one, want) {
+					t.Errorf("%v/%v %+v: cached SumRate %+v != uncached %+v", c.Protocol, c.Bound, s, one, want)
+				}
+				if !sameResult(got[i], want) {
+					t.Errorf("%v/%v workers=%d %+v: cached batch %+v != uncached %+v", c.Protocol, c.Bound, workers, s, got[i], want)
+				}
+			}
+		}
+		if cs := batch.CacheStats(); cs.Hits != 0 {
+			t.Errorf("workers=%d: %d hits among distinct scenarios, want 0", workers, cs.Hits)
+		}
+	}
+}
+
 // TestCachedRandomizedEquivalence is the seeded fuzz pass: random
 // (protocol, bound, scenario) queries with repeats against one cached
 // engine, every answer checked against an uncached engine, and the
@@ -168,8 +220,8 @@ func TestCachedRandomizedEquivalence(t *testing.T) {
 	plain := bicoop.NewEngine()
 	cached := bicoop.NewEngine(bicoop.WithCache(1 << 12))
 	curves := allBounds()
-	// A small scenario pool guarantees repeats; quantization-identical
-	// coordinates must land on the same entry.
+	// A small scenario pool guarantees repeats; identical coordinates must
+	// land on the same entry.
 	pool := make([]bicoop.Scenario, 12)
 	for i := range pool {
 		pool[i] = bicoop.Scenario{

@@ -25,11 +25,11 @@
 // # The Engine
 //
 // The API centers on the concurrency-safe Engine, the single entry point
-// for the protocol bounds, the simulators and the experiments. It owns
-// pooled evaluators (compiled constraint templates keyed by (protocol,
-// bound), reusable LP workspaces, closed-form fast paths) and the
-// simulator worker pools, and exposes context-aware methods for every
-// workload shape:
+// for the protocol bounds, the simulators and the experiments. It leases
+// evaluators (compiled constraint templates keyed by (protocol, bound),
+// reusable LP workspaces, closed-form fast paths) from one process-wide
+// pool, sizes the simulator worker pools, and exposes context-aware
+// methods for every workload shape:
 //
 //	eng := bicoop.NewEngine()
 //	s := bicoop.Scenario{PowerDB: 10, GabDB: -7, GarDB: 0, GbrDB: 5}
@@ -158,27 +158,29 @@
 // and real workloads repeat scenarios constantly — a placement sweep
 // revisits the same grid point at every power, a resubmitted bccd job
 // re-solves yesterday's grid verbatim. WithCache(capacity) puts a
-// scenario-keyed result cache (internal/cache) in front of the LP solves:
-// SumRate, SumRateBatch, Sweep and RegionBatch consult it per point and
-// fill it per solve. The CLI exposes it as `bcc sweep -cache N`; the
-// daemon as `bccd -cache N`, which also opens the durable tier described
-// below.
+// scenario-keyed result cache (internal/cache) in front of the LP solves.
+// Every point of SumRate, SumRateBatch, Sweep and RegionBatch goes through
+// one method, cache.(*Store).Solve, which serves a hit or solves the point
+// and fills the store; a cache-off engine takes the same path with a nil
+// store, which always solves and stores nothing. The CLI exposes the cache
+// as `bcc sweep -cache N`; the daemon as `bccd -cache N`, which also opens
+// the durable tier described below.
 //
-// Keys quantize every real coordinate (dB powers and gains, erasure
-// probabilities, support-direction weights) onto a canonical 1e-9 grid
-// through one chokepoint, cache.Quantize, so equal coordinates produce
-// byte-equal keys on every platform (the cachekey analyzer rejects keys
-// assembled any other way). Quantization applies to the lookup key only:
-// the stored value is the exact solve of the exact scenario, so a hit
-// returns bit-identical output, not a grid-rounded approximation.
+// Keys are exact: every real coordinate (dB powers and gains, erasure
+// probabilities, support-direction weights) enters its key as its
+// IEEE-754 bits, with -0 folded onto +0, through one chokepoint,
+// cache.Quantize. Equal coordinates produce byte-equal keys on every
+// platform (the cachekey analyzer rejects keys assembled any other way),
+// and a scenario one ulp away is a different key, so a hit only ever
+// serves the exact scenario that was solved.
 //
 // Cached values are the same solves an uncached run performs. Every LP
 // is solved cold, from the all-slack basis, so a solve depends only on
 // its own point and never on which points preceded it. A cached run
 // therefore equals an uncached run, another cached run, a single-point
 // SumRate, and itself at any worker count, bit for bit, for all five
-// protocols (pinned by == tests at Workers 1/2/7), even at degenerate
-// points with several optimal vertices.
+// protocols (pinned by == tests at Workers 1/2/7 and at one-ulp
+// neighbours), even at degenerate points with several optimal vertices.
 //
 // The in-process tier is a sharded store: 64 shards, one mutex and a
 // flat entry array per shard, second-chance (clock) eviction, zero
@@ -237,7 +239,8 @@
 // point count and chunk size — never on Workers — so checkpoints land on
 // the same indices for every worker count.
 //
-// For the LP grids concretely: each worker holds one pooled evaluator, and
+// For the LP grids concretely: each worker leases one evaluator from the
+// process-wide pool (protocols.GetEvaluator), and
 // every Naive4/HBC LP is a cold simplex.SolveIn solve. The parallel knobs:
 // WithWorkers sets an engine-wide default; SweepSpec.Workers,
 // RegionOptions.Workers, RegionBatchSpec.Workers and CampaignSpec.Workers
@@ -321,6 +324,11 @@
 // runs the same compare with a looser threshold (cross-machine ns/op), so a
 // perf regression fails the PR instead of silently rotting the ledger; the
 // bench.sh pattern lists themselves are guarded by TestBenchLedgerCoverage.
+// allocs/op depends on the worker count, not just the code: sharded
+// benchmarks lease one evaluator and buffers per worker, so the same
+// benchmark allocates more at GOMAXPROCS=2 than at 1. bench.sh therefore
+// pins `-cpu 1`, the setting the committed ledger was recorded at, which
+// makes the allocation gate compare one code path on every host.
 //
 // # Static analysis
 //
@@ -353,9 +361,9 @@
 //     with %w rather than flattening with %v/%s, so errors.Is/As keep
 //     working across API layers.
 //   - cachekey: result-cache keys are built only by internal/cache's
-//     quantizing constructors — a hand-assembled cache.Key literal or a
-//     Key field write outside that package can skip Quantize or the
-//     layout-version stamp and silently alias cache entries.
+//     constructors — a hand-assembled cache.Key literal or a Key field
+//     write outside that package can skip Quantize or the layout-version
+//     stamp and silently alias or orphan cache entries.
 //
 // A finding is fixed, or waived in place with a one-line audited comment
 // `//bicoop:allow <analyzer> — reason` covering that line and the next.

@@ -1,14 +1,14 @@
 package bicoop
 
-// engine.go — the session-oriented core of the public API. An Engine owns
-// the pooled evaluator machinery (compiled constraint templates keyed by
-// (protocol, bound), reusable simplex workspaces, closed-form fast paths)
-// and the simulator worker-pool defaults, and exposes context-aware batch,
-// sweep and simulation entry points. It is the only way into the bounds and
-// simulators; workloads that evaluate many scenarios (grids, Monte Carlo
-// posts, services) should use the batch APIs, which amortize evaluator
-// reuse across calls instead of paying pool traffic and result allocation
-// per scenario.
+// engine.go — the session-oriented core of the public API. An Engine holds
+// the worker-count default and the optional result cache, and exposes
+// context-aware batch, sweep and simulation entry points over the
+// process-wide evaluator pool (compiled constraint templates keyed by
+// (protocol, bound), reusable simplex workspaces, closed-form fast paths).
+// It is the only way into the bounds and simulators; workloads that
+// evaluate many scenarios (grids, Monte Carlo posts, services) should use
+// the batch APIs, which amortize evaluator reuse across calls instead of
+// paying pool traffic and result allocation per scenario.
 
 import (
 	"context"
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"bicoop/internal/cache"
 	"bicoop/internal/experiments"
@@ -80,16 +79,17 @@ func validateRatePoint(pt RatePoint) error {
 }
 
 // Engine is the concurrency-safe entry point for evaluating the paper's
-// bounds at scale. It owns a pool of protocols.Evaluator (each carrying the
-// compiled-spec caches keyed by (protocol, bound) plus reusable LP
-// workspaces) and the default worker count for the Monte Carlo simulators.
-// All methods are safe for concurrent use from many goroutines; the
-// zero-cost way to share one across a service is a single package-wide
-// instance.
+// bounds at scale. It holds the default worker count for its sharded runs
+// and, optionally, a result cache; its solves lease evaluators (each
+// carrying the compiled-spec caches keyed by (protocol, bound) plus
+// reusable LP workspaces) from the one process-wide pool, and every grid
+// point goes through the cache's single lookup/fill site — a cache-off
+// engine takes the same path with a nil store. All methods are safe for
+// concurrent use from many goroutines; the zero-cost way to share one
+// across a service is a single package-wide instance.
 type Engine struct {
 	workers int
 	cache   *cache.Store
-	evals   sync.Pool
 }
 
 // Option configures an Engine at construction.
@@ -109,10 +109,10 @@ func WithWorkers(n int) Option {
 // bounded at roughly capacity entries (second-chance eviction past that).
 // The analytic bounds are pure functions of the scenario, so SumRate,
 // SumRateBatch, Sweep and RegionBatch serve repeat points from the cache
-// instead of re-solving their LPs. Cached results are bit-identical to
-// cache-off results for every protocol — see doc.go "Result cache" for the
-// grid resolution and memory bound. Non-positive capacity leaves caching
-// off.
+// instead of re-solving their LPs. Keys are exact, so cached results are
+// bit-identical to cache-off results for every protocol — see doc.go
+// "Result cache" for the key encoding and memory bound. Non-positive
+// capacity leaves caching off.
 func WithCache(capacity int) Option {
 	return func(e *Engine) {
 		if capacity > 0 {
@@ -152,26 +152,15 @@ func (e *Engine) CacheStats() CacheStats {
 }
 
 // NewEngine returns a ready-to-use engine. Engines are cheap: the heavy
-// state (constraint templates) is shared process-wide, and evaluators are
-// created lazily as concurrency demands.
+// state (constraint templates, evaluators) is shared process-wide, and
+// pooled evaluators are created lazily as concurrency demands.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{}
-	e.evals.New = func() any { return protocols.NewEvaluator() }
 	for _, o := range opts {
 		o(e)
 	}
 	return e
 }
-
-func (e *Engine) getEval() *protocols.Evaluator   { return e.evals.Get().(*protocols.Evaluator) }
-func (e *Engine) putEval(ev *protocols.Evaluator) { e.evals.Put(ev) }
-
-// enginePool adapts the engine's evaluator pool to internal/sweep's worker
-// pool, so sweeps share evaluators with the rest of the session.
-type enginePool struct{ e *Engine }
-
-func (p enginePool) Get() *protocols.Evaluator   { return p.e.getEval() }
-func (p enginePool) Put(ev *protocols.Evaluator) { p.e.putEval(ev) }
 
 // sweepOpts resolves the sharding options for a grid run: an explicit
 // per-run worker count wins, then the engine's WithWorkers default, then
@@ -180,7 +169,7 @@ func (e *Engine) sweepOpts(workers int) sweep.Options {
 	if workers <= 0 {
 		workers = e.workers
 	}
-	return sweep.Options{Workers: workers, Pool: enginePool{e}, Cache: e.cache}
+	return sweep.Options{Workers: workers, Cache: e.cache}
 }
 
 // ctxDone returns a non-nil error when ctx has ended. It always satisfies
@@ -227,48 +216,37 @@ func resolveEnums(p Protocol, b Bound) (protocols.Protocol, protocols.Bound, err
 }
 
 // SumRate maximizes Ra+Rb over the protocol bound at one scenario, jointly
-// optimizing phase durations (the quantity plotted in Fig 3). It draws an
-// evaluator from the engine's pool, so repeated calls hit the cached
+// optimizing phase durations (the quantity plotted in Fig 3). It leases an
+// evaluator from the process-wide pool, so repeated calls hit the cached
 // constraint templates; for thousands of scenarios prefer SumRateBatch.
 func (e *Engine) SumRate(p Protocol, b Bound, s Scenario) (SumRateResult, error) {
 	ip, ib, is, err := resolve(p, b, s)
 	if err != nil {
 		return SumRateResult{}, err
 	}
-	var key cache.Key
-	if e.cache != nil {
-		key = cache.SumRateKey(ip, ib, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB)
-		if v, ok := e.cache.Lookup(key); ok {
-			return SumRateResult{
-				Sum:       v.Sum,
-				Point:     RatePoint{Ra: v.Ra, Rb: v.Rb},
-				Durations: v.Durations(),
-			}, nil
-		}
-	}
-	ev := e.getEval()
-	defer e.putEval(ev)
-	opt, err := ev.WeightedRate(ip, ib, is, 1, 1)
+	// The evaluator outlives the solve: Optimum.Durations aliases its
+	// memory until Solve has packed the result.
+	ev := protocols.GetEvaluator()
+	defer protocols.PutEvaluator(ev)
+	v, err := e.cache.Solve(cache.SumRateKey(ip, ib, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB),
+		func() (protocols.Optimum, error) { return ev.WeightedRate(ip, ib, is, 1, 1) })
 	if err != nil {
 		return SumRateResult{}, fmt.Errorf("bicoop: %w", err)
 	}
-	if e.cache != nil {
-		e.cache.Add(key, cache.MakeValue(opt.Objective, opt.Rates.Ra, opt.Rates.Rb, opt.Durations))
-	}
 	return SumRateResult{
-		Sum:       opt.Objective,
-		Point:     RatePoint{Ra: opt.Rates.Ra, Rb: opt.Rates.Rb},
-		Durations: append([]float64(nil), opt.Durations...),
+		Sum:       v.Sum,
+		Point:     RatePoint{Ra: v.Ra, Rb: v.Rb},
+		Durations: v.Durations(),
 	}, nil
 }
 
 // SumRateBatch evaluates the bound's optimal sum rate for every scenario.
 // The grid is sharded by internal/sweep: fixed-size chunks are pulled by a
 // worker pool (the engine's WithWorkers default), each worker holding one
-// pooled evaluator — no per-call spec compilation. Every Naive4/HBC LP is
-// a cold solve of its own scenario, so results equal single-point SumRate
-// calls and a cached batch bit for bit, for every Workers setting, and are
-// returned in input order. On cancellation it returns the contiguous
+// evaluator leased from the process-wide pool — no per-call spec
+// compilation. Every Naive4/HBC LP is a cold solve of its own scenario, so
+// results equal single-point SumRate calls and a cached batch bit for bit,
+// for every Workers setting, and are returned in input order. On cancellation it returns the contiguous
 // prefix of completed results alongside the context error.
 func (e *Engine) SumRateBatch(ctx context.Context, p Protocol, b Bound, scenarios []Scenario) ([]SumRateResult, error) {
 	ip, ib, err := resolveEnums(p, b)
@@ -307,8 +285,8 @@ func (e *Engine) Feasible(p Protocol, b Bound, s Scenario, pt RatePoint) (bool, 
 	if err := validateRatePoint(pt); err != nil {
 		return false, err
 	}
-	ev := e.getEval()
-	defer e.putEval(ev)
+	ev := protocols.GetEvaluator()
+	defer protocols.PutEvaluator(ev)
 	ok, err := ev.Feasible(ip, ib, is, protocols.RatePair{Ra: pt.Ra, Rb: pt.Rb})
 	if err != nil {
 		return false, fmt.Errorf("bicoop: %w", err)

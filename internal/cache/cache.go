@@ -3,19 +3,21 @@
 // bound, scenario), so a repeat sweep point can be served from a keyed
 // store instead of re-solving its LP.
 //
-// Keys quantize every real coordinate (dB gains and powers, erasure
-// probabilities, support-direction weights) onto a canonical 1e-9 grid
-// through the single Quantize chokepoint, making keys byte-stable across
-// platforms. Quantization applies to the lookup key only — the stored
-// value is the exact solve of the exact scenario, so cache-on results are
-// bit-identical to cache-off results, not grid-rounded approximations.
-// The cachekey analyzer (internal/lint/analyzers) enforces that no other
-// package assembles a Key by hand.
+// Keys are exact: every real coordinate (dB gains and powers, erasure
+// probabilities, support-direction weights) enters its key as its IEEE-754
+// bit pattern through the single Quantize chokepoint, with -0 folded onto
+// +0, so two scenarios share a key only when they are the same scenario
+// and keys are byte-stable across platforms. The cachekey analyzer
+// (internal/lint/analyzers) enforces that no other package assembles a
+// Key by hand.
 //
-// Cached values are the same cold solves an uncached run performs: every
-// LP solve depends only on its own point, never on the points solved
-// before it, so hits, misses and worker counts cannot change a single
-// output bit.
+// Store.Solve is the only lookup/fill site of the engine and the grid
+// kernels: it serves a hit or runs the caller's solve and stores the
+// result, and a nil *Store is the cache-off engine, which always solves
+// and stores nothing. Cached values are the same cold solves an uncached
+// run performs: every LP solve depends only on its own point, never on
+// the points solved before it, so hits, misses and worker counts cannot
+// change a single output bit.
 //
 // The Store is the in-process tier: sharded by key hash, per-shard
 // mutex, fixed-size entry arrays with second-chance (clock) eviction,
@@ -31,49 +33,40 @@ import (
 )
 
 // KeyVersion is the current key-layout version. It is part of every key
-// and every durable record, so a change to the grid resolution or field
-// layout silently invalidates old entries instead of aliasing them.
-const KeyVersion = 1
-
-// invGridStep is the reciprocal of the canonical key grid resolution:
-// coordinates are keyed at 1e-9 precision (far below any physically
-// distinguishable dB or probability difference, far above float64 noise).
-const invGridStep = 1e9
+// and every durable record, so a change to the coordinate encoding or
+// field layout silently invalidates old entries instead of aliasing them.
+// Version 1 keyed coordinates on a 1e-9 grid; version 2 keys them exactly.
+const KeyVersion = 2
 
 // Key kinds: which constructor produced the key, and hence how its
 // coordinate fields are to be read.
 const (
 	// KindWeighted keys a Gaussian-scenario weighted-sum-rate solve:
-	// A..D hold the quantized scenario (PowerDB, GabDB, GarDB, GbrDB) and
-	// MuA/MuB the quantized support-direction weights (1,1 for sum rate).
+	// A..D hold the keyed scenario (PowerDB, GabDB, GarDB, GbrDB) and
+	// MuA/MuB the keyed support-direction weights (1,1 for sum rate).
 	KindWeighted = 1
 	// KindErasure keys a TDBC/inner erasure-relaying solve: A..C hold the
-	// quantized erasure probabilities (AR, BR, AB) and D, MuA, MuB are 0.
+	// keyed erasure probabilities (AR, BR, AB) and D, MuA, MuB are 0.
 	KindErasure = 2
 )
 
-// Quantize maps one real key coordinate onto the canonical grid:
-// round-to-nearest at 1e-9 resolution, ties away from zero. It is total
-// and deterministic on every input — NaN and -Inf map to math.MinInt64,
-// +Inf and out-of-range magnitudes clamp to the int64 limits — so equal
-// coordinates produce byte-equal key fields on every platform. All key
+// Quantize maps one real key coordinate to its key field: the IEEE-754
+// bit pattern, with -0 folded onto +0 (the two compare equal and solve
+// identically). Distinct coordinates therefore never share a key field,
+// so a hit can only serve the exact scenario that was solved. All key
 // construction funnels through here (enforced by the cachekey analyzer).
 func Quantize(v float64) int64 {
-	r := math.Round(v * invGridStep)
-	switch {
-	case math.IsNaN(r) || r <= math.MinInt64:
-		return math.MinInt64
-	case r >= math.MaxInt64:
-		return math.MaxInt64
+	if v == 0 {
+		v = 0
 	}
-	return int64(r)
+	return int64(math.Float64bits(v))
 }
 
 // A Key identifies one solve. Keys are comparable values; equal solves
-// (same protocol, bound and grid-quantized coordinates) produce equal
-// keys. Fields are exported only for the codec and tests — build keys
-// with WeightedKey, SumRateKey or ErasureKey, never by hand (the
-// cachekey analyzer flags hand-assembled keys outside this package).
+// (same protocol, bound and coordinates) produce equal keys. Fields are
+// exported only for the codec and tests — build keys with WeightedKey,
+// SumRateKey or ErasureKey, never by hand (the cachekey analyzer flags
+// hand-assembled keys outside this package).
 type Key struct {
 	Version uint8
 	Kind    uint8
@@ -89,7 +82,7 @@ type Key struct {
 
 // WeightedKey keys the weighted-sum-rate solve max muA·Ra + muB·Rb for a
 // Gaussian scenario given in dB, the shape solved by rate-region support
-// directions. Coordinates are quantized here, on the key only.
+// directions.
 func WeightedKey(p protocols.Protocol, b protocols.Bound, powerDB, gabDB, garDB, gbrDB, muA, muB float64) Key {
 	return Key{
 		Version: KeyVersion,

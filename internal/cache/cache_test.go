@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -10,25 +11,21 @@ import (
 )
 
 func TestQuantize(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want int64
-	}{
-		{0, 0},
-		{1e-10, 0},   // below grid resolution
-		{5e-10, 1},   // tie rounds away from zero
-		{-5e-10, -1}, // symmetric
-		{3.25, 3250000000},
-		{-17.5, -17500000000},
-		{math.NaN(), math.MinInt64},
-		{math.Inf(-1), math.MinInt64},
-		{math.Inf(1), math.MaxInt64},
-		{1e12, math.MaxInt64}, // overflow clamps
-		{-1e12, math.MinInt64},
+	// Key fields are the exact IEEE-754 bits, with -0 folded onto +0.
+	for _, v := range []float64{0, 1e-10, 3.25, -17.5, 1e300, math.Inf(1), math.Inf(-1)} {
+		if got, want := Quantize(v), int64(math.Float64bits(v)); got != want {
+			t.Errorf("Quantize(%v) = %d, want its bits %d", v, got, want)
+		}
 	}
-	for _, c := range cases {
-		if got := Quantize(c.in); got != c.want {
-			t.Errorf("Quantize(%v) = %d, want %d", c.in, got, c.want)
+	if Quantize(math.Copysign(0, -1)) != Quantize(0) {
+		t.Error("-0 and +0 map to different key fields")
+	}
+	// Adjacent floats never alias: a key names exactly one coordinate.
+	for _, v := range []float64{0, 1e-10, 10, -7, 5e-10, 1e9} {
+		for _, next := range []float64{math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1))} {
+			if Quantize(next) == Quantize(v) {
+				t.Errorf("Quantize(%v) == Quantize(%v): neighbours alias", next, v)
+			}
 		}
 	}
 }
@@ -56,10 +53,15 @@ func TestKeyConstructors(t *testing.T) {
 			}
 		}
 	}
-	// Same coordinates within grid resolution produce the same key.
-	if SumRateKey(protocols.DT, protocols.BoundInner, 10+2e-10, 0, 0, 0) !=
+	// Keys are exact: the next float up is a different scenario, while a
+	// negative zero is the same one.
+	if SumRateKey(protocols.DT, protocols.BoundInner, math.Nextafter(10, 11), 0, 0, 0) ==
 		SumRateKey(protocols.DT, protocols.BoundInner, 10, 0, 0, 0) {
-		t.Error("sub-grid perturbation changed the key")
+		t.Error("a one-ulp perturbation kept the key")
+	}
+	if SumRateKey(protocols.DT, protocols.BoundInner, 10, math.Copysign(0, -1), 0, 0) !=
+		SumRateKey(protocols.DT, protocols.BoundInner, 10, 0, 0, 0) {
+		t.Error("-0 and +0 gains produced different keys")
 	}
 }
 
@@ -168,6 +170,97 @@ func TestStoreBasics(t *testing.T) {
 	}
 	if st := s.Stats(); st.Hits != 0 || st.Misses != 1 {
 		t.Fatalf("Reset should zero counters then count the probe miss: %+v", st)
+	}
+}
+
+// solveCounter is a Store.Solve callback that counts its calls and returns
+// a fixed optimum, or err when set.
+type solveCounter struct {
+	calls int
+	err   error
+}
+
+func (c *solveCounter) solve() (protocols.Optimum, error) {
+	c.calls++
+	if c.err != nil {
+		return protocols.Optimum{}, c.err
+	}
+	return protocols.Optimum{Objective: 2.5, Rates: protocols.RatePair{Ra: 1.5, Rb: 1}, Durations: []float64{0.25, 0.75}}, nil
+}
+
+// TestSolveNilStore pins the cache-off engine: a nil store solves on every
+// call, packs the optimum like a fill would, and keeps nothing.
+func TestSolveNilStore(t *testing.T) {
+	var s *Store
+	var c solveCounter
+	k := SumRateKey(protocols.HBC, protocols.BoundInner, 10, 0, 0, 0)
+	want := MakeValue(2.5, 1.5, 1, []float64{0.25, 0.75})
+	for i := 1; i <= 3; i++ {
+		v, err := s.Solve(k, c.solve)
+		if err != nil || v != want {
+			t.Fatalf("call %d: %+v, %v; want %+v", i, v, err, want)
+		}
+		if c.calls != i {
+			t.Fatalf("call %d ran solve %d times", i, c.calls)
+		}
+	}
+}
+
+// TestSolveHitSkipsSolve pins the hit path: once a key is filled, Solve
+// serves it without calling solve, and the value equals the miss's.
+func TestSolveHitSkipsSolve(t *testing.T) {
+	s := NewStore(256)
+	var c solveCounter
+	k := SumRateKey(protocols.HBC, protocols.BoundInner, 10, 0, 0, 0)
+	miss, err := s.Solve(k, c.solve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := s.Solve(k, c.solve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.calls != 1 {
+		t.Fatalf("solve ran %d times, want 1 (the miss)", c.calls)
+	}
+	if hit != miss {
+		t.Fatalf("hit %+v differs from miss %+v", hit, miss)
+	}
+}
+
+// TestSolveErrorNotCached pins that a failed solve is returned as is and
+// stored nowhere: the next call solves again.
+func TestSolveErrorNotCached(t *testing.T) {
+	s := NewStore(256)
+	boom := errors.New("boom")
+	c := solveCounter{err: boom}
+	k := SumRateKey(protocols.HBC, protocols.BoundInner, 10, 0, 0, 0)
+	if _, err := s.Solve(k, c.solve); err != boom {
+		t.Fatalf("err = %v, want the solve's own error", err)
+	}
+	if s.Len() != 0 || s.Stats().Fills != 0 {
+		t.Fatalf("failed solve was stored: Len %d, %+v", s.Len(), s.Stats())
+	}
+	c.err = nil
+	if _, err := s.Solve(k, c.solve); err != nil || c.calls != 2 {
+		t.Fatalf("retry after error: err %v, %d solves, want nil and 2", err, c.calls)
+	}
+}
+
+// TestSolveStats pins the counters on a known sequence: each Solve is one
+// lookup, and each miss one fill.
+func TestSolveStats(t *testing.T) {
+	s := NewStore(256)
+	var c solveCounter
+	a := SumRateKey(protocols.DT, protocols.BoundInner, 1, 0, 0, 0)
+	b := SumRateKey(protocols.DT, protocols.BoundInner, 2, 0, 0, 0)
+	for _, k := range []Key{a, b, a, a, b} {
+		if _, err := s.Solve(k, c.solve); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st != (Stats{Hits: 3, Misses: 2, Fills: 2}) || c.calls != 2 {
+		t.Fatalf("stats %+v after %d solves, want 3 hits, 2 misses, 2 fills, 2 solves", st, c.calls)
 	}
 }
 

@@ -1,6 +1,10 @@
 package cache
 
-import "sync"
+import (
+	"sync"
+
+	"bicoop/internal/protocols"
+)
 
 // shardCount is the number of independently locked shards. 64 keeps
 // contention negligible at any realistic worker count while the per-shard
@@ -8,7 +12,7 @@ import "sync"
 const shardCount = 64
 
 // Stats are the store's cumulative counters. Hits and Misses count
-// Lookup outcomes; Fills counts inserts of new keys (an Add that
+// Lookup outcomes (one per Solve); Fills counts inserts of new keys (an Add that
 // overwrites an existing entry is not a fill); Evictions counts entries
 // displaced by the clock hand to make room.
 type Stats struct {
@@ -118,6 +122,29 @@ func (s *Store) Lookup(k Key) (Value, bool) {
 	sh.stats.Hits++
 	sh.mu.Unlock()
 	return v, true
+}
+
+// Solve returns the value for k: the cached one on a hit, otherwise the
+// result of solve, packed by MakeValue and added to the store. A nil
+// store is the cache-off engine: solve runs on every call and nothing is
+// stored. A solve error is returned as is and never cached. Every grid
+// point of the engine and its kernels goes through here, so hits, misses
+// and cache-off runs share one code path and one result shape.
+func (s *Store) Solve(k Key, solve func() (protocols.Optimum, error)) (Value, error) {
+	if s != nil {
+		if v, ok := s.Lookup(k); ok {
+			return v, nil
+		}
+	}
+	opt, err := solve()
+	if err != nil {
+		return Value{}, err
+	}
+	v := MakeValue(opt.Objective, opt.Rates.Ra, opt.Rates.Rb, opt.Durations)
+	if s != nil {
+		s.Add(k, v)
+	}
+	return v, nil
 }
 
 // Add inserts or overwrites the value for k. New keys are appended while

@@ -29,8 +29,11 @@ package protocols
 //     general-solver fallback performs no steady-state allocation.
 //
 // An Evaluator is cheap to create but not goroutine-safe: give each worker
-// its own (as internal/sim does), or use the package-level entry points,
-// which draw evaluators from a pool.
+// its own (as internal/sim does), or lease one from the single
+// process-wide pool with GetEvaluator/PutEvaluator. That pool backs the
+// Engine, every internal/sweep worker and the package-level entry points;
+// evaluator results never depend on call history, so which pooled
+// evaluator serves a call cannot change its output.
 
 import (
 	"fmt"
@@ -241,8 +244,15 @@ func (e *Evaluator) ResetWarmStart() {}
 // NewEvaluator returns a ready-to-use evaluator.
 func NewEvaluator() *Evaluator { return &Evaluator{} }
 
-// evalPool backs the package-level convenience entry points.
+// evalPool is the process-wide evaluator pool.
 var evalPool = sync.Pool{New: func() any { return NewEvaluator() }}
+
+// GetEvaluator leases an evaluator from the process-wide pool. Return it
+// with PutEvaluator once no result aliasing its memory is still in use.
+func GetEvaluator() *Evaluator { return evalPool.Get().(*Evaluator) }
+
+// PutEvaluator returns a leased evaluator to the process-wide pool.
+func PutEvaluator(e *Evaluator) { evalPool.Put(e) }
 
 // WeightedRate maximizes muA·Ra + muB·Rb over the bound for a Gaussian
 // scenario, like Spec.MaxWeightedRate but allocation-free. The returned

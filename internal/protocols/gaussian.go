@@ -17,12 +17,13 @@ type SumRateResult struct {
 }
 
 // OptimalSumRate computes the LP-optimal sum rate of a protocol bound in a
-// Gaussian scenario — one point of the paper's Fig 3. It draws a pooled
-// Evaluator, so repeated calls hit the cached-template fast paths; callers
-// with a hot loop of their own should hold a private Evaluator instead.
+// Gaussian scenario — one point of the paper's Fig 3. It leases an
+// Evaluator from the process-wide pool, so repeated calls hit the
+// cached-template fast paths; callers with a hot loop of their own should
+// hold a private Evaluator instead.
 func OptimalSumRate(p Protocol, b Bound, s Scenario) (SumRateResult, error) {
-	e := evalPool.Get().(*Evaluator)
-	defer evalPool.Put(e)
+	e := GetEvaluator()
+	defer PutEvaluator(e)
 	opt, err := e.WeightedRate(p, b, s, 1, 1)
 	if err != nil {
 		return SumRateResult{}, err
@@ -39,8 +40,8 @@ func OptimalSumRate(p Protocol, b Bound, s Scenario) (SumRateResult, error) {
 // GaussianRegion computes a protocol bound's full rate region in a Gaussian
 // scenario — one curve of the paper's Fig 4.
 func GaussianRegion(p Protocol, b Bound, s Scenario, opts RegionOptions) (region.Polygon, error) {
-	e := evalPool.Get().(*Evaluator)
-	defer evalPool.Put(e)
+	e := GetEvaluator()
+	defer PutEvaluator(e)
 	return e.Region(p, b, s, opts)
 }
 

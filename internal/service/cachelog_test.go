@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -85,6 +87,36 @@ func TestCacheLogTornTailTruncated(t *testing.T) {
 	}
 	if info.Size() != int64(10*cache.RecordSize) {
 		t.Fatalf("log size %d after torn-tail recovery, want %d", info.Size(), 10*cache.RecordSize)
+	}
+}
+
+// TestCacheLogV1Discarded pins the key-version bump: a log written with
+// version-1 keys (coordinates on a 1e-9 grid, which aliased neighbouring
+// scenarios) replays as a torn tail, so it opens cleanly with an empty
+// store and is compacted to empty instead of serving aliased values.
+func TestCacheLogV1Discarded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.log")
+	var data []byte
+	for i := 0; i < 5; i++ {
+		rec := cache.AppendRecord(nil, logKey(i), cache.MakeValue(float64(i), 0, 0, nil))
+		rec[0] = 1 // version byte; the v1 record layout is otherwise the same
+		binary.LittleEndian.PutUint32(rec[cache.RecordSize-4:], crc32.ChecksumIEEE(rec[:cache.RecordSize-4]))
+		data = append(data, rec...)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := cache.NewStore(1024)
+	log, err := OpenCacheLog(path, st)
+	if err != nil {
+		t.Fatalf("opening a v1 log: %v", err)
+	}
+	defer log.Close()
+	if st.Len() != 0 {
+		t.Fatalf("replayed %d v1 entries, want 0", st.Len())
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+		t.Fatalf("v1 log not compacted to empty: %v, %v", fi, err)
 	}
 }
 

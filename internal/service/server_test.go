@@ -108,6 +108,8 @@ func TestHTTPValidationErrors(t *testing.T) {
 		{"unknown field", `{"sweeep": {}}`, "unknown field"},
 		{"unknown protocol", `{"sweep": {"base": {"PowerDB": 10, "GabDB": -7, "GarDB": 0, "GbrDB": 5}, "protocols": ["FDMA"]}}`, "unknown protocol"},
 		{"bad scenario", `{"sweep": {"base": {"PowerDB": 1e999, "GabDB": -7, "GarDB": 0, "GbrDB": 5}}}`, "invalid job"},
+		{"one region angle", `{"region_batch": {"scenarios": [{"PowerDB": 10, "GabDB": -7, "GarDB": 0, "GbrDB": 5}], "curves": [{"Protocol": "MABC", "Bound": "inner"}], "angles": 1}}`, "invalid region spec"},
+		{"region angles overflow", `{"region_batch": {"scenarios": [{"PowerDB": 10, "GabDB": -7, "GarDB": 0, "GbrDB": 5}], "curves": [{"Protocol": "MABC", "Bound": "inner"}], "angles": 4611686018427387904}}`, "invalid region spec"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -205,66 +205,48 @@ func Sweep(ctx context.Context, spec Spec, opts Options, yield func(Point) error
 	nP := len(grid.protos)
 	do := func(ev *protocols.Evaluator, lo, hi int) error {
 		buf := make([]Point, hi-lo)
+		// The link informations of the last solved Gaussian scenario:
+		// consecutive points share a scenario across the protocol axis, so
+		// a run of misses pays the transcendental terms once, and a hit
+		// pays none.
 		lastScen := -1
 		var li protocols.LinkInfos
 		durs := make([]float64, 0, 4*(hi-lo)) // one backing array per chunk, carved per point
 		for i := lo; i < hi; i++ {
 			pt := Point{Index: i, PlacementIdx: -1, ErasureIdx: -1}
-			var proto protocols.Protocol
-			var bound protocols.Bound
 			var key cache.Key
-			gaussian := i < grid.gaussN
 			si := -1
-			if gaussian {
+			if i < grid.gaussN {
 				si = i / nP
-				proto, bound = grid.protos[i%nP], grid.bound
-				pt.PowerDB = grid.powerOf[si]
-				pt.PlacementIdx = grid.placeIdx[si]
-				pt.Scenario = grid.scen[si]
+				s := grid.scen[si]
+				pt.Proto, pt.Bound = grid.protos[i%nP], grid.bound
+				pt.PowerDB, pt.PlacementIdx, pt.Scenario = grid.powerOf[si], grid.placeIdx[si], s
+				key = cache.SumRateKey(pt.Proto, pt.Bound, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB)
 			} else {
-				proto, bound = protocols.TDBC, protocols.BoundInner
+				pt.Proto, pt.Bound = protocols.TDBC, protocols.BoundInner
 				pt.ErasureIdx = i - grid.gaussN
+				e := grid.erasSpec[pt.ErasureIdx]
+				key = cache.ErasureKey(e.EpsAR, e.EpsBR, e.EpsAB)
 			}
-			pt.Proto, pt.Bound = proto, bound
-			if opts.Cache != nil {
-				if gaussian {
-					s := grid.scen[si]
-					key = cache.SumRateKey(proto, bound, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB)
-				} else {
-					e := grid.erasSpec[pt.ErasureIdx]
-					key = cache.ErasureKey(e.EpsAR, e.EpsBR, e.EpsAB)
+			v, err := opts.Cache.Solve(key, func() (protocols.Optimum, error) {
+				if si < 0 {
+					return ev.WeightedRateLinks(pt.Proto, pt.Bound, grid.erasures[pt.ErasureIdx], 1, 1)
 				}
-				if v, ok := opts.Cache.Lookup(key); ok {
-					start := len(durs)
-					durs = append(durs, v.Dur[:v.NDur]...)
-					pt.Sum, pt.Ra, pt.Rb = v.Sum, v.Ra, v.Rb
-					pt.Durations = durs[start:len(durs):len(durs)]
-					buf[i-lo] = pt
-					continue
-				}
-			}
-			if gaussian {
 				if si != lastScen {
 					var err error
 					if li, err = protocols.LinkInfosFromScenario(grid.scen[si].internal()); err != nil {
-						return fmt.Errorf("sweep point %d: %w", i, err)
+						return protocols.Optimum{}, err
 					}
 					lastScen = si
 				}
-			} else {
-				li = grid.erasures[pt.ErasureIdx]
-				lastScen = -1
-			}
-			opt, err := ev.WeightedRateLinks(proto, bound, li, 1, 1)
+				return ev.WeightedRateLinks(pt.Proto, pt.Bound, li, 1, 1)
+			})
 			if err != nil {
 				return fmt.Errorf("sweep point %d: %w", i, err)
 			}
-			if opts.Cache != nil {
-				opts.Cache.Add(key, cache.MakeValue(opt.Objective, opt.Rates.Ra, opt.Rates.Rb, opt.Durations))
-			}
 			start := len(durs)
-			durs = append(durs, opt.Durations...)
-			pt.Sum, pt.Ra, pt.Rb = opt.Objective, opt.Rates.Ra, opt.Rates.Rb
+			durs = append(durs, v.Dur[:v.NDur]...)
+			pt.Sum, pt.Ra, pt.Rb = v.Sum, v.Ra, v.Rb
 			pt.Durations = durs[start:len(durs):len(durs)]
 			buf[i-lo] = pt
 		}
@@ -341,30 +323,17 @@ func Batch(ctx context.Context, proto protocols.Protocol, bound protocols.Bound,
 		durs := make([]float64, 0, 4*(hi-lo)) // one backing array per chunk
 		for i := lo; i < hi; i++ {
 			s := scen(i)
-			var key cache.Key
-			if opts.Cache != nil {
-				key = cache.SumRateKey(proto, bound, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB)
-				if v, ok := opts.Cache.Lookup(key); ok {
-					start := len(durs)
-					durs = append(durs, v.Dur[:v.NDur]...)
-					store(i, Result{
-						Sum: v.Sum, Ra: v.Ra, Rb: v.Rb,
-						Durations: durs[start:len(durs):len(durs)],
-					})
-					continue
-				}
-			}
-			opt, err := ev.WeightedRate(proto, bound, memo.internal(s), 1, 1)
+			v, err := opts.Cache.Solve(cache.SumRateKey(proto, bound, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB),
+				func() (protocols.Optimum, error) {
+					return ev.WeightedRate(proto, bound, memo.internal(s), 1, 1)
+				})
 			if err != nil {
 				return fmt.Errorf("scenario %d: %w", i, err)
 			}
-			if opts.Cache != nil {
-				opts.Cache.Add(key, cache.MakeValue(opt.Objective, opt.Rates.Ra, opt.Rates.Rb, opt.Durations))
-			}
 			start := len(durs)
-			durs = append(durs, opt.Durations...)
+			durs = append(durs, v.Dur[:v.NDur]...)
 			store(i, Result{
-				Sum: opt.Objective, Ra: opt.Rates.Ra, Rb: opt.Rates.Rb,
+				Sum: v.Sum, Ra: v.Ra, Rb: v.Rb,
 				Durations: durs[start:len(durs):len(durs)],
 			})
 		}

@@ -7,8 +7,10 @@ package sweep
 // (scenarios × protocol bounds) into one indexed point set — every support
 // direction of every curve is one point — and runs it through RunCore, so
 // the angle axis shards exactly like the grid axes: fixed 64-point chunks,
-// per-worker pooled evaluators, bounded streaming, runGate cancellation. Completed curves are assembled and streamed in
-// enumeration order; results are bit-identical for every worker count.
+// per-worker pooled evaluators, one cache.(*Store).Solve per direction,
+// bounded streaming, runGate cancellation. Completed curves are assembled
+// and streamed in enumeration order; results are bit-identical for every
+// worker count.
 
 import (
 	"context"
@@ -137,36 +139,24 @@ func RegionBatch(ctx context.Context, spec RegionSpec, opts Options, yield func(
 			}
 			// Region vertices cache as raw weighted solves keyed by the
 			// support direction; the axis projection and jitter clamp are
-			// re-applied on hit, so hits and misses land in pts identically.
-			var ra, rb float64
-			var key cache.Key
-			hit := false
-			if opts.Cache != nil {
-				s := spec.Scenarios[si]
-				key = cache.WeightedKey(c.Proto, c.Bound, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB, muA, muB)
-				if v, ok := opts.Cache.Lookup(key); ok {
-					ra, rb, hit = v.Ra, v.Rb, true
-				}
-			}
-			if !hit {
-				opt, err := ev.WeightedRateLinks(c.Proto, c.Bound, lis[si], muA, muB)
-				if err != nil {
-					return fmt.Errorf("region curve %d (%v %v, scenario %d), direction %d: %w",
-						k, c.Proto, c.Bound, si, j, err)
-				}
-				ra, rb = opt.Rates.Ra, opt.Rates.Rb
-				if opts.Cache != nil {
-					opts.Cache.Add(key, cache.MakeValue(opt.Objective, ra, rb, opt.Durations))
-				}
+			// applied after Solve, so hits and misses land in pts identically.
+			s := spec.Scenarios[si]
+			v, err := opts.Cache.Solve(cache.WeightedKey(c.Proto, c.Bound, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB, muA, muB),
+				func() (protocols.Optimum, error) {
+					return ev.WeightedRateLinks(c.Proto, c.Bound, lis[si], muA, muB)
+				})
+			if err != nil {
+				return fmt.Errorf("region curve %d (%v %v, scenario %d), direction %d: %w",
+					k, c.Proto, c.Bound, si, j, err)
 			}
 			switch {
 			case j < angles:
 				// Rates are non-negative by construction; clear solver jitter.
-				pts[i] = region.Point{Ra: max(ra, 0), Rb: max(rb, 0)}
+				pts[i] = region.Point{Ra: max(v.Ra, 0), Rb: max(v.Rb, 0)}
 			case j == angles:
-				pts[i] = region.Point{Ra: ra} // exact max Ra, projected
+				pts[i] = region.Point{Ra: v.Ra} // exact max Ra, projected
 			default:
-				pts[i] = region.Point{Rb: rb} // exact max Rb, projected
+				pts[i] = region.Point{Rb: v.Rb} // exact max Rb, projected
 			}
 		}
 		return nil

@@ -9,10 +9,13 @@
 // order.
 //
 // This file instantiates the core for the evaluator-grid workloads (Run,
-// Batch, Sweep): each worker leases one protocols.Evaluator, whose results
-// never depend on the solves before them. region.go instantiates it for
-// rate-region support sweeps; the facade instantiates it (stateless) for
-// simulation campaigns.
+// Batch, Sweep): each worker leases one protocols.Evaluator from the
+// process-wide pool (protocols.GetEvaluator), whose results never depend on
+// the solves before them. Every grid point is one cache.(*Store).Solve call
+// on Options.Cache, which is nil with caching off, so cached and uncached
+// runs share one kernel. region.go instantiates the core for rate-region
+// support sweeps; the facade instantiates it (stateless) for simulation
+// campaigns.
 //
 // Cancellation follows internal/sim's runGate pattern: a context.AfterFunc
 // flips one atomic flag the workers poll per chunk, so an uncancelled run
@@ -27,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"bicoop/internal/cache"
 	"bicoop/internal/protocols"
@@ -41,49 +43,24 @@ import (
 // imbalance to a few milliseconds of work.
 const ChunkSize = 64
 
-// Pool supplies worker evaluators. Implementations must be safe for
-// concurrent use; the facade's Engine plugs its own sync.Pool in so sweeps
-// share evaluators with the rest of the session.
-type Pool interface {
-	Get() *protocols.Evaluator
-	Put(*protocols.Evaluator)
-}
-
-// pkgPool backs runs that do not bring their own pool (the experiments
-// harness).
-var pkgPool = sync.Pool{New: func() any { return protocols.NewEvaluator() }}
-
-type defaultPool struct{}
-
-func (defaultPool) Get() *protocols.Evaluator   { return pkgPool.Get().(*protocols.Evaluator) }
-func (defaultPool) Put(ev *protocols.Evaluator) { pkgPool.Put(ev) }
-
 // Options tunes a run.
 type Options struct {
 	// Workers bounds the goroutines evaluating chunks; non-positive means
 	// GOMAXPROCS. The worker count affects scheduling only — results are
 	// bit-identical for every value.
 	Workers int
-	// Pool supplies worker evaluators; nil uses a package-level pool.
-	Pool Pool
 	// Start resumes a run past an already-emitted point prefix; Checkpoint
 	// persists the emitted watermark as it advances. Both are forwarded to
 	// the core verbatim — see CoreOptions.
 	Start      int
 	Checkpoint Checkpointer
-	// Cache, when non-nil, serves already-solved points from the
-	// scenario-keyed result store and fills it on misses. Every solve is
-	// a position-independent cold solve, so cached results are
-	// bit-identical to a cache-off run of the same points and to the
+	// Cache is the result store every point is solved through
+	// (cache.(*Store).Solve): hits are served from it and misses fill it.
+	// Nil turns caching off — every point is solved, nothing is stored.
+	// Every solve is a position-independent cold solve, so cached results
+	// are bit-identical to a cache-off run of the same points and to the
 	// facade's single-point solves, at every worker count.
 	Cache *cache.Store
-}
-
-func (o Options) pool() Pool {
-	if o.Pool != nil {
-		return o.Pool
-	}
-	return defaultPool{}
 }
 
 func (o Options) workers() int {
@@ -111,10 +88,10 @@ func ctxErr(ctx context.Context) error {
 }
 
 // Run evaluates n indexed points. do(ev, start, end) evaluates the
-// contiguous chunk [start, end) with the worker's pooled evaluator and must
-// write its results into caller-owned, index-addressed storage; emit(start,
-// end), when non-nil, is invoked for completed chunks in strictly ascending
-// order — the streaming sink. A do or emit error, or context cancellation,
+// contiguous chunk [start, end) with the worker's evaluator, leased from the
+// process-wide pool, and must write its results into caller-owned,
+// index-addressed storage; emit(start, end), when non-nil, is invoked for
+// completed chunks in strictly ascending order — the streaming sink. A do or emit error, or context cancellation,
 // halts the run within one chunk per worker.
 //
 // Run returns the length of the contiguous prefix of points whose chunks
@@ -127,7 +104,6 @@ func Run(ctx context.Context, n int, opts Options, do func(ev *protocols.Evaluat
 		Start:      opts.Start,
 		Checkpoint: opts.Checkpoint,
 	}
-	pool := opts.pool()
-	hooks := Hooks[*protocols.Evaluator]{NewWorker: pool.Get, CloseWorker: pool.Put}
+	hooks := Hooks[*protocols.Evaluator]{NewWorker: protocols.GetEvaluator, CloseWorker: protocols.PutEvaluator}
 	return RunCore(ctx, n, core, hooks, do, emit)
 }

@@ -81,6 +81,23 @@ func TestRegionValidation(t *testing.T) {
 	if err := eng.RegionBatch(ctx, degenerate, func(bicoop.RegionBatchPoint) error { return nil }); !errors.Is(err, bicoop.ErrInvalidRegionSpec) {
 		t.Errorf("angles=1 err = %v, want ErrInvalidRegionSpec", err)
 	}
+	if err := degenerate.Validate(); !errors.Is(err, bicoop.ErrInvalidRegionSpec) {
+		t.Errorf("angles=1 Validate err = %v, want ErrInvalidRegionSpec at admission", err)
+	}
+	// Direction counts whose point buffer cannot be sized must fail
+	// validation, not panic inside the batch's allocation.
+	wide := ok
+	wide.Scenarios = []bicoop.Scenario{fig4sc(0), fig4sc(5), fig4sc(10)}
+	wide.Curves = allBounds()
+	for _, spec := range []bicoop.RegionBatchSpec{ok, wide} {
+		for _, angles := range []int{1 << 62, math.MaxInt / 16, math.MaxInt - 1, math.MaxInt} {
+			huge := spec
+			huge.Angles = angles
+			if err := eng.RegionBatch(ctx, huge, func(bicoop.RegionBatchPoint) error { return nil }); !errors.Is(err, bicoop.ErrInvalidRegionSpec) {
+				t.Errorf("%d curves, angles=%d: err = %v, want ErrInvalidRegionSpec", huge.Size(), angles, err)
+			}
+		}
+	}
 	nan := ok
 	nan.Scenarios = []bicoop.Scenario{{PowerDB: math.NaN()}}
 	if err := eng.RegionBatch(ctx, nan, func(bicoop.RegionBatchPoint) error { return nil }); !errors.Is(err, bicoop.ErrInvalidScenario) {

@@ -25,7 +25,9 @@
 # 4k M4RI-vs-incremental speedup gated in CI).
 # The bit-true full-run benchmarks already iterate 64 blocks
 # internally, so they get a smaller default -benchtime than the
-# microbenchmarks.
+# microbenchmarks. Both runs pin -cpu 1: sharded benchmarks allocate per
+# worker, so allocs/op is only comparable across hosts at one fixed
+# GOMAXPROCS, and the committed ledger was recorded at 1.
 set -eu
 
 out="${1:-BENCH.json}"
@@ -48,10 +50,10 @@ bitpattern='BenchmarkBitTrueTDBC$|BenchmarkBitTrueTDBCParallel$|BenchmarkBitTrue
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT INT TERM
 
-go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" \
+go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -cpu 1 \
     . ./internal/protocols/ ./internal/sim/ ./internal/simplex/ ./internal/sweep/ \
     ./internal/service/ ./internal/cache/ > "$raw"
-go test -run '^$' -bench "$bitpattern" -benchmem -benchtime "$bittime" \
+go test -run '^$' -bench "$bitpattern" -benchmem -benchtime "$bittime" -cpu 1 \
     ./internal/sim/ ./internal/gf2/ >> "$raw"
 
 tee /dev/stderr < "$raw" | go run ./cmd/benchjson > "$out"
