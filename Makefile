@@ -55,7 +55,7 @@ bench-compare:
 	go run ./cmd/benchjson compare BENCH_after.json BENCH_ci.json -threshold 1.25 \
 		-min-speedup 'BenchmarkSumRateBatchCachedMiss/BenchmarkSumRateBatchCachedHit:5' \
 		-min-speedup 'BenchmarkErasureMaskScalar/BenchmarkErasureMaskWord:3' \
-		-min-speedup 'BenchmarkSolveIncremental4k/BenchmarkSolveM4RI4k:1.5'
+		-min-speedup 'BenchmarkSolveIncremental4k/BenchmarkSolveM4RI4k:3'
 
 # bccd builds the crash-safe job daemon (see doc.go "Running bccd").
 bccd:

@@ -266,11 +266,16 @@
 // prob.WordBernoulli masks (one ~8-draw fixed-point refinement per 64
 // positions instead of 64 Float64 calls; survivors visited by a
 // TrailingZeros64 scan — see internal/sim/erasure.go); and decoding runs
-// through a reusable word-level elimination tableau (gf2.Solver.SolveInto
-// and the SolveConsistentInto early-stop variant for noiseless erasure
-// observations), which past 512 unknowns switches to a dense M4RI-style
-// multi-column eliminator (internal/gf2/m4ri.go: 8 pivot columns per pass
-// via a 256-entry combination table). The TDBC/MABC trial loops run on a
+// through a reusable word-level elimination tableau. The decoders call
+// gf2.Solver.FullRank: every system they see is a noiseless, consistent set
+// of true parities of the message, so elimination returns the message
+// exactly when the rank equals the message length, and no codeword or
+// right-hand side is ever built (gf2.Solver.SolveInto keeps the full
+// solve, pinned against FullRank by tests in internal/gf2 and
+// internal/sim). Past 512 unknowns both switch to a dense M4RI-style
+// multi-column eliminator (internal/gf2/m4ri.go: row echelon form only,
+// 8 pivot columns per pass via a 256-entry table indexed by the raw stripe
+// bits). The TDBC/MABC trial loops run on a
 // worker pool with per-worker RNGs, codes, and scratch — zero allocations
 // per block. Context cancellation costs one atomic flag load per trial
 // (internal/sim's runGate), so a cancelled run stops within one trial
@@ -301,7 +306,8 @@
 //	go test ./internal/sim/ -run '^$' -bench 'BenchmarkErasureMask' \
 //	    -benchmem   # word-parallel masks vs the retired scalar sampler
 //	go test ./internal/gf2/ -run '^$' -bench 'BenchmarkSolve(Incremental|M4RI)' \
-//	    -benchtime 20x -benchmem   # elimination ladder at 256/1k/4k unknowns
+//	    -benchtime 20x -benchmem   # full SolveInto (echelon + back-substitution)
+//	                               # at 256/1k/4k unknowns, each path forced
 //	go test . -run '^$' -bench 'BenchmarkEngineSumRateBatch$' \
 //	    -benchmem   # engine batch over a 1k-scenario grid
 //	go test ./internal/sim/ -run '^$' -bench 'BenchmarkBitTrue(TDBC|MABC)(Parallel)?$' \

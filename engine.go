@@ -36,7 +36,8 @@ var (
 	// ErrInvalidBlockLength reports a non-positive bit-true block length.
 	ErrInvalidBlockLength = errors.New("bicoop: invalid block length")
 	// ErrInvalidSimSpec reports a SimSpec selecting zero or several
-	// simulators.
+	// simulators, or a bit-true spec whose pinned Durations are the wrong
+	// count, outside [0,1] or do not sum to 1.
 	ErrInvalidSimSpec = errors.New("bicoop: invalid simulation spec")
 	// ErrInvalidSweepSpec reports an unusable SweepSpec (e.g. nil yield).
 	ErrInvalidSweepSpec = errors.New("bicoop: invalid sweep spec")

@@ -126,6 +126,63 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
+// TestSimulatePinnedDurationsValidation pins the admission check on bit-true
+// phase splits: a pinned Durations slice of the wrong count, with a
+// non-finite entry, an entry outside [0,1] or a sum away from 1 is
+// ErrInvalidSimSpec from Simulate and SimulateBatch alike, before any worker
+// is built (some of these used to panic sizing a negative phase, one ran
+// with n1+n2 > n).
+func TestSimulatePinnedDurationsValidation(t *testing.T) {
+	eng := bicoop.NewEngine()
+	ctx := context.Background()
+	tdbc := func(d ...float64) bicoop.SimSpec {
+		return bicoop.SimSpec{Trials: 2, Seed: 1, BitTrueTDBC: &bicoop.BitTrueTDBCSpec{
+			Links:       bicoop.ErasureLinks{EpsAR: 0.2, EpsBR: 0.1, EpsAB: 0.6},
+			Rates:       bicoop.RatePoint{Ra: 0.1, Rb: 0.1},
+			Durations:   d,
+			BlockLength: 300,
+		}}
+	}
+	mabc := func(d ...float64) bicoop.SimSpec {
+		return bicoop.SimSpec{Trials: 2, Seed: 1, BitTrueMABC: &bicoop.BitTrueMABCSpec{
+			Links:       bicoop.MABCComputeForwardLinks{EpsMAC: 0.2, EpsRA: 0.15, EpsRB: 0.1},
+			Rate:        0.1,
+			Durations:   d,
+			BlockLength: 300,
+		}}
+	}
+	bad := map[string]bicoop.SimSpec{
+		"TDBC two entries":     tdbc(0.5, 0.5),
+		"TDBC negative":        tdbc(-0.5, 0.5, 1),
+		"TDBC sum 1.4":         tdbc(0.7, 0.7, 0),
+		"TDBC NaN":             tdbc(math.NaN(), 0.5, 0.5),
+		"TDBC +Inf":            tdbc(math.Inf(1), 0, 0),
+		"TDBC sum off by 1e-8": tdbc(0.3, 0.3, 0.4+1e-8),
+		"MABC one entry":       mabc(1),
+		"MABC above 1":         mabc(1.5, -0.5),
+		"MABC sum 0.9":         mabc(0.45, 0.45),
+		"MABC empty":           mabc([]float64{}...),
+	}
+	for name, spec := range bad {
+		if _, err := eng.Simulate(ctx, spec); !errors.Is(err, bicoop.ErrInvalidSimSpec) {
+			t.Errorf("%s: Simulate err = %v, want ErrInvalidSimSpec", name, err)
+		}
+		if _, err := eng.SimulateBatch(ctx, bicoop.CampaignSpec{Specs: []bicoop.SimSpec{spec}}, nil); !errors.Is(err, bicoop.ErrInvalidSimSpec) {
+			t.Errorf("%s: SimulateBatch err = %v, want ErrInvalidSimSpec", name, err)
+		}
+	}
+	for name, spec := range map[string]bicoop.SimSpec{
+		"TDBC exact":          tdbc(0.3, 0.3, 0.4),
+		"TDBC within 1e-9":    tdbc(0.3, 0.3, 0.4+5e-10),
+		"TDBC one idle phase": tdbc(0.5, 0.5, 0),
+		"MABC exact":          mabc(0.45, 0.55),
+	} {
+		if _, err := eng.Simulate(ctx, spec); err != nil {
+			t.Errorf("%s: Simulate err = %v, want nil", name, err)
+		}
+	}
+}
+
 func TestSimulateProgress(t *testing.T) {
 	eng := bicoop.NewEngine()
 	var mu sync.Mutex

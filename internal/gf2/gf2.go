@@ -7,8 +7,10 @@
 //
 // The hot-path entry points are the in-place ones: Matrix.Rerandomize redraws
 // a generator without allocating, Solver.SolveInto eliminates in a persistent
-// word-level tableau, and the Vector methods Randomize, CopyPrefix, XorWith
-// and the Dot function operate on whole 64-bit words. The original
+// word-level tableau (row echelon form, then back-substitution),
+// Solver.FullRank decides decodability of a consistent system from the rank
+// alone, and the Vector methods Randomize, CopyPrefix, XorWith and the Dot
+// function operate on whole 64-bit words. The original
 // allocate-per-call API (RandomMatrix, Matrix.Solve, DecodeEquations, ...)
 // remains as thin wrappers.
 //

@@ -97,49 +97,48 @@ func TestDenseSolveWideColumns(t *testing.T) {
 	}
 }
 
-// TestDenseConsistentMatchesIncremental pins SolveConsistentInto across the
-// two paths on planted-solution systems, the bit-true decoders' regime.
+// TestDenseConsistentMatchesIncremental pins FullRank across the two paths
+// on planted-solution systems, the bit-true decoders' regime: the forced
+// dense and forced incremental answers must agree with each other, with the
+// reference rank, and with "SolveInto returns the planted solution".
 func TestDenseConsistentMatchesIncremental(t *testing.T) {
 	r := rand.New(rand.NewSource(32))
-	s := forceSolver(forceDense)
+	dense := forceSolver(forceDense)
+	inc := forceSolver(forceIncremental)
+	counts := map[bool]int{}
 	for trial := 0; trial < 200; trial++ {
 		cols := 1 + r.Intn(150)
-		rows := cols + r.Intn(150)
+		rows := cols - 5 + r.Intn(150)
 		m := RandomMatrix(rows, cols, r)
-		x := RandomVector(cols, r)
-		b, _ := m.MulVec(x)
 		rv, _ := matrixRows(m)
-		bits := make([]int, rows)
-		for i := range bits {
-			bits[i] = b.Bit(i)
+		want := refRank(m) == cols
+		counts[want]++
+		if got := dense.FullRank(cols, rv); got != want {
+			t.Fatalf("trial %d: dense FullRank = %v, reference rank says %v", trial, got, want)
 		}
+		if got := inc.FullRank(cols, rv); got != want {
+			t.Fatalf("trial %d: incremental FullRank = %v, reference rank says %v", trial, got, want)
+		}
+		x := RandomVector(cols, r)
 		got := NewVector(cols)
-		err := s.SolveConsistentInto(&got, cols, rv, bits)
-		if err != nil {
-			if !errors.Is(err, ErrUnderdetermined) {
-				t.Fatalf("trial %d: err %v, want nil or ErrUnderdetermined", trial, err)
-			}
-			if refRank(m) == cols {
-				t.Fatalf("trial %d: dense consistent solve failed on a full-rank system", trial)
-			}
-			continue
+		solved := dense.SolveInto(&got, cols, rv, planted(rv, x)) == nil && got.Equal(x)
+		if solved != want {
+			t.Fatalf("trial %d: dense SolveInto recovered the planted solution = %v, FullRank = %v", trial, solved, want)
 		}
-		if !got.Equal(x) {
-			t.Fatalf("trial %d: dense consistent solution is not the planted one", trial)
-		}
+	}
+	if counts[true] == 0 || counts[false] == 0 {
+		t.Errorf("full-rank/deficient mix %v lost coverage", counts)
 	}
 }
 
 // TestDenseConsistentFallback forces the rank-deficient-prefix escape hatch:
 // the first cols+m4riSlack equations are copies of one row, so the dense
-// prefix cannot reach full rank and the solver must fall back to the
-// incremental path over the complete set — which does solve it.
+// prefix cannot reach full rank and FullRank must fall back to the
+// incremental path over the complete set — which does reach it.
 func TestDenseConsistentFallback(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	const cols = 32
-	x := RandomVector(cols, r)
 	dup := RandomVector(cols, r)
-	dupBit := Dot(dup, x)
 
 	var full Matrix
 	for {
@@ -150,24 +149,110 @@ func TestDenseConsistentFallback(t *testing.T) {
 	}
 	nDup := cols + m4riSlack
 	rows := make([]Vector, 0, nDup+cols)
-	bits := make([]int, 0, nDup+cols)
 	for i := 0; i < nDup; i++ {
 		rows = append(rows, dup)
-		bits = append(bits, dupBit)
 	}
 	for i := 0; i < cols; i++ {
 		rows = append(rows, full.RowView(i))
-		bits = append(bits, Dot(full.RowView(i), x))
 	}
 
 	s := forceSolver(forceDense)
-	got := NewVector(cols)
-	if err := s.SolveConsistentInto(&got, cols, rows, bits); err != nil {
-		t.Fatalf("SolveConsistentInto: %v", err)
+	if !s.FullRank(cols, rows) {
+		t.Fatal("FullRank missed the full rank reached past the dense prefix")
 	}
-	if !got.Equal(x) {
-		t.Fatalf("fallback solution is not the planted one")
+	if s.FullRank(cols, rows[:nDup+cols-1]) {
+		t.Fatal("FullRank reported full rank one row short of it")
 	}
+}
+
+// planted returns the RHS bits rows·x of a consistent system.
+func planted(rows []Vector, x Vector) []int {
+	bits := make([]int, len(rows))
+	for i, row := range rows {
+		bits[i] = Dot(row, x)
+	}
+	return bits
+}
+
+// TestFullRankMatchesSolveInto pins the rank path to the solution path on
+// consistent systems at widths around every word and cutover boundary, with
+// both elimination paths forced: FullRank must be true exactly when
+// SolveInto returns the planted solution, and the two paths must agree
+// with each other on both answers. The system families cover full-rank
+// random rows, duplicated rows (candidates that reduce to zero inside a
+// stripe), a repeated column (a stripe whose pivot search finds fewer pivots
+// than columns while rows below still carry its bits), one row short, and
+// a rank-deficient k+m4riSlack prefix completed by later rows (the dense
+// FullRank fallback).
+func TestFullRankMatchesSolveInto(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	paths := []struct {
+		name string
+		s    *Solver
+	}{{"dense", forceSolver(forceDense)}, {"incremental", forceSolver(forceIncremental)}}
+	for _, k := range []int{0, 1, 63, 64, 65, 200, 511, 512, 513, 800, 1000} {
+		type family struct {
+			name string
+			rows []Vector
+			want int // 1 full rank, 0 deficient, -1 unknown (paths must agree)
+		}
+		random := matrixRowsOf(RandomMatrix(k+m4riSlack, k, r))
+		fams := []family{{"random", random, 1}}
+		if k > 0 {
+			dupRows := matrixRowsOf(RandomMatrix(k/2+1, k, r))
+			dupRows = append(dupRows, dupRows...)
+			dupRows = append(dupRows, matrixRowsOf(RandomMatrix(k/2+m4riSlack, k, r))...)
+			r.Shuffle(len(dupRows), func(i, j int) { dupRows[i], dupRows[j] = dupRows[j], dupRows[i] })
+			fams = append(fams,
+				family{"duplicated rows", dupRows, 1},
+				family{"one short", random[:k-1], 0})
+		}
+		if k > 1 {
+			c := r.Intn(k - 1)
+			fams = append(fams, family{"repeated column", repeatColumn(RandomMatrix(k+m4riSlack, k, r), c), 0})
+			prefix := repeatColumn(RandomMatrix(k+m4riSlack, k, r), c)
+			fams = append(fams, family{"deficient prefix", append(prefix, matrixRowsOf(RandomMatrix(k+8, k, r))...), -1})
+		}
+		for _, f := range fams {
+			x := RandomVector(k, r)
+			bits := planted(f.rows, x)
+			var answers [2]bool
+			for pi, path := range paths {
+				full := path.s.FullRank(k, f.rows)
+				got := NewVector(k)
+				err := path.s.SolveInto(&got, k, f.rows, bits)
+				if err != nil && !errors.Is(err, ErrUnderdetermined) {
+					t.Fatalf("k=%d %s %s: SolveInto err %v on a consistent system", k, f.name, path.name, err)
+				}
+				if solved := err == nil && got.Equal(x); solved != full {
+					t.Fatalf("k=%d %s %s: FullRank %v but SolveInto recovered the message = %v", k, f.name, path.name, full, solved)
+				}
+				if f.want >= 0 && full != (f.want == 1) {
+					t.Fatalf("k=%d %s %s: FullRank %v, want %v", k, f.name, path.name, full, f.want == 1)
+				}
+				answers[pi] = full
+			}
+			if answers[0] != answers[1] {
+				t.Fatalf("k=%d %s: dense FullRank %v, incremental %v", k, f.name, answers[0], answers[1])
+			}
+		}
+	}
+}
+
+// matrixRowsOf returns the rows of m as views.
+func matrixRowsOf(m Matrix) []Vector {
+	rows, _ := matrixRows(m)
+	return rows
+}
+
+// repeatColumn overwrites column c+1 of m with column c, capping the rank
+// at cols-1, and returns the rows. The stripe holding c+1 then finds fewer
+// pivots than columns whenever c and c+1 share it.
+func repeatColumn(m Matrix, c int) []Vector {
+	for i := 0; i < m.Rows(); i++ {
+		m.Set(i, c+1, m.At(i, c))
+	}
+	return matrixRowsOf(m)
 }
 
 // TestDenseAutoCutover pins the size cutover itself: only systems with at
@@ -202,7 +287,8 @@ func TestDenseAutoCutover(t *testing.T) {
 
 // TestDenseZeroAllocSteadyState extends the allocation contract across the
 // cutover: after Reserve for a dense-path shape, repeated solves — the auto
-// path at a real simulator shape — allocate nothing.
+// path at a real simulator shape — allocate nothing, and neither does
+// FullRank on either path, deciding full rank or not.
 func TestDenseZeroAllocSteadyState(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
 	const cols = m4riMinCols + 88 // 600 unknowns: the waterfall-test shape
@@ -226,12 +312,22 @@ func TestDenseZeroAllocSteadyState(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("dense solve allocates %.1f/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(20, func() {
-		if err := s.SolveConsistentInto(&dst, cols, rv, bits); err != nil {
-			t.Fatal(err)
+	for _, path := range []*Solver{&s, forceSolver(forceIncremental)} {
+		path.Reserve(rows, cols)
+		if n := testing.AllocsPerRun(20, func() {
+			if !path.FullRank(cols, rv) {
+				t.Fatal("FullRank missed a full-rank system")
+			}
+		}); n != 0 {
+			t.Errorf("FullRank (force %d) allocates %.1f/op, want 0", path.force, n)
 		}
-	}); n != 0 {
-		t.Errorf("dense consistent solve allocates %.1f/op, want 0", n)
+		if n := testing.AllocsPerRun(20, func() {
+			if path.FullRank(cols, rv[:cols-1]) {
+				t.Fatal("FullRank reported full rank one row short")
+			}
+		}); n != 0 {
+			t.Errorf("failing FullRank (force %d) allocates %.1f/op, want 0", path.force, n)
+		}
 	}
 	if !dst.Equal(x) {
 		t.Fatal("dense steady-state solution is not the planted one")

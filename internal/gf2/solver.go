@@ -6,8 +6,11 @@ import (
 )
 
 // Solver performs Gaussian elimination over GF(2) in a persistent scratch
-// tableau, so repeated solves (the bit-true simulator decodes four linear
-// systems per block) reuse one allocation.
+// tableau, so repeated eliminations (the bit-true simulators decide three or
+// four decodes per block) reuse one allocation. SolveInto solves a system;
+// FullRank only decides whether the rows span all k unknowns, which for a
+// consistent system is exactly whether SolveInto would return the true
+// solution, at a fraction of the work.
 //
 // The algorithm is an incremental word-level basis reduction: equations are
 // consumed one at a time, each reduced against the pivot rows collected so
@@ -24,7 +27,9 @@ import (
 //
 // Wide systems (at least m4riMinCols unknowns) are eliminated by the dense
 // multi-column path in m4ri.go instead — same results, fewer row XORs; the
-// incremental basis remains the short-block and underdetermined path.
+// incremental basis remains the short-block and underdetermined path. Both
+// paths stop at row echelon form, and SolveInto reads the solution off it
+// with one shared back-substitution.
 //
 // The zero value is ready to use. A Solver is NOT safe for concurrent use;
 // give each goroutine its own (the simulator's worker pool does).
@@ -142,35 +147,39 @@ func (s *Solver) reduce(cur []uint64) (lead int, zero bool) {
 	return -1, cur[wpr]&1 == 0
 }
 
-// finishSolve turns the outcome of the basis build into the old Solve
-// semantics (inconsistency takes precedence over underdetermination) and
-// extracts the solution when it is unique.
+// finishSolve turns the outcome of an elimination into the Solve semantics
+// (inconsistency takes precedence over underdetermination) and extracts the
+// solution from tab — the incremental basis or the dense echelon tableau —
+// when it is unique.
 //
 //bicoop:noalloc
-func (s *Solver) finishSolve(dst *Vector, rank int, inconsistent bool) error {
+func (s *Solver) finishSolve(dst *Vector, tab []uint64, rank int, inconsistent bool) error {
 	if inconsistent {
 		return ErrInconsistent
 	}
 	if rank < s.cols {
 		return ErrUnderdetermined
 	}
-	s.backSubstitute(dst)
+	s.backSubstitute(dst, tab)
 	return nil
 }
 
-// backSubstitute extracts the unique solution from a full basis into dst.
-// Pivot columns are processed in descending order: a pivot row's bits
-// beyond its own column only involve columns whose solution bit is already
-// known, so each step is one word-level dot product from the pivot's word.
+// backSubstitute extracts the unique solution of a full-rank echelon
+// tableau (row stride s.stride, trailing RHS word, pivot rows indexed by
+// s.colRow) into dst. Both eliminators leave every pivot row zero below its
+// own column, so pivot columns are processed in descending order: a pivot
+// row's bits beyond its own column only involve columns whose solution bit
+// is already known, and each step is one word-level dot product from the
+// pivot's word.
 //
 //bicoop:noalloc
-func (s *Solver) backSubstitute(dst *Vector) {
+func (s *Solver) backSubstitute(dst *Vector, tab []uint64) {
 	for w := range dst.words {
 		dst.words[w] = 0
 	}
 	wpr := s.stride - 1
 	for c := s.cols - 1; c >= 0; c-- {
-		row := s.tab[int(s.colRow[c])*s.stride:]
+		row := tab[int(s.colRow[c])*s.stride:]
 		acc := row[wpr] & 1 // the equation's RHS bit
 		var x uint64
 		for w := c >> 6; w < wpr; w++ {
@@ -182,28 +191,13 @@ func (s *Solver) backSubstitute(dst *Vector) {
 }
 
 // SolveInto solves rows[i]·x = bits[i] for a k-bit x, writing the solution
-// into dst (which must have k bits). It returns ErrInconsistent /
-// ErrUnderdetermined unwrapped — the steady-state path, including decoding
-// failures, performs zero allocations once the scratch has grown.
-func (s *Solver) SolveInto(dst *Vector, k int, rows []Vector, bits []int) error {
-	return s.solveRows(dst, k, rows, bits, false)
-}
-
-// SolveConsistentInto is SolveInto for systems known to be consistent —
-// e.g. decoding noiseless erasure observations, where every equation is a
-// true parity of the transmitted message. It eliminates only as many
-// equations as the rank needs, skipping the surplus entirely, and never
-// returns ErrInconsistent: fed an inconsistent system anyway, it returns
-// the unique solution of some full-rank subsystem instead of an error.
-func (s *Solver) SolveConsistentInto(dst *Vector, k int, rows []Vector, bits []int) error {
-	return s.solveRows(dst, k, rows, bits, true)
-}
-
-// solveRows validates the system and dispatches to the incremental basis or
-// the dense multi-column eliminator (m4ri.go) by the size cutover.
+// into dst (which must have k bits; its contents are unspecified when an
+// error is returned). It returns ErrInconsistent / ErrUnderdetermined
+// unwrapped — the steady-state path, including decoding failures, performs
+// zero allocations once the scratch has grown.
 //
 //bicoop:noalloc
-func (s *Solver) solveRows(dst *Vector, k int, rows []Vector, bits []int, consistent bool) error {
+func (s *Solver) SolveInto(dst *Vector, k int, rows []Vector, bits []int) error {
 	if len(rows) != len(bits) {
 		return fmt.Errorf("%w: %d rows, %d bits", ErrShape, len(rows), len(bits))
 	}
@@ -216,9 +210,32 @@ func (s *Solver) solveRows(dst *Vector, k int, rows []Vector, bits []int, consis
 		}
 	}
 	if s.useDense(len(rows), k) {
-		return s.solveRowsDense(dst, k, rows, bits, consistent)
+		return s.solveRowsDense(dst, k, rows, bits)
 	}
-	return s.solveRowsIncremental(dst, k, rows, bits, consistent)
+	return s.solveRowsIncremental(dst, k, rows, bits)
+}
+
+// FullRank reports whether rows (each k bits wide) span GF(2)^k. For a
+// consistent system — e.g. noiseless erasure observations, every equation a
+// true parity of the transmitted message — that is exactly "SolveInto
+// returns the message", so a decoder that only compares its output against
+// the message can skip the RHS and the solution extraction entirely. The
+// incremental path stops at the k-th pivot; the dense path eliminates only
+// the first k+m4riSlack rows and falls back to the incremental path when
+// that prefix is rank deficient. A row of any other width reports false.
+// Steady-state calls perform zero allocations once the scratch has grown.
+//
+//bicoop:noalloc
+func (s *Solver) FullRank(k int, rows []Vector) bool {
+	for _, row := range rows {
+		if row.n != k {
+			return false
+		}
+	}
+	if s.useDense(len(rows), k) {
+		return s.fullRankDense(k, rows)
+	}
+	return s.fullRankIncremental(k, rows)
 }
 
 // useDense applies the multi-column cutover: wide systems with at least as
@@ -234,28 +251,53 @@ func (s *Solver) useDense(nrows, cols int) bool {
 	return cols >= m4riMinCols && nrows >= cols
 }
 
+// solveRowsIncremental is SolveInto's incremental engine. Once the basis
+// holds k pivots the solution is unique, so it is extracted right away and
+// every remaining equation is checked against it with one dot product
+// instead of a full reduction.
+//
 //bicoop:noalloc
-func (s *Solver) solveRowsIncremental(dst *Vector, k int, rows []Vector, bits []int, consistent bool) error {
+func (s *Solver) solveRowsIncremental(dst *Vector, k int, rows []Vector, bits []int) error {
 	s.begin(len(rows), k)
 	rank := 0
 	inconsistent := false
-	for i := range rows {
+	i := 0
+	for ; i < len(rows) && rank < k; i++ {
 		cur := s.loadSpare(rank, rows[i].words, uint64(bits[i]&1))
 		lead, zero := s.reduce(cur)
 		if lead >= 0 {
 			s.colRow[lead] = int32(rank)
 			rank++
-			if consistent && rank == k {
-				break
-			}
-		} else if !zero && !consistent {
-			// In consistent mode a surviving RHS bit on a dependent row is
-			// ignored, keeping the documented never-ErrInconsistent contract
-			// independent of row order.
+		} else if !zero {
 			inconsistent = true
 		}
 	}
-	return s.finishSolve(dst, rank, inconsistent)
+	if err := s.finishSolve(dst, s.tab, rank, inconsistent); err != nil {
+		return err
+	}
+	for ; i < len(rows); i++ {
+		if Dot(rows[i], *dst) != bits[i]&1 {
+			return ErrInconsistent
+		}
+	}
+	return nil
+}
+
+// fullRankIncremental feeds rows into the incremental basis until it holds
+// k pivots or the rows run out.
+//
+//bicoop:noalloc
+func (s *Solver) fullRankIncremental(k int, rows []Vector) bool {
+	s.begin(len(rows), k)
+	rank := 0
+	for i := 0; i < len(rows) && rank < k; i++ {
+		cur := s.loadSpare(rank, rows[i].words, 0)
+		if lead, _ := s.reduce(cur); lead >= 0 {
+			s.colRow[lead] = int32(rank)
+			rank++
+		}
+	}
+	return rank == k
 }
 
 // SolveMatrixInto solves m·x = b into dst without cloning m; dst must have
@@ -280,7 +322,7 @@ func (s *Solver) SolveMatrixInto(dst *Vector, m Matrix, b Vector) error {
 			inconsistent = true
 		}
 	}
-	return s.finishSolve(dst, rank, inconsistent)
+	return s.finishSolve(dst, s.tab, rank, inconsistent)
 }
 
 // Rank computes the GF(2) rank of m in the scratch tableau, leaving m

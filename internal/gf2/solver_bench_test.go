@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// benchSolve measures a consistent-mode solve of k unknowns from k+m4riSlack
-// random equations — the bit-true decoders' shape — with the elimination
-// path pinned by force. One warm solve before the timer grows the scratch,
+// benchSolve measures a SolveInto of k unknowns from k+m4riSlack random
+// consistent equations — the bit-true decoders' shape, solved in full:
+// echelon form, inconsistency scan and back-substitution — with the
+// elimination path pinned by force. One warm solve before the timer grows the scratch,
 // so the loop measures the allocation-free steady state of each path.
 func benchSolve(b *testing.B, k, force int) {
 	r := rand.New(rand.NewSource(int64(k)))
@@ -28,7 +29,7 @@ func benchSolve(b *testing.B, k, force int) {
 	}
 	s := forceSolver(force)
 	dst := NewVector(k)
-	if err := s.SolveConsistentInto(&dst, k, rv, bits); err != nil {
+	if err := s.SolveInto(&dst, k, rv, bits); err != nil {
 		b.Fatal(err)
 	}
 	if !dst.Equal(x) {
@@ -37,7 +38,7 @@ func benchSolve(b *testing.B, k, force int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.SolveConsistentInto(&dst, k, rv, bits); err != nil {
+		if err := s.SolveInto(&dst, k, rv, bits); err != nil {
 			b.Fatal(err)
 		}
 	}

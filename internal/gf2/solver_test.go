@@ -181,10 +181,11 @@ func TestSolverMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSolveConsistentMatchesSolveOnConsistentSystems pins the early-stop
+// TestSolveConsistentMatchesSolveOnConsistentSystems pins the rank-only
 // path: on systems built from a planted solution (always consistent, the
-// bit-true decoders' regime) SolveConsistentInto must agree exactly with
-// SolveInto, including the error class when underdetermined.
+// bit-true decoders' regime) FullRank must be true exactly when SolveInto
+// returns the planted solution, and false exactly when it reports
+// ErrUnderdetermined.
 func TestSolveConsistentMatchesSolveOnConsistentSystems(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	var s, sc Solver
@@ -203,18 +204,17 @@ func TestSolveConsistentMatchesSolveOnConsistentSystems(t *testing.T) {
 			bits[i] = b.Bit(i)
 		}
 		got := NewVector(cols)
-		gotC := NewVector(cols)
 		errFull := s.SolveInto(&got, cols, rv, bits)
-		errCons := sc.SolveConsistentInto(&gotC, cols, rv, bits)
-		if (errFull == nil) != (errCons == nil) {
-			t.Fatalf("trial %d: SolveInto err %v vs SolveConsistentInto err %v", trial, errFull, errCons)
+		full := sc.FullRank(cols, rv)
+		if (errFull == nil) != full {
+			t.Fatalf("trial %d: SolveInto err %v vs FullRank %v", trial, errFull, full)
 		}
 		if errFull == nil {
-			if !got.Equal(gotC) || !got.Equal(x) {
-				t.Fatalf("trial %d: solutions diverge", trial)
+			if !got.Equal(x) {
+				t.Fatalf("trial %d: solution is not the planted one", trial)
 			}
-		} else if !errors.Is(errCons, ErrUnderdetermined) {
-			t.Fatalf("trial %d: err %v, want ErrUnderdetermined", trial, errCons)
+		} else if !errors.Is(errFull, ErrUnderdetermined) {
+			t.Fatalf("trial %d: err %v, want ErrUnderdetermined", trial, errFull)
 		}
 	}
 }
@@ -319,6 +319,10 @@ func TestSolverShapeErrors(t *testing.T) {
 	if err := s.SolveInto(&dst, 3, []Vector{NewVector(4)}, []int{0}); !errors.Is(err, ErrShape) {
 		t.Errorf("wrong row width: err = %v, want ErrShape", err)
 	}
+	wide := []Vector{VectorFromBits([]bool{true, false, false, false}), VectorFromBits([]bool{false, true, false, false}), VectorFromBits([]bool{false, false, true, false})}
+	if s.FullRank(3, wide) {
+		t.Error("FullRank accepted rows of the wrong width")
+	}
 	m := NewMatrix(2, 3)
 	if err := s.SolveMatrixInto(&dst, m, NewVector(1)); !errors.Is(err, ErrShape) {
 		t.Errorf("rhs mismatch: err = %v, want ErrShape", err)
@@ -361,6 +365,13 @@ func TestSolverZeroAllocSteadyState(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("failing solve allocates %.1f/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if !s.FullRank(cols, rv) || s.FullRank(cols, short) {
+			t.Fatal("FullRank disagrees with the system's rank")
+		}
+	}); n != 0 {
+		t.Errorf("FullRank allocates %.1f/op, want 0", n)
 	}
 }
 

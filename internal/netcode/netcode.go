@@ -135,8 +135,7 @@ func PadCombine(wa, wb gf2.Vector) gf2.Vector {
 }
 
 // PadCombineInto computes the zero-padded XOR wa ⊕ wb into dst without
-// allocating; dst must have max(len(wa), len(wb)) bits. This is the relay's
-// per-block combining step in the bit-true simulator, done word-by-word.
+// allocating, word by word; dst must have max(len(wa), len(wb)) bits.
 func PadCombineInto(dst *gf2.Vector, wa, wb gf2.Vector) error {
 	n := wa.Len()
 	if wb.Len() > n {

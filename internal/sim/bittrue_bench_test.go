@@ -103,7 +103,7 @@ func benchMABCWorkerAt(tb testing.TB, cfg MABCBitTrueConfig) *mabcWorker {
 }
 
 // BenchmarkBitTrueTDBCBlock measures the per-block kernel: three in-place
-// code redraws, three encodes, erasures, and four word-level eliminations.
+// code redraws, erasures, and four rank decisions (FullRank).
 // Steady state must report 0 allocs/op (see TestBitTrueTDBCBlockZeroAllocs).
 func BenchmarkBitTrueTDBCBlock(b *testing.B) {
 	w := benchTDBCWorker(b, benchTDBCConfig(1))
@@ -116,7 +116,7 @@ func BenchmarkBitTrueTDBCBlock(b *testing.B) {
 }
 
 // BenchmarkBitTrueMABCBlock measures the per-block compute-and-forward
-// kernel (two code redraws, two encodes, three eliminations).
+// kernel (two code redraws, erasures, three rank decisions).
 func BenchmarkBitTrueMABCBlock(b *testing.B) {
 	w := benchMABCWorkerAt(b, benchMABCConfig(1))
 	w.runTrial()

@@ -30,8 +30,9 @@ type MABCBitTrueConfig struct {
 	// Rate is the common per-terminal message rate (bits per channel use);
 	// compute-and-forward requires equal-length messages.
 	Rate float64
-	// Durations are the two phase durations; nil derives the optimal split
-	// from the rate constraints.
+	// Durations are the two phase durations, each in [0,1] and summing to 1
+	// within 1e-9 (see CheckDurations); nil derives the optimal split from
+	// the rate constraints.
 	Durations []float64
 	// BlockLength is the total number of channel uses.
 	BlockLength int
@@ -96,8 +97,9 @@ func MABCComputeForwardBound(epsMAC, epsRA, epsRB float64) (rate float64, durati
 }
 
 // RunBitTrueMABC executes the compute-and-forward MABC protocol bit by bit,
-// sharding trials across cfg.Workers goroutines with per-worker RNGs,
-// codes, and elimination scratch. Cancelling ctx stops every worker within
+// deciding each decode by the rank of the surviving rows (see
+// mabcWorker.runBlock) and sharding trials across cfg.Workers goroutines
+// with per-worker RNGs, codes, and elimination scratch. Cancelling ctx stops every worker within
 // one block; the counts over the blocks completed so far are returned
 // alongside the (wrapped) context error.
 func RunBitTrueMABC(ctx context.Context, cfg MABCBitTrueConfig) (MABCBitTrueResult, error) {
@@ -118,9 +120,8 @@ func RunBitTrueMABC(ctx context.Context, cfg MABCBitTrueConfig) (MABCBitTrueResu
 	durations := cfg.Durations
 	if durations == nil {
 		_, durations = MABCComputeForwardBound(cfg.EpsMAC, cfg.EpsRA, cfg.EpsRB)
-	}
-	if len(durations) != 2 {
-		return MABCBitTrueResult{}, fmt.Errorf("sim: MABC needs 2 durations, got %d", len(durations))
+	} else if err := CheckDurations("MABC", durations, 2); err != nil {
+		return MABCBitTrueResult{}, err
 	}
 	n := cfg.BlockLength
 	n1 := int(math.Round(durations[0] * float64(n)))
@@ -181,10 +182,10 @@ func RunBitTrueMABC(ctx context.Context, cfg MABCBitTrueConfig) (MABCBitTrueResu
 
 // mabcWorker owns one goroutine's share of the compute-and-forward Monte
 // Carlo: a seed-derived RNG, two preallocated generators re-randomized in
-// place per block, message/codeword buffers, a pre-reserved gf2.Solver, and
-// the equation accumulators. Rows are shared generator views (RowView):
-// read-only here, consumed in place by the solver. Steady-state blocks
-// perform no heap allocation (gated by TestBitTrueMABCBlockZeroAllocs).
+// place per block, the message buffers, a pre-reserved gf2.Solver, and the
+// row accumulator. Rows are shared generator views (RowView): read-only
+// here, consumed in place by the solver. Steady-state blocks perform no
+// heap allocation (gated by TestBitTrueMABCBlockZeroAllocs).
 type mabcWorker struct {
 	k, n1, n2 int
 	rng       *rand.Rand
@@ -193,14 +194,13 @@ type mabcWorker struct {
 	// erasure.go).
 	maskMAC, maskRA, maskRB prob.WordBernoulli
 
-	codeMAC, codeBC  gf2.Code
-	wa, wb, s        gf2.Vector
-	xs, xr           gf2.Vector
-	sHat, sAtA, sAtB gf2.Vector
-	solver           gf2.Solver
+	codeMAC, codeBC gf2.Code
+	// wa, wb are drawn every block only to keep the random stream of the
+	// codes and erasures in its canonical order (see runBlock).
+	wa, wb gf2.Vector
+	solver gf2.Solver
 
 	rows []gf2.Vector
-	bits []int
 
 	successes, relayFailures, terminalFailures int
 }
@@ -221,14 +221,7 @@ func newMABCWorker(cfg MABCBitTrueConfig, k, n1, n2 int, seed int64) *mabcWorker
 		codeBC:  gf2.Code{G: gf2.NewMatrix(n2, k)},
 		wa:      gf2.NewVector(k),
 		wb:      gf2.NewVector(k),
-		s:       gf2.NewVector(k),
-		xs:      gf2.NewVector(n1),
-		xr:      gf2.NewVector(n2),
-		sHat:    gf2.NewVector(k),
-		sAtA:    gf2.NewVector(k),
-		sAtB:    gf2.NewVector(k),
 		rows:    make([]gf2.Vector, 0, maxN),
-		bits:    make([]int, 0, maxN),
 	}
 	w.solver.Reserve(maxN, k)
 	return w
@@ -254,28 +247,26 @@ func (w *mabcWorker) runTrial() {
 // in erasure.go, so results are bit-reproducible for a fixed (Seed, Trials,
 // Workers).
 //
+// Every decode is decided by rank alone. The relay observes true parities
+// of s = wa ⊕ wb and, once it holds s, each terminal observes true parities
+// of s again, so every system is consistent and s is one of its solutions;
+// elimination returns s exactly when the solution is unique, i.e. when the
+// rank equals k — and a terminal holding s recovers the peer message as
+// s ⊕ own. The parity values never influence an outcome, so no codeword is
+// encoded and no right-hand side is built. The messages are still drawn:
+// dropping their Uint64 draws would shift every later code and erasure
+// draw and change each seed's counts.
+//
 //bicoop:noalloc
 func (w *mabcWorker) runBlock() (bool, bool) {
 	w.wa.Randomize(w.rng)
 	w.wb.Randomize(w.rng)
-	w.s.CopyPrefix(w.wa)
-	_ = w.s.XorWith(w.wb)
 
 	// Phase 1 (MAC): both terminals encode with the SAME shared generator
 	// (agreed via common randomness, as in physical-layer network coding);
 	// the relay observes parities of the XOR message through erasures.
 	w.codeMAC.Rerandomize(w.rng)
-	_ = w.codeMAC.EncodeInto(&w.xs, w.s) // equals Encode(wa) xor Encode(wb) by linearity
-	w.rows, w.bits = w.rows[:0], w.bits[:0]
-	for base := 0; base < w.n1; base += 64 {
-		surv := ^w.maskMAC.Mask(w.rng) & liveLanes(base, w.n1)
-		for m := surv; m != 0; m &= m - 1 {
-			i := base + bits.TrailingZeros64(m)
-			w.rows = append(w.rows, w.codeMAC.G.RowView(i))
-			w.bits = append(w.bits, w.xs.Bit(i))
-		}
-	}
-	if err := w.solver.SolveConsistentInto(&w.sHat, w.k, w.rows, w.bits); err != nil || !w.sHat.Equal(w.s) {
+	if !w.decode(w.codeMAC.G, w.n1, w.maskMAC) {
 		return false, false
 	}
 
@@ -283,30 +274,23 @@ func (w *mabcWorker) runBlock() (bool, bool) {
 	// each terminal decodes it through its own link's erasures and strips
 	// its own message.
 	w.codeBC.Rerandomize(w.rng)
-	_ = w.codeBC.EncodeInto(&w.xr, w.sHat)
-	okA := w.decodeBroadcast(&w.sAtA, w.maskRA)
-	okB := w.decodeBroadcast(&w.sAtB, w.maskRB)
-	if !okA || !okB {
-		return false, true
-	}
-	_ = w.sAtA.XorWith(w.wa) // terminal a strips wa, leaving its estimate of wb
-	_ = w.sAtB.XorWith(w.wb) // terminal b strips wb
-	return w.sAtA.Equal(w.wb) && w.sAtB.Equal(w.wa), true
+	okA := w.decode(w.codeBC.G, w.n2, w.maskRA)
+	okB := w.decode(w.codeBC.G, w.n2, w.maskRB)
+	return okA && okB, true
 }
 
-// decodeBroadcast receives the relay broadcast through a link whose erasures
-// are drawn by mask and decodes it into dst.
+// decode receives the n parities of generator g through a link whose
+// erasures are drawn by mask and reports whether the surviving rows
+// determine the k-bit message.
 //
 //bicoop:noalloc
-func (w *mabcWorker) decodeBroadcast(dst *gf2.Vector, mask prob.WordBernoulli) bool {
-	w.rows, w.bits = w.rows[:0], w.bits[:0]
-	for base := 0; base < w.n2; base += 64 {
-		surv := ^mask.Mask(w.rng) & liveLanes(base, w.n2)
+func (w *mabcWorker) decode(g gf2.Matrix, n int, mask prob.WordBernoulli) bool {
+	w.rows = w.rows[:0]
+	for base := 0; base < n; base += 64 {
+		surv := ^mask.Mask(w.rng) & liveLanes(base, n)
 		for m := surv; m != 0; m &= m - 1 {
-			i := base + bits.TrailingZeros64(m)
-			w.rows = append(w.rows, w.codeBC.G.RowView(i))
-			w.bits = append(w.bits, w.xr.Bit(i))
+			w.rows = append(w.rows, g.RowView(base+bits.TrailingZeros64(m)))
 		}
 	}
-	return w.solver.SolveConsistentInto(dst, w.k, w.rows, w.bits) == nil
+	return w.solver.FullRank(w.k, w.rows)
 }

@@ -153,9 +153,11 @@ func TestRunBitTrueMABCValidation(t *testing.T) {
 
 func TestBitTrueMABCSharedGeneratorLinearity(t *testing.T) {
 	// The compute-and-forward trick rests on Encode(wa) xor Encode(wb) ==
-	// Encode(wa xor wb). A failing run here would mean the MAC abstraction
-	// is unsound. Exercised end-to-end with a deterministic seed and a rate
-	// just below the bound.
+	// Encode(wa xor wb): the relay's observations are parities of the XOR
+	// message, which is what lets runBlock decide the relay decode by rank
+	// (TestBitTrueRankDecodeMatchesFullDecode rebuilds those parities and
+	// solves them in full). Exercised end-to-end with a deterministic seed
+	// and a rate just below the bound.
 	bound, durations := MABCComputeForwardBound(0.3, 0.2, 0.25)
 	res, err := RunBitTrueMABC(context.Background(), MABCBitTrueConfig{
 		EpsMAC: 0.3, EpsRA: 0.2, EpsRB: 0.25,

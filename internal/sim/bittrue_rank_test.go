@@ -1,0 +1,293 @@
+package sim
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"bicoop/internal/gf2"
+	"bicoop/internal/netcode"
+	"bicoop/internal/prob"
+	"bicoop/internal/protocols"
+)
+
+// The bit-true workers decide every decode by rank (gf2.Solver.FullRank)
+// and never build a right-hand side. The tests here pin that shortcut to the
+// full decoder it replaced: a reference block replays a worker's random
+// stream draw for draw, encodes every codeword, rebuilds each node's RHS from
+// the channel outputs exactly as a receiver would, solves with SolveInto and
+// compares the solution against the true message.
+
+// refDecode solves one node's system in full and asserts the rank-only
+// answer agrees with "SolveInto returned the message".
+func refDecode(t *testing.T, what string, k int, rows []gf2.Vector, bits []int, msg gf2.Vector) (gf2.Vector, bool) {
+	t.Helper()
+	var s gf2.Solver
+	dst := gf2.NewVector(k)
+	solved := s.SolveInto(&dst, k, rows, bits) == nil && dst.Equal(msg)
+	if full := s.FullRank(k, rows); full != solved {
+		t.Fatalf("%s (k=%d, %d rows): FullRank %v but SolveInto recovered the message = %v", what, k, len(rows), full, solved)
+	}
+	return dst, solved
+}
+
+// refTDBCBlock is tdbcWorker.runBlock with the full decoder: same draws in
+// the same order, plus the codewords and right-hand sides.
+func refTDBCBlock(t *testing.T, w *tdbcWorker) (ok, relayOK bool) {
+	t.Helper()
+	p := w.p
+	w.wa.Randomize(w.rng)
+	w.wb.Randomize(w.rng)
+
+	var relayRowsA, relayRowsB, rowsForA, rowsForB []gf2.Vector
+	var relayBitsA, relayBitsB, bitsForA, bitsForB []int
+	receive := func(code *gf2.Code, msg gf2.Vector, n int, first, second prob.WordBernoulli,
+		rowsR *[]gf2.Vector, bitsR *[]int, rowsT *[]gf2.Vector, bitsT *[]int) {
+		code.Rerandomize(w.rng)
+		x, err := code.Encode(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for base := 0; base < n; base += 64 {
+			live := liveLanes(base, n)
+			s1 := ^first.Mask(w.rng) & live
+			s2 := ^second.Mask(w.rng) & live
+			for i := base; i < base+64 && i < n; i++ {
+				if s1>>uint(i-base)&1 != 0 {
+					*rowsR = append(*rowsR, code.G.RowView(i))
+					*bitsR = append(*bitsR, x.Bit(i))
+				}
+			}
+			for i := base; i < base+64 && i < n; i++ {
+				if s2>>uint(i-base)&1 != 0 {
+					*rowsT = append(*rowsT, code.G.RowView(i))
+					*bitsT = append(*bitsT, x.Bit(i))
+				}
+			}
+		}
+	}
+	receive(&w.codeA, w.wa, p.n1, w.maskAR, w.maskAB, &relayRowsA, &relayBitsA, &rowsForB, &bitsForB)
+	receive(&w.codeB, w.wb, p.n2, w.maskBR, w.maskAB, &relayRowsB, &relayBitsB, &rowsForA, &bitsForA)
+
+	decA, okA := refDecode(t, "relay a", p.ka, relayRowsA, relayBitsA, w.wa)
+	decB, okB := refDecode(t, "relay b", p.kb, relayRowsB, relayBitsB, w.wb)
+	if !okA || !okB {
+		return false, false
+	}
+
+	wr := gf2.NewVector(p.kr)
+	if err := netcode.PadCombineInto(&wr, decA, decB); err != nil {
+		t.Fatal(err)
+	}
+	w.codeR.Rerandomize(w.rng)
+	xr, err := w.codeR.Encode(wr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padWa, padWb := gf2.NewVector(p.kr), gf2.NewVector(p.kr)
+	padWa.CopyPrefix(w.wa)
+	padWb.CopyPrefix(w.wb)
+	for base := 0; base < p.n3; base += 64 {
+		live := liveLanes(base, p.n3)
+		survA := ^w.maskAR.Mask(w.rng) & live
+		survB := ^w.maskBR.Mask(w.rng) & live
+		for i := base; i < base+64 && i < p.n3; i++ {
+			if survA>>uint(i-base)&1 != 0 {
+				row := w.codeR.G.RowView(i)
+				trunc := gf2.NewVector(p.kb)
+				trunc.CopyPrefix(row)
+				rowsForA = append(rowsForA, trunc)
+				bitsForA = append(bitsForA, xr.Bit(i)^gf2.Dot(row, padWa))
+			}
+		}
+		for i := base; i < base+64 && i < p.n3; i++ {
+			if survB>>uint(i-base)&1 != 0 {
+				row := w.codeR.G.RowView(i)
+				trunc := gf2.NewVector(p.ka)
+				trunc.CopyPrefix(row)
+				rowsForB = append(rowsForB, trunc)
+				bitsForB = append(bitsForB, xr.Bit(i)^gf2.Dot(row, padWb))
+			}
+		}
+	}
+	_, okAtA := refDecode(t, "terminal a", p.kb, rowsForA, bitsForA, w.wb)
+	_, okAtB := refDecode(t, "terminal b", p.ka, rowsForB, bitsForB, w.wa)
+	return okAtA && okAtB, true
+}
+
+// refMABCBlock is mabcWorker.runBlock with the full decoder.
+func refMABCBlock(t *testing.T, w *mabcWorker) (ok, relayOK bool) {
+	t.Helper()
+	w.wa.Randomize(w.rng)
+	w.wb.Randomize(w.rng)
+	s := gf2.NewVector(w.k)
+	s.CopyPrefix(w.wa)
+	if err := s.XorWith(w.wb); err != nil {
+		t.Fatal(err)
+	}
+	receive := func(code *gf2.Code, msg gf2.Vector, n int, mask prob.WordBernoulli) ([]gf2.Vector, []int) {
+		x, err := code.Encode(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []gf2.Vector
+		var bits []int
+		for base := 0; base < n; base += 64 {
+			surv := ^mask.Mask(w.rng) & liveLanes(base, n)
+			for i := base; i < base+64 && i < n; i++ {
+				if surv>>uint(i-base)&1 != 0 {
+					rows = append(rows, code.G.RowView(i))
+					bits = append(bits, x.Bit(i))
+				}
+			}
+		}
+		return rows, bits
+	}
+
+	w.codeMAC.Rerandomize(w.rng)
+	rows, bits := receive(&w.codeMAC, s, w.n1, w.maskMAC)
+	sHat, ok := refDecode(t, "relay", w.k, rows, bits, s)
+	if !ok {
+		return false, false
+	}
+	w.codeBC.Rerandomize(w.rng)
+	rows, bits = receive(&w.codeBC, sHat, w.n2, w.maskRA)
+	sAtA, okA := refDecode(t, "terminal a", w.k, rows, bits, s)
+	rows, bits = receive(&w.codeBC, sHat, w.n2, w.maskRB)
+	sAtB, okB := refDecode(t, "terminal b", w.k, rows, bits, s)
+	if !okA || !okB {
+		return false, true
+	}
+	_ = sAtA.XorWith(w.wa)
+	_ = sAtB.XorWith(w.wb)
+	return sAtA.Equal(w.wb) && sAtB.Equal(w.wa), true
+}
+
+// outcome classifies a block as the workers tally it.
+func outcome(ok, relayOK bool) int {
+	switch {
+	case ok:
+		return 0
+	case !relayOK:
+		return 1
+	default:
+		return 2
+	}
+}
+
+// TestBitTrueRankDecodeMatchesFullDecode runs twin workers from one seed —
+// one through runBlock, one through the full reference decoder — over
+// near-threshold blocks on both sides of the M4RI cutover, and requires the
+// same outcome for every block. refDecode additionally checks every single
+// decode: FullRank is true exactly when SolveInto returns the message.
+func TestBitTrueRankDecodeMatchesFullDecode(t *testing.T) {
+	for _, n := range []int{700, 2000} {
+		var tally [2][3]int
+		tcfg := BitTrueConfig{
+			Net:         ErasureNetwork{EpsAR: 0.3, EpsBR: 0.25, EpsAB: 0.6},
+			Rates:       protocols.RatePair{Ra: 0.275, Rb: 0.26},
+			Durations:   []float64{0.4, 0.4, 0.2},
+			BlockLength: n,
+		}
+		p, _, err := deriveTDBCParams(BitTrueConfig{Net: tcfg.Net, Rates: tcfg.Rates, Durations: tcfg.Durations, BlockLength: n, Trials: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ref := newTDBCWorker(tcfg.Net, p, 5), newTDBCWorker(tcfg.Net, p, 5)
+		for b := 0; b < 20; b++ {
+			g, want := outcome(got.runBlock()), outcome(refTDBCBlock(t, ref))
+			if g != want {
+				t.Fatalf("TDBC n=%d block %d: rank decode outcome %d, full decode %d", n, b, g, want)
+			}
+			tally[0][g]++
+		}
+
+		rate, d := MABCComputeForwardBound(0.2, 0.15, 0.1)
+		mcfg := MABCBitTrueConfig{EpsMAC: 0.2, EpsRA: 0.15, EpsRB: 0.1}
+		k := int(math.Floor(rate * 0.985 * float64(n)))
+		n1 := int(math.Round(d[0] * float64(n)))
+		mgot, mref := newMABCWorker(mcfg, k, n1, n-n1, 6), newMABCWorker(mcfg, k, n1, n-n1, 6)
+		for b := 0; b < 20; b++ {
+			g, want := outcome(mgot.runBlock()), outcome(refMABCBlock(t, mref))
+			if g != want {
+				t.Fatalf("MABC n=%d block %d: rank decode outcome %d, full decode %d", n, b, g, want)
+			}
+			tally[1][g]++
+		}
+		for i, name := range []string{"TDBC", "MABC"} {
+			if tally[i][0] == 0 || tally[i][1]+tally[i][2] == 0 {
+				t.Errorf("%s n=%d: outcomes %v lack a success or a failure — the check lost coverage", name, n, tally[i])
+			}
+		}
+	}
+}
+
+// fullRankProb is the exact probability that a decoder reaches full rank:
+// each of its n channel uses survives with probability 1-eps, and m
+// surviving uniform random k-bit rows span GF(2)^k with probability
+// ∏_{i<k}(1 - 2^{i-m}), averaged over m ~ Binomial(n, 1-eps).
+func fullRankProb(n, k int, eps float64) float64 {
+	total := 0.0
+	for m := k; m <= n; m++ {
+		lg := func(x int) float64 { v, _ := math.Lgamma(float64(x) + 1); return v }
+		pmf := math.Exp(lg(n) - lg(m) - lg(n-m) + float64(m)*math.Log1p(-eps) + float64(n-m)*math.Log(eps))
+		span := 1.0
+		for j := m - k + 1; j <= m; j++ {
+			span *= 1 - math.Ldexp(1, -j)
+		}
+		total += pmf * span
+	}
+	return total
+}
+
+// TestBitTrueRelayFailuresMatchExactOracle checks seeded campaigns against
+// the exact relay-failure rate at near-threshold points, where the rate is
+// far from 0 and 1 and a wrong rank decision would show. The relay decodes
+// see i.i.d. uniform rows; TDBC's two relay decodes use independent codes
+// and erasure masks, so its relay succeeds with probability P_A·P_B, and
+// MABC's relay decodes one system over the MAC erasures. (Terminal
+// decoders share rows with each other, so end-to-end success has no such
+// product form and is not checked here.) Seeds are fixed, so the test is
+// deterministic; the 4-standard-error band documents the agreement.
+func TestBitTrueRelayFailuresMatchExactOracle(t *testing.T) {
+	const n, trials = 700, 2000
+	check := func(name string, failures int, pFail float64) {
+		t.Helper()
+		se := math.Sqrt(pFail * (1 - pFail) / trials)
+		got := float64(failures) / trials
+		if math.Abs(got-pFail) > 4*se {
+			t.Errorf("%s: relay failure rate %.4f, exact %.4f (4·se %.4f)", name, got, pFail, 4*se)
+		}
+		if pFail < 0.1 || pFail > 0.9 {
+			t.Errorf("%s: exact failure rate %.4f is not near threshold", name, pFail)
+		}
+	}
+
+	tcfg := BitTrueConfig{
+		Net:         ErasureNetwork{EpsAR: 0.31, EpsBR: 0.33, EpsAB: 0.6},
+		Rates:       protocols.RatePair{Ra: 0.2, Rb: 0.2},
+		Durations:   []float64{0.3, 0.3, 0.4},
+		BlockLength: n, Trials: trials, Seed: 41, Workers: 2,
+	}
+	tres, err := RunBitTrueTDBC(context.Background(), tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, _ := deriveTDBCParams(tcfg)
+	check("TDBC", tres.RelayFailures,
+		1-fullRankProb(p.n1, p.ka, tcfg.Net.EpsAR)*fullRankProb(p.n2, p.kb, tcfg.Net.EpsBR))
+
+	mcfg := MABCBitTrueConfig{
+		EpsMAC: 0.31, EpsRA: 0.1, EpsRB: 0.1,
+		Rate:        0.2,
+		Durations:   []float64{0.3, 0.7},
+		BlockLength: n, Trials: trials, Seed: 42, Workers: 2,
+	}
+	mres, err := RunBitTrueMABC(context.Background(), mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n1 := int(math.Round(mcfg.Durations[0] * n))
+	k := int(math.Floor(mcfg.Rate * n))
+	check("MABC", mres.RelayFailures, 1-fullRankProb(n1, k, mcfg.EpsMAC))
+}

@@ -299,6 +299,35 @@ func TestBitTrueTDBCConfigValidation(t *testing.T) {
 	})
 }
 
+// TestBitTruePinnedDurationsRejected pins that both simulators turn a bad
+// pinned phase split into an error instead of panicking while sizing the
+// phases (or silently running with n1+n2 > n).
+func TestBitTruePinnedDurationsRejected(t *testing.T) {
+	tdbc := BitTrueConfig{
+		Net:         ErasureNetwork{EpsAR: 0.2, EpsBR: 0.1, EpsAB: 0.6},
+		Rates:       protocols.RatePair{Ra: 0.1, Rb: 0.1},
+		BlockLength: 300, Trials: 2, Seed: 1,
+	}
+	for _, d := range [][]float64{{0.5, 0.5}, {-0.5, 0.5, 1}, {0.7, 0.7, 0}, {math.NaN(), 0.5, 0.5}, {0.3, 0.3, math.Inf(1)}} {
+		cfg := tdbc
+		cfg.Durations = d
+		if _, err := RunBitTrueTDBC(context.Background(), cfg); err == nil {
+			t.Errorf("TDBC durations %v: want error", d)
+		}
+	}
+	mabc := MABCBitTrueConfig{
+		EpsMAC: 0.2, EpsRA: 0.15, EpsRB: 0.1,
+		Rate: 0.1, BlockLength: 300, Trials: 2, Seed: 1,
+	}
+	for _, d := range [][]float64{{1}, {1.5, -0.5}, {0.45, 0.45}, {math.NaN(), 1}} {
+		cfg := mabc
+		cfg.Durations = d
+		if _, err := RunBitTrueMABC(context.Background(), cfg); err == nil {
+			t.Errorf("MABC durations %v: want error", d)
+		}
+	}
+}
+
 func TestBitTrueTDBCAsymmetricRates(t *testing.T) {
 	// ka != kb exercises the zero-padding path of the XOR group.
 	net := ErasureNetwork{EpsAR: 0.1, EpsBR: 0.05, EpsAB: 0.5}

@@ -48,9 +48,10 @@ type BitTrueTDBCSpec struct {
 	Links ErasureLinks
 	// Rates is the target message rate pair in bits per channel use.
 	Rates RatePoint
-	// Durations optionally pins the three phase durations (summing to 1).
-	// Nil derives them from the Theorem 3 inner bound; rates outside the
-	// bound then return an error.
+	// Durations optionally pins the three phase durations: each in [0,1],
+	// summing to 1 within 1e-9, or the spec is ErrInvalidSimSpec. Nil
+	// derives them from the Theorem 3 inner bound; rates outside the bound
+	// then return an error.
 	Durations []float64
 	// BlockLength is the number of channel uses per block.
 	BlockLength int
@@ -64,7 +65,8 @@ type BitTrueMABCSpec struct {
 	Links MABCComputeForwardLinks
 	// Rate is the common per-terminal message rate in bits per channel use.
 	Rate float64
-	// Durations are the two phase durations; nil derives the optimal split.
+	// Durations optionally pins the two phase durations, held to the same
+	// checks as BitTrueTDBCSpec.Durations; nil derives the optimal split.
 	Durations []float64
 	// BlockLength is the number of channel uses per block.
 	BlockLength int
@@ -142,9 +144,15 @@ func (spec SimSpec) validate() error {
 		}
 	case spec.BitTrueTDBC != nil:
 		ts := spec.BitTrueTDBC
+		if err := validatePinnedDurations("TDBC", ts.Durations, 3); err != nil {
+			return err
+		}
 		return validateBitTrueCommon(spec.Trials, ts.BlockLength, ts.Rates.Ra, ts.Rates.Rb)
 	default:
 		ms := spec.BitTrueMABC
+		if err := validatePinnedDurations("MABC", ms.Durations, 2); err != nil {
+			return err
+		}
 		return validateBitTrueCommon(spec.Trials, ms.BlockLength, ms.Rate)
 	}
 	return nil
@@ -236,6 +244,18 @@ func (e *Engine) simulateFading(ctx context.Context, spec SimSpec, workers int, 
 		out.Trials = st.Trials
 	}
 	return out, simWrap(runErr)
+}
+
+// validatePinnedDurations checks a bit-true spec's optional phase split
+// (nil asks the simulator to derive it).
+func validatePinnedDurations(protocol string, durations []float64, want int) error {
+	if durations == nil {
+		return nil
+	}
+	if err := sim.CheckDurations(protocol, durations, want); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidSimSpec, err)
+	}
+	return nil
 }
 
 // validateBitTrueCommon checks the fields shared by both bit-true specs.
