@@ -196,14 +196,14 @@
 // per fill, flushed after every job and replayed into the store at
 // startup — so a resubmitted job after a restart is served from cache.
 // Fills are warmth, not correctness: replay stops at the first torn or
-// corrupt record, compaction snapshots the live entries via tmp+rename
-// (also triggered when stale records bloat the log past twice the live
-// count), and a kill -9 at any instant loses at most the unflushed tail,
-// which the next run re-solves. The service-chaos gate pins this: a
-// cache-served rerun across SIGKILLs must be byte-identical to the
-// uninterrupted run. The bench-gate CI job pins the fast path itself —
-// an all-hit batch must stay at least 5x cheaper than the same batch
-// all-miss (`benchjson compare -min-speedup`).
+// corrupt record, startup compaction snapshots the live entries via
+// tmp+rename (also triggered when stale records bloat the log past twice
+// the live count), and a kill -9 at any instant loses at most the
+// unflushed tail, which the next run re-solves. The service-chaos gate
+// pins this: a cache-served rerun across SIGKILLs must be byte-identical
+// to the uninterrupted run. The bench-gate CI job pins the fast path
+// itself — an all-hit batch must stay at least 5x cheaper than the same
+// batch all-miss (`benchjson compare -min-speedup`).
 //
 // # Performance and profiling
 //
@@ -379,4 +379,15 @@
 // `go list -export` (no external dependencies); their fixtures live in
 // internal/lint/analyzers/testdata with both flagged and deliberately
 // clean near-miss cases.
+//
+// One more invariant needs the whole program, so it is a tier-1 test
+// (internal/lint's TestNoDeadExports) rather than an analyzer, whose
+// per-package pass cannot see other packages' references: every exported
+// func or method in internal/ must be referenced by a non-test file of the
+// module or of perfbench/, or by being the method of an interface the
+// loaded code uses (error, fmt.Stringer, Unwrap for errors.Is/As). Code
+// only tests need moves into their _test.go files; a helper that several
+// packages' tests share stays exported behind a
+// `//bicoop:allow deadexport — reason` waiver on the line directly above
+// its func keyword, the reason naming the test packages that need it.
 package bicoop

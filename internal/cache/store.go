@@ -222,6 +222,8 @@ func (s *Store) Range(fn func(Key, Value) bool) {
 
 // Reset drops every entry and zeroes the counters, keeping the backing
 // arrays (benchmarks use it to re-measure the miss path).
+//
+//bicoop:allow deadexport — the root miss-path benchmark and the cache tests reset the store
 func (s *Store) Reset() {
 	for i := range s.shards {
 		sh := &s.shards[i]

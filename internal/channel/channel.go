@@ -4,8 +4,7 @@
 // complex AWGN, per-node per-phase transmit power P, and full CSI. It
 // provides the link-rate functions C(P·G) consumed by the protocol bound
 // evaluators, a line geometry with a path-loss exponent for relay-placement
-// sweeps, a Rayleigh quasi-static block-fading sampler, and complex AWGN
-// sample generation for signal-level demos.
+// sweeps, and a Rayleigh quasi-static block-fading sampler.
 package channel
 
 import (
@@ -56,6 +55,8 @@ func (g Gains) Validate() error {
 // Swap returns the gains with the roles of a and b exchanged. Protocol
 // regions must be symmetric under this swap combined with (Ra, Rb) swap;
 // tests rely on it.
+//
+//bicoop:allow deadexport — the channel and protocols tests check a<->b symmetry
 func (g Gains) Swap() Gains {
 	return Gains{AB: g.AB, AR: g.BR, BR: g.AR}
 }
@@ -152,9 +153,6 @@ func NewFading(mean Gains, rng *rand.Rand) (*Fading, error) {
 	return &Fading{mean: mean, rng: rng}, nil
 }
 
-// Mean returns the configured mean gains.
-func (f *Fading) Mean() Gains { return f.mean }
-
 // rayleighPower draws |h|² for h ~ CN(0,1): an Exp(1) variable.
 func (f *Fading) rayleighPower() float64 {
 	// -ln(U) with U uniform(0,1]; guard against U == 0.
@@ -172,40 +170,4 @@ func (f *Fading) Draw() Gains {
 		AR: f.mean.AR * f.rayleighPower(),
 		BR: f.mean.BR * f.rayleighPower(),
 	}
-}
-
-// ComplexGain draws a reciprocal complex channel coefficient with mean power
-// meanG: g = sqrt(meanG/2)·(x + i·y), x,y ~ N(0,1).
-func ComplexGain(meanG float64, rng *rand.Rand) complex128 {
-	s := math.Sqrt(meanG / 2)
-	return complex(s*rng.NormFloat64(), s*rng.NormFloat64())
-}
-
-// AWGN draws one sample of unit-power circularly-symmetric complex Gaussian
-// noise.
-func AWGN(rng *rand.Rand) complex128 {
-	s := math.Sqrt(0.5)
-	return complex(s*rng.NormFloat64(), s*rng.NormFloat64())
-}
-
-// ReceivedSignal computes y = g·x + z for a scalar use of the paper's
-// channel model (one node transmitting).
-func ReceivedSignal(g complex128, x complex128, rng *rand.Rand) complex128 {
-	return g*x + AWGN(rng)
-}
-
-// ReceivedMAC computes the relay observation yr = gar·xa + gbr·xb + z when
-// both terminals transmit (the MABC/HBC MAC phases).
-func ReceivedMAC(gar, gbr, xa, xb complex128, rng *rand.Rand) complex128 {
-	return gar*xa + gbr*xb + AWGN(rng)
-}
-
-// ErasureFromRate maps a per-use link rate (bits) to an equivalent erasure
-// probability for the bit-true simulator: a link carrying rate R bits per
-// use is modeled as a bit pipe that delivers each coded bit with probability
-// min(R, 1) (erasure 1 - min(R,1)). The mapping preserves link ordering and
-// the capacity of the erasure channel equals the clipped rate, which is what
-// the waterfall experiments need.
-func ErasureFromRate(rate float64) float64 {
-	return 1 - xmath.Clamp(rate, 0, 1)
 }

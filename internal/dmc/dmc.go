@@ -1,10 +1,9 @@
 // Package dmc models discrete memoryless channels (DMCs) as row-stochastic
 // transition matrices W(y|x), the setting of Section II-III of the paper. It
-// provides standard constructors (BSC, BEC, Z-channel), composition and
-// product channels, mutual information for a given input distribution,
-// capacity via the Blahut-Arimoto algorithm, sampling, the half-duplex
-// "silence symbol" lift X* = X ∪ {∅} used by the paper's protocol model, and
-// a quantizer that discretizes a Gaussian channel into a DMC.
+// provides a validating constructor, the BSC and product channels, mutual
+// information for a given input distribution, capacity via the
+// Blahut-Arimoto algorithm, sampling, and a quantizer that discretizes a
+// Gaussian channel into a DMC.
 package dmc
 
 import (
@@ -57,16 +56,6 @@ func New(w [][]float64) (Channel, error) {
 	return Channel{W: w}, nil
 }
 
-// MustNew is New but panics on error; it is intended for package-internal
-// constructors whose matrices are correct by construction, and for tests.
-func MustNew(w [][]float64) Channel {
-	c, err := New(w)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Nx returns the input alphabet size.
 func (c Channel) Nx() int { return len(c.W) }
 
@@ -86,25 +75,9 @@ func BSC(eps float64) Channel {
 	}}
 }
 
-// BEC returns a binary erasure channel with erasure probability eps.
-// Output symbol 2 is the erasure.
-func BEC(eps float64) Channel {
-	return Channel{W: [][]float64{
-		{1 - eps, 0, eps},
-		{0, 1 - eps, eps},
-	}}
-}
-
-// ZChannel returns the asymmetric Z-channel: input 0 is noiseless, input 1
-// flips to 0 with probability eps.
-func ZChannel(eps float64) Channel {
-	return Channel{W: [][]float64{
-		{1, 0},
-		{eps, 1 - eps},
-	}}
-}
-
 // Noiseless returns the identity channel over n symbols.
+//
+//bicoop:allow deadexport — builds mismatched alphabets in the protocols tests
 func Noiseless(n int) Channel {
 	w := make([][]float64, n)
 	for x := range w {
@@ -114,30 +87,10 @@ func Noiseless(n int) Channel {
 	return Channel{W: w}
 }
 
-// Compose returns the cascade channel c2 ∘ c1: input through c1, its output
-// through c2. c1.Ny() must equal c2.Nx().
-func Compose(c1, c2 Channel) (Channel, error) {
-	if c1.Ny() != c2.Nx() {
-		return Channel{}, fmt.Errorf("%w: c1 outputs %d, c2 inputs %d", ErrShape, c1.Ny(), c2.Nx())
-	}
-	out := make([][]float64, c1.Nx())
-	for x := range out {
-		out[x] = make([]float64, c2.Ny())
-		for mid := 0; mid < c1.Ny(); mid++ {
-			pMid := c1.W[x][mid]
-			if pMid == 0 {
-				continue
-			}
-			for y := 0; y < c2.Ny(); y++ {
-				out[x][y] += pMid * c2.W[mid][y]
-			}
-		}
-	}
-	return Channel{W: out}, nil
-}
-
 // Product returns the product channel (c1 x c2) whose input (x1,x2) and
 // output (y1,y2) are indexed as x1*c2.Nx()+x2 and y1*c2.Ny()+y2.
+//
+//bicoop:allow deadexport — builds the relay MAC in the root, dmc and protocols tests
 func Product(c1, c2 Channel) Channel {
 	nx, ny := c1.Nx()*c2.Nx(), c1.Ny()*c2.Ny()
 	out := make([][]float64, nx)
@@ -260,30 +213,6 @@ func (c Channel) Capacity(eps float64, maxIter int) (CapacityResult, error) {
 		}
 	}
 	return CapacityResult{}, fmt.Errorf("%w after %d iterations", ErrNoConverge, maxIter)
-}
-
-// Silence is the conventional index of the half-duplex silence symbol ∅ in a
-// lifted channel: it is always appended as the last input symbol.
-//
-// LiftHalfDuplex implements the paper's alphabet extension X* = X ∪ {∅}: the
-// returned channel has one extra input (the silence symbol, index Nx()) whose
-// output distribution is the supplied idle distribution (what the receiver
-// observes when this transmitter is silent). If idle is nil, silence produces
-// the uniform output distribution, modeling pure noise.
-func LiftHalfDuplex(c Channel, idle prob.PMF) (Channel, error) {
-	ny := c.Ny()
-	if idle == nil {
-		idle = prob.NewUniform(ny)
-	}
-	if len(idle) != ny {
-		return Channel{}, fmt.Errorf("%w: idle has %d entries, channel outputs %d", ErrShape, len(idle), ny)
-	}
-	w := make([][]float64, c.Nx()+1)
-	for x, row := range c.W {
-		w[x] = append([]float64(nil), row...)
-	}
-	w[c.Nx()] = append([]float64(nil), idle...)
-	return Channel{W: w}, nil
 }
 
 // QuantizeAWGN discretizes a real AWGN channel Y = sqrt(snr)·X + Z (X = ±1

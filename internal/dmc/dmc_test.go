@@ -63,9 +63,27 @@ func TestBSCCapacity(t *testing.T) {
 	}
 }
 
+// bec is the binary erasure channel with erasure probability eps; output
+// symbol 2 is the erasure.
+func bec(eps float64) Channel {
+	return Channel{W: [][]float64{
+		{1 - eps, 0, eps},
+		{0, 1 - eps, eps},
+	}}
+}
+
+// zChannel is the asymmetric Z-channel: input 0 is noiseless, input 1 flips
+// to 0 with probability eps.
+func zChannel(eps float64) Channel {
+	return Channel{W: [][]float64{
+		{1, 0},
+		{eps, 1 - eps},
+	}}
+}
+
 func TestBECCapacity(t *testing.T) {
 	for _, eps := range []float64{0, 0.25, 0.5, 0.9} {
-		res, err := BEC(eps).Capacity(1e-11, 0)
+		res, err := bec(eps).Capacity(1e-11, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +97,7 @@ func TestZChannelCapacity(t *testing.T) {
 	// Known closed form: C = log2(1 + (1-eps) eps^{eps/(1-eps)}).
 	eps := 0.5
 	want := math.Log2(1 + (1-eps)*math.Pow(eps, eps/(1-eps)))
-	res, err := ZChannel(eps).Capacity(1e-12, 0)
+	res, err := zChannel(eps).Capacity(1e-12, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,17 +128,21 @@ func TestCapacityUpperBoundsMI(t *testing.T) {
 			}
 			w[x] = row
 		}
-		ch := MustNew(w)
+		ch := Channel{W: w}
 		res, err := ch.Capacity(1e-10, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for k := 0; k < 10; k++ {
 			px := make(prob.PMF, nx)
+			var sum float64
 			for i := range px {
 				px[i] = r.Float64()
+				sum += px[i]
 			}
-			px.Normalize()
+			for i := range px {
+				px[i] /= sum
+			}
 			mi, err := ch.MutualInformation(px)
 			if err != nil {
 				t.Fatal(err)
@@ -132,43 +154,21 @@ func TestCapacityUpperBoundsMI(t *testing.T) {
 	}
 }
 
-func TestCompose(t *testing.T) {
-	t.Run("two BSCs", func(t *testing.T) {
-		// Cascade of BSC(a) and BSC(b) is BSC(a(1-b) + b(1-a)).
-		a, b := 0.1, 0.2
-		got, err := Compose(BSC(a), BSC(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		eff := a*(1-b) + b*(1-a)
-		want := BSC(eff)
-		for x := 0; x < 2; x++ {
-			for y := 0; y < 2; y++ {
-				if !xmath.ApproxEqual(got.W[x][y], want.W[x][y], 1e-12) {
-					t.Errorf("W[%d][%d] = %v, want %v", x, y, got.W[x][y], want.W[x][y])
-				}
+// checkStochastic fails unless every row of c is a probability distribution.
+func checkStochastic(t *testing.T, c Channel) {
+	t.Helper()
+	for x, row := range c.W {
+		var sum float64
+		for y, v := range row {
+			if v < 0 {
+				t.Fatalf("W[%d][%d] = %v < 0", x, y, v)
 			}
+			sum += v
 		}
-	})
-	t.Run("identity is neutral", func(t *testing.T) {
-		c := BSC(0.3)
-		got, err := Compose(c, Noiseless(2))
-		if err != nil {
-			t.Fatal(err)
+		if math.Abs(sum-1) > 1e-9 {
+			t.Fatalf("row %d sums to %v, want 1", x, sum)
 		}
-		for x := range c.W {
-			for y := range c.W[x] {
-				if !xmath.ApproxEqual(got.W[x][y], c.W[x][y], 1e-12) {
-					t.Errorf("compose with identity changed W[%d][%d]", x, y)
-				}
-			}
-		}
-	})
-	t.Run("shape mismatch", func(t *testing.T) {
-		if _, err := Compose(BEC(0.1), BSC(0.1)); err == nil {
-			t.Error("want shape error: BEC outputs 3 symbols, BSC accepts 2")
-		}
-	})
+	}
 }
 
 func TestProduct(t *testing.T) {
@@ -176,9 +176,7 @@ func TestProduct(t *testing.T) {
 	if c.Nx() != 4 || c.Ny() != 4 {
 		t.Fatalf("product dims = %dx%d, want 4x4", c.Nx(), c.Ny())
 	}
-	if _, err := New(c.W); err != nil {
-		t.Fatalf("product not stochastic: %v", err)
-	}
+	checkStochastic(t, c)
 	// Capacity of a product channel is the sum of capacities.
 	res, err := c.Capacity(1e-11, 0)
 	if err != nil {
@@ -206,64 +204,13 @@ func TestSampleDistribution(t *testing.T) {
 	}
 }
 
-func TestLiftHalfDuplex(t *testing.T) {
-	t.Run("default idle", func(t *testing.T) {
-		lifted, err := LiftHalfDuplex(BSC(0.1), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lifted.Nx() != 3 || lifted.Ny() != 2 {
-			t.Fatalf("lifted dims = %dx%d, want 3x2", lifted.Nx(), lifted.Ny())
-		}
-		// Silence row is uniform: receiving pure noise.
-		if !xmath.ApproxEqual(lifted.W[2][0], 0.5, 1e-12) {
-			t.Errorf("silence output = %v, want uniform", lifted.W[2])
-		}
-		// Silence carries no information on its own but the lifted channel
-		// capacity cannot drop below the original.
-		orig, err := BSC(0.1).Capacity(1e-10, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := lifted.Capacity(1e-10, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Capacity < orig.Capacity-1e-7 {
-			t.Errorf("lift reduced capacity: %v < %v", res.Capacity, orig.Capacity)
-		}
-	})
-	t.Run("custom idle", func(t *testing.T) {
-		lifted, err := LiftHalfDuplex(BSC(0), prob.PMF{1, 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Silence now mimics sending 0, so it is a usable third "symbol"
-		// only insofar as it collides with input 0; capacity stays 1 bit.
-		res, err := lifted.Capacity(1e-10, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !xmath.ApproxEqual(res.Capacity, 1, 1e-6) {
-			t.Errorf("capacity = %v, want 1", res.Capacity)
-		}
-	})
-	t.Run("bad idle shape", func(t *testing.T) {
-		if _, err := LiftHalfDuplex(BSC(0.1), prob.PMF{1}); err == nil {
-			t.Error("want shape error")
-		}
-	})
-}
-
 func TestQuantizeAWGN(t *testing.T) {
 	t.Run("stochastic", func(t *testing.T) {
 		c, err := QuantizeAWGN(1.0, 16, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := New(c.W); err != nil {
-			t.Fatalf("quantized channel invalid: %v", err)
-		}
+		checkStochastic(t, c)
 	})
 	t.Run("capacity increases with resolution", func(t *testing.T) {
 		prev := -1.0
@@ -311,7 +258,7 @@ func TestQuantizeAWGN(t *testing.T) {
 }
 
 func TestOutputDist(t *testing.T) {
-	c := BEC(0.25)
+	c := bec(0.25)
 	out, err := c.OutputDist(prob.PMF{0.5, 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -349,10 +296,8 @@ func TestDataProcessingInequality(t *testing.T) {
 		px := prob.PMF{r.Float64(), 0}
 		px[1] = 1 - px[0]
 		first := BSC(e1)
-		cascade, err := Compose(first, BSC(e2))
-		if err != nil {
-			t.Fatal(err)
-		}
+		// BSC(e2) after BSC(e1) is the BSC flipping exactly once.
+		cascade := BSC(e1*(1-e2) + e2*(1-e1))
 		ixy, err := first.MutualInformation(px)
 		if err != nil {
 			t.Fatal(err)

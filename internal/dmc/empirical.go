@@ -19,6 +19,8 @@ var ErrNoSamples = errors.New("dmc: sample count must be positive")
 // the returned bias field carries that correction so callers can subtract
 // it. This closes the loop between the analytic MI path and the Sample
 // path, and tests pin the two against each other.
+//
+//bicoop:allow deadexport — the root and dmc tests check analytic MI against sampling
 func EmpiricalMI(c Channel, px prob.PMF, n int, rng *rand.Rand) (mi, biasCorrection float64, err error) {
 	if n <= 0 {
 		return 0, 0, ErrNoSamples

@@ -18,8 +18,8 @@ func TestEmpiricalMIMatchesAnalytic(t *testing.T) {
 	}{
 		{name: "bsc uniform", c: BSC(0.11), px: prob.NewUniform(2)},
 		{name: "bsc skewed", c: BSC(0.2), px: prob.PMF{0.8, 0.2}},
-		{name: "bec", c: BEC(0.3), px: prob.NewUniform(2)},
-		{name: "z channel", c: ZChannel(0.4), px: prob.PMF{0.6, 0.4}},
+		{name: "bec", c: bec(0.3), px: prob.NewUniform(2)},
+		{name: "z channel", c: zChannel(0.4), px: prob.PMF{0.6, 0.4}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -2,6 +2,8 @@ package gf2
 
 import (
 	"errors"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -270,24 +272,40 @@ func TestSolve(t *testing.T) {
 	})
 }
 
+// survivors returns the equations (generator row, received bit) of the
+// positions of codeword x = g·w that the erasure pattern keeps.
+func survivors(g Matrix, x Vector, erased []bool) ([]Vector, []int) {
+	var rows []Vector
+	var rowBits []int
+	for i := range erased {
+		if !erased[i] {
+			rows = append(rows, g.RowView(i))
+			rowBits = append(rowBits, x.Bit(i))
+		}
+	}
+	return rows, rowBits
+}
+
+// decodeEquations solves rows[i]·w = bits[i] for a k-bit message w.
+func decodeEquations(k int, rows []Vector, rowBits []int) (Vector, error) {
+	var s Solver
+	x := NewVector(k)
+	err := s.SolveInto(&x, k, rows, rowBits)
+	return x, err
+}
+
 func TestCodeRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
-	code := NewCode(100, 50, r)
-	if code.N() != 100 || code.K() != 50 {
-		t.Fatalf("dims = (%d,%d), want (100,50)", code.N(), code.K())
-	}
+	g := RandomMatrix(100, 50, r)
 	w := RandomVector(50, r)
-	x, err := code.Encode(w)
+	x, err := g.MulVec(w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// No erasures: decoding must succeed with overwhelming probability
 	// (the 100x50 random matrix is full column rank w.h.p.).
-	rec, err := code.Observe(x, make([]bool, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := code.Decode(rec)
+	rows, rowBits := survivors(g, x, make([]bool, 100))
+	got, err := decodeEquations(50, rows, rowBits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,9 +320,9 @@ func TestCodeErasureThreshold(t *testing.T) {
 	// n(1-eps) < k decoding must fail (underdetermined).
 	r := rand.New(rand.NewSource(7))
 	const n, k = 200, 80
-	code := NewCode(n, k, r)
+	g := RandomMatrix(n, k, r)
 	w := RandomVector(k, r)
-	x, err := code.Encode(w)
+	x, err := g.MulVec(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,12 +331,8 @@ func TestCodeErasureThreshold(t *testing.T) {
 		// Keep 120 of 200 positions: 120 > 80 = k, success w.h.p.
 		successes := 0
 		for trial := 0; trial < 50; trial++ {
-			erased := randomErasure(n, n-120, r)
-			rec, err := code.Observe(x, erased)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, err := code.Decode(rec); err == nil && got.Equal(w) {
+			rows, rowBits := survivors(g, x, randomErasure(n, n-120, r))
+			if got, err := decodeEquations(k, rows, rowBits); err == nil && got.Equal(w) {
 				successes++
 			}
 		}
@@ -330,12 +344,8 @@ func TestCodeErasureThreshold(t *testing.T) {
 		// Keep only 60 positions: 60 < 80 = k, decoding is always
 		// underdetermined.
 		for trial := 0; trial < 20; trial++ {
-			erased := randomErasure(n, n-60, r)
-			rec, err := code.Observe(x, erased)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := code.Decode(rec); err == nil {
+			rows, rowBits := survivors(g, x, randomErasure(n, n-60, r))
+			if _, err := decodeEquations(k, rows, rowBits); err == nil {
 				t.Fatal("decoded with fewer equations than unknowns")
 			}
 		}
@@ -352,44 +362,24 @@ func randomErasure(n, nErased int, r *rand.Rand) []bool {
 	return erased
 }
 
-func TestObserveShapeErrors(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	code := NewCode(10, 5, r)
-	x := NewVector(10)
-	if _, err := code.Observe(NewVector(9), make([]bool, 10)); !errors.Is(err, ErrShape) {
-		t.Error("want shape error for short codeword")
-	}
-	if _, err := code.Observe(x, make([]bool, 9)); !errors.Is(err, ErrShape) {
-		t.Error("want shape error for short erasure pattern")
-	}
-}
-
 func TestDecodeEquationsPoolsAcrossSources(t *testing.T) {
 	// A node pools equations from two codes about the same message — the
 	// protocol simulator's side-information combining step.
 	r := rand.New(rand.NewSource(9))
 	const k = 40
 	w := RandomVector(k, r)
-	c1 := NewCode(30, k, r) // alone underdetermined (30 < 40)
-	c2 := NewCode(30, k, r)
-	x1, _ := c1.Encode(w)
-	x2, _ := c2.Encode(w)
+	g1 := RandomMatrix(30, k, r) // alone underdetermined (30 < 40)
+	g2 := RandomMatrix(30, k, r)
+	x1, _ := g1.MulVec(w)
+	x2, _ := g2.MulVec(w)
 
-	var rows []Vector
-	var bitsArr []int
-	for i := 0; i < 30; i++ {
-		rows = append(rows, c1.G.Row(i))
-		bitsArr = append(bitsArr, x1.Bit(i))
-	}
-	// c1 alone must fail.
-	if _, err := DecodeEquations(k, rows, bitsArr); err == nil {
+	rows, bitsArr := survivors(g1, x1, make([]bool, 30))
+	// g1 alone must fail.
+	if _, err := decodeEquations(k, rows, bitsArr); err == nil {
 		t.Fatal("expected failure with 30 equations for 40 unknowns")
 	}
-	for i := 0; i < 30; i++ {
-		rows = append(rows, c2.G.Row(i))
-		bitsArr = append(bitsArr, x2.Bit(i))
-	}
-	got, err := DecodeEquations(k, rows, bitsArr)
+	rows2, bits2 := survivors(g2, x2, make([]bool, 30))
+	got, err := decodeEquations(k, append(rows, rows2...), append(bitsArr, bits2...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,4 +405,182 @@ func TestMulVecLinearity(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// The helpers below build and inspect test matrices and wrap the Solver in
+// the allocate-per-call form the reference checks use. Only tests need them.
+
+// RandomVector returns a uniformly random n-bit vector drawn from r.
+func RandomVector(n int, r *rand.Rand) Vector {
+	v := NewVector(n)
+	v.Randomize(r)
+	return v
+}
+
+// VectorFromBits builds a vector from a bool slice.
+func VectorFromBits(bits []bool) Vector {
+	v := NewVector(len(bits))
+	for i, b := range bits {
+		if b {
+			v.Set(i, 1)
+		}
+	}
+	return v
+}
+
+// Weight returns the Hamming weight.
+func (v Vector) Weight() int {
+	var c int
+	for _, w := range v.words {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// RandomMatrix returns a uniformly random rows-by-cols matrix.
+func RandomMatrix(rows, cols int, r *rand.Rand) Matrix {
+	m := NewMatrix(rows, cols)
+	m.Rerandomize(r)
+	return m
+}
+
+// Identity returns the n-by-n identity.
+func Identity(n int) Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// Rows returns the number of rows.
+func (m Matrix) Rows() int { return m.rows }
+
+// Cols returns the number of columns.
+func (m Matrix) Cols() int { return m.cols }
+
+// At returns entry (i, j).
+func (m Matrix) At(i, j int) int {
+	return int(m.words[i*m.stride+j/64] >> (j % 64) & 1)
+}
+
+// Row returns a copy of row i.
+func (m Matrix) Row(i int) Vector { return m.RowView(i).Clone() }
+
+// AppendRow appends a copy of row v; v must have m.cols bits.
+func (m *Matrix) AppendRow(v Vector) error {
+	if v.n != m.cols {
+		return fmt.Errorf("%w: row has %d bits, matrix has %d cols", ErrShape, v.n, m.cols)
+	}
+	m.words = append(m.words, v.words...)
+	m.rows++
+	return nil
+}
+
+// Clone returns a deep copy.
+func (m Matrix) Clone() Matrix {
+	out := Matrix{rows: m.rows, cols: m.cols, stride: m.stride, words: make([]uint64, len(m.words))}
+	copy(out.words, m.words)
+	return out
+}
+
+// Rank returns the GF(2) rank of the matrix.
+func (m Matrix) Rank() int {
+	var s Solver
+	return s.Rank(m)
+}
+
+// Solve finds x with m·x = b (b has m.rows bits). It returns
+// ErrInconsistent when no solution exists and ErrUnderdetermined when the
+// solution is not unique.
+func (m Matrix) Solve(b Vector) (Vector, error) {
+	if b.n != m.rows {
+		return Vector{}, fmt.Errorf("%w: rhs %d bits, matrix %d rows", ErrShape, b.n, m.rows)
+	}
+	var s Solver
+	x := NewVector(m.cols)
+	if err := s.SolveMatrixInto(&x, m, b); err != nil {
+		return Vector{}, err
+	}
+	return x, nil
+}
+
+// Len returns the logical bit length.
+func (v Vector) Len() int { return v.n }
+
+// Set sets bit i to b (0 or 1).
+func (v *Vector) Set(i, b int) {
+	if b != 0 {
+		v.words[i/64] |= 1 << (i % 64)
+	} else {
+		v.words[i/64] &^= 1 << (i % 64)
+	}
+}
+
+// Xor returns v ⊕ w. Lengths must match.
+func (v Vector) Xor(w Vector) (Vector, error) {
+	if v.n != w.n {
+		return Vector{}, fmt.Errorf("%w: %d vs %d bits", ErrShape, v.n, w.n)
+	}
+	out := NewVector(v.n)
+	for i := range v.words {
+		out.words[i] = v.words[i] ^ w.words[i]
+	}
+	return out, nil
+}
+
+// Clone returns a deep copy.
+func (v Vector) Clone() Vector {
+	out := Vector{n: v.n, words: make([]uint64, len(v.words))}
+	copy(out.words, v.words)
+	return out
+}
+
+// Set sets entry (i, j).
+func (m *Matrix) Set(i, j, b int) {
+	if b != 0 {
+		m.words[i*m.stride+j/64] |= 1 << (j % 64)
+	} else {
+		m.words[i*m.stride+j/64] &^= 1 << (j % 64)
+	}
+}
+
+// SolveMatrixInto solves m·x = b into dst without cloning m; dst must have
+// m.Cols() bits and b m.Rows() bits.
+func (s *Solver) SolveMatrixInto(dst *Vector, m Matrix, b Vector) error {
+	if b.n != m.rows {
+		return fmt.Errorf("%w: rhs %d bits, matrix %d rows", ErrShape, b.n, m.rows)
+	}
+	if dst.n != m.cols {
+		return fmt.Errorf("%w: dst %d bits, matrix %d cols", ErrShape, dst.n, m.cols)
+	}
+	s.begin(m.rows, m.cols)
+	rank := 0
+	inconsistent := false
+	for i := 0; i < m.rows; i++ {
+		cur := s.loadSpare(rank, m.rowWords(i), uint64(b.Bit(i)))
+		lead, zero := s.reduce(cur)
+		if lead >= 0 {
+			s.colRow[lead] = int32(rank)
+			rank++
+		} else if !zero {
+			inconsistent = true
+		}
+	}
+	return s.finishSolve(dst, s.tab, rank, inconsistent)
+}
+
+// Rank computes the GF(2) rank of m in the scratch tableau, leaving m
+// untouched.
+func (s *Solver) Rank(m Matrix) int {
+	s.begin(m.rows, m.cols)
+	rank := 0
+	for i := 0; i < m.rows && rank < m.cols; i++ {
+		cur := s.loadSpare(rank, m.rowWords(i), 0)
+		if lead, _ := s.reduce(cur); lead >= 0 {
+			s.colRow[lead] = int32(rank)
+			rank++
+		}
+	}
+	return rank
 }

@@ -194,9 +194,11 @@ func (s *Solver) backSubstitute(dst *Vector, tab []uint64) {
 // into dst (which must have k bits; its contents are unspecified when an
 // error is returned). It returns ErrInconsistent / ErrUnderdetermined
 // unwrapped — the steady-state path, including decoding failures, performs
-// zero allocations once the scratch has grown.
+// zero allocations once the scratch has grown. It is the full decoder that
+// FullRank is checked against.
 //
 //bicoop:noalloc
+//bicoop:allow deadexport — reference decoder for the gf2 and sim tests
 func (s *Solver) SolveInto(dst *Vector, k int, rows []Vector, bits []int) error {
 	if len(rows) != len(bits) {
 		return fmt.Errorf("%w: %d rows, %d bits", ErrShape, len(rows), len(bits))
@@ -298,44 +300,4 @@ func (s *Solver) fullRankIncremental(k int, rows []Vector) bool {
 		}
 	}
 	return rank == k
-}
-
-// SolveMatrixInto solves m·x = b into dst without cloning m; dst must have
-// m.Cols() bits and b m.Rows() bits.
-func (s *Solver) SolveMatrixInto(dst *Vector, m Matrix, b Vector) error {
-	if b.n != m.rows {
-		return fmt.Errorf("%w: rhs %d bits, matrix %d rows", ErrShape, b.n, m.rows)
-	}
-	if dst.n != m.cols {
-		return fmt.Errorf("%w: dst %d bits, matrix %d cols", ErrShape, dst.n, m.cols)
-	}
-	s.begin(m.rows, m.cols)
-	rank := 0
-	inconsistent := false
-	for i := 0; i < m.rows; i++ {
-		cur := s.loadSpare(rank, m.rowWords(i), uint64(b.Bit(i)))
-		lead, zero := s.reduce(cur)
-		if lead >= 0 {
-			s.colRow[lead] = int32(rank)
-			rank++
-		} else if !zero {
-			inconsistent = true
-		}
-	}
-	return s.finishSolve(dst, s.tab, rank, inconsistent)
-}
-
-// Rank computes the GF(2) rank of m in the scratch tableau, leaving m
-// untouched.
-func (s *Solver) Rank(m Matrix) int {
-	s.begin(m.rows, m.cols)
-	rank := 0
-	for i := 0; i < m.rows && rank < m.cols; i++ {
-		cur := s.loadSpare(rank, m.rowWords(i), 0)
-		if lead, _ := s.reduce(cur); lead >= 0 {
-			s.colRow[lead] = int32(rank)
-			rank++
-		}
-	}
-	return rank
 }

@@ -61,6 +61,8 @@ type want struct {
 
 // Run applies the analyzer to the fixture package in dir and asserts the
 // diagnostics equal the fixture's `// want` expectations.
+//
+//bicoop:allow deadexport — fixture runner for the internal/lint/analyzers tests
 func Run(t *testing.T, a *lint.Analyzer, dir string) {
 	t.Helper()
 	moduleDir, err := filepath.Abs(filepath.Join("..", "..", ".."))

@@ -58,7 +58,7 @@ func TestLoadTypeChecksModulePackage(t *testing.T) {
 }
 
 // TestLoadDependencyViaExportData ensures intra-module imports resolve
-// through export data: internal/sim imports gf2, protocols and netcode.
+// through export data: internal/sim imports gf2 and protocols, among others.
 func TestLoadDependencyViaExportData(t *testing.T) {
 	pkgs, err := Load(repoRoot(t), "./internal/sim")
 	if err != nil {

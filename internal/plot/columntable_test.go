@@ -61,17 +61,6 @@ func TestColumnTableCSV(t *testing.T) {
 	}
 }
 
-func TestColumnTableAccessors(t *testing.T) {
-	ct := sampleColumnTable()
-	if ct.Rows() != 2 {
-		t.Errorf("Rows = %d, want 2", ct.Rows())
-	}
-	col := ct.Column(1)
-	if len(col) != 2 || col[0] != 1.23456789 || col[1] != -2 {
-		t.Errorf("Column(1) = %v", col)
-	}
-}
-
 func TestColumnTableEmpty(t *testing.T) {
 	var ct ColumnTable
 	if err := ct.Render(&strings.Builder{}); !errors.Is(err, ErrNoData) {

@@ -271,25 +271,6 @@ func (t *ColumnTable) Append(row ...float64) {
 	t.cells = append(t.cells, row...)
 }
 
-// Rows returns the number of appended rows.
-func (t *ColumnTable) Rows() int {
-	if len(t.Cols) == 0 {
-		return 0
-	}
-	return len(t.cells) / len(t.Cols)
-}
-
-// Column returns a copy of one accumulated column — handy for deriving
-// findings from the same numbers the table renders.
-func (t *ColumnTable) Column(i int) []float64 {
-	n := t.Rows()
-	out := make([]float64, n)
-	for r := 0; r < n; r++ {
-		out[r] = t.cells[r*len(t.Cols)+i]
-	}
-	return out
-}
-
 // format writes every cell once into a shared arena using each column's
 // precision and returns per-cell spans — the single formatting pass both
 // Render and WriteCSV are built on.

@@ -33,7 +33,7 @@ type WordBernoulli struct {
 }
 
 // NewWordBernoulli returns a sampler with success probability p. Following
-// the package's lenient-constructor convention (NewUniform, NewPoint), p is
+// the package's lenient-constructor convention (NewUniform), p is
 // clamped into [0, 1]; NaN clamps to 0.
 func NewWordBernoulli(p float64) WordBernoulli {
 	if math.IsNaN(p) || p <= 0 {
@@ -46,14 +46,6 @@ func NewWordBernoulli(p float64) WordBernoulli {
 	// product by a power of two loses no mantissa bits. Truncation to
 	// uint64 biases the marginal by less than 2^-64.
 	return WordBernoulli{bits: uint64(p * 0x1p64)}
-}
-
-// P returns the sampler's success probability.
-func (g WordBernoulli) P() float64 {
-	if g.full {
-		return 1
-	}
-	return float64(g.bits) * 0x1p-64
 }
 
 // Mask draws the next 64-lane word: bit j is 1 with probability p,

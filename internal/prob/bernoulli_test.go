@@ -17,8 +17,8 @@ func TestWordBernoulliEdgeCases(t *testing.T) {
 		if got := g.Mask(rng); got != 0 {
 			t.Errorf("NewWordBernoulli(%v).Mask() = %#x, want 0", p, got)
 		}
-		if g.P() != 0 {
-			t.Errorf("NewWordBernoulli(%v).P() = %v, want 0", p, g.P())
+		if g != (WordBernoulli{}) {
+			t.Errorf("NewWordBernoulli(%v) = %+v, want the zero sampler", p, g)
 		}
 	}
 	for _, p := range []float64{1, 1.5} {
@@ -26,8 +26,8 @@ func TestWordBernoulliEdgeCases(t *testing.T) {
 		if got := g.Mask(rng); got != ^uint64(0) {
 			t.Errorf("NewWordBernoulli(%v).Mask() = %#x, want all ones", p, got)
 		}
-		if g.P() != 1 {
-			t.Errorf("NewWordBernoulli(%v).P() = %v, want 1", p, g.P())
+		if g != (WordBernoulli{full: true}) {
+			t.Errorf("NewWordBernoulli(%v) = %+v, want the full sampler", p, g)
 		}
 	}
 	// No draws consumed above: the stream position must be untouched.
@@ -55,8 +55,8 @@ func TestWordBernoulliDyadicExact(t *testing.T) {
 // TestWordBernoulliP pins the fixed-point round trip to float64 accuracy.
 func TestWordBernoulliP(t *testing.T) {
 	for _, p := range []float64{0.1, 0.2, 0.35, 0.5, 0.6, 0.9, 1e-6, 1 - 1e-9} {
-		if got := NewWordBernoulli(p).P(); math.Abs(got-p) > 1e-12 {
-			t.Errorf("P() round trip %v -> %v", p, got)
+		if got := float64(NewWordBernoulli(p).bits) * 0x1p-64; math.Abs(got-p) > 1e-12 {
+			t.Errorf("fixed-point round trip %v -> %v", p, got)
 		}
 	}
 }

@@ -40,22 +40,6 @@ func NewUniform(n int) PMF {
 	return p
 }
 
-// NewPoint returns the degenerate PMF putting all mass on symbol k of an
-// n-symbol alphabet.
-func NewPoint(n, k int) PMF {
-	if n <= 0 || k < 0 || k >= n {
-		return nil
-	}
-	p := make(PMF, n)
-	p[k] = 1
-	return p
-}
-
-// NewBernoulli returns the PMF (1-p, p) over {0, 1}.
-func NewBernoulli(p float64) PMF {
-	return PMF{1 - p, p}
-}
-
 // Validate checks that p is a proper distribution.
 func (p PMF) Validate() error {
 	if len(p) == 0 {
@@ -72,70 +56,6 @@ func (p PMF) Validate() error {
 		return fmt.Errorf("%w: sum = %g", ErrNotNormalized, sum)
 	}
 	return nil
-}
-
-// Clone returns a deep copy of p.
-func (p PMF) Clone() PMF {
-	out := make(PMF, len(p))
-	copy(out, p)
-	return out
-}
-
-// Normalize scales p in place to sum to one and returns it. A zero vector is
-// left unchanged.
-func (p PMF) Normalize() PMF {
-	var sum float64
-	for _, v := range p {
-		sum += v
-	}
-	if sum <= 0 {
-		return p
-	}
-	for i := range p {
-		p[i] /= sum
-	}
-	return p
-}
-
-// Entropy returns H(p) in bits.
-func (p PMF) Entropy() float64 {
-	var h float64
-	for _, v := range p {
-		if v > 0 {
-			h -= v * math.Log2(v)
-		}
-	}
-	return h
-}
-
-// Expect returns the expectation of f over p.
-func (p PMF) Expect(f func(i int) float64) float64 {
-	var e float64
-	for i, v := range p {
-		if v > 0 {
-			e += v * f(i)
-		}
-	}
-	return e
-}
-
-// KL returns the Kullback-Leibler divergence D(p || q) in bits. It is +Inf
-// when p has mass where q has none, and an error when shapes differ.
-func KL(p, q PMF) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("%w: len(p)=%d len(q)=%d", ErrShape, len(p), len(q))
-	}
-	var d float64
-	for i := range p {
-		if p[i] == 0 {
-			continue
-		}
-		if q[i] == 0 {
-			return math.Inf(1), nil
-		}
-		d += p[i] * math.Log2(p[i]/q[i])
-	}
-	return d, nil
 }
 
 // Joint is a joint distribution p(x, y) over {0..nx-1} x {0..ny-1}, stored
@@ -187,26 +107,6 @@ func (j Joint) Ny() int {
 	return len(j.P[0])
 }
 
-// Validate checks that j is a proper joint distribution.
-func (j Joint) Validate() error {
-	if j.Nx() == 0 || j.Ny() == 0 {
-		return ErrEmpty
-	}
-	var sum float64
-	for x, row := range j.P {
-		for y, v := range row {
-			if v < -tol {
-				return fmt.Errorf("%w: p[%d][%d] = %g", ErrNegative, x, y, v)
-			}
-			sum += v
-		}
-	}
-	if math.Abs(sum-1) > tol {
-		return fmt.Errorf("%w: sum = %g", ErrNotNormalized, sum)
-	}
-	return nil
-}
-
 // MarginalX returns p(x) = Σ_y p(x, y).
 func (j Joint) MarginalX() PMF {
 	out := make(PMF, j.Nx())
@@ -231,19 +131,6 @@ func (j Joint) MarginalY() PMF {
 	return out
 }
 
-// EntropyJoint returns H(X, Y) in bits.
-func (j Joint) EntropyJoint() float64 {
-	var h float64
-	for _, row := range j.P {
-		for _, v := range row {
-			if v > 0 {
-				h -= v * math.Log2(v)
-			}
-		}
-	}
-	return h
-}
-
 // MutualInformation returns I(X; Y) = H(X) + H(Y) - H(X,Y) in bits, computed
 // directly from the joint for numerical robustness:
 // I = Σ p(x,y) log2( p(x,y) / (p(x)p(y)) ).
@@ -263,27 +150,6 @@ func (j Joint) MutualInformation() float64 {
 		return 0
 	}
 	return mi
-}
-
-// ConditionalEntropyYgivenX returns H(Y | X) in bits.
-func (j Joint) ConditionalEntropyYgivenX() float64 {
-	return j.EntropyJoint() - j.MarginalX().Entropy()
-}
-
-// ConditionalEntropyXgivenY returns H(X | Y) in bits.
-func (j Joint) ConditionalEntropyXgivenY() float64 {
-	return j.EntropyJoint() - j.MarginalY().Entropy()
-}
-
-// Transpose returns the joint with the roles of X and Y swapped.
-func (j Joint) Transpose() Joint {
-	out := NewJoint(j.Ny(), j.Nx())
-	for x, row := range j.P {
-		for y, v := range row {
-			out.P[y][x] = v
-		}
-	}
-	return out
 }
 
 // Joint3 is a joint distribution p(x, y, z) over a triple of finite
@@ -319,30 +185,6 @@ func (j Joint3) Dims() (nx, ny, nz int) {
 	return nx, ny, len(j.P[0][0])
 }
 
-// Validate checks that j is a proper distribution.
-func (j Joint3) Validate() error {
-	nx, ny, nz := j.Dims()
-	if nx == 0 || ny == 0 || nz == 0 {
-		return ErrEmpty
-	}
-	var sum float64
-	for x := 0; x < nx; x++ {
-		for y := 0; y < ny; y++ {
-			for z := 0; z < nz; z++ {
-				v := j.P[x][y][z]
-				if v < -tol {
-					return fmt.Errorf("%w: p[%d][%d][%d] = %g", ErrNegative, x, y, z, v)
-				}
-				sum += v
-			}
-		}
-	}
-	if math.Abs(sum-1) > tol {
-		return fmt.Errorf("%w: sum = %g", ErrNotNormalized, sum)
-	}
-	return nil
-}
-
 // MarginalZ returns p(z).
 func (j Joint3) MarginalZ() PMF {
 	nx, ny, nz := j.Dims()
@@ -351,20 +193,6 @@ func (j Joint3) MarginalZ() PMF {
 		for y := 0; y < ny; y++ {
 			for z := 0; z < nz; z++ {
 				out[z] += j.P[x][y][z]
-			}
-		}
-	}
-	return out
-}
-
-// MarginalXY returns the joint distribution of (X, Y) with Z summed out.
-func (j Joint3) MarginalXY() Joint {
-	nx, ny, nz := j.Dims()
-	out := NewJoint(nx, ny)
-	for x := 0; x < nx; x++ {
-		for y := 0; y < ny; y++ {
-			for z := 0; z < nz; z++ {
-				out.P[x][y] += j.P[x][y][z]
 			}
 		}
 	}
@@ -390,15 +218,4 @@ func (j Joint3) ConditionalMI() float64 {
 		mi += pz[z] * slice.MutualInformation()
 	}
 	return mi
-}
-
-// ProductPMF returns the product distribution p(x)·q(y) as a Joint.
-func ProductPMF(p, q PMF) Joint {
-	j := NewJoint(len(p), len(q))
-	for x := range p {
-		for y := range q {
-			j.P[x][y] = p[x] * q[y]
-		}
-	}
-	return j
 }

@@ -53,18 +53,6 @@ func AFSumRate(s Scenario) (SumRateResult, error) {
 	}, nil
 }
 
-// AFRegionConstraints returns the AF achievable region's two half-plane
-// caps (Ra ≤ ra*, Rb ≤ rb*) at the half/half schedule; the region is the
-// axis-aligned rectangle (time sharing inside one AF session does not trade
-// the two rates against each other, as both ride the same relay signal).
-func AFRegionConstraints(s Scenario) (RatePair, error) {
-	res, err := AFSumRate(s)
-	if err != nil {
-		return RatePair{}, err
-	}
-	return res.Rates, nil
-}
-
 // FullDuplexSumRate evaluates the decode-and-forward two-way relay bounds
 // when all nodes are full duplex (reference [9]): with no half-duplex
 // constraint there are no phases, the relay continuously decodes both

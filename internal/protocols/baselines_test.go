@@ -16,8 +16,8 @@ func TestAFSumRate(t *testing.T) {
 	if res.Sum <= 0 {
 		t.Fatalf("AF sum rate %v", res.Sum)
 	}
-	if !xmath.ApproxEqual(res.Sum, res.Rates.Sum(), 1e-12) {
-		t.Errorf("sum %v != Ra+Rb %v", res.Sum, res.Rates.Sum())
+	if !xmath.ApproxEqual(res.Sum, res.Rates.Ra+res.Rates.Rb, 1e-12) {
+		t.Errorf("sum %v != Ra+Rb %v", res.Sum, res.Rates.Ra+res.Rates.Rb)
 	}
 	if len(res.Durations) != 2 || res.Durations[0] != 0.5 {
 		t.Errorf("AF durations = %v, want half/half", res.Durations)
@@ -77,11 +77,14 @@ func TestAFNoiseAmplificationHurtsAtLowSNR(t *testing.T) {
 	}
 }
 
+// TestAFRegionConstraints pins AF's two rate caps at the half/half
+// schedule; the AF region is the rectangle they span.
 func TestAFRegionConstraints(t *testing.T) {
-	rp, err := AFRegionConstraints(testScenario(10))
+	res, err := AFSumRate(testScenario(10))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rp := res.Rates
 	if rp.Ra <= 0 || rp.Rb <= 0 {
 		t.Errorf("AF caps %+v must be positive", rp)
 	}
@@ -93,7 +96,7 @@ func TestAFRegionConstraints(t *testing.T) {
 	if rp.Ra >= rp.Rb {
 		t.Errorf("with Gbr > Gar expected Ra cap %v < Rb cap %v", rp.Ra, rp.Rb)
 	}
-	if _, err := AFRegionConstraints(Scenario{}); err == nil {
+	if _, err := AFSumRate(Scenario{}); err == nil {
 		t.Error("invalid scenario should error")
 	}
 }
@@ -143,7 +146,7 @@ func TestFullDuplexRatesConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fd.Rates.Sum() > fd.Sum+1e-9 {
+	if fd.Rates.Ra+fd.Rates.Rb > fd.Sum+1e-9 {
 		t.Errorf("rates %v exceed reported sum %v", fd.Rates, fd.Sum)
 	}
 	li := mustInfos(t, s)

@@ -2,7 +2,6 @@ package protocols
 
 import (
 	"fmt"
-	"math"
 
 	"bicoop/internal/xmath"
 )
@@ -146,19 +145,6 @@ func compileMABC(b Bound, li LinkInfos) Spec {
 	}
 }
 
-// MABCOuterNoRelayDecoding compiles the relaxed MABC outer bound of the
-// remark after Theorem 2: valid for any two-phase protocol in which the
-// relay is not required to decode both messages (the sum-rate MAC constraint
-// is dropped).
-func MABCOuterNoRelayDecoding(li LinkInfos) (Spec, error) {
-	if err := li.Validate(); err != nil {
-		return Spec{}, err
-	}
-	s := compileMABC(BoundOuter, li)
-	s.Cons = s.Cons[:4:4] // drop the sum constraint
-	return s, nil
-}
-
 // compileTDBC transcribes Theorem 3 (inner) and Theorem 4 (outer).
 //
 // Inner, evaluated per eqs. (22)-(23):
@@ -242,32 +228,3 @@ func CompileGaussian(p Protocol, b Bound, s Scenario) (Spec, error) {
 	}
 	return Compile(p, b, li)
 }
-
-// HBCOuterRelaxed compiles a strictly valid (but loose) Gaussian HBC outer
-// bound in which every information term is replaced by its maximum over all
-// joint input distributions individually: the phase-3 MAC sum term becomes
-// the fully-correlated beamforming bound C(P·(√Gar+√Gbr)²) and the
-// conditional terms keep their independent-input maxima (conditioning on the
-// peer's symbol can only reduce the conditional variance below P, so
-// C(P·G) remains an upper bound per term). Unlike the Heuristic spec from
-// Compile(HBC, BoundOuter, ·), no point outside this region is achievable
-// by any HBC decode-and-forward scheme.
-func HBCOuterRelaxed(s Scenario) (Spec, error) {
-	li, err := LinkInfosFromScenario(s)
-	if err != nil {
-		return Spec{}, err
-	}
-	beam := xmath.C(s.P * sq(math.Sqrt(s.G.AR)+math.Sqrt(s.G.BR)))
-	spec := compileHBC(BoundOuter, li)
-	spec.Heuristic = false
-	for i := range spec.Cons {
-		c := &spec.Cons[i]
-		if c.CoefRa == 1 && c.CoefRb == 1 {
-			c.PhaseCap[2] = beam
-			c.Label = "Ra+Rb <= D1*I(Xa;Yr)+D2*I(Xb;Yr)+D3*C(P(sqrtGar+sqrtGbr)^2)"
-		}
-	}
-	return spec, nil
-}
-
-func sq(x float64) float64 { return x * x }

@@ -198,19 +198,19 @@ func TestHeuristicFlag(t *testing.T) {
 			}
 		}
 	}
-	relaxed, err := HBCOuterRelaxed(s)
+	relaxed, err := hbcOuterRelaxed(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if relaxed.Heuristic {
-		t.Error("HBCOuterRelaxed must not be marked heuristic: it is a valid bound")
+		t.Error("hbcOuterRelaxed must not be marked heuristic: it is a valid bound")
 	}
 }
 
 func TestMABCOuterNoRelayDecoding(t *testing.T) {
 	s := testScenario(10)
 	li := mustInfos(t, s)
-	relaxed, err := MABCOuterNoRelayDecoding(li)
+	relaxed, err := mabcOuterNoRelayDecoding(li)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestMABCOuterNoRelayDecoding(t *testing.T) {
 	}
 	bad := li
 	bad.RtoA = -1
-	if _, err := MABCOuterNoRelayDecoding(bad); err == nil {
+	if _, err := mabcOuterNoRelayDecoding(bad); err == nil {
 		t.Error("invalid infos should error")
 	}
 }
@@ -244,7 +244,7 @@ func TestHBCOuterRelaxedContainsInner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		relaxedSpec, err := HBCOuterRelaxed(s)
+		relaxedSpec, err := hbcOuterRelaxed(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,48 @@ func TestHBCOuterRelaxedContainsInner(t *testing.T) {
 }
 
 func TestHBCOuterRelaxedErrors(t *testing.T) {
-	if _, err := HBCOuterRelaxed(Scenario{}); err == nil {
+	if _, err := hbcOuterRelaxed(Scenario{}); err == nil {
 		t.Error("invalid scenario should error")
 	}
+}
+
+// mabcOuterNoRelayDecoding compiles the relaxed MABC outer bound of the
+// remark after Theorem 2: valid for any two-phase protocol in which the
+// relay is not required to decode both messages (the sum-rate MAC constraint
+// is dropped).
+func mabcOuterNoRelayDecoding(li LinkInfos) (Spec, error) {
+	if err := li.Validate(); err != nil {
+		return Spec{}, err
+	}
+	s := compileMABC(BoundOuter, li)
+	s.Cons = s.Cons[:4:4] // drop the sum constraint
+	return s, nil
+}
+
+// hbcOuterRelaxed compiles a strictly valid (but loose) Gaussian HBC outer
+// bound in which every information term is replaced by its maximum over all
+// joint input distributions individually: the phase-3 MAC sum term becomes
+// the fully-correlated beamforming bound C(P·(√Gar+√Gbr)²) and the
+// conditional terms keep their independent-input maxima (conditioning on the
+// peer's symbol can only reduce the conditional variance below P, so
+// C(P·G) remains an upper bound per term). Unlike the Heuristic spec from
+// Compile(HBC, BoundOuter, ·), no point outside this region is achievable
+// by any HBC decode-and-forward scheme.
+func hbcOuterRelaxed(s Scenario) (Spec, error) {
+	li, err := LinkInfosFromScenario(s)
+	if err != nil {
+		return Spec{}, err
+	}
+	amp := math.Sqrt(s.G.AR) + math.Sqrt(s.G.BR)
+	beam := xmath.C(s.P * amp * amp)
+	spec := compileHBC(BoundOuter, li)
+	spec.Heuristic = false
+	for i := range spec.Cons {
+		c := &spec.Cons[i]
+		if c.CoefRa == 1 && c.CoefRb == 1 {
+			c.PhaseCap[2] = beam
+			c.Label = "Ra+Rb <= D1*I(Xa;Yr)+D2*I(Xb;Yr)+D3*C(P(sqrtGar+sqrtGbr)^2)"
+		}
+	}
+	return spec, nil
 }

@@ -35,7 +35,8 @@ type Inputs struct {
 // ErrBadNetwork reports an inconsistent DMCNetwork.
 var ErrBadNetwork = errors.New("protocols: inconsistent DMC network")
 
-// Validate checks alphabet consistency across the network's channels.
+// Validate checks alphabet consistency across the network's channels and
+// that every transition matrix is row-stochastic.
 func (n DMCNetwork) Validate() error {
 	if n.NxA <= 0 || n.NxB <= 0 {
 		return fmt.Errorf("%w: MAC input sizes (%d, %d)", ErrBadNetwork, n.NxA, n.NxB)
@@ -51,6 +52,11 @@ func (n DMCNetwork) Validate() error {
 	}
 	if n.RtoA.Nx() != n.RtoB.Nx() {
 		return fmt.Errorf("%w: relay alphabet mismatch", ErrBadNetwork)
+	}
+	for _, c := range []dmc.Channel{n.AtoR, n.BtoR, n.AtoB, n.BtoA, n.RtoA, n.RtoB, n.MACatR} {
+		if _, err := dmc.New(c.W); err != nil {
+			return fmt.Errorf("%w: %w", ErrBadNetwork, err)
+		}
 	}
 	return nil
 }

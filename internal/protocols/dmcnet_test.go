@@ -148,6 +148,10 @@ func TestDMCNetworkValidation(t *testing.T) {
 		{name: "a alphabet", mutate: func(n DMCNetwork) DMCNetwork { n.AtoR = dmc.Noiseless(3); return n }},
 		{name: "b alphabet", mutate: func(n DMCNetwork) DMCNetwork { n.BtoA = dmc.Noiseless(3); return n }},
 		{name: "relay alphabet", mutate: func(n DMCNetwork) DMCNetwork { n.RtoA = dmc.Noiseless(3); return n }},
+		{name: "not stochastic", mutate: func(n DMCNetwork) DMCNetwork {
+			n.AtoB = dmc.Channel{W: [][]float64{{0.5, 0.4}, {0.1, 0.9}}}
+			return n
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

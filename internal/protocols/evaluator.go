@@ -879,25 +879,14 @@ func sizeRows(buf [][]float64, n int) [][]float64 {
 	return buf[:n]
 }
 
-// --- Batch and region entry points ----------------------------------------
+// --- Region entry point ----------------------------------------------------
 
-// EvaluateBatch computes the optimal sum rate of the bound for every
-// scenario, reusing the evaluator's state across solves. Results are
-// appended to dst (which may be nil) and the extended slice is returned.
-func (e *Evaluator) EvaluateBatch(p Protocol, b Bound, scenarios []Scenario, dst []float64) ([]float64, error) {
-	for _, s := range scenarios {
-		v, err := e.SumRate(p, b, s)
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, v)
-	}
-	return dst, nil
-}
-
-// Region computes the bound's rate region like Spec.Region, but reuses the
-// evaluator across the support-direction sweep so only the polygon itself is
-// allocated.
+// Region computes the bound's rate region (the projection of the feasible
+// (Ra, Rb, Δ) polytope onto the rate plane, a convex polygon) by sweeping
+// support directions and taking the convex hull of the optimal vertices. The
+// axis-aligned directions are always included, so the region's maximal
+// per-user rates are exact. The evaluator is reused across the sweep, so only
+// the polygon itself is allocated.
 func (e *Evaluator) Region(p Protocol, b Bound, s Scenario, opts RegionOptions) (region.Polygon, error) {
 	li, err := LinkInfosFromScenario(s)
 	if err != nil {

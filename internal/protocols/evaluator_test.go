@@ -257,34 +257,6 @@ func TestEvaluatorMatchesPackageAPI(t *testing.T) {
 	}
 }
 
-func TestEvaluateBatch(t *testing.T) {
-	e := NewEvaluator()
-	scenarios := []Scenario{
-		NewScenarioDB(0, -7, 0, 5),
-		NewScenarioDB(10, -7, 0, 5),
-		NewScenarioDB(20, -7, 0, 5),
-	}
-	got, err := e.EvaluateBatch(TDBC, BoundInner, scenarios, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(scenarios) {
-		t.Fatalf("batch returned %d results, want %d", len(got), len(scenarios))
-	}
-	for i, s := range scenarios {
-		want, err := OptimalSumRate(TDBC, BoundInner, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !xmath.ApproxEqual(got[i], want.Sum, 1e-12) {
-			t.Errorf("batch[%d] = %g, want %g", i, got[i], want.Sum)
-		}
-		if got[i] >= got[0] == (i == 0) && i > 0 && got[i] <= got[i-1] {
-			t.Errorf("sum rate not increasing in power: %v", got)
-		}
-	}
-}
-
 func TestEvaluatorRegionMatchesSpecRegion(t *testing.T) {
 	s := NewScenarioDB(10, -7, 0, 5)
 	e := NewEvaluator()

@@ -1,8 +1,6 @@
 package protocols
 
 import (
-	"fmt"
-
 	"bicoop/internal/region"
 )
 
@@ -43,27 +41,6 @@ func GaussianRegion(p Protocol, b Bound, s Scenario, opts RegionOptions) (region
 	e := GetEvaluator()
 	defer PutEvaluator(e)
 	return e.Region(p, b, s, opts)
-}
-
-// SumRateComparison evaluates the inner-bound optimal sum rates of every
-// protocol in one scenario — one x-position of Fig 3.
-type SumRateComparison struct {
-	Scenario Scenario
-	// BySumRate maps protocol to its optimal achievable sum rate.
-	BySumRate map[Protocol]float64
-}
-
-// CompareSumRates computes the Fig 3 quantities for one scenario.
-func CompareSumRates(s Scenario) (SumRateComparison, error) {
-	out := SumRateComparison{Scenario: s, BySumRate: make(map[Protocol]float64, len(Protocols()))}
-	for _, p := range Protocols() {
-		res, err := OptimalSumRate(p, BoundInner, s)
-		if err != nil {
-			return SumRateComparison{}, fmt.Errorf("protocols: %v sum rate: %w", p, err)
-		}
-		out.BySumRate[p] = res.Sum
-	}
-	return out, nil
 }
 
 // EscapeWitness is an achievable HBC operating point lying outside both the

@@ -200,18 +200,9 @@ func AssembleRegion(swept []region.Point, raMax, rbMax float64) region.Polygon {
 	return region.ConvexHull(pts)
 }
 
-// Region computes the bound's rate region (the projection of the feasible
-// (Ra, Rb, Δ) polytope onto the rate plane, a convex polygon) by sweeping
-// support directions and taking the convex hull of the optimal vertices.
-// The axis-aligned directions are always included, so the region's maximal
-// per-user rates are exact.
-func (s Spec) Region(opts RegionOptions) (region.Polygon, error) {
-	return regionFromSolver(s.MaxWeightedRate, opts)
-}
-
-// regionFromSolver is the support-function sweep shared by Spec.Region and
-// Evaluator.Region; solve maximizes muA·Ra + muB·Rb over the bound. When
-// opts.Ctx is set, cancellation is honored between support directions.
+// regionFromSolver is the support-function sweep behind Evaluator.Region;
+// solve maximizes muA·Ra + muB·Rb over the bound. When opts.Ctx is set,
+// cancellation is honored between support directions.
 func regionFromSolver(solve func(muA, muB float64) (Optimum, error), opts RegionOptions) (region.Polygon, error) {
 	angles := opts.angles()
 	swept := make([]region.Point, 0, angles)

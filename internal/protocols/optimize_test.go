@@ -1,6 +1,7 @@
 package protocols
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -64,7 +65,7 @@ func TestMABCSumRateAgainstGoldenSection(t *testing.T) {
 			rb := math.Min(d1*cbr, d2*car)
 			return math.Min(ra+rb, d1*cmac)
 		}
-		_, best, err := xmath.GoldenMax(sumAt, 0, 1, 1e-12)
+		_, best, err := goldenMax(sumAt, 0, 1, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,6 +73,68 @@ func TestMABCSumRateAgainstGoldenSection(t *testing.T) {
 			t.Errorf("P=%vdB: LP %v vs golden %v", pdb, res.Sum, best)
 		}
 	}
+}
+
+// goldenMax maximizes a unimodal f over [lo, hi] by golden-section search,
+// returning the maximizing x and f(x). It is the independent 1-D optimiser
+// the MABC LP is checked against. tol is the termination width on x;
+// non-positive tol defaults to 1e-9 times the interval width (floored at
+// 1e-12 absolute).
+func goldenMax(f func(float64) float64, lo, hi, tol float64) (x, fx float64, err error) {
+	if hi < lo {
+		return 0, 0, fmt.Errorf("golden-section search: inverted interval [%g, %g]", lo, hi)
+	}
+	if tol <= 0 {
+		tol = math.Max(1e-9*(hi-lo), 1e-12)
+	}
+	invPhi := (math.Sqrt(5) - 1) / 2
+	a, b := lo, hi
+	c := b - invPhi*(b-a)
+	d := a + invPhi*(b-a)
+	fc, fd := f(c), f(d)
+	for b-a > tol {
+		if fc >= fd {
+			b, d, fd = d, c, fc
+			c = b - invPhi*(b-a)
+			fc = f(c)
+		} else {
+			a, c, fc = c, d, fd
+			d = a + invPhi*(b-a)
+			fd = f(d)
+		}
+	}
+	x = (a + b) / 2
+	return x, f(x), nil
+}
+
+// TestGoldenMax pins the reference optimiser itself.
+func TestGoldenMax(t *testing.T) {
+	t.Run("parabola", func(t *testing.T) {
+		x, fx, err := goldenMax(func(x float64) float64 { return -(x - 2) * (x - 2) }, -10, 10, 1e-10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !xmath.ApproxEqual(x, 2, 1e-7) {
+			t.Errorf("argmax = %v, want 2", x)
+		}
+		if !xmath.ApproxEqual(fx, 0, 1e-10) {
+			t.Errorf("max = %v, want 0", fx)
+		}
+	})
+	t.Run("boundary max", func(t *testing.T) {
+		x, _, err := goldenMax(func(x float64) float64 { return x }, 0, 5, 1e-10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !xmath.ApproxEqual(x, 5, 1e-6) {
+			t.Errorf("argmax = %v, want 5", x)
+		}
+	})
+	t.Run("inverted interval", func(t *testing.T) {
+		if _, _, err := goldenMax(func(x float64) float64 { return x }, 1, 0, 0); err == nil {
+			t.Error("want error for inverted interval")
+		}
+	})
 }
 
 func TestTDBCSumRateAgainstGridSearch(t *testing.T) {
@@ -305,6 +368,18 @@ func TestRegionMonotoneInPower(t *testing.T) {
 			prev[p] = res.Sum
 		}
 	}
+}
+
+// Region computes the bound's rate region from the spec's own LP
+// (Spec.MaxWeightedRate), the independent reference Evaluator.Region is
+// checked against.
+func (s Spec) Region(opts RegionOptions) (region.Polygon, error) {
+	return regionFromSolver(s.MaxWeightedRate, opts)
+}
+
+// Swap exchanges the roles of terminals a and b.
+func (s Scenario) Swap() Scenario {
+	return Scenario{P: s.P, G: s.G.Swap()}
 }
 
 func regionPoint(r RatePair) region.Point {

@@ -133,18 +133,10 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// Swap exchanges the roles of terminals a and b.
-func (s Scenario) Swap() Scenario {
-	return Scenario{P: s.P, G: s.G.Swap()}
-}
-
 // RatePair is an operating point (Ra, Rb) in bits per channel use.
 type RatePair struct {
 	Ra, Rb float64
 }
-
-// Sum returns Ra + Rb.
-func (r RatePair) Sum() float64 { return r.Ra + r.Rb }
 
 // LinkInfos carries every mutual-information term the five protocols'
 // theorems reference, in bits per channel use. The Gaussian path fills it in

@@ -1,7 +1,7 @@
 // Package region represents two-dimensional rate regions — the sets of
 // achievable (Ra, Rb) pairs of the paper's Theorems 2-6 — as convex polygons
 // in the non-negative quadrant. It provides construction from half-plane
-// constraints, convex hulls, containment tests, Pareto frontiers, unions, and
+// constraints, convex hulls, containment tests, Pareto frontiers, and
 // comparison utilities used to verify the paper's region-inclusion claims
 // (e.g., "some achievable HBC rate pairs are outside the outer bounds of the
 // MABC and TDBC protocols").
@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"bicoop/internal/xmath"
 )
 
 // Point is a rate pair (Ra, Rb) in bits per channel use.
@@ -225,7 +227,7 @@ func distToSegment(p, a, b Point) float64 {
 		return math.Hypot(p.Ra-a.Ra, p.Rb-a.Rb)
 	}
 	t := ((p.Ra-a.Ra)*dx + (p.Rb-a.Rb)*dy) / l2
-	t = math.Max(0, math.Min(1, t))
+	t = xmath.Clamp(t, 0, 1)
 	return math.Hypot(p.Ra-(a.Ra+t*dx), p.Rb-(a.Rb+t*dy))
 }
 
@@ -267,6 +269,8 @@ func (pg Polygon) MaxSumRate() float64 {
 
 // SubsetOf reports whether every vertex of pg lies inside other (within tol).
 // For convex polygons this is equivalent to region inclusion.
+//
+//bicoop:allow deadexport — the region and protocols tests check bound inclusions
 func (pg Polygon) SubsetOf(other Polygon, tol float64) bool {
 	if pg.IsEmpty() {
 		return true
@@ -344,83 +348,16 @@ func (pg Polygon) RbAt(ra float64) (float64, bool) {
 	return math.Max(best, 0), true
 }
 
-// Union returns the convex hull of the union of the polygons (the time-
-// sharing closure of operating points drawn from each).
-func Union(pgs ...Polygon) Polygon {
-	var pts []Point
-	for _, pg := range pgs {
-		pts = append(pts, pg.v...)
-	}
-	return ConvexHull(pts)
-}
-
-// Scale returns the polygon with both coordinates multiplied by k >= 0.
-func (pg Polygon) Scale(k float64) Polygon {
-	out := make([]Point, len(pg.v))
-	for i, p := range pg.v {
-		out[i] = Point{Ra: k * p.Ra, Rb: k * p.Rb}
-	}
-	return Polygon{v: out}
-}
-
 // Swap returns the polygon reflected across the Ra = Rb diagonal (the a<->b
 // role swap used in symmetry tests).
+//
+//bicoop:allow deadexport — the region and protocols tests check a<->b symmetry
 func (pg Polygon) Swap() Polygon {
 	pts := make([]Point, len(pg.v))
 	for i, p := range pg.v {
 		pts[i] = Point{Ra: p.Rb, Rb: p.Ra}
 	}
 	return ConvexHull(pts)
-}
-
-// Distance returns the directed Hausdorff-style distance from pg to other:
-// the maximum, over sampled boundary points of pg, of the point's Euclidean
-// distance to other's boundary (zero when the point is inside). It measures
-// how far pg protrudes beyond other; Distance(inner, outer) ≈ 0 certifies
-// containment, and max(Distance(a,b), Distance(b,a)) is a symmetric gap
-// metric between two bounds.
-func (pg Polygon) Distance(other Polygon) float64 {
-	if pg.IsEmpty() {
-		return 0
-	}
-	if other.IsEmpty() {
-		return math.Inf(1)
-	}
-	const edgeSamples = 16
-	var worst float64
-	n := len(pg.v)
-	measure := func(p Point) {
-		if other.Contains(p, eps) {
-			return
-		}
-		best := math.Inf(1)
-		m := len(other.v)
-		for i := 0; i < m; i++ {
-			d := distToSegment(p, other.v[i], other.v[(i+1)%m])
-			if d < best {
-				best = d
-			}
-		}
-		if m == 1 {
-			best = math.Hypot(p.Ra-other.v[0].Ra, p.Rb-other.v[0].Rb)
-		}
-		if best > worst {
-			worst = best
-		}
-	}
-	for i := 0; i < n; i++ {
-		a := pg.v[i]
-		measure(a)
-		if n < 2 {
-			continue
-		}
-		b := pg.v[(i+1)%n]
-		for k := 1; k < edgeSamples; k++ {
-			t := float64(k) / edgeSamples
-			measure(Point{Ra: a.Ra + t*(b.Ra-a.Ra), Rb: a.Rb + t*(b.Rb-a.Rb)})
-		}
-	}
-	return worst
 }
 
 // PointsOutside returns boundary points of pg that are not contained in any

@@ -22,7 +22,8 @@ import (
 	"bicoop/internal/cache"
 )
 
-// CacheLog is the append-only durable tier behind one cache store.
+// CacheLog is the append-only durable tier behind one cache store. It is
+// compacted only when opened (see OpenCacheLog); while open it only grows.
 type CacheLog struct {
 	path  string
 	store *cache.Store
@@ -124,34 +125,5 @@ func (l *CacheLog) Close() error {
 	if cerr != nil {
 		return fmt.Errorf("closing cache log: %w", cerr)
 	}
-	return nil
-}
-
-// Compact flushes pending appends and rewrites the log as a snapshot of
-// the store's live entries, dropping evicted and superseded records.
-//
-// The snapshot installs via tmp+rename; the append handle is reopened
-// O_APPEND afterwards, so a crash between the two leaves a valid snapshot
-// and the next open just replays it.
-//
-//bicoop:atomicio — snapshot installs via tmp+rename, then reopen O_APPEND
-func (l *CacheLog) Compact() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.buf.Flush(); err != nil {
-		return fmt.Errorf("flushing cache log: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("closing cache log for compaction: %w", err)
-	}
-	if err := snapshotCacheLog(l.path, l.store); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("reopening cache log: %w", err)
-	}
-	l.f = f
-	l.buf.Reset(f)
 	return nil
 }

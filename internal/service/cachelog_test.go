@@ -151,37 +151,6 @@ func TestCacheLogCompactsBloat(t *testing.T) {
 	}
 }
 
-func TestCacheLogCompactMethod(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.log")
-	st := cache.NewStore(1024)
-	log, err := OpenCacheLog(path, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
-	for i := 0; i < 20; i++ {
-		st.Add(logKey(i), cache.MakeValue(float64(i), 0, 0, nil))
-	}
-	if err := log.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size() != int64(20*cache.RecordSize) {
-		t.Fatalf("log size %d after Compact, want %d", info.Size(), 20*cache.RecordSize)
-	}
-	// Appends keep working after compaction.
-	st.Add(logKey(99), cache.MakeValue(99, 0, 0, nil))
-	if err := log.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if info, err = os.Stat(path); err != nil || info.Size() != int64(21*cache.RecordSize) {
-		t.Fatalf("log size %v (err %v) after post-compact append, want %d", info.Size(), err, 21*cache.RecordSize)
-	}
-}
-
 // uncachedReferenceCSV runs the job spec uninterrupted on a plain
 // cache-off engine: the output cached runs must reproduce byte for byte.
 func uncachedReferenceCSV(t *testing.T, spec JobSpec) []byte {

@@ -110,6 +110,7 @@ func TestHTTPValidationErrors(t *testing.T) {
 		{"bad scenario", `{"sweep": {"base": {"PowerDB": 1e999, "GabDB": -7, "GarDB": 0, "GbrDB": 5}}}`, "invalid job"},
 		{"one region angle", `{"region_batch": {"scenarios": [{"PowerDB": 10, "GabDB": -7, "GarDB": 0, "GbrDB": 5}], "curves": [{"Protocol": "MABC", "Bound": "inner"}], "angles": 1}}`, "invalid region spec"},
 		{"region angles overflow", `{"region_batch": {"scenarios": [{"PowerDB": 10, "GabDB": -7, "GarDB": 0, "GbrDB": 5}], "curves": [{"Protocol": "MABC", "Bound": "inner"}], "angles": 4611686018427387904}}`, "invalid region spec"},
+		{"region angles out of memory", `{"region_batch": {"scenarios": [{"PowerDB": 10, "GabDB": -7, "GarDB": 0, "GbrDB": 5}], "curves": [{"Protocol": "MABC", "Bound": "inner"}], "angles": 1099511627776}}`, "invalid region spec"},
 		{"bit-true durations out of range", `{"campaign": {"specs": [{"bit_true_mabc": {"Links": {"EpsMAC": 0.2, "EpsRA": 0.15, "EpsRB": 0.1}, "Rate": 0.3, "Durations": [1.5, -0.5], "BlockLength": 400}, "trials": 2}]}}`, "invalid simulation spec"},
 	}
 	for _, tc := range cases {

@@ -95,9 +95,6 @@ func OpenStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 func (s *Store) dir(id string) string       { return filepath.Join(s.root, id) }
 func (s *Store) specPath(id string) string  { return filepath.Join(s.dir(id), "spec.json") }
 func (s *Store) statePath(id string) string { return filepath.Join(s.dir(id), "state.json") }

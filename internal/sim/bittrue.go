@@ -266,7 +266,9 @@ type tdbcWorker struct {
 	// maskAR, maskBR, maskAB draw 64 link erasures per call (see erasure.go).
 	maskAR, maskBR, maskAB prob.WordBernoulli
 
-	codeA, codeB, codeR gf2.Code
+	// codeA, codeB, codeR are the generator matrices of the three random
+	// linear codes, redrawn in place every block.
+	codeA, codeB, codeR gf2.Matrix
 	// wa, wb are drawn every block only to keep the random stream of the
 	// codes and erasures in its canonical order (see runBlock).
 	wa, wb gf2.Vector
@@ -297,9 +299,9 @@ func newTDBCWorker(net ErasureNetwork, p tdbcParams, seed int64) *tdbcWorker {
 		maskBR: prob.NewWordBernoulli(net.EpsBR),
 		maskAB: prob.NewWordBernoulli(net.EpsAB),
 
-		codeA: gf2.Code{G: gf2.NewMatrix(p.n1, p.ka)},
-		codeB: gf2.Code{G: gf2.NewMatrix(p.n2, p.kb)},
-		codeR: gf2.Code{G: gf2.NewMatrix(p.n3, p.kr)},
+		codeA: gf2.NewMatrix(p.n1, p.ka),
+		codeB: gf2.NewMatrix(p.n2, p.kb),
+		codeR: gf2.NewMatrix(p.n3, p.kr),
 		wa:    gf2.NewVector(p.ka),
 		wb:    gf2.NewVector(p.kb),
 
@@ -376,10 +378,10 @@ func (w *tdbcWorker) runBlock() (bool, bool) {
 		survAR := ^w.maskAR.Mask(w.rng) & live
 		survAB := ^w.maskAB.Mask(w.rng) & live
 		for m := survAR; m != 0; m &= m - 1 {
-			w.relayRowsA = append(w.relayRowsA, w.codeA.G.RowView(base+bits.TrailingZeros64(m)))
+			w.relayRowsA = append(w.relayRowsA, w.codeA.RowView(base+bits.TrailingZeros64(m)))
 		}
 		for m := survAB; m != 0; m &= m - 1 {
-			w.rowsForB = append(w.rowsForB, w.codeA.G.RowView(base+bits.TrailingZeros64(m)))
+			w.rowsForB = append(w.rowsForB, w.codeA.RowView(base+bits.TrailingZeros64(m)))
 		}
 	}
 
@@ -391,10 +393,10 @@ func (w *tdbcWorker) runBlock() (bool, bool) {
 		survBR := ^w.maskBR.Mask(w.rng) & live
 		survAB := ^w.maskAB.Mask(w.rng) & live
 		for m := survBR; m != 0; m &= m - 1 {
-			w.relayRowsB = append(w.relayRowsB, w.codeB.G.RowView(base+bits.TrailingZeros64(m)))
+			w.relayRowsB = append(w.relayRowsB, w.codeB.RowView(base+bits.TrailingZeros64(m)))
 		}
 		for m := survAB; m != 0; m &= m - 1 {
-			w.rowsForA = append(w.rowsForA, w.codeB.G.RowView(base+bits.TrailingZeros64(m)))
+			w.rowsForA = append(w.rowsForA, w.codeB.RowView(base+bits.TrailingZeros64(m)))
 		}
 	}
 
@@ -419,12 +421,12 @@ func (w *tdbcWorker) runBlock() (bool, bool) {
 		survB := ^w.maskBR.Mask(w.rng) & live // b hears the relay via b-r
 		for m := survA; m != 0; m &= m - 1 {
 			i := base + bits.TrailingZeros64(m)
-			w.truncA[i].CopyPrefix(w.codeR.G.RowView(i))
+			w.truncA[i].CopyPrefix(w.codeR.RowView(i))
 			w.rowsForA = append(w.rowsForA, w.truncA[i])
 		}
 		for m := survB; m != 0; m &= m - 1 {
 			i := base + bits.TrailingZeros64(m)
-			w.truncB[i].CopyPrefix(w.codeR.G.RowView(i))
+			w.truncB[i].CopyPrefix(w.codeR.RowView(i))
 			w.rowsForB = append(w.rowsForB, w.truncB[i])
 		}
 	}

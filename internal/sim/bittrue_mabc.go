@@ -194,7 +194,9 @@ type mabcWorker struct {
 	// erasure.go).
 	maskMAC, maskRA, maskRB prob.WordBernoulli
 
-	codeMAC, codeBC gf2.Code
+	// codeMAC, codeBC are the generator matrices of the two random linear
+	// codes, redrawn in place every block.
+	codeMAC, codeBC gf2.Matrix
 	// wa, wb are drawn every block only to keep the random stream of the
 	// codes and erasures in its canonical order (see runBlock).
 	wa, wb gf2.Vector
@@ -217,8 +219,8 @@ func newMABCWorker(cfg MABCBitTrueConfig, k, n1, n2 int, seed int64) *mabcWorker
 		maskMAC: prob.NewWordBernoulli(cfg.EpsMAC),
 		maskRA:  prob.NewWordBernoulli(cfg.EpsRA),
 		maskRB:  prob.NewWordBernoulli(cfg.EpsRB),
-		codeMAC: gf2.Code{G: gf2.NewMatrix(n1, k)},
-		codeBC:  gf2.Code{G: gf2.NewMatrix(n2, k)},
+		codeMAC: gf2.NewMatrix(n1, k),
+		codeBC:  gf2.NewMatrix(n2, k),
 		wa:      gf2.NewVector(k),
 		wb:      gf2.NewVector(k),
 		rows:    make([]gf2.Vector, 0, maxN),
@@ -266,7 +268,7 @@ func (w *mabcWorker) runBlock() (bool, bool) {
 	// (agreed via common randomness, as in physical-layer network coding);
 	// the relay observes parities of the XOR message through erasures.
 	w.codeMAC.Rerandomize(w.rng)
-	if !w.decode(w.codeMAC.G, w.n1, w.maskMAC) {
+	if !w.decode(w.codeMAC, w.n1, w.maskMAC) {
 		return false, false
 	}
 
@@ -274,8 +276,8 @@ func (w *mabcWorker) runBlock() (bool, bool) {
 	// each terminal decodes it through its own link's erasures and strips
 	// its own message.
 	w.codeBC.Rerandomize(w.rng)
-	okA := w.decode(w.codeBC.G, w.n2, w.maskRA)
-	okB := w.decode(w.codeBC.G, w.n2, w.maskRB)
+	okA := w.decode(w.codeBC, w.n2, w.maskRA)
+	okB := w.decode(w.codeBC, w.n2, w.maskRB)
 	return okA && okB, true
 }
 

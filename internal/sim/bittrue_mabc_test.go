@@ -68,7 +68,7 @@ func TestRunBitTrueMABCWaterfall(t *testing.T) {
 		t.Errorf("85%% of bound: success %v (relay %d, terminal %d)",
 			below.SuccessProb, below.RelayFailures, below.TerminalFailures)
 	}
-	if !below.SuccessCI.Contains(below.SuccessProb) {
+	if ci := below.SuccessCI; below.SuccessProb < ci.Lo || below.SuccessProb > ci.Hi {
 		t.Error("CI excludes the point estimate")
 	}
 	above := run(1.15)

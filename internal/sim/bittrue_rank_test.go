@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"bicoop/internal/gf2"
-	"bicoop/internal/netcode"
 	"bicoop/internal/prob"
 	"bicoop/internal/protocols"
 )
@@ -31,6 +30,14 @@ func refDecode(t *testing.T, what string, k int, rows []gf2.Vector, bits []int, 
 	return dst, solved
 }
 
+// padCombineInto computes the zero-padded XOR wa ⊕ wb into dst, the relay
+// message in the paper's group Z_2^max(ka,kb) when the two message sets have
+// different rates; dst must have max(len(wa), len(wb)) bits.
+func padCombineInto(dst *gf2.Vector, wa, wb gf2.Vector) error {
+	dst.CopyPrefix(wa)
+	return dst.XorWith(wb)
+}
+
 // refTDBCBlock is tdbcWorker.runBlock with the full decoder: same draws in
 // the same order, plus the codewords and right-hand sides.
 func refTDBCBlock(t *testing.T, w *tdbcWorker) (ok, relayOK bool) {
@@ -41,10 +48,10 @@ func refTDBCBlock(t *testing.T, w *tdbcWorker) (ok, relayOK bool) {
 
 	var relayRowsA, relayRowsB, rowsForA, rowsForB []gf2.Vector
 	var relayBitsA, relayBitsB, bitsForA, bitsForB []int
-	receive := func(code *gf2.Code, msg gf2.Vector, n int, first, second prob.WordBernoulli,
+	receive := func(code *gf2.Matrix, msg gf2.Vector, n int, first, second prob.WordBernoulli,
 		rowsR *[]gf2.Vector, bitsR *[]int, rowsT *[]gf2.Vector, bitsT *[]int) {
 		code.Rerandomize(w.rng)
-		x, err := code.Encode(msg)
+		x, err := code.MulVec(msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,13 +61,13 @@ func refTDBCBlock(t *testing.T, w *tdbcWorker) (ok, relayOK bool) {
 			s2 := ^second.Mask(w.rng) & live
 			for i := base; i < base+64 && i < n; i++ {
 				if s1>>uint(i-base)&1 != 0 {
-					*rowsR = append(*rowsR, code.G.RowView(i))
+					*rowsR = append(*rowsR, code.RowView(i))
 					*bitsR = append(*bitsR, x.Bit(i))
 				}
 			}
 			for i := base; i < base+64 && i < n; i++ {
 				if s2>>uint(i-base)&1 != 0 {
-					*rowsT = append(*rowsT, code.G.RowView(i))
+					*rowsT = append(*rowsT, code.RowView(i))
 					*bitsT = append(*bitsT, x.Bit(i))
 				}
 			}
@@ -76,11 +83,11 @@ func refTDBCBlock(t *testing.T, w *tdbcWorker) (ok, relayOK bool) {
 	}
 
 	wr := gf2.NewVector(p.kr)
-	if err := netcode.PadCombineInto(&wr, decA, decB); err != nil {
+	if err := padCombineInto(&wr, decA, decB); err != nil {
 		t.Fatal(err)
 	}
 	w.codeR.Rerandomize(w.rng)
-	xr, err := w.codeR.Encode(wr)
+	xr, err := w.codeR.MulVec(wr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +100,7 @@ func refTDBCBlock(t *testing.T, w *tdbcWorker) (ok, relayOK bool) {
 		survB := ^w.maskBR.Mask(w.rng) & live
 		for i := base; i < base+64 && i < p.n3; i++ {
 			if survA>>uint(i-base)&1 != 0 {
-				row := w.codeR.G.RowView(i)
+				row := w.codeR.RowView(i)
 				trunc := gf2.NewVector(p.kb)
 				trunc.CopyPrefix(row)
 				rowsForA = append(rowsForA, trunc)
@@ -102,7 +109,7 @@ func refTDBCBlock(t *testing.T, w *tdbcWorker) (ok, relayOK bool) {
 		}
 		for i := base; i < base+64 && i < p.n3; i++ {
 			if survB>>uint(i-base)&1 != 0 {
-				row := w.codeR.G.RowView(i)
+				row := w.codeR.RowView(i)
 				trunc := gf2.NewVector(p.ka)
 				trunc.CopyPrefix(row)
 				rowsForB = append(rowsForB, trunc)
@@ -125,8 +132,8 @@ func refMABCBlock(t *testing.T, w *mabcWorker) (ok, relayOK bool) {
 	if err := s.XorWith(w.wb); err != nil {
 		t.Fatal(err)
 	}
-	receive := func(code *gf2.Code, msg gf2.Vector, n int, mask prob.WordBernoulli) ([]gf2.Vector, []int) {
-		x, err := code.Encode(msg)
+	receive := func(code *gf2.Matrix, msg gf2.Vector, n int, mask prob.WordBernoulli) ([]gf2.Vector, []int) {
+		x, err := code.MulVec(msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +143,7 @@ func refMABCBlock(t *testing.T, w *mabcWorker) (ok, relayOK bool) {
 			surv := ^mask.Mask(w.rng) & liveLanes(base, n)
 			for i := base; i < base+64 && i < n; i++ {
 				if surv>>uint(i-base)&1 != 0 {
-					rows = append(rows, code.G.RowView(i))
+					rows = append(rows, code.RowView(i))
 					bits = append(bits, x.Bit(i))
 				}
 			}

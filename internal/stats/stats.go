@@ -1,7 +1,5 @@
-// Package stats provides the small statistical toolkit used to report
-// Monte Carlo results honestly: streaming mean/variance (Welford), normal
-// confidence intervals for means, and Wilson score intervals for the
-// success/outage proportions the simulators estimate.
+// Package stats provides the Wilson score intervals used to report the
+// success/outage proportions the Monte Carlo simulators estimate.
 package stats
 
 import (
@@ -9,50 +7,8 @@ import (
 	"math"
 )
 
-// ErrNoData is returned when an interval is requested with no samples.
+// ErrNoData is returned when an interval is requested with no trials.
 var ErrNoData = errors.New("stats: no samples")
-
-// Running accumulates a stream of observations with Welford's algorithm.
-// The zero value is ready to use.
-type Running struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (r *Running) Add(x float64) {
-	r.n++
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
-}
-
-// N returns the number of observations.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the sample mean (0 when empty).
-func (r *Running) Mean() float64 { return r.mean }
-
-// Variance returns the unbiased sample variance (0 for fewer than two
-// samples).
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// StdErr returns the standard error of the mean.
-func (r *Running) StdErr() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.StdDev() / math.Sqrt(float64(r.n))
-}
 
 // Interval is a two-sided confidence interval.
 type Interval struct {
@@ -61,9 +17,6 @@ type Interval struct {
 
 // Width returns Hi - Lo.
 func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
-// Contains reports whether x lies inside the interval.
-func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 
 // zFor maps a confidence level to the two-sided normal quantile. Levels are
 // snapped to the nearest supported table entry; the Monte Carlo consumers
@@ -81,17 +34,6 @@ func zFor(confidence float64) float64 {
 	default:
 		return 1.282 // 80%
 	}
-}
-
-// MeanInterval returns the normal-approximation confidence interval for the
-// accumulated mean.
-func (r *Running) MeanInterval(confidence float64) (Interval, error) {
-	if r.n == 0 {
-		return Interval{}, ErrNoData
-	}
-	z := zFor(confidence)
-	half := z * r.StdErr()
-	return Interval{Lo: r.mean - half, Hi: r.mean + half}, nil
 }
 
 // WilsonInterval returns the Wilson score interval for a binomial

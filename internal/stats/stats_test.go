@@ -2,96 +2,9 @@ package stats
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
-
-	"bicoop/internal/xmath"
 )
-
-func TestRunningMoments(t *testing.T) {
-	var r Running
-	if r.N() != 0 || r.Mean() != 0 || r.Variance() != 0 || r.StdErr() != 0 {
-		t.Fatal("zero value not empty")
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		r.Add(x)
-	}
-	if r.N() != 8 {
-		t.Errorf("N = %d", r.N())
-	}
-	if !xmath.ApproxEqual(r.Mean(), 5, 1e-12) {
-		t.Errorf("Mean = %v, want 5", r.Mean())
-	}
-	// Population variance of this classic set is 4; sample variance 32/7.
-	if !xmath.ApproxEqual(r.Variance(), 32.0/7.0, 1e-12) {
-		t.Errorf("Variance = %v, want 32/7", r.Variance())
-	}
-	if !xmath.ApproxEqual(r.StdDev(), math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("StdDev = %v", r.StdDev())
-	}
-}
-
-func TestRunningMatchesBatchOnRandomData(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(500)
-		xs := make([]float64, n)
-		var r Running
-		for i := range xs {
-			xs[i] = rng.NormFloat64()*3 + 1
-			r.Add(xs[i])
-		}
-		var sum float64
-		for _, x := range xs {
-			sum += x
-		}
-		mean := sum / float64(n)
-		var ss float64
-		for _, x := range xs {
-			ss += (x - mean) * (x - mean)
-		}
-		variance := ss / float64(n-1)
-		if !xmath.ApproxEqual(r.Mean(), mean, 1e-9) {
-			t.Fatalf("mean %v vs batch %v", r.Mean(), mean)
-		}
-		if !xmath.ApproxEqual(r.Variance(), variance, 1e-9) {
-			t.Fatalf("variance %v vs batch %v", r.Variance(), variance)
-		}
-	}
-}
-
-func TestMeanIntervalCoverage(t *testing.T) {
-	// ~95% of 95% intervals over repeated experiments must contain the true
-	// mean. Use 400 experiments of 100 N(7, 2²) samples.
-	rng := rand.New(rand.NewSource(2))
-	const experiments = 400
-	covered := 0
-	for e := 0; e < experiments; e++ {
-		var r Running
-		for i := 0; i < 100; i++ {
-			r.Add(rng.NormFloat64()*2 + 7)
-		}
-		iv, err := r.MeanInterval(0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if iv.Contains(7) {
-			covered++
-		}
-	}
-	rate := float64(covered) / experiments
-	if rate < 0.90 || rate > 0.99 {
-		t.Errorf("coverage = %v, want ~0.95", rate)
-	}
-}
-
-func TestMeanIntervalErrors(t *testing.T) {
-	var r Running
-	if _, err := r.MeanInterval(0.95); !errors.Is(err, ErrNoData) {
-		t.Errorf("err = %v, want ErrNoData", err)
-	}
-}
 
 func TestWilsonInterval(t *testing.T) {
 	tests := []struct {
@@ -114,7 +27,7 @@ func TestWilsonInterval(t *testing.T) {
 				t.Fatalf("malformed interval %+v", iv)
 			}
 			p := float64(tt.succ) / float64(tt.n)
-			if !iv.Contains(p) {
+			if p < iv.Lo || p > iv.Hi {
 				t.Errorf("interval %+v excludes the point estimate %v", iv, p)
 			}
 		})
@@ -147,7 +60,7 @@ func TestWilsonIntervalCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if iv.Contains(0.1) {
+		if iv.Lo <= 0.1 && 0.1 <= iv.Hi {
 			covered++
 		}
 	}
@@ -173,9 +86,6 @@ func TestIntervalHelpers(t *testing.T) {
 	iv := Interval{Lo: 1, Hi: 3}
 	if iv.Width() != 2 {
 		t.Errorf("Width = %v", iv.Width())
-	}
-	if !iv.Contains(2) || iv.Contains(0) || iv.Contains(4) {
-		t.Error("Contains misbehaves")
 	}
 }
 

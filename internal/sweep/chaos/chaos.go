@@ -61,6 +61,8 @@ func splitmix64(x uint64) uint64 {
 // Wrap returns a do function that injects inj's faults before delegating to
 // do. A faulted chunk fails before any workload code runs, so caller
 // storage is untouched.
+//
+//bicoop:allow deadexport — fault injection for the sweep and sweep/chaos tests
 func Wrap[W any](inj *Injector, do func(W, int, int) error) func(W, int, int) error {
 	panics := indexSet(inj.PanicStarts)
 	perms := indexSet(inj.PermanentStarts)

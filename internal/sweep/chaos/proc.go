@@ -56,6 +56,8 @@ func (k *ProcKiller) Uptime(r int) time.Duration {
 // returns the number of kills performed. The final state is whatever the
 // durable store says — the caller asserts on that, not on process exit.
 // Cancelling ctx kills the current process and returns ctx's error.
+//
+//bicoop:allow deadexport — the kill -9 loop of the service and sweep/chaos tests
 func (k *ProcKiller) Run(ctx context.Context, start func() (*exec.Cmd, error), done func() bool) (kills int, err error) {
 	rounds := k.MaxRounds
 	if rounds <= 0 {

@@ -1,25 +1,13 @@
 // Package xmath provides the small numerical toolkit shared by every other
 // package in this module: decibel conversions, the Shannon rate function
-// C(x) = log2(1+x), floating-point comparison helpers, compensated summation,
-// grid generation, and a pair of scalar optimizers (golden-section search and
-// bisection) used when closed forms are unavailable.
+// C(x) = log2(1+x), clamping, grid generation, and the comparison and
+// entropy helpers that several packages' tests share.
 //
 // Everything in this package is pure and allocation-light; none of it retains
 // state between calls.
 package xmath
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
-
-// Ln2 is the natural logarithm of 2, used to convert nats to bits.
-const Ln2 = math.Ln2
-
-// ErrBadInterval is returned by the scalar optimizers when the supplied
-// interval is empty or inverted.
-var ErrBadInterval = errors.New("xmath: interval is empty or inverted")
+import "math"
 
 // DB converts a linear power ratio to decibels. DB(0) is -Inf; negative
 // inputs yield NaN, mirroring math.Log10.
@@ -30,11 +18,6 @@ func DB(linear float64) float64 {
 // FromDB converts decibels to a linear power ratio.
 func FromDB(db float64) float64 {
 	return math.Pow(10, db/10)
-}
-
-// Log2 returns the base-2 logarithm of x.
-func Log2(x float64) float64 {
-	return math.Log2(x)
 }
 
 // C is the AWGN rate function C(x) = log2(1 + x) in bits per channel use,
@@ -48,16 +31,10 @@ func C(x float64) float64 {
 	return math.Log2(1 + x)
 }
 
-// CInv inverts C: CInv(r) returns the SNR x such that C(x) = r.
-func CInv(r float64) float64 {
-	if r <= 0 {
-		return 0
-	}
-	return math.Exp2(r) - 1
-}
-
 // EntropyBinary returns the binary entropy function h(p) in bits.
 // h(0) = h(1) = 0.
+//
+//bicoop:allow deadexport — reference formula for the dmc, prob, protocols and xmath tests
 func EntropyBinary(p float64) float64 {
 	if p <= 0 || p >= 1 {
 		return 0
@@ -68,6 +45,8 @@ func EntropyBinary(p float64) float64 {
 // ApproxEqual reports whether a and b are equal within both an absolute
 // tolerance and a relative tolerance scaled by the larger magnitude.
 // NaNs are never equal; equal infinities are equal.
+//
+//bicoop:allow deadexport — tolerance check for the root, channel, dmc, phy, prob, protocols, region, sim, simplex and xmath tests
 func ApproxEqual(a, b, tol float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
 		return false
@@ -115,165 +94,9 @@ func Linspace(lo, hi float64, n int) []float64 {
 	return out
 }
 
-// LogspaceDB returns n power values evenly spaced in decibels over
-// [loDB, hiDB], converted to linear scale.
-func LogspaceDB(loDB, hiDB float64, n int) []float64 {
-	dbs := Linspace(loDB, hiDB, n)
-	out := make([]float64, len(dbs))
-	for i, d := range dbs {
-		out[i] = FromDB(d)
-	}
-	return out
-}
-
-// KahanSum accumulates xs with compensated (Kahan) summation, reducing the
-// rounding error of long Monte Carlo averages.
-func KahanSum(xs []float64) float64 {
-	var sum, comp float64
-	for _, x := range xs {
-		y := x - comp
-		t := sum + y
-		comp = (t - sum) - y
-		sum = t
-	}
-	return sum
-}
-
-// Accumulator is a running compensated sum with count, suitable for streaming
-// means. The zero value is ready to use.
-type Accumulator struct {
-	sum  float64
-	comp float64
-	n    int
-}
-
-// Add folds x into the accumulator.
-func (a *Accumulator) Add(x float64) {
-	y := x - a.comp
-	t := a.sum + y
-	a.comp = (t - a.sum) - y
-	a.sum = t
-	a.n++
-}
-
-// Sum returns the compensated total.
-func (a *Accumulator) Sum() float64 { return a.sum }
-
-// N returns the number of samples folded in.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns Sum()/N(), or 0 when empty.
-func (a *Accumulator) Mean() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.sum / float64(a.n)
-}
-
-// ArgmaxFunc evaluates f on each x in xs and returns the index attaining the
-// maximum, breaking ties toward the smallest index. It returns -1 for an
-// empty slice.
-func ArgmaxFunc(xs []float64, f func(float64) float64) int {
-	best, bestIdx := math.Inf(-1), -1
-	for i, x := range xs {
-		if v := f(x); v > best {
-			best, bestIdx = v, i
-		}
-	}
-	return bestIdx
-}
-
-// invPhi is the reciprocal golden ratio used by GoldenMax.
-var invPhi = (math.Sqrt(5) - 1) / 2
-
-// GoldenMax maximizes a unimodal f over [lo, hi] by golden-section search,
-// returning the maximizing x and f(x). tol is the termination width on x;
-// non-positive tol defaults to 1e-9 times the interval width (floored at
-// 1e-12 absolute).
-func GoldenMax(f func(float64) float64, lo, hi, tol float64) (x, fx float64, err error) {
-	if hi < lo {
-		return 0, 0, fmt.Errorf("%w: [%g, %g]", ErrBadInterval, lo, hi)
-	}
-	if tol <= 0 {
-		tol = math.Max(1e-9*(hi-lo), 1e-12)
-	}
-	a, b := lo, hi
-	c := b - invPhi*(b-a)
-	d := a + invPhi*(b-a)
-	fc, fd := f(c), f(d)
-	for b-a > tol {
-		if fc >= fd {
-			b, d, fd = d, c, fc
-			c = b - invPhi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + invPhi*(b-a)
-			fd = f(d)
-		}
-	}
-	x = (a + b) / 2
-	return x, f(x), nil
-}
-
-// Bisect finds a root of f in [lo, hi] assuming f(lo) and f(hi) have opposite
-// signs, to within tol on x.
-func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	if hi < lo {
-		return 0, fmt.Errorf("%w: [%g, %g]", ErrBadInterval, lo, hi)
-	}
-	flo, fhi := f(lo), f(hi)
-	if flo == 0 {
-		return lo, nil
-	}
-	if fhi == 0 {
-		return hi, nil
-	}
-	if (flo > 0) == (fhi > 0) {
-		return 0, fmt.Errorf("xmath: no sign change on [%g, %g]", lo, hi)
-	}
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	for hi-lo > tol {
-		mid := lo + (hi-lo)/2
-		fm := f(mid)
-		if fm == 0 {
-			return mid, nil
-		}
-		if (fm > 0) == (flo > 0) {
-			lo, flo = mid, fm
-		} else {
-			hi = mid
-		}
-	}
-	return lo + (hi-lo)/2, nil
-}
-
-// MaxFloat returns the maximum of xs, or -Inf for an empty slice.
-func MaxFloat(xs ...float64) float64 {
-	out := math.Inf(-1)
-	for _, x := range xs {
-		if x > out {
-			out = x
-		}
-	}
-	return out
-}
-
-// MinFloat returns the minimum of xs, or +Inf for an empty slice.
-func MinFloat(xs ...float64) float64 {
-	out := math.Inf(1)
-	for _, x := range xs {
-		if x < out {
-			out = x
-		}
-	}
-	return out
-}
-
-// Sum returns the plain sum of xs (use KahanSum for long, cancellation-prone
-// streams).
+// Sum returns the plain sum of xs.
+//
+//bicoop:allow deadexport — the protocols and sim tests check that durations sum to one
 func Sum(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {

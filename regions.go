@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"bicoop/internal/protocols"
 	"bicoop/internal/sweep"
@@ -69,30 +68,32 @@ type RegionBatchSpec struct {
 // Size returns the number of curves the batch will yield.
 func (spec RegionBatchSpec) Size() int { return len(spec.Scenarios) * len(spec.Curves) }
 
+// maxRegionDirections caps a region batch's flattened direction count,
+// Scenarios × Curves × (Angles+2). sweep.RegionBatch buffers one 16-byte
+// point per direction, so the cap bounds that buffer at 256 MiB; a larger
+// batch is rejected at admission instead of failing inside make, where an
+// out-of-memory error is fatal and cannot be recovered.
+const maxRegionDirections = 1 << 24
+
 // Validate checks the spec without running it: both axes non-empty, at
-// least 2 support directions per curve, a flattened direction count
-// (Angles+2 solves per curve) whose point buffer fits an int, every
-// scenario finite, every curve's enums known, and the resume offset
-// non-negative. Engine.RegionBatch runs the same checks; wire-facing
-// callers (the bccd job service) validate at admission time.
+// least 2 support directions per curve, at most maxRegionDirections
+// flattened directions (Angles+2 solves per curve), every scenario finite,
+// every curve's enums known, and the resume offset non-negative.
+// Engine.RegionBatch runs the same checks; wire-facing callers (the bccd job
+// service) validate at admission time.
 func (spec RegionBatchSpec) Validate() error {
 	if len(spec.Scenarios) == 0 || len(spec.Curves) == 0 {
 		return fmt.Errorf("%w: %d scenarios x %d curves (both axes need at least one entry)",
 			ErrInvalidRegionSpec, len(spec.Scenarios), len(spec.Curves))
 	}
-	// sweep.RegionBatch buffers one 16-byte point per flattened direction,
-	// Angles+2 per curve; a batch whose buffer size overflows an int could
-	// only fail inside make.
 	angles := spec.Angles
 	if angles <= 0 {
 		angles = protocols.DefaultRegionAngles
 	}
-	const pointBytes = 16
-	maxDirs := math.MaxInt / pointBytes
 	nS, nC := len(spec.Scenarios), len(spec.Curves)
-	if angles < 2 || angles > maxDirs-2 || nS > maxDirs/nC || nS*nC > maxDirs/(angles+2) {
-		return fmt.Errorf("%w: %d angles for %d scenarios x %d curves (need at least 2 angles and an int-sized direction buffer)",
-			ErrInvalidRegionSpec, spec.Angles, nS, nC)
+	if angles < 2 || angles > maxRegionDirections || nS > maxRegionDirections/nC || nS*nC > maxRegionDirections/(angles+2) {
+		return fmt.Errorf("%w: %d angles for %d scenarios x %d curves (need at least 2 angles and at most %d directions in all)",
+			ErrInvalidRegionSpec, spec.Angles, nS, nC, maxRegionDirections)
 	}
 	if err := validateResume(spec.Start, ErrInvalidRegionSpec); err != nil {
 		return err

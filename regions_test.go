@@ -98,6 +98,13 @@ func TestRegionValidation(t *testing.T) {
 			}
 		}
 	}
+	// 2^40 directions fit an int but not in memory: admission must reject
+	// them, since the batch's allocation would die unrecoverably.
+	oom := ok
+	oom.Angles = 1 << 40
+	if err := oom.Validate(); !errors.Is(err, bicoop.ErrInvalidRegionSpec) {
+		t.Errorf("angles=2^40 Validate err = %v, want ErrInvalidRegionSpec at admission", err)
+	}
 	nan := ok
 	nan.Scenarios = []bicoop.Scenario{{PowerDB: math.NaN()}}
 	if err := eng.RegionBatch(ctx, nan, func(bicoop.RegionBatchPoint) error { return nil }); !errors.Is(err, bicoop.ErrInvalidScenario) {
