@@ -163,7 +163,11 @@ func TestRunSweepCSVCheckpointResume(t *testing.T) {
 		if attempt > 100 {
 			t.Fatal("sweep never completed across 100 resumes")
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		// The budget starts well below the sweep's run time and grows with
+		// the attempt, so a deadline lands mid-run on any host and the loop
+		// still terminates.
+		budget := time.Duration(1+2*attempt) * time.Millisecond
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
 		err := runSweepCSV(ctx, eng, sweepTestSpec(), part, ck)
 		cancel()
 		if err == nil {
@@ -173,6 +177,9 @@ func TestRunSweepCSVCheckpointResume(t *testing.T) {
 			t.Fatal(err)
 		}
 		interruptions++
+	}
+	if interruptions == 0 {
+		t.Fatal("sweep completed within the first budget; grow the grid so resume is exercised")
 	}
 	t.Logf("completed after %d interruptions", interruptions)
 

@@ -8,6 +8,11 @@ package service
 // format is the bcc CLI's, unchanged — the CLI now emits through RunSweep,
 // so there is exactly one tested implementation of the byte-offset resume
 // discipline.
+//
+// Rows are built with strconv into the log's reusable line buffer, so
+// writing one allocates nothing. Each row type's comment gives the fmt
+// format it reproduces byte for byte: %d is AppendInt, %g is AppendFloat
+// with precision -1 and %.12g is AppendFloat with precision 12.
 
 import (
 	"context"
@@ -16,11 +21,56 @@ import (
 	"bicoop"
 )
 
-// sweepHeader/sweepRow: one row per grid point, bcc's historical format.
-const (
-	sweepHeader = "index,power_db,gab_db,gar_db,gbr_db,protocol,bound,ra,rb,sum\n"
-	sweepRow    = "%d,%g,%g,%g,%g,%s,%s,%.12g,%.12g,%.12g\n"
-)
+// Row field encoders. Each appends one field and a trailing comma;
+// writeRow turns the last comma into the newline.
+func appendIntField(b []byte, v int) []byte {
+	return append(strconv.AppendInt(b, int64(v), 10), ',')
+}
+
+func appendShortestField(b []byte, v float64) []byte {
+	return append(strconv.AppendFloat(b, v, 'g', -1, 64), ',')
+}
+
+func appendPrec12Field(b []byte, v float64) []byte {
+	return append(strconv.AppendFloat(b, v, 'g', 12, 64), ',')
+}
+
+func appendStringField(b []byte, s string) []byte {
+	return append(append(b, s...), ',')
+}
+
+// writeRow ends the row built in b and appends it to the stream, keeping
+// b's storage as the log's line buffer.
+func (l *ResultLog) writeRow(b []byte) error {
+	b[len(b)-1] = '\n'
+	l.line = b
+	return l.write(b)
+}
+
+// writeHeader appends a CSV header line.
+func (l *ResultLog) writeHeader(h string) error {
+	return l.write(append(l.line[:0], h...))
+}
+
+// sweepHeader: one row per grid point, bcc's historical format. A row is
+// "%d,%g,%g,%g,%g,%s,%s,%.12g,%.12g,%.12g\n" of (index, power, gab, gar,
+// gbr, protocol, bound, ra, rb, sum).
+const sweepHeader = "index,power_db,gab_db,gar_db,gbr_db,protocol,bound,ra,rb,sum\n"
+
+// sweepRow writes one grid point's row.
+func (l *ResultLog) sweepRow(pt bicoop.SweepPoint) error {
+	b := appendIntField(l.line[:0], pt.Index)
+	b = appendShortestField(b, pt.PowerDB)
+	b = appendShortestField(b, pt.Scenario.GabDB)
+	b = appendShortestField(b, pt.Scenario.GarDB)
+	b = appendShortestField(b, pt.Scenario.GbrDB)
+	b = appendStringField(b, pt.Protocol.String())
+	b = appendStringField(b, pt.Bound.String())
+	b = appendPrec12Field(b, pt.Result.Point.Ra)
+	b = appendPrec12Field(b, pt.Result.Point.Rb)
+	b = appendPrec12Field(b, pt.Result.Sum)
+	return l.writeRow(b)
+}
 
 // RunSweep streams a sweep's points into the log as CSV, resuming past the
 // log's watermark. The watermark unit is grid points.
@@ -30,28 +80,34 @@ func RunSweep(ctx context.Context, eng *bicoop.Engine, spec bicoop.SweepSpec, lo
 		spec.Checkpoint = log
 	}
 	if log.Fresh() {
-		if err := log.Printf(sweepHeader); err != nil {
+		if err := log.writeHeader(sweepHeader); err != nil {
 			return err
 		}
 	}
-	runErr := eng.Sweep(ctx, spec, func(pt bicoop.SweepPoint) error {
-		return log.Printf(sweepRow,
-			pt.Index, pt.PowerDB, pt.Scenario.GabDB, pt.Scenario.GarDB, pt.Scenario.GbrDB,
-			pt.Protocol, pt.Bound, pt.Result.Point.Ra, pt.Result.Point.Rb, pt.Result.Sum)
-	})
+	runErr := eng.Sweep(ctx, spec, log.sweepRow)
 	if err := log.Flush(); err != nil && runErr == nil {
 		runErr = err
 	}
 	return runErr
 }
 
-// regionHeader/regionRow: one row per polygon vertex, curves in enumeration
-// order (scenario-major). The watermark unit is whole curves, matching
-// RegionBatch yields.
-const (
-	regionHeader = "scenario_idx,curve_idx,protocol,bound,vertex,ra,rb\n"
-	regionRow    = "%d,%d,%s,%s,%d,%.12g,%.12g\n"
-)
+// regionHeader: one row per polygon vertex, curves in enumeration order
+// (scenario-major). The watermark unit is whole curves, matching
+// RegionBatch yields. A row is "%d,%d,%s,%s,%d,%.12g,%.12g\n" of
+// (scenario, curve, protocol, bound, vertex, ra, rb).
+const regionHeader = "scenario_idx,curve_idx,protocol,bound,vertex,ra,rb\n"
+
+// regionRow writes one vertex's row.
+func (l *ResultLog) regionRow(pt bicoop.RegionBatchPoint, v int, p bicoop.RatePoint) error {
+	b := appendIntField(l.line[:0], pt.ScenarioIdx)
+	b = appendIntField(b, pt.CurveIdx)
+	b = appendStringField(b, pt.Curve.Protocol.String())
+	b = appendStringField(b, pt.Curve.Bound.String())
+	b = appendIntField(b, v)
+	b = appendPrec12Field(b, p.Ra)
+	b = appendPrec12Field(b, p.Rb)
+	return l.writeRow(b)
+}
 
 // RunRegionBatch streams a region batch's completed curves into the log as
 // CSV, one row per vertex, resuming past the log's watermark (in curves).
@@ -61,14 +117,13 @@ func RunRegionBatch(ctx context.Context, eng *bicoop.Engine, spec bicoop.RegionB
 		spec.Checkpoint = log
 	}
 	if log.Fresh() {
-		if err := log.Printf(regionHeader); err != nil {
+		if err := log.writeHeader(regionHeader); err != nil {
 			return err
 		}
 	}
 	runErr := eng.RegionBatch(ctx, spec, func(pt bicoop.RegionBatchPoint) error {
 		for v, p := range pt.Region.Vertices() {
-			if err := log.Printf(regionRow,
-				pt.ScenarioIdx, pt.CurveIdx, pt.Curve.Protocol, pt.Curve.Bound, v, p.Ra, p.Rb); err != nil {
+			if err := log.regionRow(pt, v, p); err != nil {
 				return err
 			}
 		}
@@ -84,12 +139,26 @@ func RunRegionBatch(ctx context.Context, eng *bicoop.Engine, spec bicoop.RegionB
 // label) triple, so heterogeneous campaigns (fading and bit-true specs
 // mixed) share one schema. Fading protocols emit in AllProtocols order so
 // the file is deterministic despite the map-typed result. The watermark
-// unit is completed runs, matching SimulateBatch yields.
-const (
-	campaignHeader   = "run,metric,label,value\n"
-	campaignFloatRow = "%d,%s,%s,%.12g\n"
-	campaignIntRow   = "%d,%s,%s,%d\n"
-)
+// unit is completed runs, matching SimulateBatch yields. A float row is
+// "%d,%s,%s,%.12g\n" and an int row "%d,%s,%s,%d\n" of (run, metric,
+// label, value).
+const campaignHeader = "run,metric,label,value\n"
+
+// campaignFloatRow writes one float-valued metric row.
+func (l *ResultLog) campaignFloatRow(run int, metric, label string, v float64) error {
+	b := appendIntField(l.line[:0], run)
+	b = appendStringField(b, metric)
+	b = appendStringField(b, label)
+	return l.writeRow(appendPrec12Field(b, v))
+}
+
+// campaignIntRow writes one integer-valued metric row.
+func (l *ResultLog) campaignIntRow(run int, metric, label string, v int) error {
+	b := appendIntField(l.line[:0], run)
+	b = appendStringField(b, metric)
+	b = appendStringField(b, label)
+	return l.writeRow(appendIntField(b, v))
+}
 
 // RunCampaign streams a campaign's completed runs into the log as long-form
 // CSV, resuming past the log's watermark (in runs).
@@ -99,7 +168,7 @@ func RunCampaign(ctx context.Context, eng *bicoop.Engine, spec bicoop.CampaignSp
 		spec.Checkpoint = log
 	}
 	if log.Fresh() {
-		if err := log.Printf(campaignHeader); err != nil {
+		if err := log.writeHeader(campaignHeader); err != nil {
 			return err
 		}
 	}
@@ -114,7 +183,7 @@ func RunCampaign(ctx context.Context, eng *bicoop.Engine, spec bicoop.CampaignSp
 
 // emitSimResult writes one completed run's rows.
 func emitSimResult(log *ResultLog, run int, r bicoop.SimResult) error {
-	if err := log.Printf(campaignIntRow, run, "trials", "", r.Trials); err != nil {
+	if err := log.campaignIntRow(run, "trials", "", r.Trials); err != nil {
 		return err
 	}
 	if r.Fading != nil {
@@ -123,27 +192,27 @@ func emitSimResult(log *ResultLog, run int, r bicoop.SimResult) error {
 			if !ok {
 				continue
 			}
-			if err := log.Printf(campaignFloatRow, run, "mean_opt_sum_rate", p.String(), st.MeanOptSumRate); err != nil {
+			if err := log.campaignFloatRow(run, "mean_opt_sum_rate", p.String(), st.MeanOptSumRate); err != nil {
 				return err
 			}
-			if err := log.Printf(campaignFloatRow, run, "outage_prob", p.String(), st.OutageProb); err != nil {
+			if err := log.campaignFloatRow(run, "outage_prob", p.String(), st.OutageProb); err != nil {
 				return err
 			}
 		}
 	}
 	if r.BitTrue != nil {
-		if err := log.Printf(campaignFloatRow, run, "success_prob", "", r.BitTrue.SuccessProb); err != nil {
+		if err := log.campaignFloatRow(run, "success_prob", "", r.BitTrue.SuccessProb); err != nil {
 			return err
 		}
-		if err := log.Printf(campaignIntRow, run, "relay_failures", "", r.BitTrue.RelayFailures); err != nil {
+		if err := log.campaignIntRow(run, "relay_failures", "", r.BitTrue.RelayFailures); err != nil {
 			return err
 		}
-		if err := log.Printf(campaignIntRow, run, "terminal_failures", "", r.BitTrue.TerminalFailures); err != nil {
+		if err := log.campaignIntRow(run, "terminal_failures", "", r.BitTrue.TerminalFailures); err != nil {
 			return err
 		}
 	}
 	for phase, d := range r.Durations {
-		if err := log.Printf(campaignFloatRow, run, "duration", strconv.Itoa(phase), d); err != nil {
+		if err := log.campaignFloatRow(run, "duration", strconv.Itoa(phase), d); err != nil {
 			return err
 		}
 	}

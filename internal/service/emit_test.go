@@ -1,0 +1,149 @@
+package service
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"testing"
+
+	"bicoop"
+)
+
+// The fmt formats the typed row writers replace, kept as the reference
+// their output must match byte for byte.
+const (
+	fmtSweepRow         = "%d,%g,%g,%g,%g,%s,%s,%.12g,%.12g,%.12g\n"
+	fmtRegionRow        = "%d,%d,%s,%s,%d,%.12g,%.12g\n"
+	fmtCampaignFloatRow = "%d,%s,%s,%.12g\n"
+	fmtCampaignIntRow   = "%d,%s,%s,%d\n"
+)
+
+// specialFloats are the values where %g and strconv are easiest to get
+// out of step: signed zero, infinities, NaN, subnormals, the switch to
+// exponent notation at 1e21, and the float64 extremes.
+var specialFloats = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072009e-308,
+	1e21, 1e20, 999999999999999999999, 1e-5, 1e-4, 123456789012.5, 0.1, 1.0 / 3,
+	math.MaxFloat64, -math.MaxFloat64,
+}
+
+// rowRand draws row fields for the byte-identity test.
+type rowRand struct{ *rand.Rand }
+
+// float returns a special value, a random bit pattern (which covers NaN
+// payloads and subnormals), a rate-scale value, or a wide-exponent value.
+func (r rowRand) float() float64 {
+	switch r.Intn(4) {
+	case 0:
+		return specialFloats[r.Intn(len(specialFloats))]
+	case 1:
+		return math.Float64frombits(r.Uint64())
+	case 2:
+		return r.Float64() * 10
+	default:
+		return r.NormFloat64() * math.Pow(10, float64(r.Intn(61)-30))
+	}
+}
+
+func (r rowRand) int() int {
+	switch r.Intn(3) {
+	case 0:
+		return r.Intn(100000)
+	case 1:
+		return []int{0, -1, math.MaxInt, math.MinInt}[r.Intn(4)]
+	default:
+		return int(r.Uint64())
+	}
+}
+
+func (r rowRand) str() string {
+	return []string{"", "trials", "mean_opt_sum_rate", "MABC", "0", "inner"}[r.Intn(6)]
+}
+
+func (r rowRand) protocol() bicoop.Protocol {
+	ps := bicoop.AllProtocols()
+	return ps[r.Intn(len(ps))]
+}
+
+func (r rowRand) bound() bicoop.Bound {
+	return []bicoop.Bound{bicoop.Inner, bicoop.Outer}[r.Intn(2)]
+}
+
+// TestRowsMatchFmt pins every typed row writer byte-identical to fmt.Sprintf
+// of the format it replaces, on 100k seeded random rows per row kind.
+func TestRowsMatchFmt(t *testing.T) {
+	const rows = 100000
+	var out bytes.Buffer
+	log := NewResultLog(&out)
+	check := func(kind string, i int, write func() error, want string) {
+		t.Helper()
+		out.Reset()
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := out.String(); got != want {
+			t.Fatalf("%s row %d: got %q, want %q", kind, i, got, want)
+		}
+	}
+	r := rowRand{rand.New(rand.NewSource(22))}
+	for i := 0; i < rows; i++ {
+		var pt bicoop.SweepPoint
+		pt.Index = r.int()
+		pt.PowerDB = r.float()
+		pt.Scenario.GabDB, pt.Scenario.GarDB, pt.Scenario.GbrDB = r.float(), r.float(), r.float()
+		pt.Protocol, pt.Bound = r.protocol(), r.bound()
+		pt.Result.Point.Ra, pt.Result.Point.Rb, pt.Result.Sum = r.float(), r.float(), r.float()
+		check("sweep", i, func() error { return log.sweepRow(pt) }, fmt.Sprintf(fmtSweepRow,
+			pt.Index, pt.PowerDB, pt.Scenario.GabDB, pt.Scenario.GarDB, pt.Scenario.GbrDB,
+			pt.Protocol, pt.Bound, pt.Result.Point.Ra, pt.Result.Point.Rb, pt.Result.Sum))
+	}
+	for i := 0; i < rows; i++ {
+		var pt bicoop.RegionBatchPoint
+		pt.ScenarioIdx, pt.CurveIdx = r.int(), r.int()
+		pt.Curve.Protocol, pt.Curve.Bound = r.protocol(), r.bound()
+		v, p := r.int(), bicoop.RatePoint{Ra: r.float(), Rb: r.float()}
+		check("region", i, func() error { return log.regionRow(pt, v, p) }, fmt.Sprintf(fmtRegionRow,
+			pt.ScenarioIdx, pt.CurveIdx, pt.Curve.Protocol, pt.Curve.Bound, v, p.Ra, p.Rb))
+	}
+	for i := 0; i < rows; i++ {
+		run, metric, label, v := r.int(), r.str(), r.str(), r.float()
+		check("campaign-float", i, func() error { return log.campaignFloatRow(run, metric, label, v) },
+			fmt.Sprintf(fmtCampaignFloatRow, run, metric, label, v))
+	}
+	for i := 0; i < rows; i++ {
+		run, metric, label, v := r.int(), r.str(), r.str(), r.int()
+		check("campaign-int", i, func() error { return log.campaignIntRow(run, metric, label, v) },
+			fmt.Sprintf(fmtCampaignIntRow, run, metric, label, v))
+	}
+	// Every special value in every float field kind, not only by chance.
+	for i, x := range specialFloats {
+		pt := bicoop.SweepPoint{Index: i, PowerDB: x, Protocol: bicoop.HBC, Bound: bicoop.Outer}
+		pt.Scenario.GabDB = x
+		pt.Result.Point.Ra, pt.Result.Sum = x, x
+		check("sweep-special", i, func() error { return log.sweepRow(pt) }, fmt.Sprintf(fmtSweepRow,
+			pt.Index, pt.PowerDB, pt.Scenario.GabDB, pt.Scenario.GarDB, pt.Scenario.GbrDB,
+			pt.Protocol, pt.Bound, pt.Result.Point.Ra, pt.Result.Point.Rb, pt.Result.Sum))
+	}
+}
+
+// TestSweepRowAllocs pins the row path allocation-free: a sweep job writes
+// one row per grid point.
+func TestSweepRowAllocs(t *testing.T) {
+	log := NewResultLog(io.Discard)
+	pt := bicoop.SweepPoint{Index: 12345, PowerDB: 17.5, Protocol: bicoop.TDBC, Bound: bicoop.Inner}
+	pt.Scenario = testScenario
+	pt.Result.Point.Ra, pt.Result.Point.Rb, pt.Result.Sum = 1.0/3, 2.0/7, 1.0/3+2.0/7
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := log.sweepRow(pt); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("writing one sweep row allocates %v times, want 0", n)
+	}
+}

@@ -381,6 +381,17 @@ func (s *Service) Results(id string) ([]byte, State, error) {
 	}
 	state := j.state
 	s.mu.Unlock()
+	// Read the checkpoint before the CSV: the offset it records is already
+	// in the file, whereas an offset read after the CSV could vouch for a
+	// partial row the read caught mid-flush.
+	limit := int64(-1)
+	if !state.Terminal() {
+		ck, err := loadLogCheckpoint(s.store.CheckpointPath(id))
+		if err != nil {
+			return nil, state, err
+		}
+		limit = ck.Offset
+	}
 	data, err := os.ReadFile(s.store.ResultsPath(id))
 	if errors.Is(err, fs.ErrNotExist) {
 		data, err = nil, nil // queued: no output yet
@@ -388,14 +399,8 @@ func (s *Service) Results(id string) ([]byte, State, error) {
 	if err != nil {
 		return nil, state, err
 	}
-	if !state.Terminal() {
-		ck, err := loadLogCheckpoint(s.store.CheckpointPath(id))
-		if err != nil {
-			return nil, state, err
-		}
-		if int64(len(data)) > ck.Offset {
-			data = data[:ck.Offset]
-		}
+	if limit >= 0 && int64(len(data)) > limit {
+		data = data[:limit]
 	}
 	return data, state, nil
 }

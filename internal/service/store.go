@@ -7,7 +7,10 @@ package service
 //	  spec.json        the submission, verbatim
 //	  state.json       {"state": ..., "error": ...}, tmp+rename on every change
 //	  results.csv      the streaming CSV output
-//	  checkpoint.json  {"watermark", "offset"} resume state (ResultLog)
+//	  checkpoint.json  resume state (ResultLog): two CRC-checked binary
+//	                   {seq, watermark, offset} slots rewritten in place.
+//	                   Older versions wrote a JSON {"watermark", "offset"}
+//	                   object here, hence the name; resume still reads one.
 //
 // Job creation is crash-atomic: the directory is populated under a dotted
 // temp name and renamed into place, so a crash mid-create leaves only an
@@ -102,7 +105,8 @@ func (s *Store) statePath(id string) string { return filepath.Join(s.dir(id), "s
 // ResultsPath returns the job's streaming CSV file.
 func (s *Store) ResultsPath(id string) string { return filepath.Join(s.dir(id), "results.csv") }
 
-// CheckpointPath returns the job's {watermark, offset} resume file.
+// CheckpointPath returns the job's {watermark, offset} resume file (see the
+// record format in resultlog.go).
 func (s *Store) CheckpointPath(id string) string {
 	return filepath.Join(s.dir(id), "checkpoint.json")
 }
