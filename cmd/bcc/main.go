@@ -441,9 +441,7 @@ func cmdPlace(ctx context.Context, args []string) error {
 // bounds the run (exit 124) and -checkpoint makes the sweep resumable. An
 // interrupted checkpointed sweep, rerun with the same arguments, picks up
 // where the delivered prefix ended and the final CSV is byte-identical to an
-// uninterrupted run's. The checkpoint file holds two CRC-checked binary
-// slots (see internal/service's ResultLog); a JSON checkpoint an older bcc
-// wrote is still read on resume.
+// uninterrupted run's.
 func cmdSweep(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	gab := fs.Float64("gab", -7, "direct link gain Gab in dB (base gains, and reference for -places)")
@@ -455,7 +453,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 	protos := fs.String("protos", "", "comma-separated protocols (default: all five)")
 	boundName := fs.String("bound", "inner", "bound: inner or outer")
 	out := fs.String("o", "", "write CSV to this file (default stdout)")
-	ckPath := fs.String("checkpoint", "", "checkpoint file (a binary {watermark, CSV offset} record, rewritten in place) enabling resume across reruns; requires -o")
+	ckPath := fs.String("checkpoint", "", "checkpoint file enabling resume across reruns; requires -o")
 	workers := fs.Int("workers", 0, "goroutines sharding the grid (0 = GOMAXPROCS)")
 	cacheCap := fs.Int("cache", 0, "in-process result-cache capacity in entries; repeated points (e.g. across placements) are served from cache (0 = off)")
 	timeout := timeoutFlag(fs)

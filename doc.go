@@ -103,14 +103,11 @@
 //	err := eng.Sweep(ctx, spec, writeRow)
 //
 // The CLI packages the recipe: `bcc sweep -o grid.csv -checkpoint grid.ck`
-// persists {watermark, CSV byte offset} as the sweep streams, a rerun
-// truncates the CSV to the checkpointed offset and resumes from the
+// persists {watermark, CSV byte offset} atomically as the sweep streams, a
+// rerun truncates the CSV to the checkpointed offset and resumes from the
 // watermark, and the finished file is byte-identical to an uninterrupted
 // run's — through any number of Ctrl-C, -timeout (exit 124), or kill -9
-// interruptions. Each save is one small in-place write into the older of
-// two CRC-checked slots of the checkpoint file, so a save torn by a kill
-// fails its CRC and resume falls back to the previous record. Nothing is
-// fsynced: the guarantee covers process death, not power loss. Deterministic fault injection for testing these paths
+// interruptions. Deterministic fault injection for testing these paths
 // lives in internal/sweep/chaos: it wraps a workload with seed-keyed
 // delays, permanent faults and panics, every injection a pure function of
 // (seed, chunk), so a delay-injected run is asserted bit-identical to a
@@ -120,12 +117,10 @@
 //
 // Command bccd serves the same engine as a crash-safe HTTP/JSON job
 // daemon, for long sweeps that should survive the submitting shell — and
-// the daemon process. It layers the checkpoint/resume discipline above
-// into a durable job store (internal/service): each job gets a directory
-// holding its spec verbatim, its state, a streaming results.csv, and a
-// {watermark, byte offset} checkpoint saved into alternating CRC-checked
-// slots as rows flush. A JSON checkpoint.json that an older daemon left
-// behind is read once on resume and replaced by the slot format.
+// the machine. It layers the checkpoint/resume discipline above into a
+// durable job store (internal/service): each job gets a directory holding
+// its spec verbatim, its state, a streaming results.csv, and a
+// {watermark, byte offset} checkpoint saved atomically as rows flush.
 //
 //	bccd -store /var/lib/bccd -addr 127.0.0.1:8347
 //
@@ -365,9 +360,9 @@
 //     own context.Background/TODO — cancellation always threads from the
 //     caller.
 //   - atomicwrite: internal/service writes durable files only through
-//     functions annotated `//bicoop:atomicio` (tmp+rename, an audited
-//     checkpoint-truncate, or the two-slot CRC checkpoint record), keeping
-//     the kill -9 recovery story auditable at the call-site level.
+//     functions annotated `//bicoop:atomicio` (tmp+rename or an audited
+//     checkpoint-truncate), keeping the kill -9 recovery story auditable
+//     at the call-site level.
 //   - errwrap: sentinel comparisons use errors.Is, and fmt.Errorf wraps
 //     with %w rather than flattening with %v/%s, so errors.Is/As keep
 //     working across API layers.

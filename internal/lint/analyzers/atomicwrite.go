@@ -7,17 +7,14 @@ import (
 )
 
 // Atomicwrite guards the durability discipline of internal/service: every
-// durable file lands through an audited helper, never a raw write, so a
-// kill -9 at any instant leaves a state recovery can read. The analyzer
-// flags the raw file-creation primitives (os.WriteFile, os.Create,
-// os.OpenFile) anywhere in the package except inside functions annotated
-// //bicoop:atomicio — the hand-audited helpers that implement one of three
-// idioms: tmp+rename (old content or new, never a torn file), truncate to
-// the checkpointed CSV offset (rows past it are rewritten on resume), and
-// the two-slot CRC checkpoint record written in place (a torn slot fails
-// its CRC and the other slot still holds the previous record). New service
-// code must route durable state through those helpers or earn the
-// annotation in review.
+// durable file lands through a tmp+rename helper, never a raw write, so a
+// kill -9 at any instant leaves either the old content or the new — never
+// a torn file. The analyzer flags the raw file-creation primitives
+// (os.WriteFile, os.Create, os.OpenFile) anywhere in the package except
+// inside functions annotated //bicoop:atomicio — the hand-audited store
+// helpers that implement the tmp+rename (or truncate-to-checkpoint) dance
+// itself. New service code must route durable state through those helpers
+// or earn the annotation in review.
 var Atomicwrite = &lint.Analyzer{
 	Name:  "atomicwrite",
 	Doc:   "durable files in internal/service land only via annotated tmp+rename helpers",

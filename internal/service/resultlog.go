@@ -10,11 +10,10 @@ package service
 
 import (
 	"bufio"
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
@@ -26,92 +25,31 @@ import (
 // robust to a kill between a yield and its checkpoint save — the rerun
 // truncates the CSV back to the offset the watermark vouches for, so rows
 // delivered but never checkpointed are rewritten rather than duplicated.
-// The JSON tags decode the legacy format older versions wrote.
 type logCheckpoint struct {
 	Watermark int   `json:"watermark"`
 	Offset    int64 `json:"offset"`
-	seq       uint64
 }
-
-// A checkpoint file holds two fixed-size little-endian slots:
-//
-//	magic      4 bytes: "bcLK" (never '{', so no legacy JSON file matches)
-//	seq        8 bytes: save number; a record lives in slot seq%2
-//	watermark  8 bytes
-//	offset     8 bytes
-//	crc        4 bytes: CRC32 (IEEE) of the 28 bytes before it
-//
-// Saves alternate slots, so while one slot is being rewritten the other
-// holds the previous complete record. The loader takes the valid slot with
-// the highest seq; a torn slot fails its CRC and falls back to the other.
-const (
-	ckMagic      = "bcLK"
-	ckRecordSize = 4 + 3*8 + 4
-	ckFileSize   = 2 * ckRecordSize
-)
 
 var errCorruptCheckpoint = errors.New("corrupt checkpoint")
 
-// appendLogCheckpoint appends ck's slot record to dst.
-func appendLogCheckpoint(dst []byte, ck logCheckpoint) []byte {
-	le := binary.LittleEndian
-	dst = append(dst, ckMagic...)
-	dst = le.AppendUint64(dst, ck.seq)
-	dst = le.AppendUint64(dst, uint64(ck.Watermark))
-	dst = le.AppendUint64(dst, uint64(ck.Offset))
-	return le.AppendUint32(dst, crc32.ChecksumIEEE(dst[len(dst)-(ckRecordSize-4):]))
-}
-
-// decodeLogSlot decodes the record in slot i of a checkpoint file, or
-// reports false when the slot is short, torn, misplaced or out of range.
-func decodeLogSlot(data []byte, i int) (logCheckpoint, bool) {
-	if len(data) < (i+1)*ckRecordSize {
-		return logCheckpoint{}, false
-	}
-	b := data[i*ckRecordSize : (i+1)*ckRecordSize]
-	le := binary.LittleEndian
-	if string(b[:4]) != ckMagic || le.Uint32(b[ckRecordSize-4:]) != crc32.ChecksumIEEE(b[:ckRecordSize-4]) {
-		return logCheckpoint{}, false
-	}
-	seq := le.Uint64(b[4:])
-	wm, off := int64(le.Uint64(b[12:])), int64(le.Uint64(b[20:]))
-	if seq%2 != uint64(i) || wm < 0 || int64(int(wm)) != wm || off < 0 {
-		return logCheckpoint{}, false
-	}
-	return logCheckpoint{Watermark: int(wm), Offset: off, seq: seq}, true
-}
-
 // parseLogCheckpoint decodes a checkpoint file's contents. A zero-length
-// file — what a crash between creating the file and its first completed
-// write leaves behind — is a fresh run, not corruption. A file starting
-// with '{' is the JSON {watermark, offset} object older versions wrote,
-// read under the rules they applied. Anything else must hold at least one
-// valid slot.
+// (or all-whitespace) file — what a crash between creating the file and
+// the first completed write leaves behind — is a fresh run, not
+// corruption.
 func parseLogCheckpoint(data []byte) (logCheckpoint, error) {
 	var ck logCheckpoint
-	if len(data) == 0 {
-		return ck, nil
+	if len(bytes.TrimSpace(data)) == 0 {
+		return ck, nil // crash before the first save completed: fresh run
 	}
-	if data[0] == '{' {
-		if err := json.Unmarshal(data, &ck); err != nil || ck.Watermark < 0 || ck.Offset < 0 {
-			return logCheckpoint{}, errCorruptCheckpoint
-		}
-		return ck, nil
-	}
-	found := false
-	for i := 0; i < 2; i++ {
-		if c, ok := decodeLogSlot(data, i); ok && (!found || c.seq > ck.seq) {
-			ck, found = c, true
-		}
-	}
-	if !found {
+	if err := json.Unmarshal(data, &ck); err != nil || ck.Watermark < 0 || ck.Offset < 0 {
 		return logCheckpoint{}, errCorruptCheckpoint
 	}
 	return ck, nil
 }
 
-// loadLogCheckpoint reads a checkpoint file. A missing file is a fresh run;
-// a file with no valid record is a loud error, never a silent restart.
+// loadLogCheckpoint reads a {watermark, offset} checkpoint. A missing file
+// is a fresh run; a file that does not decode is a loud error, never a
+// silent restart.
 func loadLogCheckpoint(path string) (logCheckpoint, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -127,39 +65,20 @@ func loadLogCheckpoint(path string) (logCheckpoint, error) {
 	return ck, nil
 }
 
-// installLogCheckpoint replaces the checkpoint file with one holding ck as
-// seq 0 in slot 0 and an empty slot 1, so the file always has a valid slot
-// before the first in-place save — and a legacy JSON file is converted
-// without ever being overwritten in place.
-//
-//bicoop:atomicio — tmp+rename of the checkpoint file
-func installLogCheckpoint(path string, ck logCheckpoint) error {
-	ck.seq = 0
-	data := appendLogCheckpoint(make([]byte, 0, ckFileSize), ck)
-	data = append(data, make([]byte, ckRecordSize)...)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // ResultLog owns a job's streaming CSV output and, when opened with a
-// checkpoint path, persists {watermark, offset} each time the engine's
-// watermark advances — after flushing the rows the watermark covers, so a
-// saved checkpoint never points past what is in the file. It implements
-// bicoop.Checkpointer; feed Watermark back as the spec's Start and the
-// concatenated output of the runs is byte-identical to an uninterrupted
-// run's.
+// checkpoint path, persists {watermark, offset} atomically each time the
+// engine's watermark advances — after flushing the rows the watermark
+// covers, so a saved checkpoint never points past what is durably in the
+// file. It implements bicoop.Checkpointer; feed Watermark back as the
+// spec's Start and the concatenated output of the runs is byte-identical
+// to an uninterrupted run's.
 type ResultLog struct {
 	f         *os.File // nil when wrapping a plain writer (stdout)
 	buf       *bufio.Writer
-	off       int64              // CSV bytes written so far, flushed or buffered
-	line      []byte             // reusable row buffer (see emit.go)
-	ck        *os.File           // checkpoint file; nil disables checkpointing
-	ckRec     [ckRecordSize]byte // reusable slot record
-	seq       uint64             // seq of the newest saved slot
-	watermark int                // watermark loaded at open (the resume Start)
+	off       int64  // CSV bytes written so far, flushed or buffered
+	line      []byte // reusable row buffer (see emit.go)
+	ckPath    string // "" disables checkpointing
+	watermark int    // watermark loaded at open (the resume Start)
 }
 
 // OpenResultLog opens csvPath for a run's CSV stream. With ckPath empty the
@@ -174,45 +93,34 @@ type ResultLog struct {
 //
 //bicoop:atomicio — audited checkpoint-truncate open of the CSV stream
 func OpenResultLog(csvPath, ckPath string) (*ResultLog, error) {
-	l := &ResultLog{}
-	var ck logCheckpoint
+	l := &ResultLog{ckPath: ckPath}
 	if ckPath != "" {
-		var err error
-		if ck, err = loadLogCheckpoint(ckPath); err != nil {
+		ck, err := loadLogCheckpoint(ckPath)
+		if err != nil {
 			return nil, err
+		}
+		if ck.Watermark > 0 {
+			f, err := os.OpenFile(csvPath, os.O_RDWR, 0o644)
+			if err != nil {
+				return nil, fmt.Errorf("checkpoint %s expects output %s: %w (delete the checkpoint to start fresh)", ckPath, csvPath, err)
+			}
+			if err := f.Truncate(ck.Offset); err != nil {
+				f.Close()
+				return nil, err
+			}
+			if _, err := f.Seek(ck.Offset, io.SeekStart); err != nil {
+				f.Close()
+				return nil, err
+			}
+			l.f, l.off, l.watermark = f, ck.Offset, ck.Watermark
 		}
 	}
-	if ck.Watermark > 0 {
-		f, err := os.OpenFile(csvPath, os.O_RDWR, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint %s expects output %s: %w (delete the checkpoint to start fresh)", ckPath, csvPath, err)
-		}
-		if err := f.Truncate(ck.Offset); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if _, err := f.Seek(ck.Offset, io.SeekStart); err != nil {
-			f.Close()
-			return nil, err
-		}
-		l.f, l.off, l.watermark = f, ck.Offset, ck.Watermark
-	} else {
-		ck = logCheckpoint{}
+	if l.f == nil {
 		f, err := os.Create(csvPath)
 		if err != nil {
 			return nil, err
 		}
 		l.f = f
-	}
-	if ckPath != "" {
-		err := installLogCheckpoint(ckPath, ck)
-		if err == nil {
-			l.ck, err = os.OpenFile(ckPath, os.O_WRONLY, 0)
-		}
-		if err != nil {
-			l.f.Close()
-			return nil, err
-		}
 	}
 	l.buf = bufio.NewWriter(l.f)
 	return l, nil
@@ -235,7 +143,7 @@ func (l *ResultLog) Fresh() bool { return l.watermark == 0 }
 
 // Checkpointed reports whether the log persists a checkpoint; set the spec's
 // Checkpoint field to l exactly when it does.
-func (l *ResultLog) Checkpointed() bool { return l.ck != nil }
+func (l *ResultLog) Checkpointed() bool { return l.ckPath != "" }
 
 // write appends bytes to the stream, tracking the CSV offset.
 func (l *ResultLog) write(b []byte) error {
@@ -245,25 +153,23 @@ func (l *ResultLog) write(b []byte) error {
 }
 
 // Save implements bicoop.Checkpointer: flush the rows the watermark covers,
-// then record {watermark, current offset} in the next checkpoint slot.
+// then atomically replace the checkpoint with {watermark, current offset}.
+// The offset is the CSV bytes written, tracked in memory.
 //
-// Nothing in this package fsyncs, so the guarantee every save gives is
-// survival of process death (kill -9), not of power loss. For that one
-// small pwrite into the slot the previous save did not use is enough: a
-// process killed mid-save leaves at worst a torn slot, its CRC fails, and
-// the loader falls back to the other slot, whose offset the CSV already
-// covers. The same holds for a concurrent reader that catches a slot
-// half-rewritten.
-//
-//bicoop:atomicio — in-place two-slot CRC record (see above)
+//bicoop:atomicio — tmp+rename of the checkpoint file
 func (l *ResultLog) Save(watermark int) error {
 	if err := l.buf.Flush(); err != nil {
 		return err
 	}
-	l.seq++
-	rec := appendLogCheckpoint(l.ckRec[:0], logCheckpoint{Watermark: watermark, Offset: l.off, seq: l.seq})
-	_, err := l.ck.WriteAt(rec, int64(l.seq%2)*ckRecordSize)
-	return err
+	data, err := json.Marshal(logCheckpoint{Watermark: watermark, Offset: l.off})
+	if err != nil {
+		return err
+	}
+	tmp := l.ckPath + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, l.ckPath)
 }
 
 // Flush pushes buffered rows to the underlying file or writer. Rows past
@@ -271,15 +177,12 @@ func (l *ResultLog) Save(watermark int) error {
 // them away before rewriting.
 func (l *ResultLog) Flush() error { return l.buf.Flush() }
 
-// Close flushes and closes the underlying files (a no-op close for a
-// wrapped plain writer).
+// Close flushes and closes the underlying file (a no-op close for a wrapped
+// plain writer).
 func (l *ResultLog) Close() error {
 	err := l.buf.Flush()
-	for _, f := range []*os.File{l.f, l.ck} {
-		if f == nil {
-			continue
-		}
-		if cerr := f.Close(); err == nil {
+	if l.f != nil {
+		if cerr := l.f.Close(); err == nil {
 			err = cerr
 		}
 	}

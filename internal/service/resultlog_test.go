@@ -132,8 +132,6 @@ func TestRunRegionBatchInterruptResumeByteIdentical(t *testing.T) {
 		// 6 scenarios x 5 curves (three of them LPs) x 241 angles keep the
 		// batch comfortably larger than the first interrupt budget on fast
 		// machines, so the resume path is always exercised at least once.
-		// Cheap checkpoint saves leave the LPs as most of the run time, so
-		// the LP count is what the margin rests on.
 		Angles:  241,
 		Workers: 2,
 	}
@@ -166,146 +164,11 @@ func TestRunCampaignInterruptResumeByteIdentical(t *testing.T) {
 	})
 }
 
-// ckRecord encodes one checkpoint slot record.
-func ckRecord(seq uint64, watermark int, offset int64) []byte {
-	return appendLogCheckpoint(nil, logCheckpoint{Watermark: watermark, Offset: offset, seq: seq})
-}
-
-// cat concatenates byte slices.
-func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-
-// TestLoadLogCheckpointSlots covers the slot format; the zero-length and
-// legacy JSON rules have tests of their own above.
-func TestLoadLogCheckpointSlots(t *testing.T) {
-	s2, s3, s4 := ckRecord(2, 20, 200), ckRecord(3, 30, 300), ckRecord(4, 40, 400)
-	garbled := append([]byte(nil), s4...)
-	garbled[15] ^= 0x40 // a watermark bit: the CRC no longer matches
-	torn := cat(s4[:13], s2[13:])
-	for _, tc := range []struct {
-		name    string
-		data    []byte
-		want    int // watermark; the offset is always 10x
-		wantErr bool
-	}{
-		{name: "newest slot wins", data: cat(s4, s3), want: 40},
-		{name: "newest slot wins from slot 1", data: cat(s2, s3), want: 30},
-		{name: "garbled newest slot falls back", data: cat(garbled, s3), want: 30},
-		{name: "record cut off mid-write falls back", data: cat(torn, s3), want: 30},
-		{name: "first slot-1 write cut off at end of file", data: cat(ckRecord(0, 0, 0), s3[:20]), want: 0},
-		{name: "installed file before any save", data: cat(ckRecord(0, 7, 70), make([]byte, ckRecordSize)), want: 7},
-		{name: "trailing bytes are ignored", data: cat(s4, s3, []byte("junk")), want: 40},
-		{name: "record in the wrong slot is invalid", data: cat(s3, garbled), wantErr: true},
-		{name: "both slots garbled", data: cat(garbled, torn), wantErr: true},
-		{name: "all zeros", data: make([]byte, ckFileSize), wantErr: true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "ck")
-			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			ck, err := loadLogCheckpoint(path)
-			if tc.wantErr {
-				if err == nil || !strings.Contains(err.Error(), "corrupt checkpoint") {
-					t.Fatalf("got (%+v, %v), want a corrupt-checkpoint error", ck, err)
-				}
-				return
-			}
-			if err != nil || ck.Watermark != tc.want || ck.Offset != 10*int64(tc.want) {
-				t.Fatalf("got (%+v, %v), want watermark %d offset %d", ck, err, tc.want, 10*tc.want)
-			}
-		})
-	}
-}
-
-// TestResultLogSaveAlternatesSlots pins the writer side of the record
-// format: each save lands in the slot the previous one did not use, the
-// file never grows past two slots, and the offset is the CSV bytes written.
-func TestResultLogSaveAlternatesSlots(t *testing.T) {
-	dir := t.TempDir()
-	ckPath := filepath.Join(dir, "ck")
-	log, err := OpenResultLog(filepath.Join(dir, "out.csv"), ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
-	var prev []byte
-	for i := 1; i <= 5; i++ {
-		if err := log.writeHeader("row\n"); err != nil {
-			t.Fatal(err)
-		}
-		if err := log.Save(i); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(ckPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(data) != ckFileSize {
-			t.Fatalf("save %d: checkpoint file is %d bytes, want %d", i, len(data), ckFileSize)
-		}
-		ck, err := parseLogCheckpoint(data)
-		if err != nil || ck.Watermark != i || ck.Offset != int64(4*i) {
-			t.Fatalf("save %d: loaded (%+v, %v), want watermark %d offset %d", i, ck, err, i, 4*i)
-		}
-		// The slot the save did not touch still holds the previous record.
-		if other := 1 - i%2; prev != nil && !bytes.Equal(data[other*ckRecordSize:][:ckRecordSize], prev[other*ckRecordSize:][:ckRecordSize]) {
-			t.Fatalf("save %d rewrote slot %d as well", i, other)
-		}
-		prev = data
-	}
-}
-
-// TestOpenResultLogConvertsLegacyCheckpoint pins the legacy rule: a JSON
-// checkpoint an older version wrote is read once, and the open replaces it
-// with a slot file holding the same state.
-func TestOpenResultLogConvertsLegacyCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	csvPath, ckPath := filepath.Join(dir, "out.csv"), filepath.Join(dir, "ck")
-	if err := os.WriteFile(csvPath, []byte("h\nr1\nr2\npartial"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(ckPath, []byte(`{"watermark":2,"offset":8}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	log, err := OpenResultLog(csvPath, ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if log.Watermark() != 2 {
-		t.Fatalf("resume watermark = %d, want 2", log.Watermark())
-	}
-	data, err := os.ReadFile(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(data, []byte(ckMagic)) || len(data) != ckFileSize {
-		t.Fatalf("checkpoint after open = %q, want a %d-byte slot file", data, ckFileSize)
-	}
-	if ck, err := parseLogCheckpoint(data); err != nil || ck.Watermark != 2 || ck.Offset != 8 {
-		t.Fatalf("converted checkpoint = (%+v, %v), want watermark 2 offset 8", ck, err)
-	}
-	if err := log.writeHeader("r3\n"); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Save(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := os.ReadFile(csvPath); string(got) != "h\nr1\nr2\nr3\n" {
-		t.Fatalf("resumed CSV = %q", got)
-	}
-	if ck, err := loadLogCheckpoint(ckPath); err != nil || ck.Watermark != 3 || ck.Offset != 11 {
-		t.Fatalf("checkpoint after save = (%+v, %v), want watermark 3 offset 11", ck, err)
-	}
-}
-
-// TestLegacyCheckpointJobResumesByteIdentical plants a half-run job the way
-// an older daemon killed mid-job leaves it — state running, rows past the
-// JSON checkpoint's offset, a torn last row — and requires the restarted
+// TestPlantedCheckpointJobResumesByteIdentical plants a half-run job the
+// way a daemon killed mid-job leaves it — state running, rows past the
+// checkpoint's offset, a torn last row — and requires the restarted
 // service to finish it byte-identical to an uninterrupted run.
-func TestLegacyCheckpointJobResumesByteIdentical(t *testing.T) {
+func TestPlantedCheckpointJobResumesByteIdentical(t *testing.T) {
 	spec := JobSpec{Sweep: &SweepJob{Base: testScenario, PowersDB: powerAxis(0, 20, 0.5), Workers: 2}}
 	want := referenceCSV(t, spec)
 	// Checkpoint after the header and the first 64 points (one chunk).
@@ -328,8 +191,8 @@ func TestLegacyCheckpointJobResumesByteIdentical(t *testing.T) {
 	if err := os.WriteFile(st.ResultsPath(id), want[:offset+150], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	legacy := fmt.Sprintf(`{"watermark":%d,"offset":%d}`, watermark, offset)
-	if err := os.WriteFile(st.CheckpointPath(id), []byte(legacy), 0o644); err != nil {
+	ck := fmt.Sprintf(`{"watermark":%d,"offset":%d}`, watermark, offset)
+	if err := os.WriteFile(st.CheckpointPath(id), []byte(ck), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -356,11 +219,10 @@ func TestLegacyCheckpointJobResumesByteIdentical(t *testing.T) {
 }
 
 // TestReadersRaceLiveCheckpoint polls Status and Results while a sweep job
-// checkpoints (run it under -race). The watermark never decreases, and a
-// live body is always a prefix of the final file that ends at a row
-// boundary no later than the offset the checkpoint then records — so a
-// reader that catches a slot half-rewritten falls back to the other one
-// instead of failing.
+// checkpoints (run it under -race). The watermark never decreases, a live
+// checkpoint always loads (the tmp+rename save never exposes a torn file),
+// and a live body is always a prefix of the final file that ends at a row
+// boundary no later than the offset the checkpoint then records.
 func TestReadersRaceLiveCheckpoint(t *testing.T) {
 	svc, st := newTestService(t, filepath.Join(t.TempDir(), "jobs"), Options{})
 	spec := longSweep(2)
@@ -434,8 +296,6 @@ func TestReadersRaceLiveCheckpoint(t *testing.T) {
 // usable resume state — never a negative watermark or offset.
 func FuzzLoadLogCheckpoint(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(cat(ckRecord(4, 40, 400), ckRecord(3, 30, 300)))
-	f.Add(cat(ckRecord(0, 0, 0), make([]byte, ckRecordSize)))
 	f.Add([]byte(`{"watermark":5,"offset":100}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := parseLogCheckpoint(data)

@@ -7,10 +7,7 @@ package service
 //	  spec.json        the submission, verbatim
 //	  state.json       {"state": ..., "error": ...}, tmp+rename on every change
 //	  results.csv      the streaming CSV output
-//	  checkpoint.json  resume state (ResultLog): two CRC-checked binary
-//	                   {seq, watermark, offset} slots rewritten in place.
-//	                   Older versions wrote a JSON {"watermark", "offset"}
-//	                   object here, hence the name; resume still reads one.
+//	  checkpoint.json  {"watermark", "offset"} resume state (ResultLog)
 //
 // Job creation is crash-atomic: the directory is populated under a dotted
 // temp name and renamed into place, so a crash mid-create leaves only an
@@ -105,8 +102,7 @@ func (s *Store) statePath(id string) string { return filepath.Join(s.dir(id), "s
 // ResultsPath returns the job's streaming CSV file.
 func (s *Store) ResultsPath(id string) string { return filepath.Join(s.dir(id), "results.csv") }
 
-// CheckpointPath returns the job's {watermark, offset} resume file (see the
-// record format in resultlog.go).
+// CheckpointPath returns the job's {watermark, offset} resume file.
 func (s *Store) CheckpointPath(id string) string {
 	return filepath.Join(s.dir(id), "checkpoint.json")
 }
