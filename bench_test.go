@@ -164,11 +164,9 @@ func BenchmarkEngineSweep(b *testing.B) {
 }
 
 // BenchmarkRegionParallel measures Engine.RegionBatch over the six Fig 4
-// curves at quick resolution — the region workload on the sharded core
-// (flattened angle axis, cold-solved HBC LPs, streamed hulls).
-// On a single-core container it pins the sharding overhead against the old
-// serial support sweep; on multi-core hosts the angle axis scales like the
-// grid axes.
+// curves — the region workload on the sharded core (one curve per chunk,
+// edge refinement to the exact vertices, cold-solved HBC LPs, streamed
+// hulls). Angles is deprecated and ignored.
 func BenchmarkRegionParallel(b *testing.B) {
 	eng := bicoop.NewEngine()
 	spec := bicoop.RegionBatchSpec{
@@ -181,7 +179,6 @@ func BenchmarkRegionParallel(b *testing.B) {
 			{Protocol: bicoop.MABC, Bound: bicoop.Outer},
 			{Protocol: bicoop.HBC, Bound: bicoop.Inner},
 		},
-		Angles: 61,
 	}
 	ctx := context.Background()
 	b.ReportAllocs()

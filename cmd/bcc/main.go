@@ -369,8 +369,8 @@ func cmdRegion(ctx context.Context, args []string) error {
 	protoName := fs.String("proto", "HBC", "protocol: DT, Naive4, MABC, TDBC, HBC")
 	boundName := fs.String("bound", "inner", "bound: inner or outer")
 	csv := fs.Bool("csv", false, "emit the frontier as CSV instead of a table")
-	angles := fs.Int("angles", 0, "support directions of the region sweep (0 = default 181)")
-	workers := fs.Int("workers", 0, "goroutines sharding the angle axis (0 = GOMAXPROCS)")
+	angles := fs.Int("angles", 0, "deprecated and ignored: the region is refined to its exact vertices")
+	workers := fs.Int("workers", 0, "no effect: one region curve runs on one goroutine (kept for compatibility)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -387,8 +387,8 @@ func cmdRegion(ctx context.Context, args []string) error {
 		return fmt.Errorf("unknown bound %q", *boundName)
 	}
 	s := bicoop.Scenario{PowerDB: *p, GabDB: *gab, GarDB: *gar, GbrDB: *gbr}
-	// The run context flows into the sharded angle sweep, so Ctrl-C stops a
-	// long -angles run within one chunk of LP solves.
+	// The run context flows into the region computation, so Ctrl-C stops
+	// it before its next curve.
 	r, err := eng.Region(ctx, proto, bound, s, bicoop.RegionOptions{Angles: *angles, Workers: *workers})
 	if err != nil {
 		return err

@@ -38,14 +38,11 @@
 //	res, err := eng.SumRate(bicoop.HBC, bicoop.Inner, s)
 //	ok, err := eng.Feasible(bicoop.HBC, bicoop.Inner, s, bicoop.RatePoint{Ra: 1, Rb: 1})
 //
-//	// Rate regions: the support-direction sweep behind one Fig 4 curve,
-//	// sharded across workers and cancellable mid-curve. RegionOptions.Angles
-//	// is the resolution knob: more support directions recover more polygon
-//	// vertices exactly (0 means 181, the paper's Fig 4 resolution; the two
-//	// axis maxima are always solved exactly on top of the sweep, so coarse
-//	// sweeps still anchor max Ra / max Rb). RegionBatch computes whole
-//	// curve families — scenarios × protocol bounds — in one sharded run.
-//	reg, err := eng.Region(ctx, bicoop.HBC, bicoop.Inner, s, bicoop.RegionOptions{Angles: 361})
+//	// Rate regions: one Fig 4 curve, refined edge by edge to its exact
+//	// vertices in about five LP solves (RegionOptions.Angles is deprecated
+//	// and ignored). RegionBatch computes whole curve families — scenarios ×
+//	// protocol bounds — in one run sharded by curve.
+//	reg, err := eng.Region(ctx, bicoop.HBC, bicoop.Inner, s, bicoop.RegionOptions{})
 //	err = eng.RegionBatch(ctx, bicoop.RegionBatchSpec{...}, func(pt bicoop.RegionBatchPoint) error { ... })
 //
 //	// Batches: thousands of scenarios sharded across a worker pool, each
@@ -218,7 +215,7 @@
 // Naive4/HBC.
 //
 // Every parallel workload in the repository — SumRateBatch and Sweep grids,
-// Region and RegionBatch support sweeps, SimulateBatch campaigns, and the
+// Region and RegionBatch curves, SimulateBatch campaigns, and the
 // figure experiments — executes through one generic sharded core,
 // internal/sweep.RunCore: an indexed point set is split into fixed-size
 // chunks pulled by a worker pool (claim = one atomic add), each worker owns
@@ -228,9 +225,9 @@
 // is a context.AfterFunc flipping one atomic flag polled per chunk, with
 // the contiguous completed prefix reported alongside the context error.
 // Sharding a new axis is three decisions: flatten the axis into point
-// indices (the grid flattens power x placement x protocol; regions flatten
-// curves x support directions; campaigns flatten whole simulation runs at
-// chunk size 1), pick the per-worker state W (a leased evaluator;
+// indices (the grid flattens power x placement x protocol; regions shard
+// scenarios x curves and campaigns whole simulation runs, both at chunk
+// size 1), pick the per-worker state W (a leased evaluator;
 // stateless workloads pass Hooks[struct{}]{}), and write results into
 // index-addressed storage so the emitter can stream them in enumeration
 // order. W is scratch, never memory: a point's result must not depend on

@@ -43,9 +43,8 @@ func main() {
 			p, res.Sum, res.Point.Ra, res.Point.Rb, compact(res.Durations))
 	}
 
-	// 2. Full rate region of the best protocol (one curve of Fig 4). The
-	//    support-direction sweep is sharded across the engine's workers and
-	//    the context can cancel a long run mid-curve.
+	// 2. Full rate region of the best protocol (one curve of Fig 4),
+	//    refined edge by edge to its exact vertices.
 	region, err := eng.Region(context.Background(), bicoop.HBC, bicoop.Inner, s, bicoop.RegionOptions{})
 	if err != nil {
 		log.Fatal(err)

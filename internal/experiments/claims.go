@@ -97,10 +97,8 @@ var hbcEscapeCurves = []sweep.RegionCurve{
 
 func runHBCEscape(cfg Config) (Result, error) {
 	powersDB := []float64{-5, 0, 5, 10, 15, 20}
-	angles := 181
 	if cfg.Quick {
 		powersDB = []float64{0, 10}
-		angles = 91
 	}
 	table := plot.NewColumnTable("HBC achievable points outside both MABC and TDBC outer bounds",
 		plot.Col{Name: "P (dB)", Prec: 1},
@@ -113,8 +111,8 @@ func runHBCEscape(cfg Config) (Result, error) {
 	anyEscape := false
 	// One batch computes all powers × three curves; scenario-major streaming
 	// hands each power's triple over as soon as its last curve completes,
-	// so the exact LP witness verification pipelines behind the sweeps.
-	spec := sweep.RegionSpec{Curves: hbcEscapeCurves, Angles: angles}
+	// so the exact LP witness verification pipelines behind the regions.
+	spec := sweep.RegionSpec{Curves: hbcEscapeCurves}
 	for _, pdb := range powersDB {
 		spec.Scenarios = append(spec.Scenarios, fig4BaseScenario(pdb))
 	}
@@ -168,10 +166,8 @@ func runHBCEscape(cfg Config) (Result, error) {
 
 func runMABCTight(cfg Config) (Result, error) {
 	trials := 40
-	angles := 121
 	if cfg.Quick {
 		trials = 8
-		angles = 61
 	}
 	// Scenarios are drawn up front (the rng stream is the experiment's
 	// determinism contract), then all trials × {inner, outer} run as one
@@ -183,7 +179,6 @@ func runMABCTight(cfg Config) (Result, error) {
 			{Proto: protocols.MABC, Bound: protocols.BoundInner},
 			{Proto: protocols.MABC, Bound: protocols.BoundOuter},
 		},
-		Angles: angles,
 	}
 	for trial := 0; trial < trials; trial++ {
 		pdb := -10 + 30*rng.Float64()

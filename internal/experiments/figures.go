@@ -140,18 +140,11 @@ var fig4Curves = []fig4Curve{
 }
 
 func runFig4(cfg Config, pDB float64) (Result, error) {
-	angles := 181
-	if cfg.Quick {
-		angles = 61
-	}
 	s := protocols.Scenario{P: xmath.FromDB(pDB), G: Fig4Gains()}
-	// All six curves run as one region batch: the flattened angle axis is
-	// sharded by the same chunked core as the grid sweeps, and completed
-	// polygons stream back in presentation order.
-	spec := sweep.RegionSpec{
-		Scenarios: []sweep.Scenario{fig4BaseScenario(pDB)},
-		Angles:    angles,
-	}
+	// All six curves run as one region batch, sharded by curve on the same
+	// core as the grid sweeps; completed polygons stream back in
+	// presentation order.
+	spec := sweep.RegionSpec{Scenarios: []sweep.Scenario{fig4BaseScenario(pDB)}}
 	for _, c := range fig4Curves {
 		spec.Curves = append(spec.Curves, sweep.RegionCurve{Proto: c.proto, Bound: c.bound})
 	}

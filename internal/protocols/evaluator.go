@@ -882,11 +882,9 @@ func sizeRows(buf [][]float64, n int) [][]float64 {
 // --- Region entry point ----------------------------------------------------
 
 // Region computes the bound's rate region (the projection of the feasible
-// (Ra, Rb, Δ) polytope onto the rate plane, a convex polygon) by sweeping
-// support directions and taking the convex hull of the optimal vertices. The
-// axis-aligned directions are always included, so the region's maximal
-// per-user rates are exact. The evaluator is reused across the sweep, so only
-// the polygon itself is allocated.
+// (Ra, Rb, Δ) polytope onto the rate plane, a convex polygon) exactly, by
+// edge refinement (RefineRegion): about five weighted-rate solves per
+// curve. The evaluator is reused across the solves.
 func (e *Evaluator) Region(p Protocol, b Bound, s Scenario, opts RegionOptions) (region.Polygon, error) {
 	li, err := LinkInfosFromScenario(s)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"bicoop/internal/region"
 	"bicoop/internal/simplex"
@@ -148,47 +149,36 @@ func (s Spec) DurationsFor(r RatePair) ([]float64, error) {
 	return d, nil
 }
 
-// DefaultRegionAngles is the support-direction count of a region sweep when
-// RegionOptions.Angles is zero — the resolution of the paper's Fig 4 curves.
+// DefaultRegionAngles is the default of the deprecated Angles fields, which
+// region admission still uses to size its direction cap.
 const DefaultRegionAngles = 181
 
-// RegionOptions tunes Region's support-function sweep.
+// RegionOptions tunes Region.
 type RegionOptions struct {
-	// Angles is the number of support directions swept across the first
-	// quadrant; more angles recover more polygon vertices exactly. Zero
-	// defaults to DefaultRegionAngles (181).
+	// Angles is deprecated and ignored: Region refines the polygon edge by
+	// edge to its exact vertices instead of sweeping a fixed number of
+	// support directions.
 	Angles int
-	// Ctx, when non-nil, bounds the sweep: cancellation is checked once per
-	// support direction, so a long region build stops within one LP solve.
-	// The sharded region path (internal/sweep.RegionBatch) has its own
-	// chunk-level cancellation and ignores this field.
+	// Ctx, when non-nil, bounds the refinement: cancellation is checked
+	// before every weighted-rate solve. The sharded region path
+	// (internal/sweep.RegionBatch) has its own per-curve cancellation and
+	// ignores this field.
 	Ctx context.Context
-}
-
-// angles resolves the sweep resolution.
-func (o RegionOptions) angles() int {
-	if o.Angles > 0 {
-		return o.Angles
-	}
-	return DefaultRegionAngles
 }
 
 // RegionDirection returns the i-th support direction (muA, muB) of an
 // angles-point sweep across the first quadrant: theta = (pi/2)·i/(angles-1).
-// It is the single definition shared by the serial sweep below and the
-// sharded angle axis in internal/sweep, so both paths solve bit-identical
-// weight vectors.
+// The region paths do not sweep; tests and benchmarks use it to replay a
+// fixed-direction sweep.
 func RegionDirection(i, angles int) (muA, muB float64) {
 	theta := math.Pi / 2 * float64(i) / float64(angles-1)
 	return math.Cos(theta), math.Sin(theta)
 }
 
-// AssembleRegion builds the region polygon from a support sweep's raw
-// optimal vertices plus the exact axis maxima: the origin is prepended, the
-// per-user maxima are projected onto the axes to keep the hull anchored even
-// if no swept vertex lands exactly there, and the convex hull is taken.
-// Shared by regionFromSolver and the sharded path (internal/sweep) so the
-// assembled polygons agree vertex for vertex.
+// AssembleRegion builds the region polygon from the optimal vertices of a
+// set of support solves plus the exact axis maxima: the origin is
+// prepended, the per-user maxima are projected onto the axes to keep the
+// hull anchored, and the convex hull is taken.
 func AssembleRegion(swept []region.Point, raMax, rbMax float64) region.Polygon {
 	pts := make([]region.Point, 0, len(swept)+3)
 	pts = append(pts, region.Point{Ra: 0, Rb: 0})
@@ -200,40 +190,86 @@ func AssembleRegion(swept []region.Point, raMax, rbMax float64) region.Polygon {
 	return region.ConvexHull(pts)
 }
 
-// regionFromSolver is the support-function sweep behind Evaluator.Region;
-// solve maximizes muA·Ra + muB·Rb over the bound. When opts.Ctx is set,
-// cancellation is honored between support directions.
-func regionFromSolver(solve func(muA, muB float64) (Optimum, error), opts RegionOptions) (region.Polygon, error) {
-	angles := opts.angles()
-	swept := make([]region.Point, 0, angles)
-	for i := 0; i < angles; i++ {
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
-				return region.Polygon{}, err
-			}
+// maxRegionSolves caps the weighted-rate solves of one RefineRegion call.
+// An exact Theorem 2-6 region has at most about 8 vertices and needs at
+// most 2V−1 solves; the cap only turns a numerically pathological curve
+// into an error instead of a long loop.
+const maxRegionSolves = 64
+
+// RefineRegion computes a bound's exact rate region from its weighted-rate
+// oracle: solve returns an optimal (Ra, Rb) of muA·Ra + muB·Rb for a
+// non-negative unit direction. The region is the projection of a polytope
+// in (Ra, Rb, Δ), so it is a convex polygon, found by edge refinement:
+//
+//   - solve along (1,0) and (0,1), the ends of the chain of known vertices;
+//   - for each adjacent chain pair p1, p2, solve along the edge's outward
+//     unit normal n ∝ (p2.Rb−p1.Rb, p1.Ra−p2.Ra);
+//   - if the optimum q has n·q ≤ n·p1 + 1e-9·max(1, |n·p1|) the edge is a
+//     facet, otherwise q is a new vertex between p1 and p2 and both halves
+//     are refined.
+//
+// The solve sequence depends only on the solve results, so callers that
+// answer every direction identically (a cold evaluator solve, a cache hit
+// of one) get bit-identical polygons. More than maxRegionSolves solves is
+// an error; solve's own errors are returned as they are.
+func RefineRegion(solve func(muA, muB float64) (region.Point, error)) (region.Polygon, error) {
+	pa, err := solve(1, 0)
+	if err != nil {
+		return region.Polygon{}, err
+	}
+	pb, err := solve(0, 1)
+	if err != nil {
+		return region.Polygon{}, err
+	}
+	// Rates are non-negative by construction; clear solver jitter.
+	clamp := func(p region.Point) region.Point {
+		return region.Point{Ra: max(p.Ra, 0), Rb: max(p.Rb, 0)}
+	}
+	chain := []region.Point{clamp(pa), clamp(pb)}
+	solves := 2
+	for i := 0; i+1 < len(chain); {
+		p1, p2 := chain[i], chain[i+1]
+		// Along the chain Ra falls and Rb rises, so the normal lies in the
+		// first quadrant; a negative component is solver jitter.
+		nA, nB := max(p2.Rb-p1.Rb, 0), max(p1.Ra-p2.Ra, 0)
+		h := math.Hypot(nA, nB)
+		if h <= 1e-12 {
+			i++ // the same vertex twice: no edge to refine
+			continue
 		}
-		muA, muB := RegionDirection(i, angles)
-		opt, err := solve(muA, muB)
+		nA, nB = nA/h, nB/h
+		if solves == maxRegionSolves {
+			return region.Polygon{}, fmt.Errorf("protocols: region refinement needs more than %d solves", maxRegionSolves)
+		}
+		q, err := solve(nA, nB)
 		if err != nil {
 			return region.Polygon{}, err
 		}
-		// Rates are non-negative by construction; clear solver jitter.
-		swept = append(swept, region.Point{
-			Ra: math.Max(opt.Rates.Ra, 0),
-			Rb: math.Max(opt.Rates.Rb, 0),
-		})
+		solves++
+		q = clamp(q)
+		edge := nA*p1.Ra + nB*p1.Rb
+		if nA*q.Ra+nB*q.Rb <= edge+1e-9*max(1, math.Abs(edge)) {
+			i++ // a facet: advance to the next edge
+			continue
+		}
+		chain = slices.Insert(chain, i+1, q)
 	}
-	// Exact axis solves anchor the per-user maxima (the swept direction at
-	// theta = pi/2 is (cos, sin) with cos not exactly zero).
-	raMax, err := solve(1, 0)
-	if err != nil {
-		return region.Polygon{}, err
-	}
-	rbMax, err := solve(0, 1)
-	if err != nil {
-		return region.Polygon{}, err
-	}
-	return AssembleRegion(swept, raMax.Rates.Ra, rbMax.Rates.Rb), nil
+	return AssembleRegion(chain, pa.Ra, pb.Rb), nil
+}
+
+// regionFromSolver is the exact region behind Evaluator.Region; solve
+// maximizes muA·Ra + muB·Rb over the bound. When opts.Ctx is set,
+// cancellation is honored before every solve.
+func regionFromSolver(solve func(muA, muB float64) (Optimum, error), opts RegionOptions) (region.Polygon, error) {
+	return RefineRegion(func(muA, muB float64) (region.Point, error) {
+		if opts.Ctx != nil {
+			if err := opts.Ctx.Err(); err != nil {
+				return region.Point{}, err
+			}
+		}
+		opt, err := solve(muA, muB)
+		return region.Point{Ra: opt.Rates.Ra, Rb: opt.Rates.Rb}, err
+	})
 }
 
 // FixedDurationRegion computes the rate region when the phase durations are

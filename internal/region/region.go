@@ -133,8 +133,9 @@ func samePoint(a, b Point) bool {
 }
 
 // ConvexHull returns the convex hull of the given points (Andrew's monotone
-// chain), as a CCW polygon. Degenerate inputs (all collinear) yield the
-// extreme segment or point.
+// chain), as a CCW polygon. A point within 1e-9 of the segment joining its
+// hull neighbours is dropped as collinear. Degenerate inputs (all
+// collinear) yield the extreme segment or point.
 func ConvexHull(pts []Point) Polygon {
 	if len(pts) == 0 {
 		return Polygon{}
@@ -169,19 +170,23 @@ func ConvexHull(pts []Point) Polygon {
 	if len(ps) == 1 {
 		return Polygon{v: ps}
 	}
-	cross := func(o, a, b Point) float64 {
-		return (a.Ra-o.Ra)*(b.Rb-o.Rb) - (a.Rb-o.Rb)*(b.Ra-o.Ra)
+	// notLeft reports whether a lies right of, or within eps of, the line
+	// from o to b. The tolerance is a distance, not an area, so small
+	// regions (rates of 1e-2 bits and below) keep their vertices.
+	notLeft := func(o, a, b Point) bool {
+		cross := (a.Ra-o.Ra)*(b.Rb-o.Rb) - (a.Rb-o.Rb)*(b.Ra-o.Ra)
+		return cross <= eps*math.Hypot(b.Ra-o.Ra, b.Rb-o.Rb)
 	}
 	var lower, upper []Point
 	for _, p := range ps {
-		for len(lower) >= 2 && cross(lower[len(lower)-2], lower[len(lower)-1], p) <= eps {
+		for len(lower) >= 2 && notLeft(lower[len(lower)-2], lower[len(lower)-1], p) {
 			lower = lower[:len(lower)-1]
 		}
 		lower = append(lower, p)
 	}
 	for i := len(ps) - 1; i >= 0; i-- {
 		p := ps[i]
-		for len(upper) >= 2 && cross(upper[len(upper)-2], upper[len(upper)-1], p) <= eps {
+		for len(upper) >= 2 && notLeft(upper[len(upper)-2], upper[len(upper)-1], p) {
 			upper = upper[:len(upper)-1]
 		}
 		upper = append(upper, p)

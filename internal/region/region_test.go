@@ -78,6 +78,30 @@ func TestPentagonMACRegion(t *testing.T) {
 	}
 }
 
+// TestConvexHullSmallScale pins that the hull's collinearity tolerance is a
+// distance: a pentagon scaled down to rates of 1e-5 keeps all five
+// vertices (an area tolerance of 1e-9 dropped corners whose turn spans
+// less than that area), while a point 1e-10 off a long edge still merges.
+func TestConvexHullSmallScale(t *testing.T) {
+	pentagon := []Point{{0, 0}, {1, 0}, {1, 0.3}, {0.3, 1}, {0, 1}}
+	for _, scale := range []float64{1, 1e-2, 1e-5} {
+		pts := make([]Point, len(pentagon))
+		for i, p := range pentagon {
+			pts[i] = Point{Ra: scale * p.Ra, Rb: scale * p.Rb}
+		}
+		// The corner (0.3, 1) pushed 2e-6 of the scale outward still
+		// protrudes far more than 1e-9 at every scale.
+		pts[3].Rb += 2e-6 * scale
+		if got := len(ConvexHull(pts).Vertices()); got != 5 {
+			t.Errorf("scale %g: %d hull vertices, want 5: %v", scale, got, ConvexHull(pts).Vertices())
+		}
+	}
+	nearly := ConvexHull([]Point{{0, 0}, {2, 0}, {1, 1e-10}, {1, 1}})
+	if got := len(nearly.Vertices()); got != 3 {
+		t.Errorf("a point 1e-10 off an edge kept as a vertex: %v", nearly.Vertices())
+	}
+}
+
 func TestConvexHull(t *testing.T) {
 	t.Run("square with interior points", func(t *testing.T) {
 		pts := []Point{{0, 0}, {1, 0}, {1, 1}, {0, 1}, {0.5, 0.5}, {0.2, 0.8}}

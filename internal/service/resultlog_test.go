@@ -129,14 +129,19 @@ func TestRunRegionBatchInterruptResumeByteIdentical(t *testing.T) {
 			{Protocol: bicoop.Naive4, Bound: bicoop.Inner},
 			{Protocol: bicoop.HBC, Bound: bicoop.Inner},
 		},
-		// 6 scenarios x 5 curves (three of them LPs) x 241 angles keep the
-		// batch comfortably larger than the first interrupt budget on fast
-		// machines, so the resume path is always exercised at least once.
-		Angles:  241,
 		Workers: 2,
 	}
+	// A curve is a handful of LP solves and one checkpoint save, so 48
+	// scenarios x 5 curves (three of them LPs) keep the batch comfortably
+	// larger than the first interrupt budget on fast machines and the
+	// resume path is always exercised at least once.
+	for i := 0; i < 42; i++ {
+		spec.Scenarios = append(spec.Scenarios, bicoop.Scenario{
+			PowerDB: float64(i % 21), GabDB: -7 - float64(i%5), GarDB: float64(i%7) - 3, GbrDB: float64(i % 6),
+		})
+	}
 	want := referenceCSV(t, JobSpec{RegionBatch: &RegionJob{
-		Scenarios: spec.Scenarios, Curves: spec.Curves, Angles: spec.Angles, Workers: spec.Workers,
+		Scenarios: spec.Scenarios, Curves: spec.Curves, Workers: spec.Workers,
 	}})
 	interruptResume(t, want, func(ctx context.Context, log *ResultLog) error {
 		return RunRegionBatch(ctx, eng, spec, log)

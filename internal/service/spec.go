@@ -40,7 +40,9 @@ func (j *SweepJob) spec() bicoop.SweepSpec {
 	}
 }
 
-// RegionJob mirrors bicoop.RegionBatchSpec minus the resume fields.
+// RegionJob mirrors bicoop.RegionBatchSpec minus the resume fields. Angles
+// is deprecated and ignored, like RegionBatchSpec.Angles; a job carrying it
+// is still accepted and validated.
 type RegionJob struct {
 	Scenarios []bicoop.Scenario    `json:"scenarios"`
 	Curves    []bicoop.RegionCurve `json:"curves"`

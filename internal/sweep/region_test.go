@@ -87,8 +87,8 @@ func TestRegionBatchEnumerationOrder(t *testing.T) {
 }
 
 // TestRegionBatchMatchesSerialRegion cross-checks the sharded path against
-// the serial Evaluator.Region sweep. Every LP is a cold solve of its own
-// direction, so the polygons must agree bit for bit for every protocol,
+// the serial Evaluator.Region refinement. Every LP is a cold solve of its
+// own direction, so the polygons must agree bit for bit for every protocol,
 // the simplex-solved Naive4/HBC curves included.
 func TestRegionBatchMatchesSerialRegion(t *testing.T) {
 	spec := regionTestSpec(45)
@@ -110,35 +110,40 @@ func TestRegionBatchMatchesSerialRegion(t *testing.T) {
 
 // TestRegionBatchCancellation proves a long region batch stops sub-second on
 // cancellation and leaks no goroutines — the contract a Ctrl-C in `bcc
-// region` relies on.
+// region` relies on. A curve takes only a handful of LP solves, so the
+// batch is long through its curve count, and the context is cancelled from
+// inside the first yield: a batch that ignored the cancel would run every
+// curve and return nil.
 func TestRegionBatchCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	spec := RegionSpec{
-		Scenarios: []Scenario{{PowerDB: 10, GabDB: -7, GarDB: 0, GbrDB: 5}},
-		Curves:    []RegionCurve{{Proto: protocols.HBC, Bound: protocols.BoundInner}},
-		// Hours of LP solves if cancellation were ignored.
-		Angles: 5_000_000,
+		Curves: []RegionCurve{{Proto: protocols.HBC, Bound: protocols.BoundInner}},
 	}
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
+	// Seconds of LP solves if cancellation were ignored.
+	for i := 0; i < 100_000; i++ {
+		spec.Scenarios = append(spec.Scenarios, Scenario{PowerDB: 10 + float64(i%100)/10, GabDB: -7, GarDB: 0, GbrDB: 5})
+	}
+	var cancelled time.Time
 	yields := 0
 	err := RegionBatch(ctx, spec, Options{Workers: 2}, func(RegionResult) error {
 		yields++
+		if yields == 1 {
+			cancelled = time.Now()
+			cancel()
+		}
 		return nil
 	})
-	elapsed := time.Since(start)
+	elapsed := time.Since(cancelled)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if elapsed > time.Second {
-		t.Fatalf("cancelled region batch took %v, want sub-second", elapsed)
+		t.Fatalf("cancelled region batch took %v to return, want sub-second", elapsed)
 	}
-	if yields != 0 {
-		t.Errorf("incomplete curve yielded %d times", yields)
+	if yields >= spec.Size() {
+		t.Errorf("yielded all %d curves after the cancel", yields)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -175,7 +180,7 @@ func TestRegionBatchDegenerateSpecs(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("empty spec err = %v, want nil", err)
 	}
-	bad := regionTestSpec(1) // a 1-angle sweep cannot define directions
+	bad := regionTestSpec(1) // the deprecated Angles still rejects 1
 	if err := RegionBatch(context.Background(), bad, Options{}, func(RegionResult) error { return nil }); !errors.Is(err, ErrSpec) {
 		t.Fatalf("angles=1 err = %v, want ErrSpec", err)
 	}
@@ -188,9 +193,9 @@ func TestRegionBatchDegenerateSpecs(t *testing.T) {
 
 // TestRegionBatchAxisAnchors pins that every polygon's per-user maxima come
 // from the exact axis solves: the support in each axis direction equals the
-// dedicated (1,0)/(0,1) solve, not a nearby swept angle.
+// dedicated (1,0)/(0,1) solve.
 func TestRegionBatchAxisAnchors(t *testing.T) {
-	spec := regionTestSpec(9) // coarse sweep: anchors must still be exact
+	spec := regionTestSpec(9)
 	got := collectRegions(t, spec, 2)
 	ev := protocols.NewEvaluator()
 	for _, r := range got {

@@ -14,7 +14,7 @@
 // the solves before them. Every grid point is one cache.(*Store).Solve call
 // on Options.Cache, which is nil with caching off, so cached and uncached
 // runs share one kernel. region.go instantiates the core for rate-region
-// support sweeps; the facade instantiates it (stateless) for simulation
+// curves; the facade instantiates it (stateless) for simulation
 // campaigns.
 //
 // Cancellation follows internal/sim's runGate pattern: a context.AfterFunc
@@ -104,6 +104,9 @@ func Run(ctx context.Context, n int, opts Options, do func(ev *protocols.Evaluat
 		Start:      opts.Start,
 		Checkpoint: opts.Checkpoint,
 	}
-	hooks := Hooks[*protocols.Evaluator]{NewWorker: protocols.GetEvaluator, CloseWorker: protocols.PutEvaluator}
-	return RunCore(ctx, n, core, hooks, do, emit)
+	return RunCore(ctx, n, core, evaluatorHooks, do, emit)
 }
+
+// evaluatorHooks leases each worker one evaluator from the process-wide
+// pool for the run.
+var evaluatorHooks = Hooks[*protocols.Evaluator]{NewWorker: protocols.GetEvaluator, CloseWorker: protocols.PutEvaluator}

@@ -1,13 +1,13 @@
 package bicoop
 
 // regions.go — the public face of the rate-region subsystem. A region curve
-// (one curve of the paper's Fig 4) is a support-function sweep: one
-// weighted-rate LP per support direction. RegionBatchSpec declares a whole
-// family of curves — scenarios × protocol bounds — and Engine.RegionBatch
-// streams the completed polygons in enumeration order, with the flattened
-// angle axis sharded by the same chunked core as the sum-rate grids
-// (internal/sweep): per-worker pooled evaluators, fixed chunk boundaries,
-// bounded streaming backpressure, and cancellation within one chunk.
+// (one curve of the paper's Fig 4) is an exact convex polygon, refined edge
+// by edge from about five weighted-rate LPs. RegionBatchSpec declares a
+// whole family of curves — scenarios × protocol bounds — and
+// Engine.RegionBatch streams the completed polygons in enumeration order,
+// with the curves sharded by the same core as the sum-rate grids
+// (internal/sweep): per-worker pooled evaluators, one curve per chunk,
+// bounded streaming backpressure, and cancellation within one curve.
 // Results are bit-identical for every Workers setting.
 
 import (
@@ -21,16 +21,13 @@ import (
 
 // RegionOptions tunes a region computation.
 type RegionOptions struct {
-	// Angles is the number of support directions swept across the first
-	// quadrant; more angles recover more polygon vertices exactly.
-	// Non-positive defaults to 181, the resolution of the paper's Fig 4
-	// curves. The two axis directions are always solved exactly on top of
-	// the sweep, so the region's maximal per-user rates are exact at every
-	// resolution.
+	// Angles is deprecated and ignored: every region is refined to its
+	// exact vertices.
 	Angles int
-	// Workers bounds the goroutines sharding the support-direction axis;
-	// zero uses the engine's WithWorkers default, which itself defaults to
-	// GOMAXPROCS. Results are bit-identical for every value.
+	// Workers bounds the goroutines of the run; zero uses the engine's
+	// WithWorkers default, which itself defaults to GOMAXPROCS. A single
+	// curve runs on one of them. Results are bit-identical for every
+	// value.
 	Workers int
 }
 
@@ -42,17 +39,18 @@ type RegionCurve struct {
 }
 
 // RegionBatchSpec declares a batch of region computations: the cross
-// product Scenarios × Curves, every curve swept at the same resolution.
+// product Scenarios × Curves.
 type RegionBatchSpec struct {
 	// Scenarios are the evaluation points; at least one is required.
 	Scenarios []Scenario
 	// Curves are the protocol bounds; at least one is required.
 	Curves []RegionCurve
-	// Angles is the per-curve support-direction count (see RegionOptions).
+	// Angles is deprecated and ignored (see RegionOptions). Validate still
+	// rejects 1 and direction counts beyond maxRegionDirections.
 	Angles int
-	// Workers bounds the goroutines sharding the flattened angle axis;
-	// zero uses the engine's WithWorkers default. Results are bit-identical
-	// for every value.
+	// Workers bounds the goroutines sharding the curves; zero uses the
+	// engine's WithWorkers default. Results are bit-identical for every
+	// value.
 	Workers int
 	// Start resumes the batch past the first Start curves (scenario-major
 	// enumeration): an earlier run already yielded them, so they are not
@@ -68,17 +66,16 @@ type RegionBatchSpec struct {
 // Size returns the number of curves the batch will yield.
 func (spec RegionBatchSpec) Size() int { return len(spec.Scenarios) * len(spec.Curves) }
 
-// maxRegionDirections caps a region batch's flattened direction count,
-// Scenarios × Curves × (Angles+2). sweep.RegionBatch buffers one 16-byte
-// point per direction, so the cap bounds that buffer at 256 MiB; a larger
-// batch is rejected at admission instead of failing inside make, where an
-// out-of-memory error is fatal and cannot be recovered.
+// maxRegionDirections caps Scenarios × Curves × (Angles+2). No buffer is
+// sized by it: sweep.RegionBatch holds one polygon slot per curve, so with
+// the deprecated Angles ignored the cap only bounds the curve count
+// (2^24/183 curves at the default Angles). It goes with the Angles field.
 const maxRegionDirections = 1 << 24
 
-// Validate checks the spec without running it: both axes non-empty, at
-// least 2 support directions per curve, at most maxRegionDirections
-// flattened directions (Angles+2 solves per curve), every scenario finite,
-// every curve's enums known, and the resume offset non-negative.
+// Validate checks the spec without running it: both axes non-empty,
+// Angles not 1 and Scenarios × Curves × (Angles+2) at most
+// maxRegionDirections (kept for the deprecated field), every scenario
+// finite, every curve's enums known, and the resume offset non-negative.
 // Engine.RegionBatch runs the same checks; wire-facing callers (the bccd job
 // service) validate at admission time.
 func (spec RegionBatchSpec) Validate() error {
@@ -125,13 +122,13 @@ type RegionBatchPoint struct {
 }
 
 // RegionBatch computes every curve of the batch and streams each completed
-// region to yield in enumeration order (scenario outer, curve inner). The
-// support-direction axis of the whole batch is flattened and sharded across
-// spec.Workers goroutines exactly like the sum-rate grids — fixed chunk
-// boundaries, per-worker pooled evaluators — so the polygons are
-// bit-identical for every worker count. A non-nil error from yield stops the batch and is
-// returned. Cancelling ctx stops the workers within one chunk of LP solves;
-// curves yielded before the stop are complete and valid.
+// region to yield in enumeration order (scenario outer, curve inner). Each
+// curve is refined to its exact vertices in about five LP solves, and the
+// curves are sharded across spec.Workers goroutines like the sum-rate grids
+// — one curve per chunk, per-worker pooled evaluators — so the polygons are
+// bit-identical for every worker count. A non-nil error from yield stops
+// the batch and is returned. Cancelling ctx stops the workers within one
+// curve each; curves yielded before the stop are complete and valid.
 func (e *Engine) RegionBatch(ctx context.Context, spec RegionBatchSpec, yield func(RegionBatchPoint) error) error {
 	if yield == nil {
 		return fmt.Errorf("%w: nil yield callback", ErrInvalidRegionSpec)
@@ -180,12 +177,12 @@ func (e *Engine) RegionBatch(ctx context.Context, spec RegionBatchSpec, yield fu
 	}
 }
 
-// Region computes the full rate region of a protocol bound (one curve of
-// Fig 4). The support-direction sweep is sharded across opts.Workers
-// goroutines (default: the engine's WithWorkers setting, then GOMAXPROCS)
-// with the same determinism contract as every grid path: the polygon is
-// bit-identical for every worker count. Cancelling ctx stops the sweep
-// within one chunk of LP solves.
+// Region computes the exact rate region of a protocol bound (one curve of
+// Fig 4): a one-curve RegionBatch, with the same determinism contract as
+// every grid path — the polygon is bit-identical for every worker count.
+// The curve's handful of LP solves runs on one goroutine, so
+// opts.Workers has no effect; a context cancelled before the call is
+// refused.
 func (e *Engine) Region(ctx context.Context, p Protocol, b Bound, s Scenario, opts RegionOptions) (Region, error) {
 	var out Region
 	err := e.RegionBatch(ctx, RegionBatchSpec{

@@ -30,7 +30,6 @@ func TestRegionBatchStreamsInOrder(t *testing.T) {
 			{Protocol: bicoop.TDBC, Bound: bicoop.Inner},
 			{Protocol: bicoop.TDBC, Bound: bicoop.Outer},
 		},
-		Angles:  31,
 		Workers: 4,
 	}
 	if got, want := spec.Size(), 6; got != want {
@@ -120,7 +119,6 @@ func TestRegionValidation(t *testing.T) {
 	n := 0
 	spec := ok
 	spec.Scenarios = []bicoop.Scenario{fig4sc(0), fig4sc(5), fig4sc(10)}
-	spec.Angles = 21
 	if err := eng.RegionBatch(ctx, spec, func(bicoop.RegionBatchPoint) error {
 		n++
 		return sentinel
@@ -129,28 +127,51 @@ func TestRegionValidation(t *testing.T) {
 	}
 }
 
-// TestRegionCancellation proves Engine.Region on a pathologically fine
-// angle sweep returns sub-second on cancellation — Ctrl-C in `bcc region`
-// — with no leaked goroutines.
+// TestRegionCancellation proves the region APIs return sub-second on
+// cancellation — Ctrl-C in `bcc region` — with no leaked goroutines. One
+// curve is a handful of LP solves, so the long run is a batch of many
+// curves, cancelled from inside its first yield: a batch that ignored the
+// cancel would run every curve and return nil. Engine.Region, a one-curve
+// batch, must refuse an already cancelled context.
 func TestRegionCancellation(t *testing.T) {
 	eng := bicoop.NewEngine()
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := eng.Region(ctx, bicoop.HBC, bicoop.Inner, fig4sc(10), bicoop.RegionOptions{
-		Angles:  2_000_000, // minutes of LP solves if the cancel were ignored
+	defer cancel()
+	spec := bicoop.RegionBatchSpec{
+		Curves:  []bicoop.RegionCurve{{Protocol: bicoop.HBC, Bound: bicoop.Inner}},
 		Workers: 2,
+	}
+	// Seconds of LP solves if cancellation were ignored.
+	for i := 0; i < 50_000; i++ {
+		spec.Scenarios = append(spec.Scenarios, fig4sc(10+float64(i%100)/10))
+	}
+	var cancelled time.Time
+	yields := 0
+	err := eng.RegionBatch(ctx, spec, func(bicoop.RegionBatchPoint) error {
+		yields++
+		if yields == 1 {
+			cancelled = time.Now()
+			cancel()
+		}
+		return nil
 	})
-	elapsed := time.Since(start)
+	elapsed := time.Since(cancelled)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if elapsed > time.Second {
-		t.Fatalf("cancelled Region took %v, want sub-second", elapsed)
+		t.Fatalf("cancelled RegionBatch took %v to return, want sub-second", elapsed)
+	}
+	if yields >= spec.Size() {
+		t.Errorf("yielded all %d curves after the cancel", yields)
+	}
+	start := time.Now()
+	if _, err := eng.Region(ctx, bicoop.HBC, bicoop.Inner, fig4sc(10), bicoop.RegionOptions{Workers: 2}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Region on a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("Region on a cancelled context took %v, want sub-second", elapsed)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

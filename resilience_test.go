@@ -190,7 +190,6 @@ func TestRegionBatchCheckpointResume(t *testing.T) {
 			{Protocol: TDBC, Bound: Inner},
 			{Protocol: HBC, Bound: Inner},
 		},
-		Angles: 61,
 	}
 	var full []RegionBatchPoint
 	if err := eng.RegionBatch(ctx, spec, func(pt RegionBatchPoint) error {

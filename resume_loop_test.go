@@ -48,7 +48,6 @@ func TestRegionBatchResumeLoop(t *testing.T) {
 			{Protocol: TDBC, Bound: Inner},
 			{Protocol: HBC, Bound: Outer},
 		},
-		Angles:  41,
 		Workers: 2,
 	}
 	var full []RegionBatchPoint
