@@ -79,9 +79,14 @@ type CoreOptions struct {
 	// includes the skipped points.
 	Start int
 	// Checkpoint, when non-nil, persists the emitter's watermark — the
-	// contiguous emitted point prefix — each time it advances. A Save
-	// error halts the run like an emit error. Feed the last saved value
-	// back as Start to resume.
+	// contiguous emitted point prefix. With one worker it is saved after
+	// every chunk; with more, one Save covers every completion queued at
+	// that moment, so saves coalesce when chunks finish faster than a Save.
+	// The final watermark (or a halted run's emitted prefix) is always
+	// saved, saved values strictly increase, and a crash loses fewer than
+	// 4×Workers chunks (two ticket windows) of emitted results past the
+	// last save. A Save error halts the run like an emit error. Feed the
+	// last saved value back as Start to resume.
 	Checkpoint Checkpointer
 }
 
@@ -106,7 +111,8 @@ func (o CoreOptions) chunkSize() int {
 // Failures are contained per chunk: a do error (including a recovered
 // workload panic, surfaced as a *PanicError) is reported as a *ChunkError.
 // opts.Start resumes past an already-emitted prefix and opts.Checkpoint
-// persists the emitted watermark as it advances (see CoreOptions).
+// persists the emitted watermark, one Save per drained batch of queued
+// completions (see CoreOptions).
 //
 // RunCore returns the length of the contiguous prefix of points whose chunks
 // completed (and, when emit is set, were emitted) without error — n on
@@ -213,13 +219,21 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 	// returns its backpressure ticket; ticket sends cannot block because at
 	// most window claims are outstanding. (After a halt the remaining
 	// tickets are irrelevant — workers exit via haltCh.)
+	//
+	// The checkpoint is saved when the completion queue is empty — one Save
+	// then covers every completion that queued up behind the previous one —
+	// or when the cursor is a full window past the last save, so a queue
+	// that never drains cannot defer saving indefinitely. The last
+	// completion received always sees an empty queue, so the final
+	// watermark (or a halted run's emitted prefix) is always saved, and
+	// saved watermarks strictly increase.
 	done := make([]bool, nChunks)
 	nextEmit := startChunk
+	savedEmit := startChunk
 	emitting := emit != nil
 	var ckErr error
 	for c := range completions {
 		done[c] = true
-		advanced := false
 		for nextEmit < nChunks && done[nextEmit] && chunkErr[nextEmit] == nil {
 			if emitting {
 				lo, hi := chunkBoundsOf(nextEmit, n, cs)
@@ -231,10 +245,11 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 				}
 			}
 			nextEmit++
-			advanced = true
 			tickets <- struct{}{}
 		}
-		if advanced && opts.Checkpoint != nil && ckErr == nil {
+		due := len(completions) == 0 || nextEmit-savedEmit >= window
+		if nextEmit > savedEmit && due && opts.Checkpoint != nil && ckErr == nil {
+			savedEmit = nextEmit
 			if err := opts.Checkpoint.Save(watermarkOf(nextEmit, n, cs)); err != nil {
 				ckErr = err
 				halt()

@@ -38,8 +38,8 @@ type RegionSpec struct {
 	// enumeration): earlier curves are assumed already yielded by a
 	// previous run and are neither recomputed nor yielded again.
 	// Checkpoint, when non-nil, observes the contiguous yielded curve
-	// count as it advances; feed the last saved value back as Start to
-	// resume. RegionBatch ignores Options.Start and Options.Checkpoint.
+	// count, saved at the cadence CoreOptions.Checkpoint describes; feed
+	// the last saved value back as Start to resume. RegionBatch ignores Options.Start and Options.Checkpoint.
 	Start      int
 	Checkpoint Checkpointer
 }

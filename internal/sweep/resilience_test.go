@@ -177,11 +177,7 @@ func TestRunCoreCheckpointResume(t *testing.T) {
 	if len(saves) == 0 || saves[len(saves)-1] != n {
 		t.Fatalf("saves = %v, want a final watermark of %d", saves, n)
 	}
-	for i := 1; i < len(saves); i++ {
-		if saves[i] <= saves[i-1] {
-			t.Fatalf("watermarks not strictly increasing: %v", saves)
-		}
-	}
+	requireIncreasing(t, saves)
 	for _, resumeAt := range []int{saves[0], saves[len(saves)/2], n} {
 		for _, workers := range resilienceWorkers {
 			out := make([]int, n)
@@ -305,6 +301,16 @@ func (c *recordingCheckpointer) snapshot() []int {
 	return append([]int(nil), c.saves...)
 }
 
+// requireIncreasing fails unless the saved watermarks strictly increase.
+func requireIncreasing(t *testing.T, saves []int) {
+	t.Helper()
+	for i := 1; i < len(saves); i++ {
+		if saves[i] <= saves[i-1] {
+			t.Fatalf("watermarks not strictly increasing: %v", saves)
+		}
+	}
+}
+
 // failingCheckpointer fails once the watermark reaches failAt.
 type failingCheckpointer struct {
 	failAt int
@@ -316,4 +322,141 @@ func (c *failingCheckpointer) Save(w int) error {
 		return c.err
 	}
 	return nil
+}
+
+// blockingCheckpointer holds its first Save until release is closed, so the
+// pool completes the chunks behind it while the emitter waits; it records
+// every watermark.
+type blockingCheckpointer struct {
+	recordingCheckpointer
+	release <-chan struct{}
+	once    sync.Once
+}
+
+func (c *blockingCheckpointer) Save(w int) error {
+	c.once.Do(func() { <-c.release })
+	return c.recordingCheckpointer.Save(w)
+}
+
+var errChunkSink = errors.New("sink closed")
+
+// coalesceSettle is the pause that lets a worker's completion send land
+// after its do returned; the assertions never need it to pass on a correct
+// emitter, only to make a save-per-completion emitter fail reliably.
+const coalesceSettle = 5 * time.Millisecond
+
+// TestRunCoreCoalescesSaves pins the emitter's save cadence: completions
+// that queue up while a Save is in flight are covered by one later Save,
+// not one Save each. The first Save is held until every do has returned;
+// each do starts only after the previous one returned and settled, so the
+// queued completions arrive in order and a save-per-completion emitter
+// would save once per chunk.
+func TestRunCoreCoalescesSaves(t *testing.T) {
+	// One-point chunks, n = window+1: while the first Save is held no
+	// ticket comes back, so only the window's chunks can complete behind
+	// the first one.
+	const n = 5
+	run := func(emitErrAt int) (prefix int, saves []int, err error) {
+		t.Helper()
+		release := make(chan struct{})
+		ck := &blockingCheckpointer{release: release}
+		returned := make([]chan struct{}, n)
+		for i := range returned {
+			returned[i] = make(chan struct{})
+		}
+		var finished atomic.Int32
+		prefix, err = RunCore(context.Background(), n, CoreOptions{Workers: 2, ChunkSize: 1, Checkpoint: ck},
+			Hooks[struct{}]{},
+			func(_ struct{}, lo, hi int) error {
+				if lo > 0 {
+					<-returned[lo-1]
+					time.Sleep(coalesceSettle)
+				}
+				close(returned[lo])
+				if finished.Add(1) == n {
+					go func() {
+						time.Sleep(coalesceSettle)
+						close(release)
+					}()
+				}
+				return nil
+			},
+			func(lo, hi int) error {
+				if lo == emitErrAt {
+					return errChunkSink
+				}
+				return nil
+			})
+		return prefix, ck.snapshot(), err
+	}
+
+	t.Run("complete", func(t *testing.T) {
+		prefix, saves, err := run(-1)
+		if err != nil || prefix != n {
+			t.Fatalf("prefix=%d err=%v", prefix, err)
+		}
+		if len(saves) >= n {
+			t.Fatalf("saves = %v: one per chunk, queued completions were not coalesced", saves)
+		}
+		requireIncreasing(t, saves)
+		if saves[len(saves)-1] != n {
+			t.Fatalf("saves = %v, want a final watermark of %d", saves, n)
+		}
+	})
+
+	t.Run("emit_error", func(t *testing.T) {
+		const stopAt = 3
+		prefix, saves, err := run(stopAt)
+		if !errors.Is(err, errChunkSink) || prefix != stopAt {
+			t.Fatalf("prefix=%d err=%v, want %d and the emit error", prefix, err, stopAt)
+		}
+		if len(saves) >= stopAt {
+			t.Fatalf("saves = %v: one per emitted chunk, queued completions were not coalesced", saves)
+		}
+		requireIncreasing(t, saves)
+		if saves[len(saves)-1] != stopAt {
+			t.Fatalf("saves = %v, want the emitted prefix %d saved last", saves, stopAt)
+		}
+	})
+}
+
+// TestRunCoreSaveCadenceBounded pins the other half of the cadence: a queue
+// that never drains — each emit waits until the next chunk has completed —
+// still gets a Save at least once per ticket window, so a crash loses fewer
+// than two windows of emitted results.
+func TestRunCoreSaveCadenceBounded(t *testing.T) {
+	const n, workers = 40, 2
+	const window = 2 * workers
+	returned := make([]chan struct{}, n)
+	for i := range returned {
+		returned[i] = make(chan struct{})
+	}
+	ck := &recordingCheckpointer{}
+	prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: workers, ChunkSize: 1, Checkpoint: ck},
+		Hooks[struct{}]{},
+		func(_ struct{}, lo, hi int) error {
+			close(returned[lo])
+			return nil
+		},
+		func(lo, hi int) error {
+			if hi < n {
+				<-returned[hi]
+				time.Sleep(coalesceSettle / 5)
+			}
+			return nil
+		})
+	if err != nil || prefix != n {
+		t.Fatalf("prefix=%d err=%v", prefix, err)
+	}
+	saves := ck.snapshot()
+	last := 0
+	for _, w := range saves {
+		if w-last >= 2*window {
+			t.Fatalf("saves = %v: %d chunks between saves, want fewer than %d", saves, w-last, 2*window)
+		}
+		last = w
+	}
+	if last != n {
+		t.Fatalf("saves = %v, want a final watermark of %d", saves, n)
+	}
 }

@@ -7,13 +7,16 @@ package bicoop
 // the loaded watermark before each resume exactly as a restarting process
 // would, and require the stitched output to match an uninterrupted run.
 // Interrupt budgets are drawn from a splitmix64 mix of the seed so a
-// failing schedule replays exactly.
+// failing schedule replays exactly. Each loop also runs with a checkpointer
+// that holds every save, so the workers complete the chunks queued behind
+// it and the emitter covers them with one coalesced save.
 
 import (
 	"context"
 	"errors"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 var errChaosInterrupt = errors.New("chaos interrupt")
@@ -30,11 +33,43 @@ func interruptBudget(seed uint64, a, max int) int {
 	return 1 + int(x%uint64(max))
 }
 
+// holdingCheckpoint wraps a FileCheckpoint and holds each save for hold,
+// long enough (when positive) for the pool to complete the chunks queued
+// behind it, so the emitter's next save covers several of them. It counts
+// the saves that advanced the watermark by more than one unit.
+type holdingCheckpoint struct {
+	*FileCheckpoint
+	hold      time.Duration
+	prev      int // last watermark saved or loaded
+	coalesced int
+}
+
+func (c *holdingCheckpoint) Save(watermark int) error {
+	time.Sleep(c.hold)
+	if watermark-c.prev > 1 {
+		c.coalesced++
+	}
+	c.prev = watermark
+	return c.FileCheckpoint.Save(watermark)
+}
+
+// coalesceHold is how long the holding checkpointer keeps each save: far
+// longer than one curve or one 60-trial run takes on two workers.
+const coalesceHold = 10 * time.Millisecond
+
 // TestRegionBatchResumeLoop interrupts a region batch over and over — a
 // fresh run each attempt, resumed via the curve-unit watermark a restarting
 // process would read back from disk — and checks the stitched curve sequence
 // matches an uninterrupted batch vertex for vertex.
-func TestRegionBatchResumeLoop(t *testing.T) {
+func TestRegionBatchResumeLoop(t *testing.T) { regionBatchResumeLoop(t, 0) }
+
+// TestRegionBatchResumeLoopCoalescedSaves runs the same loop with every
+// save held, so saves cover several curves at once.
+func TestRegionBatchResumeLoopCoalescedSaves(t *testing.T) {
+	regionBatchResumeLoop(t, coalesceHold)
+}
+
+func regionBatchResumeLoop(t *testing.T, hold time.Duration) {
 	eng := NewEngine()
 	ctx := context.Background()
 	base := RegionBatchSpec{
@@ -59,7 +94,7 @@ func TestRegionBatchResumeLoop(t *testing.T) {
 	}
 	nCurves := base.Size()
 
-	ck := &FileCheckpoint{Path: filepath.Join(t.TempDir(), "region.ck")}
+	ck := &holdingCheckpoint{FileCheckpoint: &FileCheckpoint{Path: filepath.Join(t.TempDir(), "region.ck")}, hold: hold}
 	var collected []RegionBatchPoint
 	interruptions := 0
 	for attempt := 0; attempt < 4*nCurves; attempt++ {
@@ -72,6 +107,7 @@ func TestRegionBatchResumeLoop(t *testing.T) {
 		if watermark < len(collected) {
 			collected = collected[:watermark]
 		}
+		ck.prev = watermark
 		spec := base
 		spec.Start = watermark
 		spec.Checkpoint = ck
@@ -107,6 +143,7 @@ func TestRegionBatchResumeLoop(t *testing.T) {
 					}
 				}
 			}
+			requireCoalesced(t, ck)
 			t.Logf("region batch stitched back together across %d interruptions", interruptions)
 			return
 		}
@@ -122,7 +159,15 @@ func TestRegionBatchResumeLoop(t *testing.T) {
 // campaign: per-spec watermarks, runs below Start skipped on resume, and
 // final statistics identical to an uninterrupted campaign (runs are
 // seed-deterministic).
-func TestCampaignResumeLoop(t *testing.T) {
+func TestCampaignResumeLoop(t *testing.T) { campaignResumeLoop(t, 0) }
+
+// TestCampaignResumeLoopCoalescedSaves runs the same loop with every save
+// held, so saves cover several runs at once.
+func TestCampaignResumeLoopCoalescedSaves(t *testing.T) {
+	campaignResumeLoop(t, coalesceHold)
+}
+
+func campaignResumeLoop(t *testing.T, hold time.Duration) {
 	eng := NewEngine()
 	ctx := context.Background()
 	scen := Scenario{PowerDB: 5, GabDB: -7, GarDB: 0, GbrDB: 5}
@@ -143,7 +188,7 @@ func TestCampaignResumeLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ck := &FileCheckpoint{Path: filepath.Join(t.TempDir(), "campaign.ck")}
+	ck := &holdingCheckpoint{FileCheckpoint: &FileCheckpoint{Path: filepath.Join(t.TempDir(), "campaign.ck")}, hold: hold}
 	nRuns := len(campaign().Specs)
 	got := make([]SimResult, nRuns)
 	interruptions := 0
@@ -152,6 +197,7 @@ func TestCampaignResumeLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ck.prev = watermark
 		spec := campaign()
 		spec.Start = watermark
 		spec.Checkpoint = ck
@@ -177,6 +223,7 @@ func TestCampaignResumeLoop(t *testing.T) {
 					t.Fatalf("run %d stats differ after %d interruptions: %+v vs %+v", i, interruptions, g, w)
 				}
 			}
+			requireCoalesced(t, ck)
 			t.Logf("campaign stitched back together across %d interruptions", interruptions)
 			return
 		}
@@ -186,4 +233,17 @@ func TestCampaignResumeLoop(t *testing.T) {
 		interruptions++
 	}
 	t.Fatal("campaign never completed; the watermark is not advancing between attempts")
+}
+
+// requireCoalesced fails a holding-checkpointer loop in which no save ever
+// covered more than one unit: it would have tested nothing new.
+func requireCoalesced(t *testing.T, ck *holdingCheckpoint) {
+	t.Helper()
+	if ck.hold <= 0 {
+		return
+	}
+	if ck.coalesced == 0 {
+		t.Fatal("no save covered more than one completion; hold the saves longer")
+	}
+	t.Logf("%d coalesced saves", ck.coalesced)
 }

@@ -24,9 +24,10 @@ work="${1:-$(mktemp -d)}"
 cd "$(dirname "$0")/.."
 go build -o "$work/bccd" ./cmd/bccd
 
-# The job: 201 powers x 30 placements x 5 protocols = 30150 points, the same
-# grid as the CLI checkpoint-resume smoke. %.17g keeps the float64 axes
-# round-trip exact, so both runs parse byte-for-byte identical specs.
+# The job: 201 powers x 30 placements x 5 protocols = 30150 points on one
+# worker ("workers":1), slow enough for the kills below to land mid-job.
+# %.17g keeps the float64 axes round-trip exact, so both runs parse
+# byte-for-byte identical specs.
 awk 'BEGIN{
   printf "{\"sweep\":{\"base\":{\"PowerDB\":0,\"GabDB\":-7,\"GarDB\":0,\"GbrDB\":5},\"powers_db\":[";
   for (p = 0; p <= 200; p++) printf "%s%.17g", (p ? "," : ""), p / 10;
