@@ -68,13 +68,13 @@ func loadLogCheckpoint(path string) (logCheckpoint, error) {
 // ResultLog owns a job's streaming CSV output and, when opened with a
 // checkpoint path, persists {watermark, offset} atomically on every engine
 // Save — after flushing the rows the watermark covers, so a saved
-// checkpoint never points past what is durably in the file. A pooled run
-// saves once per drained batch of completed chunks, so one Save covers
-// every completion queued at that moment; the final watermark is always
-// saved, and a crash loses fewer than 4×Workers chunks of rows past the
-// last save, which the resumed run rewrites byte for byte. It implements bicoop.Checkpointer; feed Watermark back as the
-// spec's Start and the concatenated output of the runs is byte-identical
-// to an uninterrupted run's.
+// checkpoint never points past what is durably in the file. A run saves
+// once per Workers chunks; the final watermark is always saved, and a
+// crash loses at most Workers chunks of rows past the last save, which
+// the resumed run rewrites byte for byte. It implements
+// bicoop.Checkpointer; feed Watermark back as the spec's Start and the
+// concatenated output of the runs is byte-identical to an uninterrupted
+// run's.
 type ResultLog struct {
 	f         *os.File // nil when wrapping a plain writer (stdout)
 	buf       *bufio.Writer

@@ -39,8 +39,8 @@ func BenchmarkRunCore(b *testing.B) {
 }
 
 // BenchmarkRunCoreResilient runs the identical workload with the
-// checkpointer armed — one save per drained batch of completions, the
-// final watermark always — so the delta
+// checkpointer armed — one save per Workers chunks, the final watermark
+// always — so the delta
 // against BenchmarkRunCore is the price of checkpointing on the happy path.
 // The ledger gate keeps that price from creeping.
 func BenchmarkRunCoreResilient(b *testing.B) {

@@ -79,14 +79,14 @@ type CoreOptions struct {
 	// includes the skipped points.
 	Start int
 	// Checkpoint, when non-nil, persists the emitter's watermark — the
-	// contiguous emitted point prefix. With one worker it is saved after
-	// every chunk; with more, one Save covers every completion queued at
-	// that moment, so saves coalesce when chunks finish faster than a Save.
-	// The final watermark (or a halted run's emitted prefix) is always
-	// saved, saved values strictly increase, and a crash loses fewer than
-	// 4×Workers chunks (two ticket windows) of emitted results past the
-	// last save. A Save error halts the run like an emit error. Feed the
-	// last saved value back as Start to resume.
+	// contiguous emitted point prefix. It is saved once per Workers
+	// emitted chunks (after every chunk with one worker), at chunk
+	// boundaries that depend on n, ChunkSize and Workers alone, never on
+	// timing. The final watermark (or a halted run's emitted prefix) is
+	// always saved, saved values strictly increase, and a crash loses at
+	// most Workers chunks of emitted results past the last save. A Save
+	// error halts the run like an emit error. Feed the last saved value
+	// back as Start to resume.
 	Checkpoint Checkpointer
 }
 
@@ -111,8 +111,8 @@ func (o CoreOptions) chunkSize() int {
 // Failures are contained per chunk: a do error (including a recovered
 // workload panic, surfaced as a *PanicError) is reported as a *ChunkError.
 // opts.Start resumes past an already-emitted prefix and opts.Checkpoint
-// persists the emitted watermark, one Save per drained batch of queued
-// completions (see CoreOptions).
+// persists the emitted watermark, one Save per Workers emitted chunks (see
+// CoreOptions).
 //
 // RunCore returns the length of the contiguous prefix of points whose chunks
 // completed (and, when emit is set, were emitted) without error — n on
@@ -220,13 +220,15 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 	// most window claims are outstanding. (After a halt the remaining
 	// tickets are irrelevant — workers exit via haltCh.)
 	//
-	// The checkpoint is saved when the completion queue is empty — one Save
-	// then covers every completion that queued up behind the previous one —
-	// or when the cursor is a full window past the last save, so a queue
-	// that never drains cannot defer saving indefinitely. The last
-	// completion received always sees an empty queue, so the final
-	// watermark (or a halted run's emitted prefix) is always saved, and
-	// saved watermarks strictly increase.
+	// The checkpoint is saved right after every chunk whose index+1 is a
+	// multiple of workers is emitted — one save per round of the pool, as
+	// the sequential path saves once per chunk — and once more after the
+	// pool has drained if the cursor moved past the last save, so the final
+	// watermark (or a halted run's emitted prefix) is always saved. Which
+	// watermarks are saved depends on the chunk range and workers alone,
+	// never on the order or pace of completions: a cadence keyed to the
+	// completion queue would save more often whenever a Save is fast
+	// against a chunk, so a job's cost would swing with the disk.
 	done := make([]bool, nChunks)
 	nextEmit := startChunk
 	savedEmit := startChunk
@@ -246,15 +248,17 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 			}
 			nextEmit++
 			tickets <- struct{}{}
-		}
-		due := len(completions) == 0 || nextEmit-savedEmit >= window
-		if nextEmit > savedEmit && due && opts.Checkpoint != nil && ckErr == nil {
-			savedEmit = nextEmit
-			if err := opts.Checkpoint.Save(watermarkOf(nextEmit, n, cs)); err != nil {
-				ckErr = err
-				halt()
+			if nextEmit%workers == 0 && opts.Checkpoint != nil && ckErr == nil {
+				savedEmit = nextEmit
+				if err := opts.Checkpoint.Save(watermarkOf(nextEmit, n, cs)); err != nil {
+					ckErr = err
+					halt()
+				}
 			}
 		}
+	}
+	if nextEmit > savedEmit && opts.Checkpoint != nil && ckErr == nil {
+		ckErr = opts.Checkpoint.Save(watermarkOf(nextEmit, n, cs))
 	}
 
 	prefix := watermarkOf(nextEmit, n, cs)

@@ -39,7 +39,8 @@ type RegionSpec struct {
 	// previous run and are neither recomputed nor yielded again.
 	// Checkpoint, when non-nil, observes the contiguous yielded curve
 	// count, saved at the cadence CoreOptions.Checkpoint describes; feed
-	// the last saved value back as Start to resume. RegionBatch ignores Options.Start and Options.Checkpoint.
+	// the last saved value back as Start to resume. RegionBatch ignores
+	// Options.Start and Options.Checkpoint.
 	Start      int
 	Checkpoint Checkpointer
 }

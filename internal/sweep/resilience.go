@@ -10,8 +10,8 @@ package sweep
 //     converts a workload panic into a *PanicError, surfaced (like any do
 //     error) inside a *ChunkError instead of crashing the process;
 //   - checkpointing: CoreOptions.Checkpoint observes the ordered emitter's
-//     watermark (the contiguous emitted point prefix) once per drained
-//     batch of completed chunks, and
+//     watermark (the contiguous emitted point prefix) once per Workers
+//     emitted chunks, and
 //     CoreOptions.Start resumes a later run past a saved watermark — the
 //     prefix-on-cancel semantics make the watermark exactly the safe
 //     resume point.

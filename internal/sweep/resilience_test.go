@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -340,123 +341,118 @@ func (c *blockingCheckpointer) Save(w int) error {
 
 var errChunkSink = errors.New("sink closed")
 
-// coalesceSettle is the pause that lets a worker's completion send land
-// after its do returned; the assertions never need it to pass on a correct
-// emitter, only to make a save-per-completion emitter fail reliably.
-const coalesceSettle = 5 * time.Millisecond
-
-// TestRunCoreCoalescesSaves pins the emitter's save cadence: completions
-// that queue up while a Save is in flight are covered by one later Save,
-// not one Save each. The first Save is held until every do has returned;
-// each do starts only after the previous one returned and settled, so the
-// queued completions arrive in order and a save-per-completion emitter
-// would save once per chunk.
-func TestRunCoreCoalescesSaves(t *testing.T) {
-	// One-point chunks, n = window+1: while the first Save is held no
-	// ticket comes back, so only the window's chunks can complete behind
-	// the first one.
-	const n = 5
-	run := func(emitErrAt int) (prefix int, saves []int, err error) {
-		t.Helper()
-		release := make(chan struct{})
-		ck := &blockingCheckpointer{release: release}
-		returned := make([]chan struct{}, n)
-		for i := range returned {
-			returned[i] = make(chan struct{})
+// TestRunCoreSaveCadence pins the pooled emitter's save cadence: one Save
+// right after every Workers-th one-point chunk is emitted, then the final
+// watermark — the same watermarks whatever order and pace the chunks
+// complete in:
+//
+//   - serial: each do waits until the previous chunk was emitted, so the
+//     emitter never finds another completion queued;
+//   - burst: the first Save is held until every chunk the tickets allow
+//     has completed, so they all queue up behind it;
+//   - free: no pacing at all.
+//
+// A save-per-completion emitter, and one that saves whenever the queue is
+// empty, save once per chunk on the serial pace. The emit callback also
+// checks the crash bound: at most Workers chunks are ever emitted past the
+// last save.
+func TestRunCoreSaveCadence(t *testing.T) {
+	const n = 41
+	for _, workers := range []int{2, 7} {
+		var want []int // the multiples of workers up to n, then n
+		for w := workers; w <= n; w += workers {
+			want = append(want, w)
 		}
-		var finished atomic.Int32
-		prefix, err = RunCore(context.Background(), n, CoreOptions{Workers: 2, ChunkSize: 1, Checkpoint: ck},
+		if want[len(want)-1] != n {
+			want = append(want, n)
+		}
+		for _, pace := range []string{"serial", "burst", "free"} {
+			t.Run(fmt.Sprintf("workers%d/%s", workers, pace), func(t *testing.T) {
+				emitted := make([]chan struct{}, n)
+				for i := range emitted {
+					emitted[i] = make(chan struct{})
+				}
+				release := make(chan struct{})
+				var releaseOnce sync.Once
+				open := func() { releaseOnce.Do(func() { close(release) }) }
+				if pace != "burst" {
+					open()
+				}
+				// An emitter that saves before the workers-th chunk never
+				// lets 3×workers chunks complete; the timer turns that
+				// deadlock into a failed assertion.
+				defer time.AfterFunc(2*time.Second, open).Stop()
+				ck := &blockingCheckpointer{release: release}
+				var finished atomic.Int32
+				prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: workers, ChunkSize: 1, Checkpoint: ck},
+					Hooks[struct{}]{},
+					func(_ struct{}, lo, hi int) error {
+						if pace == "serial" && lo > 0 {
+							<-emitted[lo-1]
+						}
+						// While the first Save (at workers) is held, the
+						// window's 2×workers tickets plus the workers
+						// returned before it let 3×workers chunks complete.
+						if pace == "burst" && finished.Add(1) == int32(3*workers) {
+							open()
+						}
+						return nil
+					},
+					func(lo, hi int) error {
+						last := 0
+						if saves := ck.snapshot(); len(saves) > 0 {
+							last = saves[len(saves)-1]
+						}
+						if hi-last > workers {
+							t.Errorf("emitted %d points past the last save %d, want at most %d", hi-last, last, workers)
+						}
+						close(emitted[lo])
+						return nil
+					})
+				if err != nil || prefix != n {
+					t.Fatalf("prefix=%d err=%v", prefix, err)
+				}
+				if saves := ck.snapshot(); !reflect.DeepEqual(saves, want) {
+					t.Fatalf("saves = %v, want %v", saves, want)
+				}
+			})
+		}
+	}
+
+	// An emit error between two saves still saves the emitted prefix last,
+	// and no save passes it.
+	t.Run("emit_error", func(t *testing.T) {
+		const workers, stopAt = 2, 5
+		emitted := make([]chan struct{}, n)
+		for i := range emitted {
+			emitted[i] = make(chan struct{})
+		}
+		stopped := make(chan struct{}) // the emitter halted: stop pacing
+		ck := &recordingCheckpointer{}
+		prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: workers, ChunkSize: 1, Checkpoint: ck},
 			Hooks[struct{}]{},
 			func(_ struct{}, lo, hi int) error {
 				if lo > 0 {
-					<-returned[lo-1]
-					time.Sleep(coalesceSettle)
-				}
-				close(returned[lo])
-				if finished.Add(1) == n {
-					go func() {
-						time.Sleep(coalesceSettle)
-						close(release)
-					}()
+					select {
+					case <-emitted[lo-1]:
+					case <-stopped:
+					}
 				}
 				return nil
 			},
 			func(lo, hi int) error {
-				if lo == emitErrAt {
+				if lo == stopAt {
+					close(stopped)
 					return errChunkSink
 				}
+				close(emitted[lo])
 				return nil
 			})
-		return prefix, ck.snapshot(), err
-	}
-
-	t.Run("complete", func(t *testing.T) {
-		prefix, saves, err := run(-1)
-		if err != nil || prefix != n {
-			t.Fatalf("prefix=%d err=%v", prefix, err)
-		}
-		if len(saves) >= n {
-			t.Fatalf("saves = %v: one per chunk, queued completions were not coalesced", saves)
-		}
-		requireIncreasing(t, saves)
-		if saves[len(saves)-1] != n {
-			t.Fatalf("saves = %v, want a final watermark of %d", saves, n)
-		}
-	})
-
-	t.Run("emit_error", func(t *testing.T) {
-		const stopAt = 3
-		prefix, saves, err := run(stopAt)
 		if !errors.Is(err, errChunkSink) || prefix != stopAt {
 			t.Fatalf("prefix=%d err=%v, want %d and the emit error", prefix, err, stopAt)
 		}
-		if len(saves) >= stopAt {
-			t.Fatalf("saves = %v: one per emitted chunk, queued completions were not coalesced", saves)
-		}
-		requireIncreasing(t, saves)
-		if saves[len(saves)-1] != stopAt {
-			t.Fatalf("saves = %v, want the emitted prefix %d saved last", saves, stopAt)
+		if saves, want := ck.snapshot(), []int{2, 4, stopAt}; !reflect.DeepEqual(saves, want) {
+			t.Fatalf("saves = %v, want %v", saves, want)
 		}
 	})
-}
-
-// TestRunCoreSaveCadenceBounded pins the other half of the cadence: a queue
-// that never drains — each emit waits until the next chunk has completed —
-// still gets a Save at least once per ticket window, so a crash loses fewer
-// than two windows of emitted results.
-func TestRunCoreSaveCadenceBounded(t *testing.T) {
-	const n, workers = 40, 2
-	const window = 2 * workers
-	returned := make([]chan struct{}, n)
-	for i := range returned {
-		returned[i] = make(chan struct{})
-	}
-	ck := &recordingCheckpointer{}
-	prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: workers, ChunkSize: 1, Checkpoint: ck},
-		Hooks[struct{}]{},
-		func(_ struct{}, lo, hi int) error {
-			close(returned[lo])
-			return nil
-		},
-		func(lo, hi int) error {
-			if hi < n {
-				<-returned[hi]
-				time.Sleep(coalesceSettle / 5)
-			}
-			return nil
-		})
-	if err != nil || prefix != n {
-		t.Fatalf("prefix=%d err=%v", prefix, err)
-	}
-	saves := ck.snapshot()
-	last := 0
-	for _, w := range saves {
-		if w-last >= 2*window {
-			t.Fatalf("saves = %v: %d chunks between saves, want fewer than %d", saves, w-last, 2*window)
-		}
-		last = w
-	}
-	if last != n {
-		t.Fatalf("saves = %v, want a final watermark of %d", saves, n)
-	}
 }

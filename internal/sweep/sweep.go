@@ -50,10 +50,10 @@ type Options struct {
 	// bit-identical for every value.
 	Workers int
 	// Start resumes a run past an already-emitted point prefix; Checkpoint
-	// persists the emitted watermark. One Save covers every completed chunk
-	// queued at that moment, the final watermark is always saved, and a
-	// crash loses fewer than 4×Workers chunks past the last save. Both are
-	// forwarded to the core verbatim — see CoreOptions.
+	// persists the emitted watermark. A run saves once per Workers chunks,
+	// the final watermark is always saved, and a crash loses at most
+	// Workers chunks past the last save. Both are forwarded to the core
+	// verbatim — see CoreOptions.
 	Start      int
 	Checkpoint Checkpointer
 	// Cache is the result store every point is solved through

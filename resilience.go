@@ -9,8 +9,8 @@ package bicoop
 // a retry could only repeat the failure:
 //
 //   - Checkpointer observes the resume watermark (the contiguous prefix of
-//     delivered results) as it advances, one save per drained batch of
-//     completed chunks, and the spec's Start field resumes
+//     delivered results) as it advances, one save per Workers completed
+//     chunks, and the spec's Start field resumes
 //     a later run past it — the concatenation of the two runs' yields is
 //     byte-identical to an uninterrupted run;
 //   - workload panics are contained per chunk and surfaced as a *ChunkError
@@ -34,13 +34,12 @@ import (
 // of the contiguous prefix of results already delivered to the caller. Save
 // is invoked from the yielding goroutine after the corresponding yields
 // returned, so a saved watermark never overstates what the caller received.
-// A single-worker run saves after every chunk. A pooled run saves once no
-// completed chunk is left waiting to be yielded, so one Save covers every
-// completion queued at that moment. Either way the final watermark (or an
-// interrupted run's delivered prefix) is always saved, saved values
-// strictly increase, and a crash loses fewer than 4×Workers chunks (two
-// ticket windows) of delivered results past the last save. A Save error
-// halts the run.
+// A run saves once per Workers delivered chunks (after every chunk with one
+// worker), at chunk boundaries fixed by the spec and Workers, never by
+// timing. The final watermark (or an interrupted run's delivered prefix)
+// is always saved, saved values strictly increase, and a crash loses at
+// most Workers chunks of delivered results past the last save. A Save
+// error halts the run.
 //
 // Watermark units follow the spec's yields: grid points for Engine.Sweep,
 // whole curves for Engine.RegionBatch, completed runs for

@@ -7,9 +7,10 @@ package bicoop
 // the loaded watermark before each resume exactly as a restarting process
 // would, and require the stitched output to match an uninterrupted run.
 // Interrupt budgets are drawn from a splitmix64 mix of the seed so a
-// failing schedule replays exactly. Each loop also runs with a checkpointer
-// that holds every save, so the workers complete the chunks queued behind
-// it and the emitter covers them with one coalesced save.
+// failing schedule replays exactly. A pooled run saves once per Workers
+// units, so every save covers several; each loop also runs with a
+// checkpointer that holds every save, so the workers run a full ticket
+// window ahead of the emitter while it saves.
 
 import (
 	"context"
@@ -34,9 +35,9 @@ func interruptBudget(seed uint64, a, max int) int {
 }
 
 // holdingCheckpoint wraps a FileCheckpoint and holds each save for hold,
-// long enough (when positive) for the pool to complete the chunks queued
-// behind it, so the emitter's next save covers several of them. It counts
-// the saves that advanced the watermark by more than one unit.
+// long enough (when positive) for the pool to complete every chunk its
+// tickets allow behind it. It counts the saves that advanced the watermark
+// by more than one unit.
 type holdingCheckpoint struct {
 	*FileCheckpoint
 	hold      time.Duration
@@ -64,7 +65,7 @@ const coalesceHold = 10 * time.Millisecond
 func TestRegionBatchResumeLoop(t *testing.T) { regionBatchResumeLoop(t, 0) }
 
 // TestRegionBatchResumeLoopCoalescedSaves runs the same loop with every
-// save held, so saves cover several curves at once.
+// save held, so the workers finish curves past the watermark being saved.
 func TestRegionBatchResumeLoopCoalescedSaves(t *testing.T) {
 	regionBatchResumeLoop(t, coalesceHold)
 }
@@ -162,7 +163,7 @@ func regionBatchResumeLoop(t *testing.T, hold time.Duration) {
 func TestCampaignResumeLoop(t *testing.T) { campaignResumeLoop(t, 0) }
 
 // TestCampaignResumeLoopCoalescedSaves runs the same loop with every save
-// held, so saves cover several runs at once.
+// held, so the workers finish runs past the watermark being saved.
 func TestCampaignResumeLoopCoalescedSaves(t *testing.T) {
 	campaignResumeLoop(t, coalesceHold)
 }
