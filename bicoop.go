@@ -215,7 +215,7 @@ func HBCBeyondOuterBounds(s Scenario) ([]RatePoint, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	esc, err := protocols.HBCEscapePoints(s.internal(), protocols.RegionOptions{})
+	esc, err := protocols.HBCEscapePoints(s.internal())
 	if err != nil {
 		return nil, fmt.Errorf("bicoop: %w", err)
 	}

@@ -81,7 +81,7 @@ func TestOptimalSumRateFacade(t *testing.T) {
 func TestRateRegionFacade(t *testing.T) {
 	eng := NewEngine()
 	ctx := context.Background()
-	r, err := eng.Region(ctx, TDBC, Inner, fig4(10), RegionOptions{})
+	r, err := eng.Region(ctx, TDBC, Inner, fig4(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +104,10 @@ func TestRateRegionFacade(t *testing.T) {
 	if _, ok := r.MaxRbAt(r.MaxRa() + 1); ok {
 		t.Error("MaxRbAt beyond the region should report false")
 	}
-	if _, err := eng.Region(ctx, Protocol(99), Inner, fig4(0), RegionOptions{}); err == nil {
+	if _, err := eng.Region(ctx, Protocol(99), Inner, fig4(0)); err == nil {
 		t.Error("want error for unknown protocol")
 	}
-	if _, err := eng.Region(ctx, MABC, Bound(99), fig4(0), RegionOptions{}); err == nil {
+	if _, err := eng.Region(ctx, MABC, Bound(99), fig4(0)); err == nil {
 		t.Error("want error for unknown bound")
 	}
 }

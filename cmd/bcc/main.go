@@ -369,8 +369,6 @@ func cmdRegion(ctx context.Context, args []string) error {
 	protoName := fs.String("proto", "HBC", "protocol: DT, Naive4, MABC, TDBC, HBC")
 	boundName := fs.String("bound", "inner", "bound: inner or outer")
 	csv := fs.Bool("csv", false, "emit the frontier as CSV instead of a table")
-	angles := fs.Int("angles", 0, "deprecated and ignored: the region is refined to its exact vertices")
-	workers := fs.Int("workers", 0, "no effect: one region curve runs on one goroutine (kept for compatibility)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -389,7 +387,7 @@ func cmdRegion(ctx context.Context, args []string) error {
 	s := bicoop.Scenario{PowerDB: *p, GabDB: *gab, GarDB: *gar, GbrDB: *gbr}
 	// The run context flows into the region computation, so Ctrl-C stops
 	// it before its next curve.
-	r, err := eng.Region(ctx, proto, bound, s, bicoop.RegionOptions{Angles: *angles, Workers: *workers})
+	r, err := eng.Region(ctx, proto, bound, s)
 	if err != nil {
 		return err
 	}

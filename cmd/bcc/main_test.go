@@ -29,6 +29,8 @@ func TestRunDispatch(t *testing.T) {
 		{name: "region csv", args: []string{"region", "-proto", "TDBC", "-bound", "outer", "-csv"}, wantErr: false},
 		{name: "region bad proto", args: []string{"region", "-proto", "XYZ"}, wantErr: true},
 		{name: "region bad bound", args: []string{"region", "-bound", "sideways"}, wantErr: true},
+		{name: "region angles removed", args: []string{"region", "-angles", "5"}, wantErr: true},
+		{name: "region workers removed", args: []string{"region", "-workers", "2"}, wantErr: true},
 		{name: "place", args: []string{"place", "-pos", "0.3"}, wantErr: false},
 		{name: "place off segment", args: []string{"place", "-pos", "1.5"}, wantErr: true},
 		{name: "sweep", args: []string{"sweep", "-powers", "0,10", "-protos", "MABC"}, wantErr: false},
@@ -56,6 +58,58 @@ func TestRunDispatch(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRegionCSVGolden pins `bcc region -csv` output byte for byte: the
+// exact vertices of a TDBC outer and an HBC inner region, each a handful of
+// refined LP optima printed with %g.
+func TestRegionCSVGolden(t *testing.T) {
+	tests := []struct {
+		golden string
+		args   []string
+	}{
+		{golden: "region_tdbc_outer_p10.csv", args: []string{"region", "-proto", "TDBC", "-bound", "outer", "-p", "10", "-csv"}},
+		{golden: "region_hbc_inner.csv", args: []string{"region", "-proto", "HBC", "-csv"}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tt.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := captureStdout(t, func() error { return run(context.Background(), tt.args) })
+			if !bytes.Equal(got, want) {
+				t.Errorf("bcc %s output differs from %s:\n got:\n%s\nwant:\n%s",
+					strings.Join(tt.args, " "), tt.golden, got, want)
+			}
+		})
+	}
+}
+
+// captureStdout returns what f prints to os.Stdout.
+func captureStdout(t *testing.T, f func() error) []byte {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		var buf bytes.Buffer
+		buf.ReadFrom(r)
+		out <- buf.Bytes()
+	}()
+	runErr := f()
+	os.Stdout = saved
+	w.Close()
+	got := <-out
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return got
 }
 
 func TestExitFor(t *testing.T) {

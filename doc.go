@@ -39,10 +39,9 @@
 //	ok, err := eng.Feasible(bicoop.HBC, bicoop.Inner, s, bicoop.RatePoint{Ra: 1, Rb: 1})
 //
 //	// Rate regions: one Fig 4 curve, refined edge by edge to its exact
-//	// vertices in about five LP solves (RegionOptions.Angles is deprecated
-//	// and ignored). RegionBatch computes whole curve families — scenarios ×
-//	// protocol bounds — in one run sharded by curve.
-//	reg, err := eng.Region(ctx, bicoop.HBC, bicoop.Inner, s, bicoop.RegionOptions{})
+//	// vertices in about five LP solves. RegionBatch computes whole curve
+//	// families — scenarios × protocol bounds — in one run sharded by curve.
+//	reg, err := eng.Region(ctx, bicoop.HBC, bicoop.Inner, s)
 //	err = eng.RegionBatch(ctx, bicoop.RegionBatchSpec{...}, func(pt bicoop.RegionBatchPoint) error { ... })
 //
 //	// Batches: thousands of scenarios sharded across a worker pool, each
@@ -240,12 +239,12 @@
 // process-wide pool (protocols.GetEvaluator), and
 // every Naive4/HBC LP is a cold simplex.SolveIn solve. The parallel knobs:
 // WithWorkers sets an engine-wide default; SweepSpec.Workers,
-// RegionOptions.Workers, RegionBatchSpec.Workers and CampaignSpec.Workers
-// override per run; all default to GOMAXPROCS. A post-solve refinement
-// step makes every LP solution a function of its final basis alone,
-// independent of the pivot path's rounding. Batch, sweep and region
-// results are bit-identical for every Workers setting — worker count only
-// trades wall-clock time for cores. Campaigns keep the same guarantee one
+// RegionBatchSpec.Workers and CampaignSpec.Workers override per run; all
+// default to GOMAXPROCS (a single Region curve runs on one goroutine). A
+// post-solve refinement step makes every LP solution a function of its
+// final basis alone, independent of the pivot path's rounding. Batch,
+// sweep and region results are bit-identical for every Workers setting —
+// worker count only trades wall-clock time for cores. Campaigns keep the same guarantee one
 // level up: every SimSpec carries its own seed, and inside a campaign a
 // spec's zero Workers field means one trial goroutine (not the engine
 // default), so campaign statistics never depend on the outer worker count

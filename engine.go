@@ -173,24 +173,6 @@ func (e *Engine) sweepOpts(workers int) sweep.Options {
 	return sweep.Options{Workers: workers, Cache: e.cache}
 }
 
-// ctxDone returns a non-nil error when ctx has ended. It always satisfies
-// errors.Is(err, ctx.Err()) — so the documented errors.Is(err,
-// context.Canceled) check works — and additionally wraps a distinct
-// cancellation cause (context.WithCancelCause) when one was supplied.
-func ctxDone(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	err := ctx.Err()
-	if err == nil {
-		return nil
-	}
-	if cause := context.Cause(ctx); cause != nil && !errors.Is(cause, err) {
-		return fmt.Errorf("%w: %w", err, cause)
-	}
-	return err
-}
-
 // resolve maps public enums and a scenario to their internal forms,
 // validating everything up front.
 func resolve(p Protocol, b Bound, s Scenario) (protocols.Protocol, protocols.Bound, protocols.Scenario, error) {

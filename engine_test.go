@@ -69,7 +69,7 @@ func TestEngineValidation(t *testing.T) {
 		if _, err := eng.SumRate(bicoop.MABC, bicoop.Inner, s); !errors.Is(err, bicoop.ErrInvalidScenario) {
 			t.Errorf("SumRate(%+v) err = %v, want ErrInvalidScenario", s, err)
 		}
-		if _, err := eng.Region(ctx, bicoop.MABC, bicoop.Inner, s, bicoop.RegionOptions{}); !errors.Is(err, bicoop.ErrInvalidScenario) {
+		if _, err := eng.Region(ctx, bicoop.MABC, bicoop.Inner, s); !errors.Is(err, bicoop.ErrInvalidScenario) {
 			t.Errorf("Region err = %v, want ErrInvalidScenario", err)
 		}
 		if _, err := eng.Feasible(bicoop.MABC, bicoop.Inner, s, bicoop.RatePoint{}); !errors.Is(err, bicoop.ErrInvalidScenario) {
@@ -448,7 +448,7 @@ func TestEngineConcurrent(t *testing.T) {
 						return
 					}
 				default:
-					if _, err := eng.Region(context.Background(), bicoop.TDBC, bicoop.Inner, s, bicoop.RegionOptions{}); err != nil {
+					if _, err := eng.Region(context.Background(), bicoop.TDBC, bicoop.Inner, s); err != nil {
 						errCh <- err
 						return
 					}

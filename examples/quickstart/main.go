@@ -45,7 +45,7 @@ func main() {
 
 	// 2. Full rate region of the best protocol (one curve of Fig 4),
 	//    refined edge by edge to its exact vertices.
-	region, err := eng.Region(context.Background(), bicoop.HBC, bicoop.Inner, s, bicoop.RegionOptions{})
+	region, err := eng.Region(context.Background(), bicoop.HBC, bicoop.Inner, s)
 	if err != nil {
 		log.Fatal(err)
 	}

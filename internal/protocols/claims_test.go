@@ -33,11 +33,11 @@ func TestMABCCapacityTightness(t *testing.T) {
 	// every scenario.
 	for _, pdb := range []float64{-10, -3, 0, 7, 14} {
 		s := testScenario(pdb)
-		inner, err := GaussianRegion(MABC, BoundInner, s, RegionOptions{Angles: 91})
+		inner, err := GaussianRegion(MABC, BoundInner, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		outer, err := GaussianRegion(MABC, BoundOuter, s, RegionOptions{Angles: 91})
+		outer, err := GaussianRegion(MABC, BoundOuter, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestInnerInsideOuter(t *testing.T) {
 	for _, pdb := range []float64{-5, 0, 5, 10} {
 		s := testScenario(pdb)
 		for _, p := range Protocols() {
-			inner, err := GaussianRegion(p, BoundInner, s, RegionOptions{Angles: 61})
+			inner, err := GaussianRegion(p, BoundInner, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestClaimHBCOutsideOuterBounds(t *testing.T) {
 	// bounds of the other two protocols."
 	found := false
 	for _, pdb := range []float64{0, 5, 10, 15} {
-		esc, err := HBCEscapePoints(testScenario(pdb), RegionOptions{Angles: 121})
+		esc, err := HBCEscapePoints(testScenario(pdb))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,22 +165,22 @@ func TestClaimMABCvsTDBCRegionsLowHighSNR(t *testing.T) {
 	// TDBC region pushes past MABC. Compare via max sum rate and area.
 	low := testScenario(0)
 	high := testScenario(10)
-	mabcLow, err := GaussianRegion(MABC, BoundInner, low, RegionOptions{})
+	mabcLow, err := GaussianRegion(MABC, BoundInner, low)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tdbcLow, err := GaussianRegion(TDBC, BoundInner, low, RegionOptions{})
+	tdbcLow, err := GaussianRegion(TDBC, BoundInner, low)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mabcLow.Area() <= tdbcLow.Area() {
 		t.Errorf("P=0dB: MABC area %v should exceed TDBC area %v", mabcLow.Area(), tdbcLow.Area())
 	}
-	mabcHigh, err := GaussianRegion(MABC, BoundInner, high, RegionOptions{})
+	mabcHigh, err := GaussianRegion(MABC, BoundInner, high)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tdbcHigh, err := GaussianRegion(TDBC, BoundInner, high, RegionOptions{})
+	tdbcHigh, err := GaussianRegion(TDBC, BoundInner, high)
 	if err != nil {
 		t.Fatal(err)
 	}

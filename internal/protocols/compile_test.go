@@ -219,11 +219,11 @@ func TestMABCOuterNoRelayDecoding(t *testing.T) {
 	}
 	// The relaxed region must contain the capacity region.
 	full := mustCompile(t, MABC, BoundInner, s)
-	fullR, err := full.Region(RegionOptions{Angles: 61})
+	fullR, err := full.Region()
 	if err != nil {
 		t.Fatal(err)
 	}
-	relaxedR, err := relaxed.Region(RegionOptions{Angles: 61})
+	relaxedR, err := relaxed.Region()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestMABCOuterNoRelayDecoding(t *testing.T) {
 func TestHBCOuterRelaxedContainsInner(t *testing.T) {
 	for _, pdb := range []float64{0, 10} {
 		s := testScenario(pdb)
-		inner, err := GaussianRegion(HBC, BoundInner, s, RegionOptions{Angles: 61})
+		inner, err := GaussianRegion(HBC, BoundInner, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestHBCOuterRelaxedContainsInner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		relaxed, err := relaxedSpec.Region(RegionOptions{Angles: 61})
+		relaxed, err := relaxedSpec.Region()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestHBCOuterRelaxedContainsInner(t *testing.T) {
 		}
 		// And the relaxed bound must contain the heuristic outer bound too
 		// (relaxation can only grow the region).
-		heur, err := GaussianRegion(HBC, BoundOuter, s, RegionOptions{Angles: 61})
+		heur, err := GaussianRegion(HBC, BoundOuter, s)
 		if err != nil {
 			t.Fatal(err)
 		}

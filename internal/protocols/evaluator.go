@@ -401,6 +401,9 @@ func (e *Evaluator) FeasibleLinks(p Protocol, b Bound, li LinkInfos, r RatePair)
 		return false, err
 	}
 	e.loadCaps(tpl, li)
+	if e.witnessFeasible(tpl, r) {
+		return true, nil
+	}
 	if tpl.fast {
 		if feasible, ok := e.fastFeasible(tpl, r); ok {
 			return feasible, nil
@@ -585,29 +588,34 @@ func (e *Evaluator) fastWeighted(tpl *specTemplate, muA, muB float64) (Optimum, 
 	}, true
 }
 
-// fastFeasible maximizes the uniform slack min_i(cap_i(d) - need_i) over the
-// duration simplex by the same candidate enumeration; the pair is feasible
-// iff the maximal slack is (numerically) non-negative. The enumeration is
-// skipped when a cheap witness — the previous solve's durations or the
-// equal split — already supports the pair (the common case for non-outage
-// Monte Carlo blocks). The second result is false when the kink-line budget
-// overflowed (impossible for the compiled templates); the caller must then
-// fall back to the LP rather than trust a truncated enumeration.
-func (e *Evaluator) fastFeasible(tpl *specTemplate, r RatePair) (feasible, ok bool) {
+// witnessFeasible tries two sufficient witnesses of feasibility: the
+// duration vector of the evaluator's previous weighted solve (outage probes
+// typically follow a sum-rate solve on the same block) and the equal split.
+// A non-negative margin at either proves the pair feasible and skips the
+// enumeration or LP, which is the common case for non-outage Monte Carlo
+// blocks. False proves nothing.
+func (e *Evaluator) witnessFeasible(tpl *specTemplate, r RatePair) bool {
 	dsum := 0.0
 	for l := 0; l < tpl.phases; l++ {
 		dsum += e.durs[l]
 	}
 	if math.Abs(dsum-1) <= 1e-9 && e.marginAt(tpl, r, e.durs[:tpl.phases]) >= -feasSlackTol {
-		return true, true
+		return true
 	}
 	equal := [maxPhases]float64{}
 	for l := 0; l < tpl.phases; l++ {
 		equal[l] = 1 / float64(tpl.phases)
 	}
-	if e.marginAt(tpl, r, equal[:tpl.phases]) >= -feasSlackTol {
-		return true, true
-	}
+	return e.marginAt(tpl, r, equal[:tpl.phases]) >= -feasSlackTol
+}
+
+// fastFeasible maximizes the uniform slack min_i(cap_i(d) - need_i) over the
+// duration simplex by the same candidate enumeration; the pair is feasible
+// iff the maximal slack is (numerically) non-negative. The second result is
+// false when the kink-line budget overflowed (impossible for the compiled
+// templates); the caller must then fall back to the LP rather than trust a
+// truncated enumeration.
+func (e *Evaluator) fastFeasible(tpl *specTemplate, r RatePair) (feasible, ok bool) {
 	var gArr [maxTplCons]lin
 	g := gArr[:0]
 	for ci := range tpl.cons {
@@ -801,27 +809,7 @@ func (e *Evaluator) marginAt(tpl *specTemplate, r RatePair, durs []float64) floa
 // T0 = max_i need_i so the shifted slack t' = t + T0 is a non-negative LP
 // variable and every right-hand side stays non-negative (phase-2-only
 // solve). The pair is feasible iff the optimal t' reaches T0.
-//
-// Before building the LP it tries two sufficient witnesses — the duration
-// vector of the evaluator's previous weighted solve (outage probes typically
-// follow a sum-rate solve on the same block) and the equal split. A
-// non-negative margin at either proves feasibility and skips the LP, which
-// is the common case for non-outage blocks.
 func (e *Evaluator) simplexFeasible(tpl *specTemplate, r RatePair) (bool, error) {
-	dsum := 0.0
-	for l := 0; l < tpl.phases; l++ {
-		dsum += e.durs[l]
-	}
-	if math.Abs(dsum-1) <= 1e-9 && e.marginAt(tpl, r, e.durs[:tpl.phases]) >= -feasSlackTol {
-		return true, nil
-	}
-	equal := [maxPhases]float64{}
-	for l := 0; l < tpl.phases; l++ {
-		equal[l] = 1 / float64(tpl.phases)
-	}
-	if e.marginAt(tpl, r, equal[:tpl.phases]) >= -feasSlackTol {
-		return true, nil
-	}
 	k := tpl.phases - 1
 	n := 1 + k
 	m := len(tpl.cons)
@@ -885,12 +873,13 @@ func sizeRows(buf [][]float64, n int) [][]float64 {
 // (Ra, Rb, Δ) polytope onto the rate plane, a convex polygon) exactly, by
 // edge refinement (RefineRegion): about five weighted-rate solves per
 // curve. The evaluator is reused across the solves.
-func (e *Evaluator) Region(p Protocol, b Bound, s Scenario, opts RegionOptions) (region.Polygon, error) {
+func (e *Evaluator) Region(p Protocol, b Bound, s Scenario) (region.Polygon, error) {
 	li, err := LinkInfosFromScenario(s)
 	if err != nil {
 		return region.Polygon{}, err
 	}
-	return regionFromSolver(func(muA, muB float64) (Optimum, error) {
-		return e.WeightedRateLinks(p, b, li, muA, muB)
-	}, opts)
+	return RefineRegion(func(muA, muB float64) (region.Point, error) {
+		opt, err := e.WeightedRateLinks(p, b, li, muA, muB)
+		return region.Point{Ra: opt.Rates.Ra, Rb: opt.Rates.Rb}, err
+	})
 }

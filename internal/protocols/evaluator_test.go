@@ -260,18 +260,17 @@ func TestEvaluatorMatchesPackageAPI(t *testing.T) {
 func TestEvaluatorRegionMatchesSpecRegion(t *testing.T) {
 	s := NewScenarioDB(10, -7, 0, 5)
 	e := NewEvaluator()
-	opts := RegionOptions{Angles: 61}
 	for _, p := range Protocols() {
 		for _, b := range allBounds {
 			spec, err := CompileGaussian(p, b, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := spec.Region(opts)
+			want, err := spec.Region()
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.Region(p, b, s, opts)
+			got, err := e.Region(p, b, s)
 			if err != nil {
 				t.Fatal(err)
 			}

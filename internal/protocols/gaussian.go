@@ -37,10 +37,10 @@ func OptimalSumRate(p Protocol, b Bound, s Scenario) (SumRateResult, error) {
 
 // GaussianRegion computes a protocol bound's full rate region in a Gaussian
 // scenario — one curve of the paper's Fig 4.
-func GaussianRegion(p Protocol, b Bound, s Scenario, opts RegionOptions) (region.Polygon, error) {
+func GaussianRegion(p Protocol, b Bound, s Scenario) (region.Polygon, error) {
 	e := GetEvaluator()
 	defer PutEvaluator(e)
-	return e.Region(p, b, s, opts)
+	return e.Region(p, b, s)
 }
 
 // EscapeWitness is an achievable HBC operating point lying outside both the
@@ -60,16 +60,16 @@ type EscapeWitness struct {
 // some cases", not everywhere). Candidates come from a polygon sweep; each
 // is then verified exactly by LP — it must be infeasible for both outer
 // bounds — so finite polygon resolution cannot produce false witnesses.
-func HBCEscapePoints(s Scenario, opts RegionOptions) ([]EscapeWitness, error) {
-	hbcInner, err := GaussianRegion(HBC, BoundInner, s, opts)
+func HBCEscapePoints(s Scenario) ([]EscapeWitness, error) {
+	hbcInner, err := GaussianRegion(HBC, BoundInner, s)
 	if err != nil {
 		return nil, err
 	}
-	mabcOuter, err := GaussianRegion(MABC, BoundOuter, s, opts)
+	mabcOuter, err := GaussianRegion(MABC, BoundOuter, s)
 	if err != nil {
 		return nil, err
 	}
-	tdbcOuter, err := GaussianRegion(TDBC, BoundOuter, s, opts)
+	tdbcOuter, err := GaussianRegion(TDBC, BoundOuter, s)
 	if err != nil {
 		return nil, err
 	}

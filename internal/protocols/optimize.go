@@ -1,7 +1,6 @@
 package protocols
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -153,19 +152,6 @@ func (s Spec) DurationsFor(r RatePair) ([]float64, error) {
 // region admission still uses to size its direction cap.
 const DefaultRegionAngles = 181
 
-// RegionOptions tunes Region.
-type RegionOptions struct {
-	// Angles is deprecated and ignored: Region refines the polygon edge by
-	// edge to its exact vertices instead of sweeping a fixed number of
-	// support directions.
-	Angles int
-	// Ctx, when non-nil, bounds the refinement: cancellation is checked
-	// before every weighted-rate solve. The sharded region path
-	// (internal/sweep.RegionBatch) has its own per-curve cancellation and
-	// ignores this field.
-	Ctx context.Context
-}
-
 // RegionDirection returns the i-th support direction (muA, muB) of an
 // angles-point sweep across the first quadrant: theta = (pi/2)·i/(angles-1).
 // The region paths do not sweep; tests and benchmarks use it to replay a
@@ -255,21 +241,6 @@ func RefineRegion(solve func(muA, muB float64) (region.Point, error)) (region.Po
 		chain = slices.Insert(chain, i+1, q)
 	}
 	return AssembleRegion(chain, pa.Ra, pb.Rb), nil
-}
-
-// regionFromSolver is the exact region behind Evaluator.Region; solve
-// maximizes muA·Ra + muB·Rb over the bound. When opts.Ctx is set,
-// cancellation is honored before every solve.
-func regionFromSolver(solve func(muA, muB float64) (Optimum, error), opts RegionOptions) (region.Polygon, error) {
-	return RefineRegion(func(muA, muB float64) (region.Point, error) {
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
-				return region.Point{}, err
-			}
-		}
-		opt, err := solve(muA, muB)
-		return region.Point{Ra: opt.Rates.Ra, Rb: opt.Rates.Rb}, err
-	})
 }
 
 // FixedDurationRegion computes the rate region when the phase durations are

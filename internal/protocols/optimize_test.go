@@ -173,7 +173,7 @@ func TestFeasibleMatchesRegion(t *testing.T) {
 	s := testScenario(10)
 	for _, p := range Protocols() {
 		spec := mustCompile(t, p, BoundInner, s)
-		pg, err := spec.Region(RegionOptions{Angles: 121})
+		pg, err := spec.Region()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestRegionContainsFixedDurationRegions(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, p := range Protocols() {
 		spec := mustCompile(t, p, BoundInner, s)
-		full, err := spec.Region(RegionOptions{Angles: 181})
+		full, err := spec.Region()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,11 +336,11 @@ func TestRegionSymmetryUnderSwap(t *testing.T) {
 	sw := s.Swap()
 	for _, p := range Protocols() {
 		for _, b := range []Bound{BoundInner, BoundOuter} {
-			r1, err := GaussianRegion(p, b, s, RegionOptions{Angles: 91})
+			r1, err := GaussianRegion(p, b, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := GaussianRegion(p, b, sw, RegionOptions{Angles: 91})
+			r2, err := GaussianRegion(p, b, sw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -373,8 +373,11 @@ func TestRegionMonotoneInPower(t *testing.T) {
 // Region computes the bound's rate region from the spec's own LP
 // (Spec.MaxWeightedRate), the independent reference Evaluator.Region is
 // checked against.
-func (s Spec) Region(opts RegionOptions) (region.Polygon, error) {
-	return regionFromSolver(s.MaxWeightedRate, opts)
+func (s Spec) Region() (region.Polygon, error) {
+	return RefineRegion(func(muA, muB float64) (region.Point, error) {
+		opt, err := s.MaxWeightedRate(muA, muB)
+		return region.Point{Ra: opt.Rates.Ra, Rb: opt.Rates.Rb}, err
+	})
 }
 
 // Swap exchanges the roles of terminals a and b.

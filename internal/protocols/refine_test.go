@@ -188,7 +188,7 @@ func TestRefineRegionDenseSweepInside(t *testing.T) {
 func TestRefineRegionRecoversFig4Vertex(t *testing.T) {
 	ev := NewEvaluator()
 	s := testScenario(10)
-	exact, err := ev.Region(TDBC, BoundOuter, s, RegionOptions{})
+	exact, err := ev.Region(TDBC, BoundOuter, s)
 	if err != nil {
 		t.Fatal(err)
 	}

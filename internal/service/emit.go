@@ -1,13 +1,13 @@
 package service
 
 // emit.go — the CSV emitters binding each streaming engine entry point to a
-// ResultLog. Each emitter wires the full resume recipe in one place: Start
-// from the log's loaded watermark, header exactly when fresh, Checkpoint
-// when the log persists one, and a final flush so rows past the last
-// checkpoint survive a graceful stop as valid partial output. The sweep row
-// format is the bcc CLI's, unchanged — the CLI now emits through RunSweep,
-// so there is exactly one tested implementation of the byte-offset resume
-// discipline.
+// ResultLog. Every emitter runs through one resume recipe, (*ResultLog).run:
+// Start from the log's loaded watermark, header exactly when fresh,
+// Checkpoint when the log persists one, and a final flush so rows past the
+// last checkpoint survive a graceful stop as valid partial output. The
+// sweep row format is the bcc CLI's, unchanged — the CLI now emits through
+// RunSweep, so there is exactly one tested implementation of the
+// byte-offset resume discipline.
 //
 // Rows are built with strconv into the log's reusable line buffer, so
 // writing one allocates nothing. Each row type's comment gives the fmt
@@ -52,6 +52,29 @@ func (l *ResultLog) writeHeader(h string) error {
 	return l.write(append(l.line[:0], h...))
 }
 
+// run is the resume recipe every emitter shares. It points the spec's
+// start and checkpoint fields at the log — the loaded watermark, and the
+// log itself exactly when it persists a checkpoint — writes header exactly
+// when the run is fresh, runs exec, and flushes so rows past the last
+// checkpoint survive a graceful stop. exec must read the spec after run
+// has set the fields.
+func (l *ResultLog) run(header string, start *int, ck *bicoop.Checkpointer, exec func() error) error {
+	*start = l.Watermark()
+	if l.Checkpointed() {
+		*ck = l
+	}
+	if l.Fresh() {
+		if err := l.writeHeader(header); err != nil {
+			return err
+		}
+	}
+	runErr := exec()
+	if err := l.Flush(); err != nil && runErr == nil {
+		runErr = err
+	}
+	return runErr
+}
+
 // sweepHeader: one row per grid point, bcc's historical format. A row is
 // "%d,%g,%g,%g,%g,%s,%s,%.12g,%.12g,%.12g\n" of (index, power, gab, gar,
 // gbr, protocol, bound, ra, rb, sum).
@@ -75,20 +98,9 @@ func (l *ResultLog) sweepRow(pt bicoop.SweepPoint) error {
 // RunSweep streams a sweep's points into the log as CSV, resuming past the
 // log's watermark. The watermark unit is grid points.
 func RunSweep(ctx context.Context, eng *bicoop.Engine, spec bicoop.SweepSpec, log *ResultLog) error {
-	spec.Start = log.Watermark()
-	if log.Checkpointed() {
-		spec.Checkpoint = log
-	}
-	if log.Fresh() {
-		if err := log.writeHeader(sweepHeader); err != nil {
-			return err
-		}
-	}
-	runErr := eng.Sweep(ctx, spec, log.sweepRow)
-	if err := log.Flush(); err != nil && runErr == nil {
-		runErr = err
-	}
-	return runErr
+	return log.run(sweepHeader, &spec.Start, &spec.Checkpoint, func() error {
+		return eng.Sweep(ctx, spec, log.sweepRow)
+	})
 }
 
 // regionHeader: one row per polygon vertex, curves in enumeration order
@@ -112,27 +124,16 @@ func (l *ResultLog) regionRow(pt bicoop.RegionBatchPoint, v int, p bicoop.RatePo
 // RunRegionBatch streams a region batch's completed curves into the log as
 // CSV, one row per vertex, resuming past the log's watermark (in curves).
 func RunRegionBatch(ctx context.Context, eng *bicoop.Engine, spec bicoop.RegionBatchSpec, log *ResultLog) error {
-	spec.Start = log.Watermark()
-	if log.Checkpointed() {
-		spec.Checkpoint = log
-	}
-	if log.Fresh() {
-		if err := log.writeHeader(regionHeader); err != nil {
-			return err
-		}
-	}
-	runErr := eng.RegionBatch(ctx, spec, func(pt bicoop.RegionBatchPoint) error {
-		for v, p := range pt.Region.Vertices() {
-			if err := log.regionRow(pt, v, p); err != nil {
-				return err
+	return log.run(regionHeader, &spec.Start, &spec.Checkpoint, func() error {
+		return eng.RegionBatch(ctx, spec, func(pt bicoop.RegionBatchPoint) error {
+			for v, p := range pt.Region.Vertices() {
+				if err := log.regionRow(pt, v, p); err != nil {
+					return err
+				}
 			}
-		}
-		return nil
+			return nil
+		})
 	})
-	if err := log.Flush(); err != nil && runErr == nil {
-		runErr = err
-	}
-	return runErr
 }
 
 // campaignHeader/campaign rows: long format, one row per (run, metric,
@@ -163,22 +164,12 @@ func (l *ResultLog) campaignIntRow(run int, metric, label string, v int) error {
 // RunCampaign streams a campaign's completed runs into the log as long-form
 // CSV, resuming past the log's watermark (in runs).
 func RunCampaign(ctx context.Context, eng *bicoop.Engine, spec bicoop.CampaignSpec, log *ResultLog) error {
-	spec.Start = log.Watermark()
-	if log.Checkpointed() {
-		spec.Checkpoint = log
-	}
-	if log.Fresh() {
-		if err := log.writeHeader(campaignHeader); err != nil {
-			return err
-		}
-	}
-	_, runErr := eng.SimulateBatch(ctx, spec, func(i int, r bicoop.SimResult) error {
-		return emitSimResult(log, i, r)
+	return log.run(campaignHeader, &spec.Start, &spec.Checkpoint, func() error {
+		_, err := eng.SimulateBatch(ctx, spec, func(i int, r bicoop.SimResult) error {
+			return emitSimResult(log, i, r)
+		})
+		return err
 	})
-	if err := log.Flush(); err != nil && runErr == nil {
-		runErr = err
-	}
-	return runErr
 }
 
 // emitSimResult writes one completed run's rows.

@@ -30,19 +30,6 @@ type RegionCurve struct {
 type RegionSpec struct {
 	Scenarios []Scenario
 	Curves    []RegionCurve
-	// Angles is deprecated and ignored: every curve is refined to its exact
-	// vertices. Only the value 1, which the old sweep rejected, is still
-	// an ErrSpec.
-	Angles int
-	// Start resumes the batch at curve index Start (scenario-major
-	// enumeration): earlier curves are assumed already yielded by a
-	// previous run and are neither recomputed nor yielded again.
-	// Checkpoint, when non-nil, observes the contiguous yielded curve
-	// count, saved at the cadence CoreOptions.Checkpoint describes; feed
-	// the last saved value back as Start to resume. RegionBatch ignores
-	// Options.Start and Options.Checkpoint.
-	Start      int
-	Checkpoint Checkpointer
 }
 
 // Size returns the number of curves the batch will yield.
@@ -58,9 +45,12 @@ type RegionResult struct {
 // RegionBatch computes every curve of the batch and streams completed
 // polygons to yield in enumeration order (scenario outer, curve inner).
 // Curves are sharded across opts.Workers via RunCore, one curve per chunk,
-// with pooled per-worker evaluators. Every weighted-rate LP is a cold solve
-// that depends only on its own direction, so every polygon is bit-identical
-// for every worker count and cache setting. A yield error or context
+// with pooled per-worker evaluators. opts.Start and opts.Checkpoint count
+// whole curves (scenario-major): a resumed batch skips the first Start
+// curves, and the checkpoint observes the contiguous yielded curve count.
+// Every weighted-rate LP is a cold solve that depends only on its own
+// direction, so every polygon is bit-identical for every worker count and
+// cache setting. A yield error or context
 // cancellation stops the batch within one curve per worker; curves yielded
 // before the stop are complete and valid.
 func RegionBatch(ctx context.Context, spec RegionSpec, opts Options, yield func(RegionResult) error) error {
@@ -68,9 +58,6 @@ func RegionBatch(ctx context.Context, spec RegionSpec, opts Options, yield func(
 	nCurves := spec.Size()
 	if nCurves == 0 {
 		return ctxErr(ctx)
-	}
-	if spec.Angles == 1 {
-		return fmt.Errorf("%w: region sweep needs at least 2 angles, got 1", ErrSpec)
 	}
 	// Link informations are scenario-level and shared by every curve and
 	// direction, so they are resolved once up front (full, unmasked — the
@@ -123,8 +110,8 @@ func RegionBatch(ctx context.Context, spec RegionSpec, opts Options, yield func(
 	core := CoreOptions{
 		Workers:    opts.Workers,
 		ChunkSize:  1,
-		Start:      spec.Start,
-		Checkpoint: spec.Checkpoint,
+		Start:      opts.Start,
+		Checkpoint: opts.Checkpoint,
 	}
 	_, err := RunCore(ctx, nCurves, core, evaluatorHooks, do, emit)
 	return err

@@ -12,7 +12,7 @@ import (
 	"bicoop/internal/protocols"
 )
 
-func regionTestSpec(angles int) RegionSpec {
+func regionTestSpec() RegionSpec {
 	return RegionSpec{
 		Scenarios: []Scenario{
 			{PowerDB: 0, GabDB: -7, GarDB: 0, GbrDB: 5},
@@ -26,7 +26,6 @@ func regionTestSpec(angles int) RegionSpec {
 			{Proto: protocols.HBC, Bound: protocols.BoundInner},
 			{Proto: protocols.Naive4, Bound: protocols.BoundInner},
 		},
-		Angles: angles,
 	}
 }
 
@@ -48,7 +47,7 @@ func collectRegions(t *testing.T, spec RegionSpec, workers int) []RegionResult {
 // same polygon vertices bit for bit, simplex-solved Naive4/HBC curves
 // included.
 func TestRegionBatchBitIdenticalAcrossWorkers(t *testing.T) {
-	spec := regionTestSpec(61)
+	spec := regionTestSpec()
 	ref := collectRegions(t, spec, 1)
 	if len(ref) != spec.Size() {
 		t.Fatalf("got %d curves, want %d", len(ref), spec.Size())
@@ -75,7 +74,7 @@ func TestRegionBatchBitIdenticalAcrossWorkers(t *testing.T) {
 // TestRegionBatchEnumerationOrder pins the streaming order: scenario-major,
 // curve-minor, regardless of completion order.
 func TestRegionBatchEnumerationOrder(t *testing.T) {
-	spec := regionTestSpec(33)
+	spec := regionTestSpec()
 	got := collectRegions(t, spec, 4)
 	for i, r := range got {
 		wantScen, wantCurve := i/len(spec.Curves), i%len(spec.Curves)
@@ -91,13 +90,12 @@ func TestRegionBatchEnumerationOrder(t *testing.T) {
 // own direction, so the polygons must agree bit for bit for every protocol,
 // the simplex-solved Naive4/HBC curves included.
 func TestRegionBatchMatchesSerialRegion(t *testing.T) {
-	spec := regionTestSpec(45)
+	spec := regionTestSpec()
 	got := collectRegions(t, spec, 3)
 	for _, r := range got {
 		c := spec.Curves[r.CurveIdx]
 		s := spec.Scenarios[r.ScenarioIdx]
-		want, err := protocols.GaussianRegion(c.Proto, c.Bound, s.internal(),
-			protocols.RegionOptions{Angles: spec.Angles})
+		want, err := protocols.GaussianRegion(c.Proto, c.Bound, s.internal())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +156,7 @@ func TestRegionBatchCancellation(t *testing.T) {
 // returned verbatim.
 func TestRegionBatchYieldError(t *testing.T) {
 	sentinel := errors.New("stop")
-	spec := regionTestSpec(21)
+	spec := regionTestSpec()
 	n := 0
 	err := RegionBatch(context.Background(), spec, Options{Workers: 2}, func(RegionResult) error {
 		n++
@@ -172,7 +170,7 @@ func TestRegionBatchYieldError(t *testing.T) {
 	}
 }
 
-// TestRegionBatchDegenerateSpecs covers the empty and invalid shapes.
+// TestRegionBatchDegenerateSpecs covers the empty spec and a NaN scenario.
 func TestRegionBatchDegenerateSpecs(t *testing.T) {
 	if err := RegionBatch(context.Background(), RegionSpec{}, Options{}, func(RegionResult) error {
 		t.Fatal("yield on empty spec")
@@ -180,11 +178,7 @@ func TestRegionBatchDegenerateSpecs(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("empty spec err = %v, want nil", err)
 	}
-	bad := regionTestSpec(1) // the deprecated Angles still rejects 1
-	if err := RegionBatch(context.Background(), bad, Options{}, func(RegionResult) error { return nil }); !errors.Is(err, ErrSpec) {
-		t.Fatalf("angles=1 err = %v, want ErrSpec", err)
-	}
-	nan := regionTestSpec(11)
+	nan := regionTestSpec()
 	nan.Scenarios[0].PowerDB = math.NaN()
 	if err := RegionBatch(context.Background(), nan, Options{}, func(RegionResult) error { return nil }); err == nil {
 		t.Fatal("NaN scenario accepted")
@@ -195,7 +189,7 @@ func TestRegionBatchDegenerateSpecs(t *testing.T) {
 // from the exact axis solves: the support in each axis direction equals the
 // dedicated (1,0)/(0,1) solve.
 func TestRegionBatchAxisAnchors(t *testing.T) {
-	spec := regionTestSpec(9)
+	spec := regionTestSpec()
 	got := collectRegions(t, spec, 2)
 	ev := protocols.NewEvaluator()
 	for _, r := range got {

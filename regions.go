@@ -19,18 +19,6 @@ import (
 	"bicoop/internal/sweep"
 )
 
-// RegionOptions tunes a region computation.
-type RegionOptions struct {
-	// Angles is deprecated and ignored: every region is refined to its
-	// exact vertices.
-	Angles int
-	// Workers bounds the goroutines of the run; zero uses the engine's
-	// WithWorkers default, which itself defaults to GOMAXPROCS. A single
-	// curve runs on one of them. Results are bit-identical for every
-	// value.
-	Workers int
-}
-
 // RegionCurve selects one protocol bound whose region is computed for every
 // scenario of a RegionBatchSpec.
 type RegionCurve struct {
@@ -45,8 +33,9 @@ type RegionBatchSpec struct {
 	Scenarios []Scenario
 	// Curves are the protocol bounds; at least one is required.
 	Curves []RegionCurve
-	// Angles is deprecated and ignored (see RegionOptions). Validate still
-	// rejects 1 and direction counts beyond maxRegionDirections.
+	// Angles is deprecated and ignored: every curve is refined to its exact
+	// vertices. Validate still rejects 1 and direction counts beyond
+	// maxRegionDirections.
 	Angles int
 	// Workers bounds the goroutines sharding the curves; zero uses the
 	// engine's WithWorkers default. Results are bit-identical for every
@@ -136,11 +125,7 @@ func (e *Engine) RegionBatch(ctx context.Context, spec RegionBatchSpec, yield fu
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	ispec := sweep.RegionSpec{
-		Angles:     spec.Angles,
-		Start:      spec.Start,
-		Checkpoint: spec.Checkpoint,
-	}
+	var ispec sweep.RegionSpec
 	for _, s := range spec.Scenarios {
 		ispec.Scenarios = append(ispec.Scenarios, sweep.Scenario(s))
 	}
@@ -150,6 +135,7 @@ func (e *Engine) RegionBatch(ctx context.Context, spec RegionBatchSpec, yield fu
 		ispec.Curves = append(ispec.Curves, sweep.RegionCurve{Proto: ip, Bound: ib})
 	}
 	opts := e.sweepOpts(spec.Workers)
+	opts.Start, opts.Checkpoint = spec.Start, spec.Checkpoint
 	var yieldErr error
 	err := sweep.RegionBatch(ctx, ispec, opts, func(r sweep.RegionResult) error {
 		pub := RegionBatchPoint{
@@ -170,8 +156,6 @@ func (e *Engine) RegionBatch(ctx context.Context, spec RegionBatchSpec, yield fu
 		return nil
 	case yieldErr != nil && errors.Is(err, yieldErr):
 		return yieldErr // the caller's own error, returned verbatim
-	case errors.Is(err, sweep.ErrSpec):
-		return fmt.Errorf("%w: %w", ErrInvalidRegionSpec, err)
 	default:
 		return fmt.Errorf("bicoop: %w", translateResilience(err))
 	}
@@ -179,17 +163,13 @@ func (e *Engine) RegionBatch(ctx context.Context, spec RegionBatchSpec, yield fu
 
 // Region computes the exact rate region of a protocol bound (one curve of
 // Fig 4): a one-curve RegionBatch, with the same determinism contract as
-// every grid path — the polygon is bit-identical for every worker count.
-// The curve's handful of LP solves runs on one goroutine, so
-// opts.Workers has no effect; a context cancelled before the call is
-// refused.
-func (e *Engine) Region(ctx context.Context, p Protocol, b Bound, s Scenario, opts RegionOptions) (Region, error) {
+// every grid path. The curve's handful of LP solves runs on one goroutine;
+// a context cancelled before the call is refused.
+func (e *Engine) Region(ctx context.Context, p Protocol, b Bound, s Scenario) (Region, error) {
 	var out Region
 	err := e.RegionBatch(ctx, RegionBatchSpec{
 		Scenarios: []Scenario{s},
 		Curves:    []RegionCurve{{Protocol: p, Bound: b}},
-		Angles:    opts.Angles,
-		Workers:   opts.Workers,
 	}, func(pt RegionBatchPoint) error {
 		out = pt.Region
 		return nil

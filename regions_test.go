@@ -167,7 +167,7 @@ func TestRegionCancellation(t *testing.T) {
 		t.Errorf("yielded all %d curves after the cancel", yields)
 	}
 	start := time.Now()
-	if _, err := eng.Region(ctx, bicoop.HBC, bicoop.Inner, fig4sc(10), bicoop.RegionOptions{Workers: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := eng.Region(ctx, bicoop.HBC, bicoop.Inner, fig4sc(10)); !errors.Is(err, context.Canceled) {
 		t.Errorf("Region on a cancelled context: err = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
