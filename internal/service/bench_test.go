@@ -7,10 +7,12 @@ package service
 // executor claim, checkpointed log, two state renames). The difference is
 // the fixed per-job cost of durability — it must stay in the tens of
 // milliseconds territory dominated by file churn, negligible against any
-// real sweep.
+// real sweep. BenchmarkSweepRows prices the CSV rows alone: the serial
+// emitter formats every row of a job, whatever the worker count.
 
 import (
 	"context"
+	"io"
 	"path/filepath"
 	"testing"
 	"time"
@@ -73,6 +75,38 @@ func BenchmarkServiceJobDirect(b *testing.B) {
 		}
 		if err := log.Close(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSweepRows writes the rows of one sweep shaped like a perfbench
+// sweep job — 61 powers × 33 placements × 5 protocols, 10,065 points in
+// enumeration order — through a ResultLog into io.Discard. The points are
+// evaluated before the timer starts, so an op is the row formatting alone,
+// and it allocates nothing.
+func BenchmarkSweepRows(b *testing.B) {
+	const gabDB = -1.2
+	spec := bicoop.SweepSpec{Base: bicoop.Scenario{GabDB: gabDB}}
+	for k := 0; k < 61; k++ {
+		spec.PowersDB = append(spec.PowersDB, 0.0137+0.5*float64(k))
+	}
+	for i := 0; i < 33; i++ {
+		spec.Placements = append(spec.Placements, bicoop.RelayPlacement{
+			Pos: float64(i+1) / 34, Exponent: 3.1, GabDB: gabDB,
+		})
+	}
+	pts, err := bicoop.NewEngine().SweepAll(context.Background(), spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	log := NewResultLog(io.Discard)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pt := range pts {
+			if err := log.sweepRow(pt); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

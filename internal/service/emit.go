@@ -13,9 +13,14 @@ package service
 // writing one allocates nothing. Each row type's comment gives the fmt
 // format it reproduces byte for byte: %d is AppendInt, %g is AppendFloat
 // with precision -1 and %.12g is AppendFloat with precision 12.
+// Consecutive sweep rows repeat their power and gains for every protocol
+// of a grid point, so the log keeps the last sweep row's four values with
+// their formatted bytes and reuses the bytes while all four are unchanged:
+// shortest-form float formatting is the costliest part of a row.
 
 import (
 	"context"
+	"math"
 	"strconv"
 
 	"bicoop"
@@ -80,13 +85,26 @@ func (l *ResultLog) run(header string, start *int, ck *bicoop.Checkpointer, exec
 // gbr, protocol, bound, ra, rb, sum).
 const sweepHeader = "index,power_db,gab_db,gar_db,gbr_db,protocol,bound,ra,rb,sum\n"
 
-// sweepRow writes one grid point's row.
+// sweepRow writes one grid point's row. The "power,gab,gar,gbr," fields
+// are formatted only when one of the four values differs from the previous
+// sweep row's; otherwise the stored bytes are copied. Values are compared
+// by their bits, because +0 and -0 are equal but print differently and
+// NaN equals nothing.
 func (l *ResultLog) sweepRow(pt bicoop.SweepPoint) error {
+	key := [4]uint64{
+		math.Float64bits(pt.PowerDB),
+		math.Float64bits(pt.Scenario.GabDB),
+		math.Float64bits(pt.Scenario.GarDB),
+		math.Float64bits(pt.Scenario.GbrDB),
+	}
+	if len(l.scenario) == 0 || key != l.scenarioKey {
+		s := appendShortestField(l.scenario[:0], pt.PowerDB)
+		s = appendShortestField(s, pt.Scenario.GabDB)
+		s = appendShortestField(s, pt.Scenario.GarDB)
+		l.scenario, l.scenarioKey = appendShortestField(s, pt.Scenario.GbrDB), key
+	}
 	b := appendIntField(l.line[:0], pt.Index)
-	b = appendShortestField(b, pt.PowerDB)
-	b = appendShortestField(b, pt.Scenario.GabDB)
-	b = appendShortestField(b, pt.Scenario.GarDB)
-	b = appendShortestField(b, pt.Scenario.GbrDB)
+	b = append(b, l.scenario...)
 	b = appendStringField(b, pt.Protocol.String())
 	b = appendStringField(b, pt.Bound.String())
 	b = appendPrec12Field(b, pt.Result.Point.Ra)

@@ -6,6 +6,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"bicoop"
@@ -72,8 +74,25 @@ func (r rowRand) bound() bicoop.Bound {
 	return []bicoop.Bound{bicoop.Inner, bicoop.Outer}[r.Intn(2)]
 }
 
+// fmtSweep formats a sweep point with the fmt reference format.
+func fmtSweep(pt bicoop.SweepPoint) string {
+	return fmt.Sprintf(fmtSweepRow,
+		pt.Index, pt.PowerDB, pt.Scenario.GabDB, pt.Scenario.GarDB, pt.Scenario.GbrDB,
+		pt.Protocol, pt.Bound, pt.Result.Point.Ra, pt.Result.Point.Rb, pt.Result.Sum)
+}
+
+// scenarioFields are the four sweep row values the log formats once per
+// change: the power and the three gains.
+func scenarioFields(pt *bicoop.SweepPoint) [4]*float64 {
+	return [4]*float64{&pt.PowerDB, &pt.Scenario.GabDB, &pt.Scenario.GarDB, &pt.Scenario.GbrDB}
+}
+
 // TestRowsMatchFmt pins every typed row writer byte-identical to fmt.Sprintf
-// of the format it replaces, on 100k seeded random rows per row kind.
+// of the format it replaces, on 100k seeded random rows per row kind. Sweep
+// rows are drawn both with a fresh scenario each and as a walk that keeps
+// the scenario or changes one field, so the reused scenario bytes are
+// checked as often as the freshly formatted ones, and then step through
+// the special-value transitions field by field.
 func TestRowsMatchFmt(t *testing.T) {
 	const rows = 100000
 	var out bytes.Buffer
@@ -99,9 +118,7 @@ func TestRowsMatchFmt(t *testing.T) {
 		pt.Scenario.GabDB, pt.Scenario.GarDB, pt.Scenario.GbrDB = r.float(), r.float(), r.float()
 		pt.Protocol, pt.Bound = r.protocol(), r.bound()
 		pt.Result.Point.Ra, pt.Result.Point.Rb, pt.Result.Sum = r.float(), r.float(), r.float()
-		check("sweep", i, func() error { return log.sweepRow(pt) }, fmt.Sprintf(fmtSweepRow,
-			pt.Index, pt.PowerDB, pt.Scenario.GabDB, pt.Scenario.GarDB, pt.Scenario.GbrDB,
-			pt.Protocol, pt.Bound, pt.Result.Point.Ra, pt.Result.Point.Rb, pt.Result.Sum))
+		check("sweep", i, func() error { return log.sweepRow(pt) }, fmtSweep(pt))
 	}
 	for i := 0; i < rows; i++ {
 		var pt bicoop.RegionBatchPoint
@@ -121,14 +138,103 @@ func TestRowsMatchFmt(t *testing.T) {
 		check("campaign-int", i, func() error { return log.campaignIntRow(run, metric, label, v) },
 			fmt.Sprintf(fmtCampaignIntRow, run, metric, label, v))
 	}
+	var walk bicoop.SweepPoint
+	for i := 0; i < rows; i++ {
+		switch fields := scenarioFields(&walk); r.Intn(10) {
+		case 0, 1, 2, 3, 4, 5: // same scenario: a run of rows
+		case 6, 7, 8:
+			*fields[r.Intn(len(fields))] = r.float()
+		default:
+			for _, f := range fields {
+				*f = r.float()
+			}
+		}
+		walk.Index, walk.Protocol, walk.Bound = r.int(), r.protocol(), r.bound()
+		walk.Result.Point.Ra, walk.Result.Point.Rb, walk.Result.Sum = r.float(), r.float(), r.float()
+		check("sweep-walk", i, func() error { return log.sweepRow(walk) }, fmtSweep(walk))
+	}
+	// Each scenario field, one at a time, through the transitions where
+	// reused bytes are most likely to go wrong: +0 and -0 compare equal but
+	// print differently, NaN equals nothing (also with another payload),
+	// and the infinities — each held for a run of one to three rows.
+	otherNaN := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	steps := []float64{0, math.Copysign(0, -1), math.Copysign(0, -1), 0, math.NaN(), math.NaN(), otherNaN,
+		math.Inf(1), math.Inf(-1), math.Inf(-1), math.Inf(1), 1.5, 1.5, 0}
+	step := bicoop.SweepPoint{PowerDB: 17.5, Scenario: testScenario, Bound: bicoop.Inner}
+	for f := range scenarioFields(&step) {
+		for k, v := range steps {
+			*scenarioFields(&step)[f] = v
+			for run := 0; run <= k%3; run++ {
+				step.Index++
+				step.Protocol, step.Result.Sum = r.protocol(), r.float()
+				check("sweep-transition", step.Index, func() error { return log.sweepRow(step) }, fmtSweep(step))
+			}
+		}
+	}
 	// Every special value in every float field kind, not only by chance.
 	for i, x := range specialFloats {
 		pt := bicoop.SweepPoint{Index: i, PowerDB: x, Protocol: bicoop.HBC, Bound: bicoop.Outer}
 		pt.Scenario.GabDB = x
 		pt.Result.Point.Ra, pt.Result.Sum = x, x
-		check("sweep-special", i, func() error { return log.sweepRow(pt) }, fmt.Sprintf(fmtSweepRow,
-			pt.Index, pt.PowerDB, pt.Scenario.GabDB, pt.Scenario.GarDB, pt.Scenario.GbrDB,
-			pt.Protocol, pt.Bound, pt.Result.Point.Ra, pt.Result.Point.Rb, pt.Result.Sum))
+		check("sweep-special", i, func() error { return log.sweepRow(pt) }, fmtSweep(pt))
+	}
+}
+
+// TestSweepRowAfterResume pins the first row a resumed log writes: the log
+// reopened from a checkpoint has no scenario bytes from the run before it,
+// whatever that run wrote last, so a row at a saved scenario and one at a
+// scenario written only past the checkpoint both match fmt.
+func TestSweepRowAfterResume(t *testing.T) {
+	dir := t.TempDir()
+	csvPath, ckPath := filepath.Join(dir, "results.csv"), filepath.Join(dir, "ck.json")
+	pt := bicoop.SweepPoint{PowerDB: 3, Scenario: testScenario, Protocol: bicoop.TDBC, Bound: bicoop.Outer}
+	var want bytes.Buffer
+	write := func(log *ResultLog, keep bool) {
+		t.Helper()
+		pt.Index++
+		pt.Result.Sum = float64(pt.Index) / 3
+		if err := log.sweepRow(pt); err != nil {
+			t.Fatal(err)
+		}
+		if keep {
+			want.WriteString(fmtSweep(pt))
+		}
+	}
+	log, err := OpenResultLog(csvPath, ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(log, true)
+	write(log, true)
+	if err := log.Save(2); err != nil {
+		t.Fatal(err)
+	}
+	saved := pt
+	pt.PowerDB = -0.5
+	write(log, false) // past the checkpoint: truncated by the resume
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, scenario := range []float64{-0.5, saved.PowerDB} {
+		if log, err = OpenResultLog(csvPath, ckPath); err != nil {
+			t.Fatal(err)
+		}
+		if log.Watermark() != 2 {
+			t.Fatalf("resumed watermark = %d, want 2", log.Watermark())
+		}
+		pt.Index, pt.PowerDB = saved.Index, scenario
+		write(log, true)
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(csvPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want.String() {
+			t.Fatalf("resumed at power %g: file\n%s\nwant\n%s", scenario, got, want.String())
+		}
+		want.Truncate(want.Len() - len(fmtSweep(pt)))
 	}
 }
 

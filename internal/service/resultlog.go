@@ -74,7 +74,8 @@ func loadLogCheckpoint(path string) (logCheckpoint, error) {
 // the resumed run rewrites byte for byte. It implements
 // bicoop.Checkpointer; feed Watermark back as the spec's Start and the
 // concatenated output of the runs is byte-identical to an uninterrupted
-// run's.
+// run's. A file-backed log buffers csvBufSize bytes, more than a save
+// interval's rows, so the rows leave in one write per Save, at its flush.
 type ResultLog struct {
 	f         *os.File // nil when wrapping a plain writer (stdout)
 	buf       *bufio.Writer
@@ -82,7 +83,18 @@ type ResultLog struct {
 	line      []byte // reusable row buffer (see emit.go)
 	ckPath    string // "" disables checkpointing
 	watermark int    // watermark loaded at open (the resume Start)
+
+	// scenario holds the formatted "power,gab,gar,gbr," fields of the
+	// last sweep row and scenarioKey their float64 bits; empty until the
+	// log writes its first sweep row (see sweepRow).
+	scenario    []byte
+	scenarioKey [4]uint64
 }
+
+// csvBufSize is the CSV buffer of a file-backed log. Sweep rows run about
+// 120 bytes, so a save interval of Workers 64-point chunks is about 15 KiB
+// at two workers, and up to eight workers fit in one write.
+const csvBufSize = 64 << 10
 
 // OpenResultLog opens csvPath for a run's CSV stream. With ckPath empty the
 // file is created fresh and nothing is checkpointed. With ckPath set, the
@@ -125,7 +137,7 @@ func OpenResultLog(csvPath, ckPath string) (*ResultLog, error) {
 		}
 		l.f = f
 	}
-	l.buf = bufio.NewWriter(l.f)
+	l.buf = bufio.NewWriterSize(l.f, csvBufSize)
 	return l, nil
 }
 

@@ -106,6 +106,8 @@ func TestHTTPValidationErrors(t *testing.T) {
 		{"not json", "{", "invalid job"},
 		{"no variant", "{}", "want exactly 1"},
 		{"unknown field", `{"sweeep": {}}`, "unknown field"},
+		{"trailing garbage", `{"sweep": {"base": {"PowerDB": 10, "GabDB": -7, "GarDB": 0, "GbrDB": 5}}} trailing garbage`, "trailing data"},
+		{"second object", `{"sweep": {"base": {"PowerDB": 10, "GabDB": -7, "GarDB": 0, "GbrDB": 5}}}{"campaign":{}}`, "trailing data"},
 		{"unknown protocol", `{"sweep": {"base": {"PowerDB": 10, "GabDB": -7, "GarDB": 0, "GbrDB": 5}, "protocols": ["FDMA"]}}`, "unknown protocol"},
 		{"bad scenario", `{"sweep": {"base": {"PowerDB": 1e999, "GabDB": -7, "GarDB": 0, "GbrDB": 5}}}`, "invalid job"},
 		{"one region angle", `{"region_batch": {"scenarios": [{"PowerDB": 10, "GabDB": -7, "GarDB": 0, "GbrDB": 5}], "curves": [{"Protocol": "MABC", "Bound": "inner"}], "angles": 1}}`, "invalid region spec"},

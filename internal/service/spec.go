@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"bicoop"
 )
@@ -107,7 +108,7 @@ type JobSpec struct {
 
 // ErrInvalidJob tags admission failures that are not one of the facade's
 // typed spec sentinels (wrong variant count, negative deadline, unknown
-// fields).
+// fields, trailing data).
 var ErrInvalidJob = fmt.Errorf("service: invalid job")
 
 // Validate checks the job without running it, with the same sentinels the
@@ -138,13 +139,18 @@ func (s JobSpec) Validate() error {
 
 // ParseJobSpec decodes and validates a JSON job submission. Unknown fields
 // are rejected so a typo'd spec fails loud instead of silently running the
-// default grid.
+// default grid, and so is anything but whitespace after the spec's one
+// JSON value: a second object or stray bytes mean the client sent
+// something other than what would run.
 func ParseJobSpec(data []byte) (JobSpec, error) {
 	var spec JobSpec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		return JobSpec{}, fmt.Errorf("%w: %w", ErrInvalidJob, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return JobSpec{}, fmt.Errorf("%w: trailing data after the job spec", ErrInvalidJob)
 	}
 	if err := spec.Validate(); err != nil {
 		return JobSpec{}, err

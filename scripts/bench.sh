@@ -14,7 +14,9 @@
 # run — pinning the happy-path price of checkpointing), and the job-service
 # pair (BenchmarkServiceJobOverhead vs BenchmarkServiceJobDirect — the fixed
 # durability cost of running a sweep as a bccd job: store create, queue,
-# executor claim, checkpointed log, state renames), and the result-cache
+# executor claim, checkpointed log, state renames) with BenchmarkSweepRows
+# (the CSV rows of one perfbench-sized sweep job through a ResultLog, gated
+# at 0 allocs/op), and the result-cache
 # set (BenchmarkSumRateBatchCachedHit vs ...Miss plus BenchmarkSweepCached
 # and the store-level BenchmarkCacheHit — CI requires the hit/miss speedup
 # via benchjson compare -min-speedup, and BenchmarkCacheHit's 0 allocs/op
@@ -39,7 +41,7 @@ cd "$(dirname "$0")/.."
 # every alternative must match an existing benchmark, and every benchmark in the
 # ledger packages must appear here — a new benchmark cannot be dropped from the
 # ledger silently.
-pattern='BenchmarkSimplexSolve$|BenchmarkEvaluatorSolve|BenchmarkEvaluatorFeasible$|BenchmarkOutageTrial$|BenchmarkSumRateLP$|BenchmarkFeasibility$|BenchmarkOutageBlock$|BenchmarkFig3$|BenchmarkSNRCrossover$|BenchmarkFadingOutage$|BenchmarkBitTrueTDBCBlock$|BenchmarkBitTrueMABCBlock$|BenchmarkErasureMaskScalar$|BenchmarkErasureMaskWord$|BenchmarkEngineSumRateBatch$|BenchmarkEngineSweep$|BenchmarkRegionParallel$|BenchmarkCampaign$|BenchmarkRunCore$|BenchmarkRunCoreResilient$|BenchmarkServiceJobOverhead$|BenchmarkServiceJobDirect$|BenchmarkSumRateBatchCachedHit$|BenchmarkSumRateBatchCachedMiss$|BenchmarkSweepCached$|BenchmarkCacheHit$'
+pattern='BenchmarkSimplexSolve$|BenchmarkEvaluatorSolve|BenchmarkEvaluatorFeasible$|BenchmarkOutageTrial$|BenchmarkSumRateLP$|BenchmarkFeasibility$|BenchmarkOutageBlock$|BenchmarkFig3$|BenchmarkSNRCrossover$|BenchmarkFadingOutage$|BenchmarkBitTrueTDBCBlock$|BenchmarkBitTrueMABCBlock$|BenchmarkErasureMaskScalar$|BenchmarkErasureMaskWord$|BenchmarkEngineSumRateBatch$|BenchmarkEngineSweep$|BenchmarkRegionParallel$|BenchmarkCampaign$|BenchmarkRunCore$|BenchmarkRunCoreResilient$|BenchmarkServiceJobOverhead$|BenchmarkServiceJobDirect$|BenchmarkSweepRows$|BenchmarkSumRateBatchCachedHit$|BenchmarkSumRateBatchCachedMiss$|BenchmarkSweepCached$|BenchmarkCacheHit$'
 bitpattern='BenchmarkBitTrueTDBC$|BenchmarkBitTrueTDBCParallel$|BenchmarkBitTrueMABC$|BenchmarkBitTrueMABCParallel$|BenchmarkSolveIncremental256$|BenchmarkSolveM4RI256$|BenchmarkSolveIncremental1k$|BenchmarkSolveM4RI1k$|BenchmarkSolveIncremental4k$|BenchmarkSolveM4RI4k$'
 
 # The bench runs land in a temp file first, NOT straight into the benchjson

@@ -197,3 +197,38 @@ func TestSweepAllBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepAllocsBoundedPerChunk pins that Sweep allocates per call and
+// per chunk, never per point: two grids that differ only in their number
+// of placements differ in allocations by at most a small constant per
+// extra chunk, where one allocation per point would add 64.
+func TestSweepAllocsBoundedPerChunk(t *testing.T) {
+	const perChunk = 8
+	ctx := context.Background()
+	eng := bicoop.NewEngine()
+	allocs := func(places int) (float64, int) {
+		spec := bicoop.SweepSpec{
+			PowersDB: []float64{0, 10},
+			Erasures: []bicoop.ErasureLinks{{EpsAR: 0.2, EpsBR: 0.1, EpsAB: 0.6}},
+			Workers:  1,
+		}
+		for i := 0; i < places; i++ {
+			pos := float64(i+1) / float64(places+1)
+			spec.Placements = append(spec.Placements, bicoop.RelayPlacement{Pos: pos, Exponent: 3})
+		}
+		yield := func(bicoop.SweepPoint) error { return nil }
+		n := testing.AllocsPerRun(5, func() {
+			if err := eng.Sweep(ctx, spec, yield); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return n, (spec.Size() + 63) / 64
+	}
+	small, smallChunks := allocs(8)
+	large, largeChunks := allocs(128)
+	t.Logf("%d chunks: %v allocs; %d chunks: %v allocs", smallChunks, small, largeChunks, large)
+	if extra := large - small; extra > float64(perChunk*(largeChunks-smallChunks)) {
+		t.Errorf("%d more chunks cost %v more allocations, want at most %d per chunk",
+			largeChunks-smallChunks, extra, perChunk)
+	}
+}

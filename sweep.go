@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"bicoop/internal/protocols"
 	"bicoop/internal/sweep"
@@ -144,9 +145,13 @@ type SweepPoint struct {
 	// PowerDB is the transmit power of a Gaussian point.
 	PowerDB float64
 	// Placement is the relay geometry that produced Scenario, nil for
-	// base-gains and erasure points.
+	// base-gains and erasure points. It points into one copy of the spec's
+	// Placements that Sweep makes per call and shares across every point
+	// of that placement: read it, never write through it.
 	Placement *RelayPlacement
-	// Erasure is non-nil for erasure-axis points.
+	// Erasure is non-nil for erasure-axis points. Like Placement, it points
+	// into Sweep's per-call copy of the spec's Erasures, shared and
+	// read-only.
 	Erasure *ErasureLinks
 	// Scenario is the resolved Gaussian scenario (zero for erasure points).
 	Scenario Scenario
@@ -209,6 +214,10 @@ func (e *Engine) Sweep(ctx context.Context, spec SweepSpec, yield func(SweepPoin
 	opts := e.sweepOpts(spec.Workers)
 	opts.Start = spec.Start
 	opts.Checkpoint = spec.Checkpoint
+	// Points reference these copies of the axes: no point allocates, and
+	// points stay valid whatever the caller later does to its spec.
+	placements := slices.Clone(spec.Placements)
+	erasures := slices.Clone(spec.Erasures)
 	var yieldErr error
 	err = sweep.Sweep(ctx, ispec, opts, func(pt sweep.Point) error {
 		pub := SweepPoint{
@@ -224,12 +233,10 @@ func (e *Engine) Sweep(ctx context.Context, spec SweepSpec, yield func(SweepPoin
 			},
 		}
 		if pt.PlacementIdx >= 0 {
-			rp := spec.Placements[pt.PlacementIdx]
-			pub.Placement = &rp
+			pub.Placement = &placements[pt.PlacementIdx]
 		}
 		if pt.ErasureIdx >= 0 {
-			links := spec.Erasures[pt.ErasureIdx]
-			pub.Erasure = &links
+			pub.Erasure = &erasures[pt.ErasureIdx]
 		}
 		if err := yield(pub); err != nil {
 			yieldErr = err
