@@ -223,13 +223,18 @@
 // bounded backpressure window (~2x workers chunks live), and cancellation
 // is a context.AfterFunc flipping one atomic flag polled per chunk, with
 // the contiguous completed prefix reported alongside the context error.
-// Sharding a new axis is three decisions: flatten the axis into point
-// indices (the grid flattens power x placement x protocol; regions shard
-// scenarios x curves and campaigns whole simulation runs, both at chunk
-// size 1), pick the per-worker state W (a leased evaluator;
+// The pool is the only path — one worker runs the same emitter, save
+// cadence and halt rules as many — and sweep.Options holds the only run
+// settings: Workers, Start and Checkpoint.
+// Sharding a new axis is three decisions, all made at the RunCore call:
+// flatten the axis into point indices and pass the chunk size (the grid
+// flattens power x placement x protocol at sweep.ChunkSize, 64 points;
+// regions shard scenarios x curves and campaigns whole simulation runs,
+// both at chunk size 1), pick the per-worker state W (a leased evaluator;
 // stateless workloads pass Hooks[struct{}]{}), and write results into
 // index-addressed storage so the emitter can stream them in enumeration
-// order. W is scratch, never memory: a point's result must not depend on
+// order. The result cache is an explicit argument of the three cached
+// workloads (sweep.Sweep, Batch and RegionBatch; nil with caching off). W is scratch, never memory: a point's result must not depend on
 // what its worker evaluated before, which is what makes every result
 // bit-identical from 1 worker to N. Chunk boundaries depend only on the
 // point count and chunk size — never on Workers — so checkpoints land on
@@ -271,9 +276,10 @@
 // internal/sim). Past 512 unknowns both switch to a dense M4RI-style
 // multi-column eliminator (internal/gf2/m4ri.go: row echelon form only,
 // 8 pivot columns per pass via a 256-entry table indexed by the raw stripe
-// bits). The TDBC/MABC trial loops run on a
-// worker pool with per-worker RNGs, codes, and scratch — zero allocations
-// per block. Context cancellation costs one atomic flag load per trial
+// bits). The TDBC/MABC trial loops and the fading Monte Carlo run on one
+// trial sharder (internal/sim's shardTrials: worker w runs its share of the
+// trials from seed Seed + w*stride) with per-worker RNGs, codes, and
+// scratch — zero allocations per block. Context cancellation costs one atomic flag load per trial
 // (internal/sim's runGate), so a cancelled run stops within one trial
 // without slowing an uncancelled one. Allocation regressions are pinned by
 // testing.AllocsPerRun tests next to the hot paths (internal/protocols,

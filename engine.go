@@ -163,14 +163,15 @@ func NewEngine(opts ...Option) *Engine {
 	return e
 }
 
-// sweepOpts resolves the sharding options for a grid run: an explicit
-// per-run worker count wins, then the engine's WithWorkers default, then
-// GOMAXPROCS (inside internal/sweep).
-func (e *Engine) sweepOpts(workers int) sweep.Options {
-	if workers <= 0 {
-		workers = e.workers
+// poolWorkers resolves the worker count of every sharded run (grids,
+// regions, campaigns, simulations): an explicit per-run count wins, then
+// the engine's WithWorkers default; a count still zero means GOMAXPROCS
+// inside internal/sweep and internal/sim.
+func (e *Engine) poolWorkers(workers int) int {
+	if workers > 0 {
+		return workers
 	}
-	return sweep.Options{Workers: workers, Cache: e.cache}
+	return e.workers
 }
 
 // resolve maps public enums and a scenario to their internal forms,
@@ -242,7 +243,7 @@ func (e *Engine) SumRateBatch(ctx context.Context, p Protocol, b Bound, scenario
 		}
 	}
 	out := make([]SumRateResult, len(scenarios))
-	prefix, runErr := sweep.Batch(ctx, ip, ib, len(scenarios), e.sweepOpts(0),
+	prefix, runErr := sweep.Batch(ctx, ip, ib, len(scenarios), sweep.Options{Workers: e.poolWorkers(0)}, e.cache,
 		func(i int) sweep.Scenario { return sweep.Scenario(scenarios[i]) },
 		func(i int, r sweep.Result) {
 			out[i] = SumRateResult{

@@ -49,7 +49,8 @@ func (c Config) ctx() context.Context {
 	return context.Background() //bicoop:allow ctxflow — zero-value Config means an unbounded run by contract
 }
 
-// sweepOpts resolves the sharding options for analytic sweeps.
+// sweepOpts resolves the sharding options of every internal/sweep run: the
+// analytic sweeps, the region batches and the simulation campaigns.
 func (c Config) sweepOpts() sweep.Options {
 	return sweep.Options{Workers: c.Workers}
 }

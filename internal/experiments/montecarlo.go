@@ -17,9 +17,7 @@ import (
 // (fixed seed and inner worker count), which makes the campaign's results
 // independent of the outer worker count; run(i) stores its own result.
 func campaign(cfg Config, n int, run func(i int) error) error {
-	_, err := sweep.RunCore(cfg.ctx(), n,
-		sweep.CoreOptions{Workers: cfg.Workers, ChunkSize: 1},
-		sweep.Hooks[struct{}]{},
+	_, err := sweep.RunCore(cfg.ctx(), n, 1, cfg.sweepOpts(), sweep.Hooks[struct{}]{},
 		func(_ struct{}, lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if err := run(i); err != nil {

@@ -7,8 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"bicoop/internal/gf2"
 	"bicoop/internal/prob"
@@ -208,29 +206,11 @@ func RunBitTrueTDBC(ctx context.Context, cfg BitTrueConfig) (BitTrueResult, erro
 		return BitTrueResult{}, err
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-	gate, stopWatch := startGate(ctx, cfg.Trials, cfg.Progress)
-	defer stopWatch()
-	parts := make([]*tdbcWorker, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		count := cfg.Trials*(wi+1)/workers - cfg.Trials*wi/workers
-		wk := newTDBCWorker(cfg.Net, p, cfg.Seed+int64(wi)*workerSeedStride)
-		parts[wi] = wk
-		wg.Add(1)
-		go func(wk *tdbcWorker, count int) {
-			defer wg.Done()
-			_, _ = gate.run(count, func() error { wk.runTrial(); return nil })
-		}(wk, count)
-	}
-	wg.Wait()
-
+	// Neither a worker constructor nor a block can fail, so the sharder
+	// returns no error.
+	parts, _ := shardTrials(ctx, cfg.Trials, cfg.Workers, cfg.Seed, cfg.Progress,
+		func(seed int64) (*tdbcWorker, error) { return newTDBCWorker(cfg.Net, p, seed), nil },
+		func(wk *tdbcWorker) error { wk.runTrial(); return nil })
 	res := BitTrueResult{Durations: durations}
 	successes := 0
 	for _, wk := range parts {
@@ -242,7 +222,7 @@ func RunBitTrueTDBC(ctx context.Context, cfg BitTrueConfig) (BitTrueResult, erro
 	if res.Trials > 0 {
 		res.SuccessProb = float64(successes) / float64(res.Trials)
 	}
-	if err := ctxErr(ctx); err != nil {
+	if err := CtxErr(ctx); err != nil {
 		return res, fmt.Errorf("sim: %w", err)
 	}
 	return res, nil

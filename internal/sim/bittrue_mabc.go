@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"bicoop/internal/gf2"
 	"bicoop/internal/prob"
@@ -49,20 +47,21 @@ type MABCBitTrueConfig struct {
 	// stream (see erasure.go); seeds from the retired scalar stream
 	// produce different — equally valid — sample paths.
 	Workers int
-	// Confidence for the reported success interval (default 0.95).
-	Confidence float64
 	// Progress, when non-nil, is invoked with the cumulative completed trial
 	// count at stride granularity (see runGate). Invocations are serialized
 	// and the reported count is strictly increasing.
 	Progress func(done, total int)
 }
 
+// successConfidence is the confidence level of MABCBitTrueResult.SuccessCI.
+const successConfidence = 0.95
+
 // MABCBitTrueResult reports the outcome with a confidence interval.
 type MABCBitTrueResult struct {
 	// SuccessProb is the fraction of blocks where both terminals recovered
 	// the peer message.
 	SuccessProb float64
-	// SuccessCI is the Wilson confidence interval on SuccessProb.
+	// SuccessCI is the 95% Wilson confidence interval on SuccessProb.
 	SuccessCI stats.Interval
 	// RelayFailures counts blocks where the relay could not decode the XOR.
 	RelayFailures int
@@ -130,34 +129,11 @@ func RunBitTrueMABC(ctx context.Context, cfg MABCBitTrueConfig) (MABCBitTrueResu
 	if k == 0 {
 		return MABCBitTrueResult{}, fmt.Errorf("sim: block length %d too short for rate %g", n, cfg.Rate)
 	}
-	conf := cfg.Confidence
-	if conf <= 0 {
-		conf = 0.95
-	}
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-	gate, stopWatch := startGate(ctx, cfg.Trials, cfg.Progress)
-	defer stopWatch()
-	parts := make([]*mabcWorker, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		count := cfg.Trials*(wi+1)/workers - cfg.Trials*wi/workers
-		wk := newMABCWorker(cfg, k, n1, n2, cfg.Seed+int64(wi)*workerSeedStride)
-		parts[wi] = wk
-		wg.Add(1)
-		go func(wk *mabcWorker, count int) {
-			defer wg.Done()
-			_, _ = gate.run(count, func() error { wk.runTrial(); return nil })
-		}(wk, count)
-	}
-	wg.Wait()
-
+	// Neither a worker constructor nor a block can fail, so the sharder
+	// returns no error.
+	parts, _ := shardTrials(ctx, cfg.Trials, cfg.Workers, cfg.Seed, cfg.Progress,
+		func(seed int64) (*mabcWorker, error) { return newMABCWorker(cfg, k, n1, n2, seed), nil },
+		func(wk *mabcWorker) error { wk.runTrial(); return nil })
 	res := MABCBitTrueResult{Durations: durations}
 	successes := 0
 	for _, wk := range parts {
@@ -168,13 +144,13 @@ func RunBitTrueMABC(ctx context.Context, cfg MABCBitTrueConfig) (MABCBitTrueResu
 	res.Trials = successes + res.RelayFailures + res.TerminalFailures
 	if res.Trials > 0 {
 		res.SuccessProb = float64(successes) / float64(res.Trials)
-		ci, err := stats.WilsonInterval(successes, res.Trials, conf)
+		ci, err := stats.WilsonInterval(successes, res.Trials, successConfidence)
 		if err != nil {
 			return MABCBitTrueResult{}, err
 		}
 		res.SuccessCI = ci
 	}
-	if err := ctxErr(ctx); err != nil {
+	if err := CtxErr(ctx); err != nil {
 		return res, fmt.Errorf("sim: %w", err)
 	}
 	return res, nil

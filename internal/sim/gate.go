@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -37,17 +38,57 @@ type runGate struct {
 	progress func(done, total int)
 }
 
-// startGate builds the gate for a run of total trials and attaches the
-// cancellation watcher. The returned stop func detaches the watcher and must
-// be called (defer) once the pool has drained. A nil or never-cancelled
-// context degenerates to a plain counter.
-func startGate(ctx context.Context, total int, progress func(done, total int)) (*runGate, func() bool) {
-	g := &runGate{total: total, progress: progress}
-	stop := func() bool { return false }
-	if ctx != nil && ctx.Done() != nil {
-		stop = context.AfterFunc(ctx, func() { g.halted.Store(true) })
+// shardTrials is the one worker pool of every simulator in this package.
+// It runs trials Monte Carlo trials on workers goroutines (non-positive
+// means GOMAXPROCS; never more goroutines than trials). Worker wi owns the
+// state newWorker builds from the seed Seed + wi*workerSeedStride and runs
+// trials*(wi+1)/workers - trials*wi/workers of the trials through trial,
+// under one runGate: cancelling ctx stops every worker within one trial,
+// and progress sees the run-wide count. Worker 0 of any pool replays the
+// single-worker stream, and outcomes are a pure function of (seed, trials,
+// workers).
+//
+// shardTrials returns every worker's state in worker order, for the
+// caller's merge, and the first worker error in worker order (a failed
+// worker's state is the zero W). It does not check ctx after the drain:
+// callers merge the partial counts first, then report CtxErr.
+func shardTrials[W any](ctx context.Context, trials, workers int, seed int64, progress func(done, total int),
+	newWorker func(seed int64) (W, error), trial func(W) error) ([]W, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return g, stop
+	if workers > trials {
+		workers = trials
+	}
+	g := &runGate{total: trials, progress: progress}
+	if ctx != nil && ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() { g.halted.Store(true) })
+		defer stop()
+	}
+	parts := make([]W, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for wi := 0; wi < workers; wi++ {
+		count := trials*(wi+1)/workers - trials*wi/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wk, err := newWorker(seed + int64(wi)*workerSeedStride)
+			if err != nil {
+				errs[wi] = err
+				return
+			}
+			parts[wi] = wk
+			_, errs[wi] = g.run(count, func() error { return trial(wk) })
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return parts, err
+		}
+	}
+	return parts, nil
 }
 
 // run executes up to count trials on the calling goroutine, stopping early
@@ -88,12 +129,13 @@ func (g *runGate) flush(pending *int) {
 	g.mu.Unlock()
 }
 
-// ctxErr returns a non-nil error when the context has ended — the shared
-// post-drain check of every sharded runner. The result always matches
-// errors.Is(err, ctx.Err()) (so context.Canceled / DeadlineExceeded checks
-// work at any layer) and additionally wraps a distinct cancellation cause
-// (context.WithCancelCause) when one was supplied.
-func ctxErr(ctx context.Context) error {
+// CtxErr returns a non-nil error when the context has ended — the shared
+// post-drain check of every sharded runner, here and in internal/sweep. The
+// result always matches errors.Is(err, ctx.Err()) (so context.Canceled /
+// DeadlineExceeded checks work at any layer) and additionally wraps a
+// distinct cancellation cause (context.WithCancelCause) when one was
+// supplied.
+func CtxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
 	}

@@ -18,8 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"bicoop/internal/channel"
 	"bicoop/internal/protocols"
@@ -99,9 +97,9 @@ type outageWorker struct {
 	trials    int
 }
 
-// newOutageWorker derives worker w's deterministic stream from the run seed.
-func newOutageWorker(cfg OutageConfig, w int) (*outageWorker, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*workerSeedStride))
+// newOutageWorker builds a worker whose fading stream is drawn from seed.
+func newOutageWorker(cfg OutageConfig, seed int64) (*outageWorker, error) {
+	rng := rand.New(rand.NewSource(seed))
 	fading, err := channel.NewFading(cfg.Mean, rng)
 	if err != nil {
 		return nil, err
@@ -163,41 +161,12 @@ func RunOutage(ctx context.Context, cfg OutageConfig) (OutageResult, error) {
 	if err := (protocols.Scenario{P: cfg.P, G: cfg.Mean}).Validate(); err != nil {
 		return OutageResult{}, fmt.Errorf("sim: %w", err)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
 	hasTarget := cfg.hasTarget()
-
-	gate, stopWatch := startGate(ctx, cfg.Trials, cfg.Progress)
-	defer stopWatch()
-	parts := make([]*outageWorker, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := cfg.Trials * w / workers
-		hi := cfg.Trials * (w + 1) / workers
-		wg.Add(1)
-		go func(w, count int) {
-			defer wg.Done()
-			wk, err := newOutageWorker(cfg, w)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			parts[w] = wk
-			_, errs[w] = gate.run(count, wk.runTrial)
-		}(w, hi-lo)
-	}
-	wg.Wait()
-
-	for _, err := range errs {
-		if err != nil {
-			return OutageResult{}, fmt.Errorf("sim: worker failed: %w", err)
-		}
+	parts, err := shardTrials(ctx, cfg.Trials, cfg.Workers, cfg.Seed, cfg.Progress,
+		func(seed int64) (*outageWorker, error) { return newOutageWorker(cfg, seed) },
+		(*outageWorker).runTrial)
+	if err != nil {
+		return OutageResult{}, fmt.Errorf("sim: worker failed: %w", err)
 	}
 	out := OutageResult{ByProtocol: make(map[protocols.Protocol]OutageStats, len(cfg.Protocols))}
 	total := 0
@@ -220,7 +189,7 @@ func RunOutage(ctx context.Context, cfg OutageConfig) (OutageResult, error) {
 		}
 		out.ByProtocol[proto] = st
 	}
-	if err := ctxErr(ctx); err != nil {
+	if err := CtxErr(ctx); err != nil {
 		return out, fmt.Errorf("sim: %w", err)
 	}
 	return out, nil

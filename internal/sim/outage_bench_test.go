@@ -24,7 +24,7 @@ func benchOutageConfig() OutageConfig {
 // Monte Carlo per-block path: one fading draw plus a sum-rate LP and a
 // feasibility probe per protocol must not allocate in steady state.
 func TestOutageTrialZeroAllocs(t *testing.T) {
-	w, err := newOutageWorker(benchOutageConfig(), 0)
+	w, err := newOutageWorker(benchOutageConfig(), benchOutageConfig().Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestOutageWorkerMatchesRunOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := newOutageWorker(cfg, 0)
+	w, err := newOutageWorker(cfg, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestOutageWorkerMatchesRunOutage(t *testing.T) {
 // BenchmarkOutageTrial measures one fading block across three protocols
 // (the steady-state Monte Carlo kernel, excluding worker setup).
 func BenchmarkOutageTrial(b *testing.B) {
-	w, err := newOutageWorker(benchOutageConfig(), 0)
+	w, err := newOutageWorker(benchOutageConfig(), benchOutageConfig().Seed)
 	if err != nil {
 		b.Fatal(err)
 	}

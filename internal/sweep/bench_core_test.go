@@ -10,7 +10,7 @@ import (
 // math per point that the claim/emit machinery is a measurable overhead
 // rather than the whole benchmark, but no LP state so the two variants below
 // isolate the core itself.
-func benchCoreRun(b *testing.B, opts CoreOptions) {
+func benchCoreRun(b *testing.B, opts Options) {
 	const n = 8192
 	out := make([]float64, n)
 	do := func(_ struct{}, lo, hi int) error {
@@ -25,7 +25,7 @@ func benchCoreRun(b *testing.B, opts CoreOptions) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prefix, err := RunCore(ctx, n, opts, Hooks[struct{}]{}, do, emit)
+		prefix, err := RunCore(ctx, n, ChunkSize, opts, Hooks[struct{}]{}, do, emit)
 		if err != nil || prefix != n {
 			b.Fatalf("prefix=%d err=%v", prefix, err)
 		}
@@ -35,7 +35,7 @@ func benchCoreRun(b *testing.B, opts CoreOptions) {
 // BenchmarkRunCore is the baseline for the resilience-overhead pair: the
 // sharded core with no checkpointer.
 func BenchmarkRunCore(b *testing.B) {
-	benchCoreRun(b, CoreOptions{Workers: 4})
+	benchCoreRun(b, Options{Workers: 4})
 }
 
 // BenchmarkRunCoreResilient runs the identical workload with the
@@ -44,7 +44,7 @@ func BenchmarkRunCore(b *testing.B) {
 // against BenchmarkRunCore is the price of checkpointing on the happy path.
 // The ledger gate keeps that price from creeping.
 func BenchmarkRunCoreResilient(b *testing.B) {
-	benchCoreRun(b, CoreOptions{Workers: 4, Checkpoint: nullCheckpointer{}})
+	benchCoreRun(b, Options{Workers: 4, Checkpoint: nullCheckpointer{}})
 }
 
 type nullCheckpointer struct{}

@@ -8,10 +8,10 @@
 // run, which are exactly the properties the resilience tests pin.
 //
 // Downstream packages use it the same way the sweep tests do: wrap the do
-// function handed to sweep.Run/RunCore,
+// function handed to sweep.RunCore,
 //
 //	inj := chaos.Injector{Seed: 7, DelayRate: 0.2, Delay: time.Millisecond}
-//	_, err := sweep.RunCore(ctx, n, opts, hooks, chaos.Wrap(&inj, do), emit)
+//	_, err := sweep.RunCore(ctx, n, chunkSize, opts, hooks, chaos.Wrap(&inj, do), emit)
 //
 // and assert the results match an unwrapped run.
 package chaos

@@ -1,11 +1,13 @@
 package sweep
 
-// core.go — the workload-generic sharded execution core. Run (the
-// evaluator-grid entry point in sweep.go), RegionBatch (region.go) and the
-// facade's simulation campaigns all execute through RunCore: an indexed
+// core.go — the workload-generic sharded execution core. Sweep and Batch
+// (grid.go), RegionBatch (region.go) and the simulation campaigns of the
+// facade and internal/experiments all execute through RunCore: an indexed
 // point set is split into fixed-size chunks pulled by a worker pool, each
 // worker owning private state W supplied by Hooks, with an ordered
-// streaming emitter under bounded backpressure.
+// streaming emitter under bounded backpressure. The pool is the only path:
+// one worker runs the same emitter, checkpoint cadence and halt rules as
+// many.
 //
 // The contract every workload inherits:
 //
@@ -21,12 +23,13 @@ package sweep
 //     context.AfterFunc flips one atomic flag polled per chunk, the pool
 //     drains within one chunk per worker, and the contiguous prefix of
 //     completed (and emitted) points is reported alongside the context
-//     error.
+//     error. A context already done at the call runs nothing.
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
+
+	"bicoop/internal/sim"
 )
 
 // Hooks supplies the per-worker state of a generic sharded run. Every worker
@@ -59,50 +62,13 @@ func (h Hooks[W]) close(w W) {
 	}
 }
 
-// CoreOptions tunes a generic run.
-type CoreOptions struct {
-	// Workers bounds the goroutines evaluating chunks; non-positive means
-	// GOMAXPROCS. The worker count affects scheduling only — results are
-	// bit-identical for every value.
-	Workers int
-	// ChunkSize is the number of consecutive points one worker evaluates
-	// per claim; non-positive means ChunkSize (64). Pick it per workload —
-	// 1 for heavyweight points like whole simulation runs — but never
-	// derive it from Workers: chunk boundaries are the checkpoint granules,
-	// so resumability and determinism across worker counts depend on them
-	// being fixed.
-	ChunkSize int
-	// Start resumes a run: points [0, Start) are assumed already evaluated
-	// and emitted by an earlier run, so neither do nor emit sees them.
-	// Start is floored to a chunk boundary (any watermark a Checkpointer
-	// saved already is one); the returned prefix still counts from 0 and
-	// includes the skipped points.
-	Start int
-	// Checkpoint, when non-nil, persists the emitter's watermark — the
-	// contiguous emitted point prefix. It is saved once per Workers
-	// emitted chunks (after every chunk with one worker), at chunk
-	// boundaries that depend on n, ChunkSize and Workers alone, never on
-	// timing. The final watermark (or a halted run's emitted prefix) is
-	// always saved, saved values strictly increase, and a crash loses at
-	// most Workers chunks of emitted results past the last save. A Save
-	// error halts the run like an emit error. Feed the last saved value
-	// back as Start to resume.
-	Checkpoint Checkpointer
-}
-
-func (o CoreOptions) workers() int {
-	return Options{Workers: o.Workers}.workers()
-}
-
-func (o CoreOptions) chunkSize() int {
-	if o.ChunkSize > 0 {
-		return o.ChunkSize
-	}
-	return ChunkSize
-}
-
-// RunCore evaluates n indexed points with per-worker state W. do(w, start,
-// end) evaluates the contiguous chunk [start, end) and must write its
+// RunCore evaluates n indexed points with per-worker state W, in chunks of
+// chunkSize consecutive points (positive). Pick the chunk size per workload
+// — 1 for heavyweight points like whole curves or simulation runs — but
+// never derive it from Workers: chunk boundaries are the checkpoint
+// granules, so resumability and determinism across worker counts depend on
+// them being fixed. do(w, start, end) evaluates the contiguous chunk
+// [start, end) and must write its
 // results into caller-owned, index-addressed storage; emit(start, end), when
 // non-nil, is invoked for completed chunks in strictly ascending order (the
 // streaming sink). A do or emit error, or context cancellation, halts the
@@ -112,50 +78,42 @@ func (o CoreOptions) chunkSize() int {
 // workload panic, surfaced as a *PanicError) is reported as a *ChunkError.
 // opts.Start resumes past an already-emitted prefix and opts.Checkpoint
 // persists the emitted watermark, one Save per Workers emitted chunks (see
-// CoreOptions).
+// Options).
 //
 // RunCore returns the length of the contiguous prefix of points whose chunks
 // completed (and, when emit is set, were emitted) without error — n on
 // success — plus the first error in enumeration order, with context errors
 // taking precedence.
-func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W], do func(w W, start, end int) error, emit func(start, end int) error) (int, error) {
+func RunCore[W any](ctx context.Context, n, chunkSize int, opts Options, hooks Hooks[W], do func(w W, start, end int) error, emit func(start, end int) error) (int, error) {
 	if n <= 0 {
-		return 0, ctxErr(ctx)
+		return 0, sim.CtxErr(ctx)
 	}
-	cs := opts.chunkSize()
+	cs := chunkSize
 	nChunks := (n + cs - 1) / cs
 	startChunk := 0
 	if opts.Start > 0 {
 		if opts.Start >= n {
 			// The watermark already covers every point; nothing to run.
-			return n, ctxErr(ctx)
+			return n, sim.CtxErr(ctx)
 		}
 		// Resume point: floor to a chunk boundary so the skipped prefix is
 		// exactly a set of whole chunks (saved watermarks already are).
 		startChunk = opts.Start / cs
 	}
+	if err := sim.CtxErr(ctx); err != nil {
+		return startChunk * cs, err
+	}
 	workers := opts.workers()
 	if workers > nChunks-startChunk {
 		workers = nChunks - startChunk
 	}
-	if workers <= 1 {
-		return runCoreSequential(ctx, n, nChunks, cs, startChunk, opts, hooks, do, emit)
-	}
 
-	var halted atomic.Bool
-	haltCh := make(chan struct{})
-	var haltOnce sync.Once
-	halt := func() {
-		haltOnce.Do(func() {
-			halted.Store(true)
-			close(haltCh)
-		})
-	}
-	stop := func() bool { return false }
+	p := &corePool{haltCh: make(chan struct{})}
+	p.next.Store(int64(startChunk))
 	if ctx != nil && ctx.Done() != nil {
-		stop = context.AfterFunc(ctx, halt)
+		stop := context.AfterFunc(ctx, p.halt)
+		defer stop()
 	}
-	defer stop()
 
 	// tickets bounds how far computation may run ahead of the emitter: a
 	// worker takes one ticket per chunk claim and the emitter returns it
@@ -174,24 +132,29 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 		tickets <- struct{}{}
 	}
 
-	var next atomic.Int64
-	next.Store(int64(startChunk))
-	chunkErr := make([]error, nChunks)
-	completions := make(chan int, nChunks-startChunk)
-	var wg sync.WaitGroup
+	// A worker records a failed chunk's error before it sends the chunk's
+	// index on completions; only the emitter touches done. completions also
+	// carries one -1 from every worker as it exits, after its CloseWorker,
+	// and its buffer holds every message, so no send blocks.
+	chunks := make([]chunkState, nChunks)
+	completions := make(chan int, nChunks-startChunk+workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer func() { completions <- -1 }()
 			st := hooks.newWorker()
 			defer hooks.close(st)
 			for {
 				select {
 				case <-tickets:
-				case <-haltCh:
+				case <-p.haltCh:
 					return
 				}
-				c := int(next.Add(1)) - 1
+				// A ticket and the halt may be ready together; the halt
+				// wins, so a halted pool claims no further chunk.
+				if p.halted.Load() {
+					return
+				}
+				c := int(p.next.Add(1)) - 1
 				if c >= nChunks {
 					return
 				}
@@ -201,17 +164,13 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 				// and the emitter stops at the first failed chunk, so
 				// nothing computed from that state reaches the output.
 				if err := runChunk(do, st, c, lo, hi); err != nil {
-					chunkErr[c] = err
-					halt()
+					chunks[c].err = err
+					p.halt()
 				}
 				completions <- c
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(completions)
-	}()
 
 	// The calling goroutine is the emitter: it advances a cursor over the
 	// completed-chunk set and streams ready chunks in order, halting the
@@ -221,27 +180,31 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 	// tickets are irrelevant — workers exit via haltCh.)
 	//
 	// The checkpoint is saved right after every chunk whose index+1 is a
-	// multiple of workers is emitted — one save per round of the pool, as
-	// the sequential path saves once per chunk — and once more after the
+	// multiple of workers is emitted — one save per round of the pool, so
+	// one worker saves after every chunk — and once more after the
 	// pool has drained if the cursor moved past the last save, so the final
 	// watermark (or a halted run's emitted prefix) is always saved. Which
 	// watermarks are saved depends on the chunk range and workers alone,
 	// never on the order or pace of completions: a cadence keyed to the
 	// completion queue would save more often whenever a Save is fast
 	// against a chunk, so a job's cost would swing with the disk.
-	done := make([]bool, nChunks)
 	nextEmit := startChunk
 	savedEmit := startChunk
 	emitting := emit != nil
 	var ckErr error
-	for c := range completions {
-		done[c] = true
-		for nextEmit < nChunks && done[nextEmit] && chunkErr[nextEmit] == nil {
+	for live := workers; live > 0; {
+		c := <-completions
+		if c < 0 {
+			live--
+			continue
+		}
+		chunks[c].done = true
+		for nextEmit < nChunks && chunks[nextEmit].done && chunks[nextEmit].err == nil {
 			if emitting {
 				lo, hi := chunkBoundsOf(nextEmit, n, cs)
 				if err := emit(lo, hi); err != nil {
-					chunkErr[nextEmit] = err
-					halt()
+					chunks[nextEmit].err = err
+					p.halt()
 					emitting = false
 					break
 				}
@@ -252,7 +215,7 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 				savedEmit = nextEmit
 				if err := opts.Checkpoint.Save(watermarkOf(nextEmit, n, cs)); err != nil {
 					ckErr = err
-					halt()
+					p.halt()
 				}
 			}
 		}
@@ -262,15 +225,38 @@ func RunCore[W any](ctx context.Context, n int, opts CoreOptions, hooks Hooks[W]
 	}
 
 	prefix := watermarkOf(nextEmit, n, cs)
-	if err := ctxErr(ctx); err != nil {
+	if err := sim.CtxErr(ctx); err != nil {
 		return prefix, err
 	}
-	for _, err := range chunkErr {
-		if err != nil {
-			return prefix, err
+	for _, st := range chunks {
+		if st.err != nil {
+			return prefix, st.err
 		}
 	}
 	return prefix, ckErr
+}
+
+// corePool is the state a RunCore call's workers and emitter share, in one
+// allocation.
+type corePool struct {
+	halted atomic.Bool
+	haltCh chan struct{} // closed by the first halt
+	next   atomic.Int64  // the next unclaimed chunk
+}
+
+// halt stops the pool: once it returns, no worker claims another chunk.
+// Any goroutine may call it, any number of times.
+func (p *corePool) halt() {
+	if p.halted.CompareAndSwap(false, true) {
+		close(p.haltCh)
+	}
+}
+
+// chunkState is one chunk's outcome: whether the emitter has seen it
+// complete, and its do or emit error.
+type chunkState struct {
+	err  error
+	done bool
 }
 
 // watermarkOf converts an emitted-chunk cursor to the emitted point prefix.
@@ -280,34 +266,6 @@ func watermarkOf(nextEmit, n, cs int) int {
 		w = n
 	}
 	return w
-}
-
-// runCoreSequential is the single-worker path: same chunk boundaries and
-// failure handling as the pool, so its outputs are bit-identical, without
-// goroutine or channel overhead.
-func runCoreSequential[W any](ctx context.Context, n, nChunks, cs, startChunk int, opts CoreOptions, hooks Hooks[W], do func(w W, start, end int) error, emit func(start, end int) error) (int, error) {
-	st := hooks.newWorker()
-	defer hooks.close(st)
-	for c := startChunk; c < nChunks; c++ {
-		if err := ctxErr(ctx); err != nil {
-			return c * cs, err
-		}
-		lo, hi := chunkBoundsOf(c, n, cs)
-		if err := runChunk(do, st, c, lo, hi); err != nil {
-			return lo, err
-		}
-		if emit != nil {
-			if err := emit(lo, hi); err != nil {
-				return lo, err
-			}
-		}
-		if opts.Checkpoint != nil {
-			if err := opts.Checkpoint.Save(watermarkOf(c+1, n, cs)); err != nil {
-				return watermarkOf(c+1, n, cs), err
-			}
-		}
-	}
-	return n, nil
 }
 
 func chunkBoundsOf(c, n, cs int) (lo, hi int) {

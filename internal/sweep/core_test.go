@@ -30,7 +30,7 @@ func TestRunCoreHookLifecycle(t *testing.T) {
 				closes++
 			},
 		}
-		prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: workers, ChunkSize: cs}, hooks,
+		prefix, err := RunCore(context.Background(), n, cs, Options{Workers: workers}, hooks,
 			func(w *int, lo, hi int) error {
 				mu.Lock()
 				chunks = append(chunks, [2]int{lo, hi})
@@ -70,7 +70,7 @@ func TestRunCoreChunkSizeOne(t *testing.T) {
 	const n = 9
 	var ran atomic.Int64
 	var emitted []int
-	prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: 4, ChunkSize: 1}, Hooks[struct{}]{},
+	prefix, err := RunCore(context.Background(), n, 1, Options{Workers: 4}, Hooks[struct{}]{},
 		func(_ struct{}, lo, hi int) error {
 			if hi != lo+1 {
 				return errors.New("chunk wider than 1")
@@ -106,7 +106,7 @@ func TestRunCoreWorkerStateIsolation(t *testing.T) {
 	hooks := Hooks[*worker]{
 		NewWorker: func() *worker { return &worker{id: int(nextID.Add(1))} },
 	}
-	prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: 4, ChunkSize: cs}, hooks,
+	prefix, err := RunCore(context.Background(), n, cs, Options{Workers: 4}, hooks,
 		func(w *worker, lo, hi int) error {
 			owners[lo/cs] = w
 			return nil

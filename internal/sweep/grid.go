@@ -188,18 +188,19 @@ func (spec Spec) resolve() (resolvedGrid, error) {
 }
 
 // Sweep evaluates the grid across opts.Workers and streams every point to
-// yield in enumeration order. One pooled evaluator is held per worker, and
+// yield in enumeration order. Every point is solved through store (nil:
+// caching off). One pooled evaluator is held per worker, and
 // every Naive4/HBC LP is a cold solve that depends only on its own point, so
 // results are bit-identical for every worker count. A yield error or context
 // cancellation stops the sweep within one chunk per worker.
-func Sweep(ctx context.Context, spec Spec, opts Options, yield func(Point) error) error {
+func Sweep(ctx context.Context, spec Spec, opts Options, store *cache.Store, yield func(Point) error) error {
 	grid, err := spec.resolve()
 	if err != nil {
 		return err
 	}
 	n := grid.gaussN + len(grid.erasures)
 	// Results are buffered per chunk and released right after emission, so
-	// together with Run's backpressure window the sweep holds O(workers)
+	// together with RunCore's backpressure window the sweep holds O(workers)
 	// chunks of points live, not the whole grid.
 	chunks := make([][]Point, (n+ChunkSize-1)/ChunkSize)
 	nP := len(grid.protos)
@@ -228,7 +229,7 @@ func Sweep(ctx context.Context, spec Spec, opts Options, yield func(Point) error
 				e := grid.erasSpec[pt.ErasureIdx]
 				key = cache.ErasureKey(e.EpsAR, e.EpsBR, e.EpsAB)
 			}
-			v, err := opts.Cache.Solve(key, func() (protocols.Optimum, error) {
+			v, err := store.Solve(key, func() (protocols.Optimum, error) {
 				if si < 0 {
 					return ev.WeightedRateLinks(pt.Proto, pt.Bound, grid.erasures[pt.ErasureIdx], 1, 1)
 				}
@@ -271,7 +272,7 @@ func Sweep(ctx context.Context, spec Spec, opts Options, yield func(Point) error
 		}
 		return nil
 	}
-	_, err = Run(ctx, n, opts, do, emit)
+	_, err = RunCore(ctx, n, ChunkSize, opts, evaluatorHooks, do, emit)
 	return err
 }
 
@@ -310,20 +311,21 @@ func (m *scenarioMemo) internal(s Scenario) protocols.Scenario {
 	}
 }
 
-// Batch evaluates the bound's optimum for n scenarios, sharded like Sweep.
-// scen(i) supplies scenario i and store(i, r) receives its result; both are
+// Batch evaluates the bound's optimum for n scenarios, sharded and cached
+// (through store) like Sweep. scen(i) supplies scenario i and put(i, r)
+// receives its result; both are
 // called from worker goroutines (each index exactly once, distinct indices
 // concurrently), which lets callers read from and write into their own
 // result-shaped storage without intermediate arrays. Batch returns the
 // length of the contiguous prefix of completed results — n on success — so
 // callers can surface partial results on cancellation.
-func Batch(ctx context.Context, proto protocols.Protocol, bound protocols.Bound, n int, opts Options, scen func(int) Scenario, store func(int, Result)) (int, error) {
+func Batch(ctx context.Context, proto protocols.Protocol, bound protocols.Bound, n int, opts Options, store *cache.Store, scen func(int) Scenario, put func(int, Result)) (int, error) {
 	do := func(ev *protocols.Evaluator, lo, hi int) error {
 		var memo scenarioMemo
 		durs := make([]float64, 0, 4*(hi-lo)) // one backing array per chunk
 		for i := lo; i < hi; i++ {
 			s := scen(i)
-			v, err := opts.Cache.Solve(cache.SumRateKey(proto, bound, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB),
+			v, err := store.Solve(cache.SumRateKey(proto, bound, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB),
 				func() (protocols.Optimum, error) {
 					return ev.WeightedRate(proto, bound, memo.internal(s), 1, 1)
 				})
@@ -332,12 +334,12 @@ func Batch(ctx context.Context, proto protocols.Protocol, bound protocols.Bound,
 			}
 			start := len(durs)
 			durs = append(durs, v.Dur[:v.NDur]...)
-			store(i, Result{
+			put(i, Result{
 				Sum: v.Sum, Ra: v.Ra, Rb: v.Rb,
 				Durations: durs[start:len(durs):len(durs)],
 			})
 		}
 		return nil
 	}
-	return Run(ctx, n, opts, do, nil)
+	return RunCore(ctx, n, ChunkSize, opts, evaluatorHooks, do, nil)
 }

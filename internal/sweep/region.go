@@ -16,6 +16,7 @@ import (
 	"bicoop/internal/cache"
 	"bicoop/internal/protocols"
 	"bicoop/internal/region"
+	"bicoop/internal/sim"
 )
 
 // RegionCurve selects one protocol bound whose rate region is computed for
@@ -45,7 +46,8 @@ type RegionResult struct {
 // RegionBatch computes every curve of the batch and streams completed
 // polygons to yield in enumeration order (scenario outer, curve inner).
 // Curves are sharded across opts.Workers via RunCore, one curve per chunk,
-// with pooled per-worker evaluators. opts.Start and opts.Checkpoint count
+// with pooled per-worker evaluators; every direction is solved through
+// store (nil: caching off). opts.Start and opts.Checkpoint count
 // whole curves (scenario-major): a resumed batch skips the first Start
 // curves, and the checkpoint observes the contiguous yielded curve count.
 // Every weighted-rate LP is a cold solve that depends only on its own
@@ -53,11 +55,11 @@ type RegionResult struct {
 // cache setting. A yield error or context
 // cancellation stops the batch within one curve per worker; curves yielded
 // before the stop are complete and valid.
-func RegionBatch(ctx context.Context, spec RegionSpec, opts Options, yield func(RegionResult) error) error {
+func RegionBatch(ctx context.Context, spec RegionSpec, opts Options, store *cache.Store, yield func(RegionResult) error) error {
 	nCurvesPerScen := len(spec.Curves)
 	nCurves := spec.Size()
 	if nCurves == 0 {
-		return ctxErr(ctx)
+		return sim.CtxErr(ctx)
 	}
 	// Link informations are scenario-level and shared by every curve and
 	// direction, so they are resolved once up front (full, unmasked — the
@@ -80,7 +82,7 @@ func RegionBatch(ctx context.Context, spec RegionSpec, opts Options, yield func(
 			pg, err := protocols.RefineRegion(func(muA, muB float64) (region.Point, error) {
 				// Region vertices cache as raw weighted solves keyed by the
 				// direction, so hits and misses refine identically.
-				v, err := opts.Cache.Solve(cache.WeightedKey(c.Proto, c.Bound, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB, muA, muB),
+				v, err := store.Solve(cache.WeightedKey(c.Proto, c.Bound, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB, muA, muB),
 					func() (protocols.Optimum, error) {
 						return ev.WeightedRateLinks(c.Proto, c.Bound, lis[si], muA, muB)
 					})
@@ -107,12 +109,6 @@ func RegionBatch(ctx context.Context, spec RegionSpec, opts Options, yield func(
 		}
 		return nil
 	}
-	core := CoreOptions{
-		Workers:    opts.Workers,
-		ChunkSize:  1,
-		Start:      opts.Start,
-		Checkpoint: opts.Checkpoint,
-	}
-	_, err := RunCore(ctx, nCurves, core, evaluatorHooks, do, emit)
+	_, err := RunCore(ctx, nCurves, 1, opts, evaluatorHooks, do, emit)
 	return err
 }

@@ -32,7 +32,7 @@ func regionTestSpec() RegionSpec {
 func collectRegions(t *testing.T, spec RegionSpec, workers int) []RegionResult {
 	t.Helper()
 	var out []RegionResult
-	err := RegionBatch(context.Background(), spec, Options{Workers: workers}, func(r RegionResult) error {
+	err := RegionBatch(context.Background(), spec, Options{Workers: workers}, nil, func(r RegionResult) error {
 		out = append(out, r)
 		return nil
 	})
@@ -125,7 +125,7 @@ func TestRegionBatchCancellation(t *testing.T) {
 	}
 	var cancelled time.Time
 	yields := 0
-	err := RegionBatch(ctx, spec, Options{Workers: 2}, func(RegionResult) error {
+	err := RegionBatch(ctx, spec, Options{Workers: 2}, nil, func(RegionResult) error {
 		yields++
 		if yields == 1 {
 			cancelled = time.Now()
@@ -158,7 +158,7 @@ func TestRegionBatchYieldError(t *testing.T) {
 	sentinel := errors.New("stop")
 	spec := regionTestSpec()
 	n := 0
-	err := RegionBatch(context.Background(), spec, Options{Workers: 2}, func(RegionResult) error {
+	err := RegionBatch(context.Background(), spec, Options{Workers: 2}, nil, func(RegionResult) error {
 		n++
 		if n == 3 {
 			return sentinel
@@ -172,7 +172,7 @@ func TestRegionBatchYieldError(t *testing.T) {
 
 // TestRegionBatchDegenerateSpecs covers the empty spec and a NaN scenario.
 func TestRegionBatchDegenerateSpecs(t *testing.T) {
-	if err := RegionBatch(context.Background(), RegionSpec{}, Options{}, func(RegionResult) error {
+	if err := RegionBatch(context.Background(), RegionSpec{}, Options{}, nil, func(RegionResult) error {
 		t.Fatal("yield on empty spec")
 		return nil
 	}); err != nil {
@@ -180,7 +180,7 @@ func TestRegionBatchDegenerateSpecs(t *testing.T) {
 	}
 	nan := regionTestSpec()
 	nan.Scenarios[0].PowerDB = math.NaN()
-	if err := RegionBatch(context.Background(), nan, Options{}, func(RegionResult) error { return nil }); err == nil {
+	if err := RegionBatch(context.Background(), nan, Options{}, nil, func(RegionResult) error { return nil }); err == nil {
 		t.Fatal("NaN scenario accepted")
 	}
 }

@@ -1,20 +1,21 @@
 package sweep
 
-// resilience.go — the fault-handling layer of the generic core. Every
-// chunk a run evaluates is a deterministic function of its points, so a
-// failed chunk would fail the same way again; the layer therefore contains
-// failures instead of repeating them. Two mechanisms, both preserving the
+// resilience.go — the fault-handling layer of the generic core, and the
+// one definition of its types: the facade's Checkpointer, ChunkError and
+// PanicError are aliases of the three below. Every chunk a run evaluates
+// is a deterministic function of its points, so a failed chunk would fail
+// the same way again; the layer therefore contains failures instead of
+// repeating them. Two mechanisms, both preserving the
 // bit-identical-across-Workers guarantee:
 //
 //   - panic containment: every do invocation runs under a recover that
 //     converts a workload panic into a *PanicError, surfaced (like any do
 //     error) inside a *ChunkError instead of crashing the process;
-//   - checkpointing: CoreOptions.Checkpoint observes the ordered emitter's
+//   - checkpointing: Options.Checkpoint observes the ordered emitter's
 //     watermark (the contiguous emitted point prefix) once per Workers
-//     emitted chunks, and
-//     CoreOptions.Start resumes a later run past a saved watermark — the
-//     prefix-on-cancel semantics make the watermark exactly the safe
-//     resume point.
+//     emitted chunks, and Options.Start resumes a later run past a saved
+//     watermark — the prefix-on-cancel semantics make the watermark
+//     exactly the safe resume point.
 
 import (
 	"fmt"
@@ -47,13 +48,13 @@ type PanicError struct {
 	Stack []byte
 }
 
-func (e *PanicError) Error() string { return fmt.Sprintf("worker panic: %v", e.Value) }
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
 // Checkpointer persists the ordered emitter's watermark — the contiguous
 // prefix of points emitted without error. Save observes strictly increasing
 // watermarks from the single emitter goroutine (implementations need no
 // locking against the run itself); feeding the last saved value back as
-// CoreOptions.Start resumes a later run past the already-emitted prefix. A
+// Options.Start resumes a later run past the already-emitted prefix. A
 // Save error halts the run like an emit error.
 type Checkpointer interface {
 	Save(watermark int) error

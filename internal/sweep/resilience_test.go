@@ -14,8 +14,8 @@ import (
 	"bicoop/internal/sweep/chaos"
 )
 
-// resilienceWorkers are the worker counts every resilience pin runs at: the
-// sequential path, a small pool, and a pool wider than the chunk window.
+// resilienceWorkers are the worker counts every resilience pin runs at: a
+// single worker, a small pool, and a pool wider than the chunk window.
 var resilienceWorkers = []int{1, 2, 7}
 
 // TestRunCoreChaosBitIdentical is the headline resilience pin: a run with
@@ -41,7 +41,7 @@ func TestRunCoreChaosBitIdentical(t *testing.T) {
 		if inj != nil {
 			do = chaos.Wrap(inj, do)
 		}
-		prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: workers, ChunkSize: cs}, hooks, do, nil)
+		prefix, err := RunCore(context.Background(), n, cs, Options{Workers: workers}, hooks, do, nil)
 		if err != nil || prefix != n {
 			t.Fatalf("workers=%d: prefix=%d err=%v", workers, prefix, err)
 		}
@@ -82,7 +82,7 @@ func TestRunChaosWarmEvaluators(t *testing.T) {
 		if inj != nil {
 			do = chaos.Wrap(inj, do)
 		}
-		prefix, err := Run(context.Background(), len(scen), Options{Workers: workers}, do, nil)
+		prefix, err := RunCore(context.Background(), len(scen), ChunkSize, Options{Workers: workers}, evaluatorHooks, do, nil)
 		if err != nil || prefix != len(scen) {
 			t.Fatalf("workers=%d: prefix=%d err=%v", workers, prefix, err)
 		}
@@ -107,7 +107,7 @@ func TestRunCorePanicContained(t *testing.T) {
 	const panicLo = 5 * cs
 	for _, workers := range resilienceWorkers {
 		inj := &chaos.Injector{Seed: 1, PanicStarts: []int{panicLo}}
-		_, err := RunCore(context.Background(), n, CoreOptions{Workers: workers, ChunkSize: cs}, Hooks[struct{}]{},
+		_, err := RunCore(context.Background(), n, cs, Options{Workers: workers}, Hooks[struct{}]{},
 			chaos.Wrap(inj, func(_ struct{}, lo, hi int) error { return nil }), nil)
 		var cerr *ChunkError
 		if !errors.As(err, &cerr) {
@@ -128,14 +128,14 @@ func TestRunCorePanicContained(t *testing.T) {
 
 // TestRunCorePermanentFaultPrefix pins the halt semantics of a chunk
 // failure: the error identifies the failed chunk, the emitted prefix never
-// passes it, and the sequential path stops exactly at it.
+// passes it, and a single worker stops exactly at it.
 func TestRunCorePermanentFaultPrefix(t *testing.T) {
 	const n, cs = 120, 8
 	const permLo = 7 * cs
 	for _, workers := range resilienceWorkers {
 		inj := &chaos.Injector{Seed: 9, PermanentStarts: []int{permLo}}
 		var emitted atomic.Int64
-		prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: workers, ChunkSize: cs}, Hooks[struct{}]{},
+		prefix, err := RunCore(context.Background(), n, cs, Options{Workers: workers}, Hooks[struct{}]{},
 			chaos.Wrap(inj, func(_ struct{}, lo, hi int) error { return nil }),
 			func(lo, hi int) error { emitted.Store(int64(hi)); return nil })
 		var cerr *ChunkError
@@ -149,7 +149,7 @@ func TestRunCorePermanentFaultPrefix(t *testing.T) {
 			t.Errorf("workers=%d: prefix=%d emitted=%d, want prefix <= %d and equal", workers, prefix, emitted.Load(), permLo)
 		}
 		if workers == 1 && prefix != permLo {
-			t.Errorf("sequential prefix = %d, want exactly %d", prefix, permLo)
+			t.Errorf("single-worker prefix = %d, want exactly %d", prefix, permLo)
 		}
 	}
 }
@@ -162,7 +162,7 @@ func TestRunCoreCheckpointResume(t *testing.T) {
 	const n, cs = 137, 8
 	full := make([]int, n)
 	ck := &recordingCheckpointer{}
-	prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: 3, ChunkSize: cs, Checkpoint: ck},
+	prefix, err := RunCore(context.Background(), n, cs, Options{Workers: 3, Checkpoint: ck},
 		Hooks[struct{}]{},
 		func(_ struct{}, lo, hi int) error {
 			for i := lo; i < hi; i++ {
@@ -186,8 +186,8 @@ func TestRunCoreCheckpointResume(t *testing.T) {
 			lowest.Store(int64(n + 1))
 			var emitLow atomic.Int64
 			emitLow.Store(int64(n + 1))
-			prefix, err := RunCore(context.Background(), n,
-				CoreOptions{Workers: workers, ChunkSize: cs, Start: resumeAt},
+			prefix, err := RunCore(context.Background(), n, cs,
+				Options{Workers: workers, Start: resumeAt},
 				Hooks[struct{}]{},
 				func(_ struct{}, lo, hi int) error {
 					storeMin(&lowest, int64(lo))
@@ -226,7 +226,7 @@ func TestRunCoreCheckpointSaveError(t *testing.T) {
 	sentinel := errors.New("disk full")
 	for _, workers := range []int{1, 4} {
 		ck := &failingCheckpointer{failAt: 32, err: sentinel}
-		_, err := RunCore(context.Background(), 128, CoreOptions{Workers: workers, ChunkSize: 8, Checkpoint: ck},
+		_, err := RunCore(context.Background(), 128, 8, Options{Workers: workers, Checkpoint: ck},
 			Hooks[struct{}]{},
 			func(_ struct{}, lo, hi int) error { return nil }, nil)
 		if !errors.Is(err, sentinel) {
@@ -236,8 +236,8 @@ func TestRunCoreCheckpointSaveError(t *testing.T) {
 }
 
 // TestRunCoreEmitErrorParity is the emit-error semantics pin: when emit
-// fails partway, (prefix, err) agree between the sequential path and the
-// pooled path at every worker count — same prefix, same verbatim error.
+// fails partway, (prefix, err) agree at every worker count — same prefix,
+// same verbatim error.
 func TestRunCoreEmitErrorParity(t *testing.T) {
 	const n, cs = 10*8 + 5, 8
 	sentinel := errors.New("sink full")
@@ -248,7 +248,7 @@ func TestRunCoreEmitErrorParity(t *testing.T) {
 	}
 	var ref *outcome
 	for _, workers := range resilienceWorkers {
-		prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: workers, ChunkSize: cs},
+		prefix, err := RunCore(context.Background(), n, cs, Options{Workers: workers},
 			Hooks[struct{}]{},
 			func(_ struct{}, lo, hi int) error { return nil },
 			func(lo, hi int) error {
@@ -269,7 +269,7 @@ func TestRunCoreEmitErrorParity(t *testing.T) {
 			continue
 		}
 		if got.prefix != ref.prefix || got.err != ref.err {
-			t.Fatalf("workers=%d: (prefix, err) = (%d, %v), sequential gave (%d, %v)",
+			t.Fatalf("workers=%d: (prefix, err) = (%d, %v), one worker gave (%d, %v)",
 				workers, got.prefix, got.err, ref.prefix, ref.err)
 		}
 	}
@@ -341,10 +341,10 @@ func (c *blockingCheckpointer) Save(w int) error {
 
 var errChunkSink = errors.New("sink closed")
 
-// TestRunCoreSaveCadence pins the pooled emitter's save cadence: one Save
-// right after every Workers-th one-point chunk is emitted, then the final
-// watermark — the same watermarks whatever order and pace the chunks
-// complete in:
+// TestRunCoreSaveCadence pins the emitter's save cadence: one Save right
+// after every Workers-th one-point chunk is emitted (after every chunk with
+// one worker), then the final watermark — the same watermarks whatever
+// order and pace the chunks complete in:
 //
 //   - serial: each do waits until the previous chunk was emitted, so the
 //     emitter never finds another completion queued;
@@ -358,7 +358,7 @@ var errChunkSink = errors.New("sink closed")
 // last save.
 func TestRunCoreSaveCadence(t *testing.T) {
 	const n = 41
-	for _, workers := range []int{2, 7} {
+	for _, workers := range []int{1, 2, 7} {
 		var want []int // the multiples of workers up to n, then n
 		for w := workers; w <= n; w += workers {
 			want = append(want, w)
@@ -384,7 +384,7 @@ func TestRunCoreSaveCadence(t *testing.T) {
 				defer time.AfterFunc(2*time.Second, open).Stop()
 				ck := &blockingCheckpointer{release: release}
 				var finished atomic.Int32
-				prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: workers, ChunkSize: 1, Checkpoint: ck},
+				prefix, err := RunCore(context.Background(), n, 1, Options{Workers: workers, Checkpoint: ck},
 					Hooks[struct{}]{},
 					func(_ struct{}, lo, hi int) error {
 						if pace == "serial" && lo > 0 {
@@ -429,7 +429,7 @@ func TestRunCoreSaveCadence(t *testing.T) {
 		}
 		stopped := make(chan struct{}) // the emitter halted: stop pacing
 		ck := &recordingCheckpointer{}
-		prefix, err := RunCore(context.Background(), n, CoreOptions{Workers: workers, ChunkSize: 1, Checkpoint: ck},
+		prefix, err := RunCore(context.Background(), n, 1, Options{Workers: workers, Checkpoint: ck},
 			Hooks[struct{}]{},
 			func(_ struct{}, lo, hi int) error {
 				if lo > 0 {

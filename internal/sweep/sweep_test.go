@@ -47,7 +47,7 @@ func TestBatchBitIdenticalAcrossWorkers(t *testing.T) {
 	runBatch := func(proto protocols.Protocol, workers int) []Result {
 		t.Helper()
 		out := make([]Result, len(scen))
-		n, err := Batch(context.Background(), proto, protocols.BoundInner, len(scen), Options{Workers: workers},
+		n, err := Batch(context.Background(), proto, protocols.BoundInner, len(scen), Options{Workers: workers}, nil,
 			func(i int) Scenario { return scen[i] },
 			func(i int, r Result) { out[i] = r })
 		if err != nil || n != len(scen) {
@@ -75,7 +75,7 @@ func TestSweepBitIdenticalAcrossWorkers(t *testing.T) {
 	spec := testSpec()
 	collect := func(workers int) []Point {
 		var pts []Point
-		err := Sweep(context.Background(), spec, Options{Workers: workers}, func(pt Point) error {
+		err := Sweep(context.Background(), spec, Options{Workers: workers}, nil, func(pt Point) error {
 			pts = append(pts, pt)
 			return nil
 		})
@@ -109,7 +109,7 @@ func TestSweepMatchesSinglePointSolves(t *testing.T) {
 	spec := testSpec()
 	spec.Protocols = []protocols.Protocol{protocols.Naive4, protocols.HBC}
 	for _, workers := range []int{1, 3} {
-		err := Sweep(context.Background(), spec, Options{Workers: workers}, func(pt Point) error {
+		err := Sweep(context.Background(), spec, Options{Workers: workers}, nil, func(pt Point) error {
 			if pt.ErasureIdx >= 0 {
 				return nil
 			}
@@ -138,7 +138,7 @@ func TestRunEmitOrderAndPrefix(t *testing.T) {
 	var emitted []int
 	sentinel := errors.New("stop")
 	stopAt := 4 * ChunkSize
-	prefix, err := Run(context.Background(), n, Options{Workers: 4},
+	prefix, err := RunCore(context.Background(), n, ChunkSize, Options{Workers: 4}, evaluatorHooks,
 		func(ev *protocols.Evaluator, lo, hi int) error { return nil },
 		func(lo, hi int) error {
 			if lo != len(emitted)*ChunkSize {
@@ -164,7 +164,7 @@ func TestRunDoErrorOrder(t *testing.T) {
 	const n = 8 * ChunkSize
 	early := errors.New("early")
 	late := errors.New("late")
-	_, err := Run(context.Background(), n, Options{Workers: 4},
+	_, err := RunCore(context.Background(), n, ChunkSize, Options{Workers: 4}, evaluatorHooks,
 		func(ev *protocols.Evaluator, lo, hi int) error {
 			switch lo / ChunkSize {
 			case 2:
@@ -194,7 +194,7 @@ func TestRunCancellation(t *testing.T) {
 	}()
 	var completed atomic.Int64
 	const n = 1 << 20
-	prefix, err := Run(ctx, n, Options{Workers: 2},
+	prefix, err := RunCore(ctx, n, ChunkSize, Options{Workers: 2}, evaluatorHooks,
 		func(ev *protocols.Evaluator, lo, hi int) error {
 			started.Store(true)
 			time.Sleep(time.Millisecond)
@@ -225,7 +225,7 @@ func TestRunCancellationCause(t *testing.T) {
 	cause := errors.New("shutting down")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
-	_, err := Run(ctx, 1000, Options{Workers: 4},
+	_, err := RunCore(ctx, 1000, ChunkSize, Options{Workers: 4}, evaluatorHooks,
 		func(ev *protocols.Evaluator, lo, hi int) error { return nil }, nil)
 	if !errors.Is(err, context.Canceled) || !errors.Is(err, cause) {
 		t.Errorf("err = %v, want context.Canceled wrapping the cause", err)
@@ -245,7 +245,7 @@ func TestSpecSizeAndErasures(t *testing.T) {
 		t.Fatalf("erasures-only Size = %d, want 2", got)
 	}
 	var pts []Point
-	if err := Sweep(context.Background(), only, Options{Workers: 1}, func(pt Point) error {
+	if err := Sweep(context.Background(), only, Options{Workers: 1}, nil, func(pt Point) error {
 		pts = append(pts, pt)
 		return nil
 	}); err != nil {

@@ -134,10 +134,9 @@ func (e *Engine) RegionBatch(ctx context.Context, spec RegionBatchSpec, yield fu
 		ip, ib, _ := resolveEnums(c.Protocol, c.Bound)
 		ispec.Curves = append(ispec.Curves, sweep.RegionCurve{Proto: ip, Bound: ib})
 	}
-	opts := e.sweepOpts(spec.Workers)
-	opts.Start, opts.Checkpoint = spec.Start, spec.Checkpoint
+	opts := sweep.Options{Workers: e.poolWorkers(spec.Workers), Start: spec.Start, Checkpoint: spec.Checkpoint}
 	var yieldErr error
-	err := sweep.RegionBatch(ctx, ispec, opts, func(r sweep.RegionResult) error {
+	err := sweep.RegionBatch(ctx, ispec, opts, e.cache, func(r sweep.RegionResult) error {
 		pub := RegionBatchPoint{
 			ScenarioIdx: r.ScenarioIdx,
 			CurveIdx:    r.CurveIdx,
@@ -157,7 +156,7 @@ func (e *Engine) RegionBatch(ctx context.Context, spec RegionBatchSpec, yield fu
 	case yieldErr != nil && errors.Is(err, yieldErr):
 		return yieldErr // the caller's own error, returned verbatim
 	default:
-		return fmt.Errorf("bicoop: %w", translateResilience(err))
+		return fmt.Errorf("bicoop: %w", err)
 	}
 }
 

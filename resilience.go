@@ -16,6 +16,10 @@ package bicoop
 //   - workload panics are contained per chunk and surfaced as a *ChunkError
 //     wrapping a *PanicError instead of crashing the process.
 //
+// Checkpointer, ChunkError and PanicError are aliases of the internal/sweep
+// types, so the errors a run returns need no translation: errors.As
+// reaches them through the facade's "bicoop: %w" wrapping.
+//
 // See the "Resilience" section of the package documentation for the full
 // recipe.
 
@@ -45,9 +49,9 @@ import (
 // whole curves for Engine.RegionBatch, completed runs for
 // Engine.SimulateBatch. Feed the last saved value back as the spec's Start
 // field to resume.
-type Checkpointer interface {
-	Save(watermark int) error
-}
+//
+// Any type with a method Save(watermark int) error is a Checkpointer.
+type Checkpointer = sweep.Checkpointer
 
 // FileCheckpoint is a Checkpointer that stores the watermark in a file,
 // atomically (write-temp-then-rename), so a crash mid-save leaves the
@@ -90,49 +94,16 @@ func (c *FileCheckpoint) Load() (int, error) {
 	return w, nil
 }
 
-// ChunkError reports the failure of one chunk of a sharded run. Err is the
-// chunk's failure — errors.Is/As see through to it, so sentinel checks on
-// the underlying cause keep working.
-type ChunkError struct {
-	// Chunk is the chunk index; Start and End are its point range
-	// [Start, End) in the run's enumeration order.
-	Chunk, Start, End int
-	// Err is the underlying failure (a *PanicError for contained panics).
-	Err error
-}
-
-func (e *ChunkError) Error() string {
-	return fmt.Sprintf("chunk %d [%d,%d): %v", e.Chunk, e.Start, e.End, e.Err)
-}
-
-func (e *ChunkError) Unwrap() error { return e.Err }
+// ChunkError reports the failure of one chunk of a sharded run: its index
+// Chunk, its point range [Start, End) in the run's enumeration order, and
+// the underlying failure Err (a *PanicError for contained panics). It
+// unwraps to Err, so errors.Is/As see through to the underlying cause.
+type ChunkError = sweep.ChunkError
 
 // PanicError is a workload panic contained by the sharded core: the process
-// survives and the panic surfaces as an error inside a *ChunkError.
-type PanicError struct {
-	// Value is the recovered panic value.
-	Value any
-	// Stack is the goroutine stack captured at recovery.
-	Stack []byte
-}
-
-func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
-
-// translateResilience rewrites the internal chunk/panic error types into
-// their public equivalents so callers can errors.As against bicoop types.
-// The underlying cause chain is preserved.
-func translateResilience(err error) error {
-	var cerr *sweep.ChunkError
-	if !errors.As(err, &cerr) {
-		return err
-	}
-	inner := cerr.Err
-	var perr *sweep.PanicError
-	if errors.As(inner, &perr) {
-		inner = &PanicError{Value: perr.Value, Stack: perr.Stack}
-	}
-	return &ChunkError{Chunk: cerr.Chunk, Start: cerr.Start, End: cerr.End, Err: inner}
-}
+// survives and the panic surfaces as an error inside a *ChunkError, with
+// the recovered Value and the goroutine Stack captured at recovery.
+type PanicError = sweep.PanicError
 
 // validateResume rejects a negative Start with the given spec sentinel —
 // shared by the three resumable spec types.

@@ -3,17 +3,19 @@ package bicoop
 // resilience_test.go — facade-level pins for the resilience layer: the
 // checkpoint/resume round trip on all three streaming APIs (the
 // concatenated yields of an interrupted + resumed run must equal an
-// uninterrupted run), the error-type translation, and the FileCheckpoint
-// primitive. White-box so translateResilience can be exercised against the
-// internal error types directly.
+// uninterrupted run), the chunk and panic errors as callers see them, and
+// the FileCheckpoint primitive. White-box so a panic can be injected into
+// the sharded core directly.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"bicoop/internal/sim"
 	"bicoop/internal/sweep"
 )
 
@@ -61,34 +63,51 @@ func TestFileCheckpointEmptyFile(t *testing.T) {
 	}
 }
 
-func TestTranslateResilience(t *testing.T) {
-	underlying := errors.New("lp blew up")
-	internal := &sweep.ChunkError{Chunk: 3, Start: 192, End: 256, Err: underlying}
-	err := translateResilience(internal)
+// TestResilienceErrorsThroughFacade pins that a run's chunk and panic
+// errors reach callers through the facade's "bicoop: %w" wrapping:
+// errors.As finds the *ChunkError with its coordinates and the *PanicError
+// with its value and stack, and errors.Is finds the underlying cause.
+func TestResilienceErrorsThroughFacade(t *testing.T) {
+	// A campaign whose second run fails at run time (its rates lie outside
+	// the TDBC inner bound, which only the run's LP finds out).
+	links := ErasureLinks{EpsAR: 0.2, EpsBR: 0.1, EpsAB: 0.6}
+	ok := SimSpec{Trials: 4, Seed: 1, BitTrueTDBC: &BitTrueTDBCSpec{Links: links, Rates: RatePoint{Ra: 0.2, Rb: 0.2}, BlockLength: 64}}
+	bad := ok
+	bad.BitTrueTDBC = &BitTrueTDBCSpec{Links: links, Rates: RatePoint{Ra: 0.9, Rb: 0.9}, BlockLength: 64}
+	_, err := NewEngine().SimulateBatch(context.Background(), CampaignSpec{Specs: []SimSpec{ok, bad, ok}, Workers: 1}, nil)
 	var cerr *ChunkError
 	if !errors.As(err, &cerr) {
-		t.Fatalf("translated error %v is not a public *ChunkError", err)
+		t.Fatalf("campaign error %v does not reach a *ChunkError", err)
 	}
-	if cerr.Chunk != 3 || cerr.Start != 192 || cerr.End != 256 {
-		t.Errorf("coordinates lost in translation: %+v", cerr)
+	if cerr.Chunk != 1 || cerr.Start != 1 || cerr.End != 2 {
+		t.Errorf("ChunkError coordinates = %+v, want chunk 1 at [1,2)", cerr)
 	}
-	if !errors.Is(err, underlying) {
-		t.Error("underlying cause must survive translation")
+	if !errors.Is(err, sim.ErrInfeasibleRates) {
+		t.Errorf("campaign error %v does not reach its cause", err)
 	}
 
-	internal.Err = &sweep.PanicError{Value: "boom", Stack: []byte("stack")}
-	err = translateResilience(internal)
+	// A workload panic contained by the core, wrapped as every facade entry
+	// point wraps a core error.
+	_, err = sweep.RunCore(context.Background(), 4, 1, sweep.Options{Workers: 2}, sweep.Hooks[struct{}]{},
+		func(_ struct{}, lo, hi int) error {
+			if lo == 2 {
+				panic("boom")
+			}
+			return nil
+		}, nil)
+	err = fmt.Errorf("bicoop: %w", err)
+	if !errors.As(err, &cerr) || cerr.Chunk != 2 || cerr.Start != 2 || cerr.End != 3 {
+		t.Fatalf("panic error %v does not reach a *ChunkError for chunk 2 at [2,3)", err)
+	}
 	var perr *PanicError
 	if !errors.As(err, &perr) {
-		t.Fatalf("translated panic %v is not a public *PanicError", err)
+		t.Fatalf("panic error %v does not reach a *PanicError", err)
 	}
-	if perr.Value != "boom" || string(perr.Stack) != "stack" {
-		t.Errorf("panic payload lost: %+v", perr)
+	if perr.Value != "boom" || len(perr.Stack) == 0 {
+		t.Errorf("panic payload lost: value %v, %d stack bytes", perr.Value, len(perr.Stack))
 	}
-
-	plain := errors.New("unrelated")
-	if translateResilience(plain) != plain {
-		t.Error("non-chunk errors must pass through untouched")
+	if want := "bicoop: chunk 2 [2,3): panic: boom"; err.Error() != want {
+		t.Errorf("error text = %q, want %q", err.Error(), want)
 	}
 }
 

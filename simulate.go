@@ -167,11 +167,7 @@ func (e *Engine) Simulate(ctx context.Context, spec SimSpec) (SimResult, error) 
 	if err := spec.validate(); err != nil {
 		return SimResult{}, err
 	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = e.workers
-	}
-	return e.runSim(ctx, spec, workers)
+	return e.runSim(ctx, spec, e.poolWorkers(spec.Workers))
 }
 
 // runSim dispatches a validated spec to its simulator with a resolved
@@ -364,19 +360,14 @@ func (e *Engine) SimulateBatch(ctx context.Context, spec CampaignSpec, yield fun
 	}
 	results := make([]SimResult, len(spec.Specs))
 	var yieldErr error
-	// ChunkSize 1: each point is a whole simulation run, so the outer pool
+	// Chunk size 1: each point is a whole simulation run, so the outer pool
 	// pipelines runs individually. The specs are mutually independent and
 	// individually deterministic, so no per-chunk state exists and any
 	// chunking would only serialize runs.
-	// (With ChunkSize 1 the checkpoint watermark and Start are plain spec
+	// (With chunk size 1 the checkpoint watermark and Start are plain spec
 	// counts — no chunk-boundary flooring.)
-	prefix, err := sweep.RunCore(ctx, len(spec.Specs),
-		sweep.CoreOptions{
-			Workers:    e.campaignWorkers(spec.Workers),
-			ChunkSize:  1,
-			Start:      spec.Start,
-			Checkpoint: spec.Checkpoint,
-		},
+	prefix, err := sweep.RunCore(ctx, len(spec.Specs), 1,
+		sweep.Options{Workers: e.poolWorkers(spec.Workers), Start: spec.Start, Checkpoint: spec.Checkpoint},
 		sweep.Hooks[struct{}]{},
 		func(_ struct{}, lo, hi int) error {
 			for i := lo; i < hi; i++ {
@@ -411,16 +402,8 @@ func (e *Engine) SimulateBatch(ctx context.Context, spec CampaignSpec, yield fun
 	case yieldErr != nil && errors.Is(err, yieldErr):
 		return results[:prefix], yieldErr // the caller's own error, verbatim
 	default:
-		return results[:prefix], simWrap(translateResilience(err))
+		return results[:prefix], simWrap(err)
 	}
-}
-
-// campaignWorkers resolves the outer pool size of a campaign.
-func (e *Engine) campaignWorkers(workers int) int {
-	if workers > 0 {
-		return workers
-	}
-	return e.workers
 }
 
 func (e *Engine) simulateBitTrueMABC(ctx context.Context, spec SimSpec, workers int, progress ProgressFunc) (SimResult, error) {

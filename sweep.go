@@ -211,15 +211,13 @@ func (e *Engine) Sweep(ctx context.Context, spec SweepSpec, yield func(SweepPoin
 	if err != nil {
 		return err
 	}
-	opts := e.sweepOpts(spec.Workers)
-	opts.Start = spec.Start
-	opts.Checkpoint = spec.Checkpoint
+	opts := sweep.Options{Workers: e.poolWorkers(spec.Workers), Start: spec.Start, Checkpoint: spec.Checkpoint}
 	// Points reference these copies of the axes: no point allocates, and
 	// points stay valid whatever the caller later does to its spec.
 	placements := slices.Clone(spec.Placements)
 	erasures := slices.Clone(spec.Erasures)
 	var yieldErr error
-	err = sweep.Sweep(ctx, ispec, opts, func(pt sweep.Point) error {
+	err = sweep.Sweep(ctx, ispec, opts, e.cache, func(pt sweep.Point) error {
 		pub := SweepPoint{
 			Index:    pt.Index,
 			PowerDB:  pt.PowerDB,
@@ -257,7 +255,7 @@ func (e *Engine) Sweep(ctx context.Context, spec SweepSpec, yield func(SweepPoin
 		// typed sentinel, like the pre-sharding sweep did.
 		return fmt.Errorf("%w: %w", ErrInvalidScenario, err)
 	default:
-		return fmt.Errorf("bicoop: %w", translateResilience(err))
+		return fmt.Errorf("bicoop: %w", err)
 	}
 }
 
