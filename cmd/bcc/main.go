@@ -445,7 +445,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 	gab := fs.Float64("gab", -7, "direct link gain Gab in dB (base gains, and reference for -places)")
 	gar := fs.Float64("gar", 0, "a-relay link gain Gar in dB (base gains)")
 	gbr := fs.Float64("gbr", 5, "b-relay link gain Gbr in dB (base gains)")
-	powers := fs.String("powers", "0:20:1", "power axis in dB: lo:hi:step or a comma list")
+	powers := fs.String("powers", "0:20:1", fmt.Sprintf("power axis in dB: lo:hi:step or a comma list, at most %d points", maxPowers))
 	places := fs.Int("places", 0, "relay placements spread over the a-b segment (0 = evaluate the base gains)")
 	gamma := fs.Float64("gamma", 3, "path-loss exponent for -places")
 	protos := fs.String("protos", "", "comma-separated protocols (default: all five)")
@@ -498,8 +498,13 @@ func cmdSweep(ctx context.Context, args []string) error {
 	return runSweepCSV(ctx, sweepEng, spec, *out, *ckPath)
 }
 
+// maxPowers caps the points of a -powers axis, so a step far below the range
+// is an error instead of an allocation that exhausts memory.
+const maxPowers = 1 << 16
+
 // parsePowers parses the power axis: "lo:hi:step" (inclusive) or a comma
-// list of dB values.
+// list. Every point must be finite, and an axis holds at most maxPowers
+// points.
 func parsePowers(s string) ([]float64, error) {
 	if parts := strings.Split(s, ":"); len(parts) == 3 {
 		var lo, hi, step float64
@@ -509,7 +514,7 @@ func parsePowers(s string) ([]float64, error) {
 				return nil, fmt.Errorf("-powers %q: %w", s, err)
 			}
 			// NaN defeats both range checks below and an infinite bound
-			// never ends the axis loop, so neither may reach them.
+			// has no point count, so neither may reach them.
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("-powers %q: lo, hi and step must be finite", s)
 			}
@@ -518,22 +523,50 @@ func parsePowers(s string) ([]float64, error) {
 		if step <= 0 || hi < lo {
 			return nil, fmt.Errorf("-powers %q: need lo <= hi and step > 0", s)
 		}
-		var out []float64
-		// Index-stepped so resumed runs rebuild the identical axis (no
-		// accumulated float drift).
-		for i := 0; ; i++ {
+		// The axis is lo + i*step for every i whose point is at most
+		// hi+1e-9. The quotient counts those points before anything is
+		// allocated (an overflowing hi-lo makes it +Inf). Rounding can move
+		// the last point across hi+1e-9, so the loop allows one index more
+		// and decides by the point itself; points are index-stepped so
+		// resumed runs rebuild the identical axis (no accumulated drift).
+		q := (hi + 1e-9 - lo) / step
+		if !(q < maxPowers) {
+			return nil, fmt.Errorf("-powers %q: more than %d points", s, maxPowers)
+		}
+		last := int(q)
+		out := make([]float64, 0, last+2)
+		for i := 0; i <= last+1; i++ {
 			p := lo + float64(i)*step
 			if p > hi+1e-9 {
-				return out, nil
+				break
+			}
+			if i > 0 && p == out[i-1] {
+				// The step is below the resolution of p: past the counted
+				// points that is only the rounding slot, before them the
+				// axis cannot be represented.
+				if i > last {
+					break
+				}
+				return nil, fmt.Errorf("-powers %q: step %g does not advance the axis past %g", s, step, p)
 			}
 			out = append(out, p)
 		}
+		if len(out) > maxPowers { // only through the rounding slot
+			return nil, fmt.Errorf("-powers %q: more than %d points", s, maxPowers)
+		}
+		return out, nil
+	}
+	if strings.Count(s, ",") >= maxPowers {
+		return nil, fmt.Errorf("-powers %q: more than %d points", s, maxPowers)
 	}
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
 			return nil, fmt.Errorf("-powers %q: %w", s, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("-powers %q: every point must be finite", s)
 		}
 		out = append(out, v)
 	}

@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -161,13 +164,29 @@ func TestParsePowers(t *testing.T) {
 		{in: "0:10:nan", wantErr: true},
 		{in: "0:inf:1", wantErr: true},
 		{in: "-inf:0:1", wantErr: true},
+		// lo + i*step rounds back to lo, so the axis is the single point.
+		{in: "1e20:1e20:1", want: []float64{1e20}},
+		// A step below the resolution of the range cannot advance it.
+		{in: "1e16:1.0000000000000004e16:1", wantErr: true},
+		// 10^12 points, far past maxPowers: rejected before allocating.
+		{in: "0:1e6:1e-6", wantErr: true},
+		{in: "-1e308:1e308:1", wantErr: true},
+		{in: "nan,1", wantErr: true},
+		{in: "0,inf", wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.in, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			got, err := parsePowers(tt.in)
+			runtime.ReadMemStats(&after)
 			if tt.wantErr {
 				if err == nil {
 					t.Fatalf("parsePowers(%q) = %v, want error", tt.in, got)
+				}
+				// A rejected axis is rejected before its points are allocated.
+				if n := after.TotalAlloc - before.TotalAlloc; n > 1<<16 {
+					t.Fatalf("parsePowers(%q) allocated %d bytes before failing", tt.in, n)
 				}
 				return
 			}
@@ -184,6 +203,64 @@ func TestParsePowers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestParsePowersCap pins the point cap at its edge for both axis forms.
+func TestParsePowersCap(t *testing.T) {
+	if got, err := parsePowers(fmt.Sprintf("1:%d:1", maxPowers)); err != nil || len(got) != maxPowers {
+		t.Fatalf("a %d-point range: %d points, %v", maxPowers, len(got), err)
+	}
+	if _, err := parsePowers(fmt.Sprintf("0:%d:1", maxPowers)); err == nil {
+		t.Fatalf("a %d-point range was accepted", maxPowers+1)
+	}
+	list := strings.Repeat("0,", maxPowers-1) + "0"
+	if got, err := parsePowers(list); err != nil || len(got) != maxPowers {
+		t.Fatalf("a %d-point list: %d points, %v", maxPowers, len(got), err)
+	}
+	if _, err := parsePowers(list + ",0"); err == nil {
+		t.Fatalf("a %d-point list was accepted", maxPowers+1)
+	}
+}
+
+// FuzzParsePowers feeds arbitrary -powers values to the parser: it must
+// never panic, never return more than maxPowers points or a non-finite one,
+// and an accepted range must be non-decreasing from lo to at most hi+1e-9.
+// The committed corpus (testdata/fuzz/FuzzParsePowers) holds the default
+// axis, a range whose step rounds away at 1e20, a 10^12-point range and a
+// comma list of non-finite values.
+func FuzzParsePowers(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := parsePowers(s)
+		if err != nil {
+			return
+		}
+		if len(got) > maxPowers {
+			t.Fatalf("parsePowers(%q): %d points, cap %d", s, len(got), maxPowers)
+		}
+		for i, p := range got {
+			if math.IsNaN(p) || math.IsInf(p, 0) {
+				t.Fatalf("parsePowers(%q): point %d is %g", s, i, p)
+			}
+		}
+		parts := strings.Split(s, ":")
+		if len(parts) != 3 {
+			return
+		}
+		lo, _ := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
+		hi, _ := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
+		if len(got) == 0 {
+			t.Fatalf("parsePowers(%q) accepted an empty range", s)
+		}
+		if got[0] != lo || got[len(got)-1] > hi+1e-9 {
+			t.Fatalf("parsePowers(%q) = %d points from %v to %v, want from lo %g to at most hi %g",
+				s, len(got), got[0], got[len(got)-1], lo, hi)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] < got[i-1] {
+				t.Fatalf("parsePowers(%q): point %d (%g) below point %d (%g)", s, i, got[i], i-1, got[i-1])
+			}
+		}
+	})
 }
 
 // sweepTestSpec is a grid big enough to span many chunks (60 powers × 24

@@ -273,7 +273,11 @@
 // exactly when the rank equals the message length, and no codeword or
 // right-hand side is ever built (gf2.Solver.SolveInto keeps the full
 // solve, pinned against FullRank by tests in internal/gf2 and
-// internal/sim). Past 512 unknowns both switch to a dense M4RI-style
+// internal/sim). Both terminals decode rows of one relay code, so the
+// terminal phase is decided by one shared elimination over the relay rows
+// both received — rows that span still span when rows are added — with a
+// per-terminal elimination as the fallback when those shared rows are rank
+// deficient. Past 512 unknowns both switch to a dense M4RI-style
 // multi-column eliminator (internal/gf2/m4ri.go: row echelon form only,
 // 8 pivot columns per pass via a 256-entry table indexed by the raw stripe
 // bits). The TDBC/MABC trial loops and the fading Monte Carlo run on one

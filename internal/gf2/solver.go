@@ -6,8 +6,8 @@ import (
 )
 
 // Solver performs Gaussian elimination over GF(2) in a persistent scratch
-// tableau, so repeated eliminations (the bit-true simulators decide three or
-// four decodes per block) reuse one allocation. SolveInto solves a system;
+// tableau, so repeated eliminations (the bit-true simulators run two to five
+// per block) reuse one allocation. SolveInto solves a system;
 // FullRank only decides whether the rows span all k unknowns, which for a
 // consistent system is exactly whether SolveInto would return the true
 // solution, at a fraction of the work.

@@ -262,6 +262,11 @@ type tdbcWorker struct {
 	// truncA/truncB pool the truncated relay rows destined for terminals a
 	// and b (kb- and ka-bit vectors), indexed by relay symbol position.
 	truncA, truncB []gf2.Vector
+	// survA, survB hold phase 3's survivor words at terminals a and b, one
+	// per 64 relay symbols; shared accumulates the untruncated relay rows
+	// both terminals received.
+	survA, survB []uint64
+	shared       []gf2.Vector
 
 	successes, relayFailures, terminalFailures int
 }
@@ -291,6 +296,9 @@ func newTDBCWorker(net ErasureNetwork, p tdbcParams, seed int64) *tdbcWorker {
 		rowsForB:   make([]gf2.Vector, 0, p.n1+p.n3),
 		truncA:     make([]gf2.Vector, p.n3),
 		truncB:     make([]gf2.Vector, p.n3),
+		survA:      make([]uint64, (p.n3+63)/64),
+		survB:      make([]uint64, (p.n3+63)/64),
+		shared:     make([]gf2.Vector, 0, p.n3),
 	}
 	for i := range w.truncA {
 		w.truncA[i] = gf2.NewVector(p.kb)
@@ -300,6 +308,7 @@ func newTDBCWorker(net ErasureNetwork, p tdbcParams, seed int64) *tdbcWorker {
 	w.solver.Reserve(p.n2, p.kb)
 	w.solver.Reserve(p.n2+p.n3, p.kb)
 	w.solver.Reserve(p.n1+p.n3, p.ka)
+	w.solver.Reserve(p.n3, p.kr)
 	return w
 }
 
@@ -309,6 +318,7 @@ func newTDBCWorker(net ErasureNetwork, p tdbcParams, seed int64) *tdbcWorker {
 func (w *tdbcWorker) reset() {
 	w.relayRowsA, w.relayRowsB = w.relayRowsA[:0], w.relayRowsB[:0]
 	w.rowsForA, w.rowsForB = w.rowsForA[:0], w.rowsForB[:0]
+	w.shared = w.shared[:0]
 }
 
 // runTrial runs one block and tallies the outcome.
@@ -342,6 +352,16 @@ func (w *tdbcWorker) runTrial() {
 // side is built. The messages are still drawn: dropping their Uint64 draws
 // would shift every later code and erasure draw and change each seed's
 // counts.
+//
+// Both terminals decode from rows of the one relay code, so the terminal
+// phase is first decided by one elimination over the untruncated relay rows
+// that survived both a-r and b-r. If they span GF(2)^kr, their first-kb and
+// first-ka projections span GF(2)^kb and GF(2)^ka, and those projections
+// are among each terminal's rows; a set of rows that spans still spans when
+// rows are added, so both terminals decode. Only when the shared rows fall
+// short are the truncated rows built and each terminal decided on its own.
+// Neither path draws randomness, so every count is the one the two
+// per-terminal decodes alone would give.
 //
 //bicoop:noalloc
 func (w *tdbcWorker) runBlock() (bool, bool) {
@@ -381,9 +401,7 @@ func (w *tdbcWorker) runBlock() (bool, bool) {
 	}
 
 	// Relay decodes both messages (decode-and-forward).
-	okA := w.solver.FullRank(p.ka, w.relayRowsA)
-	okB := w.solver.FullRank(p.kb, w.relayRowsB)
-	if !okA || !okB {
+	if !w.solver.FullRank(p.ka, w.relayRowsA) || !w.solver.FullRank(p.kb, w.relayRowsB) {
 		return false, false
 	}
 
@@ -395,16 +413,29 @@ func (w *tdbcWorker) runBlock() (bool, bool) {
 	// length, the effective row is g truncated to the peer's length.
 	// Mask order per batch: a-r, then b-r.
 	w.codeR.Rerandomize(w.rng)
-	for base := 0; base < p.n3; base += 64 {
+	for b := range w.survA {
+		base := b << 6
 		live := liveLanes(base, p.n3)
-		survA := ^w.maskAR.Mask(w.rng) & live // a hears the relay via a-r
-		survB := ^w.maskBR.Mask(w.rng) & live // b hears the relay via b-r
-		for m := survA; m != 0; m &= m - 1 {
+		w.survA[b] = ^w.maskAR.Mask(w.rng) & live // a hears the relay via a-r
+		w.survB[b] = ^w.maskBR.Mask(w.rng) & live // b hears the relay via b-r
+		for m := w.survA[b] & w.survB[b]; m != 0; m &= m - 1 {
+			w.shared = append(w.shared, w.codeR.RowView(base+bits.TrailingZeros64(m)))
+		}
+	}
+
+	// Shared rows that span decide both terminals (see above); otherwise
+	// each terminal decodes from its overheard and truncated relay rows.
+	if w.solver.FullRank(p.kr, w.shared) {
+		return true, true
+	}
+	for b := range w.survA {
+		base := b << 6
+		for m := w.survA[b]; m != 0; m &= m - 1 {
 			i := base + bits.TrailingZeros64(m)
 			w.truncA[i].CopyPrefix(w.codeR.RowView(i))
 			w.rowsForA = append(w.rowsForA, w.truncA[i])
 		}
-		for m := survB; m != 0; m &= m - 1 {
+		for m := w.survB[b]; m != 0; m &= m - 1 {
 			i := base + bits.TrailingZeros64(m)
 			w.truncB[i].CopyPrefix(w.codeR.RowView(i))
 			w.rowsForB = append(w.rowsForB, w.truncB[i])

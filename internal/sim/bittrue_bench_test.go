@@ -103,7 +103,8 @@ func benchMABCWorkerAt(tb testing.TB, cfg MABCBitTrueConfig) *mabcWorker {
 }
 
 // BenchmarkBitTrueTDBCBlock measures the per-block kernel: three in-place
-// code redraws, erasures, and four rank decisions (FullRank).
+// code redraws, erasures, and three rank decisions (FullRank) — five when
+// the relay rows both terminals share fall short.
 // Steady state must report 0 allocs/op (see TestBitTrueTDBCBlockZeroAllocs).
 func BenchmarkBitTrueTDBCBlock(b *testing.B) {
 	w := benchTDBCWorker(b, benchTDBCConfig(1))
@@ -116,7 +117,8 @@ func BenchmarkBitTrueTDBCBlock(b *testing.B) {
 }
 
 // BenchmarkBitTrueMABCBlock measures the per-block compute-and-forward
-// kernel (two code redraws, erasures, three rank decisions).
+// kernel (two code redraws, erasures, two rank decisions — four when the
+// broadcast rows both terminals share fall short).
 func BenchmarkBitTrueMABCBlock(b *testing.B) {
 	w := benchMABCWorkerAt(b, benchMABCConfig(1))
 	w.runTrial()

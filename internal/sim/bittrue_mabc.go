@@ -178,7 +178,11 @@ type mabcWorker struct {
 	wa, wb gf2.Vector
 	solver gf2.Solver
 
-	rows []gf2.Vector
+	// survA, survB and both hold one survivor word per 64 positions of a
+	// phase: the relay's in phase 1 (survA), then terminal a's, terminal
+	// b's and their intersection in phase 2.
+	survA, survB, both []uint64
+	rows               []gf2.Vector
 
 	successes, relayFailures, terminalFailures int
 }
@@ -199,6 +203,9 @@ func newMABCWorker(cfg MABCBitTrueConfig, k, n1, n2 int, seed int64) *mabcWorker
 		codeBC:  gf2.NewMatrix(n2, k),
 		wa:      gf2.NewVector(k),
 		wb:      gf2.NewVector(k),
+		survA:   make([]uint64, (maxN+63)/64),
+		survB:   make([]uint64, (n2+63)/64),
+		both:    make([]uint64, (n2+63)/64),
 		rows:    make([]gf2.Vector, 0, maxN),
 	}
 	w.solver.Reserve(maxN, k)
@@ -235,6 +242,14 @@ func (w *mabcWorker) runTrial() {
 // dropping their Uint64 draws would shift every later code and erasure
 // draw and change each seed's counts.
 //
+// Both terminals decode rows of the one broadcast code, so phase 2 is first
+// decided by one elimination over the rows that survived both r-a and r-b.
+// Those rows are a subset of each terminal's rows, and a set of rows that
+// spans GF(2)^k still spans when rows are added, so if they span, both
+// terminals decode. Only when they fall short is each terminal decided on
+// its own. Every mask is drawn before either decision, in the order the
+// per-terminal decodes alone would draw them, so no count changes.
+//
 //bicoop:noalloc
 func (w *mabcWorker) runBlock() (bool, bool) {
 	w.wa.Randomize(w.rng)
@@ -244,7 +259,7 @@ func (w *mabcWorker) runBlock() (bool, bool) {
 	// (agreed via common randomness, as in physical-layer network coding);
 	// the relay observes parities of the XOR message through erasures.
 	w.codeMAC.Rerandomize(w.rng)
-	if !w.decode(w.codeMAC, w.n1, w.maskMAC) {
+	if !w.spans(w.codeMAC, w.receive(w.survA, w.n1, w.maskMAC)) {
 		return false, false
 	}
 
@@ -252,22 +267,38 @@ func (w *mabcWorker) runBlock() (bool, bool) {
 	// each terminal decodes it through its own link's erasures and strips
 	// its own message.
 	w.codeBC.Rerandomize(w.rng)
-	okA := w.decode(w.codeBC, w.n2, w.maskRA)
-	okB := w.decode(w.codeBC, w.n2, w.maskRB)
-	return okA && okB, true
+	atA := w.receive(w.survA, w.n2, w.maskRA)
+	atB := w.receive(w.survB, w.n2, w.maskRB)
+	for i := range w.both {
+		w.both[i] = atA[i] & atB[i]
+	}
+	if w.spans(w.codeBC, w.both) {
+		return true, true
+	}
+	return w.spans(w.codeBC, atA) && w.spans(w.codeBC, atB), true
 }
 
-// decode receives the n parities of generator g through a link whose
-// erasures are drawn by mask and reports whether the surviving rows
+// receive draws the erasures of an n-use phase through mask, one word per
+// 64 positions, into surv and returns the survivor words.
+//
+//bicoop:noalloc
+func (w *mabcWorker) receive(surv []uint64, n int, mask prob.WordBernoulli) []uint64 {
+	surv = surv[:(n+63)/64]
+	for i := range surv {
+		surv[i] = ^mask.Mask(w.rng) & liveLanes(i<<6, n)
+	}
+	return surv
+}
+
+// spans reports whether the rows of generator g at the surviving positions
 // determine the k-bit message.
 //
 //bicoop:noalloc
-func (w *mabcWorker) decode(g gf2.Matrix, n int, mask prob.WordBernoulli) bool {
+func (w *mabcWorker) spans(g gf2.Matrix, surv []uint64) bool {
 	w.rows = w.rows[:0]
-	for base := 0; base < n; base += 64 {
-		surv := ^mask.Mask(w.rng) & liveLanes(base, n)
-		for m := surv; m != 0; m &= m - 1 {
-			w.rows = append(w.rows, g.RowView(base+bits.TrailingZeros64(m)))
+	for i, s := range surv {
+		for m := s; m != 0; m &= m - 1 {
+			w.rows = append(w.rows, g.RowView(i<<6+bits.TrailingZeros64(m)))
 		}
 	}
 	return w.solver.FullRank(w.k, w.rows)

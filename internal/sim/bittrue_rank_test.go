@@ -39,8 +39,10 @@ func padCombineInto(dst *gf2.Vector, wa, wb gf2.Vector) error {
 }
 
 // refTDBCBlock is tdbcWorker.runBlock with the full decoder: same draws in
-// the same order, plus the codewords and right-hand sides.
-func refTDBCBlock(t *testing.T, w *tdbcWorker) (ok, relayOK bool) {
+// the same order, plus the codewords and right-hand sides. It also returns
+// the untruncated relay rows both terminals received (nil when the relay
+// failed).
+func refTDBCBlock(t *testing.T, w *tdbcWorker) (ok, relayOK bool, shared []gf2.Vector) {
 	t.Helper()
 	p := w.p
 	w.wa.Randomize(w.rng)
@@ -79,7 +81,7 @@ func refTDBCBlock(t *testing.T, w *tdbcWorker) (ok, relayOK bool) {
 	decA, okA := refDecode(t, "relay a", p.ka, relayRowsA, relayBitsA, w.wa)
 	decB, okB := refDecode(t, "relay b", p.kb, relayRowsB, relayBitsB, w.wb)
 	if !okA || !okB {
-		return false, false
+		return false, false, nil
 	}
 
 	wr := gf2.NewVector(p.kr)
@@ -99,6 +101,9 @@ func refTDBCBlock(t *testing.T, w *tdbcWorker) (ok, relayOK bool) {
 		survA := ^w.maskAR.Mask(w.rng) & live
 		survB := ^w.maskBR.Mask(w.rng) & live
 		for i := base; i < base+64 && i < p.n3; i++ {
+			if (survA&survB)>>uint(i-base)&1 != 0 {
+				shared = append(shared, w.codeR.RowView(i))
+			}
 			if survA>>uint(i-base)&1 != 0 {
 				row := w.codeR.RowView(i)
 				trunc := gf2.NewVector(p.kb)
@@ -119,11 +124,12 @@ func refTDBCBlock(t *testing.T, w *tdbcWorker) (ok, relayOK bool) {
 	}
 	_, okAtA := refDecode(t, "terminal a", p.kb, rowsForA, bitsForA, w.wb)
 	_, okAtB := refDecode(t, "terminal b", p.ka, rowsForB, bitsForB, w.wa)
-	return okAtA && okAtB, true
+	return okAtA && okAtB, true, shared
 }
 
-// refMABCBlock is mabcWorker.runBlock with the full decoder.
-func refMABCBlock(t *testing.T, w *mabcWorker) (ok, relayOK bool) {
+// refMABCBlock is mabcWorker.runBlock with the full decoder. It also returns
+// the broadcast rows both terminals received (nil when the relay failed).
+func refMABCBlock(t *testing.T, w *mabcWorker) (ok, relayOK bool, shared []gf2.Vector) {
 	t.Helper()
 	w.wa.Randomize(w.rng)
 	w.wb.Randomize(w.rng)
@@ -132,42 +138,50 @@ func refMABCBlock(t *testing.T, w *mabcWorker) (ok, relayOK bool) {
 	if err := s.XorWith(w.wb); err != nil {
 		t.Fatal(err)
 	}
-	receive := func(code *gf2.Matrix, msg gf2.Vector, n int, mask prob.WordBernoulli) ([]gf2.Vector, []int) {
+	// receive also returns which positions survived.
+	receive := func(code *gf2.Matrix, msg gf2.Vector, n int, mask prob.WordBernoulli) ([]gf2.Vector, []int, map[int]bool) {
 		x, err := code.MulVec(msg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var rows []gf2.Vector
 		var bits []int
+		got := map[int]bool{}
 		for base := 0; base < n; base += 64 {
 			surv := ^mask.Mask(w.rng) & liveLanes(base, n)
 			for i := base; i < base+64 && i < n; i++ {
 				if surv>>uint(i-base)&1 != 0 {
 					rows = append(rows, code.RowView(i))
 					bits = append(bits, x.Bit(i))
+					got[i] = true
 				}
 			}
 		}
-		return rows, bits
+		return rows, bits, got
 	}
 
 	w.codeMAC.Rerandomize(w.rng)
-	rows, bits := receive(&w.codeMAC, s, w.n1, w.maskMAC)
+	rows, bits, _ := receive(&w.codeMAC, s, w.n1, w.maskMAC)
 	sHat, ok := refDecode(t, "relay", w.k, rows, bits, s)
 	if !ok {
-		return false, false
+		return false, false, nil
 	}
 	w.codeBC.Rerandomize(w.rng)
-	rows, bits = receive(&w.codeBC, sHat, w.n2, w.maskRA)
+	rows, bits, atA := receive(&w.codeBC, sHat, w.n2, w.maskRA)
 	sAtA, okA := refDecode(t, "terminal a", w.k, rows, bits, s)
-	rows, bits = receive(&w.codeBC, sHat, w.n2, w.maskRB)
+	rows, bits, atB := receive(&w.codeBC, sHat, w.n2, w.maskRB)
 	sAtB, okB := refDecode(t, "terminal b", w.k, rows, bits, s)
+	for i := 0; i < w.n2; i++ {
+		if atA[i] && atB[i] {
+			shared = append(shared, w.codeBC.RowView(i))
+		}
+	}
 	if !okA || !okB {
-		return false, true
+		return false, true, shared
 	}
 	_ = sAtA.XorWith(w.wa)
 	_ = sAtB.XorWith(w.wb)
-	return sAtA.Equal(w.wb) && sAtB.Equal(w.wa), true
+	return sAtA.Equal(w.wb) && sAtB.Equal(w.wa), true, shared
 }
 
 // outcome classifies a block as the workers tally it.
@@ -202,7 +216,8 @@ func TestBitTrueRankDecodeMatchesFullDecode(t *testing.T) {
 		}
 		got, ref := newTDBCWorker(tcfg.Net, p, 5), newTDBCWorker(tcfg.Net, p, 5)
 		for b := 0; b < 20; b++ {
-			g, want := outcome(got.runBlock()), outcome(refTDBCBlock(t, ref))
+			ok, relayOK, _ := refTDBCBlock(t, ref)
+			g, want := outcome(got.runBlock()), outcome(ok, relayOK)
 			if g != want {
 				t.Fatalf("TDBC n=%d block %d: rank decode outcome %d, full decode %d", n, b, g, want)
 			}
@@ -215,7 +230,8 @@ func TestBitTrueRankDecodeMatchesFullDecode(t *testing.T) {
 		n1 := int(math.Round(d[0] * float64(n)))
 		mgot, mref := newMABCWorker(mcfg, k, n1, n-n1, 6), newMABCWorker(mcfg, k, n1, n-n1, 6)
 		for b := 0; b < 20; b++ {
-			g, want := outcome(mgot.runBlock()), outcome(refMABCBlock(t, mref))
+			ok, relayOK, _ := refMABCBlock(t, mref)
+			g, want := outcome(mgot.runBlock()), outcome(ok, relayOK)
 			if g != want {
 				t.Fatalf("MABC n=%d block %d: rank decode outcome %d, full decode %d", n, b, g, want)
 			}
@@ -252,9 +268,11 @@ func fullRankProb(n, k int, eps float64) float64 {
 // far from 0 and 1 and a wrong rank decision would show. The relay decodes
 // see i.i.d. uniform rows; TDBC's two relay decodes use independent codes
 // and erasure masks, so its relay succeeds with probability P_A·P_B, and
-// MABC's relay decodes one system over the MAC erasures. (Terminal
-// decoders share rows with each other, so end-to-end success has no such
-// product form and is not checked here.) Seeds are fixed, so the test is
+// MABC's relay decodes one system over the MAC erasures. (The two
+// terminals decode rows of one relay code — runBlock decides both with one
+// elimination over the rows they share, falling back to one per terminal —
+// so their outcomes are dependent, end-to-end success has no such product
+// form, and it is not checked here.) Seeds are fixed, so the test is
 // deterministic; the 4-standard-error band documents the agreement.
 func TestBitTrueRelayFailuresMatchExactOracle(t *testing.T) {
 	const n, trials = 700, 2000
@@ -297,4 +315,128 @@ func TestBitTrueRelayFailuresMatchExactOracle(t *testing.T) {
 	n1 := int(math.Round(mcfg.Durations[0] * n))
 	k := int(math.Floor(mcfg.Rate * n))
 	check("MABC", mres.RelayFailures, 1-fullRankProb(n1, k, mcfg.EpsMAC))
+}
+
+// spansBitwise reports whether the first k bits of rows span GF(2)^k, by
+// textbook bit-at-a-time elimination — independent of gf2.Solver.
+func spansBitwise(k int, rows []gf2.Vector) bool {
+	basis := make([]gf2.Vector, k)
+	have := make([]bool, k)
+	rank := 0
+	for _, row := range rows {
+		cur := gf2.NewVector(k)
+		cur.CopyPrefix(row)
+		for c := 0; c < k; c++ {
+			if cur.Bit(c) == 0 {
+				continue
+			}
+			if !have[c] {
+				basis[c], have[c] = cur, true
+				rank++
+				break
+			}
+			_ = cur.XorWith(basis[c])
+		}
+	}
+	return rank == k
+}
+
+// Terminal-phase classes of a block whose relay decoded.
+const (
+	sharedSpans   = iota // the rows both terminals received span
+	sharedShortOK        // they fall short, but both terminals decode
+	terminalFails        // a terminal fails
+	numClasses
+)
+
+// terminalClass classifies a relay-decoded block from the reference
+// decoder's outcome and an independent rank check of the shared rows.
+func terminalClass(t *testing.T, ok bool, width int, shared []gf2.Vector) int {
+	t.Helper()
+	switch {
+	case spansBitwise(width, shared):
+		if !ok {
+			t.Fatalf("shared rows span GF(2)^%d but a terminal failed", width)
+		}
+		return sharedSpans
+	case ok:
+		return sharedShortOK
+	default:
+		return terminalFails
+	}
+}
+
+// TestBitTrueSharedTerminalDecision pins the one-elimination terminal
+// decision of both workers to the full decoder. Twin workers replay one seed
+// — one through runBlock, one through the reference block — at
+// near-threshold points where terminal a's and b's link erasures are rare,
+// so the rows both terminals received hover at the message length. An
+// independent bitwise rank check sorts every relay-decoded block into one
+// of three classes: the shared rows span (runBlock decides both terminals
+// with one elimination), they fall short but both terminals decode (the
+// per-terminal fallback succeeds), or a terminal fails. Every class must
+// occur at every point: TDBC with ka == kb, ka > kb and ka < kb, and MABC,
+// on both sides of the M4RI cutover (message lengths near 190 and 530).
+func TestBitTrueSharedTerminalDecision(t *testing.T) {
+	check := func(t *testing.T, blocks, width int, runBlock func() (bool, bool),
+		ref func() (bool, bool, []gf2.Vector)) {
+		t.Helper()
+		var tally [numClasses]int
+		for b := 0; b < blocks; b++ {
+			ok, relayOK, shared := ref()
+			if g, want := outcome(runBlock()), outcome(ok, relayOK); g != want {
+				t.Fatalf("block %d: rank decode outcome %d, full decode %d", b, g, want)
+			}
+			if relayOK {
+				tally[terminalClass(t, ok, width, shared)]++
+			}
+		}
+		t.Logf("terminal-phase classes %v", tally)
+		for c, n := range tally {
+			if n == 0 {
+				t.Errorf("terminal-phase classes %v: class %d never occurred — the check lost coverage", tally, c)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		name     string
+		n        int
+		eps, eab float64
+		ra, rb   float64
+		d        []float64
+	}{
+		{"n700/ka=kb", 700, 0.02, 0.99, 0.2707, 0.2707, []float64{0.36, 0.36, 0.28}},
+		{"n700/ka>kb", 700, 0.02, 0.99, 0.2707, 0.24, []float64{0.36, 0.36, 0.28}},
+		{"n700/ka<kb", 700, 0.02, 0.99, 0.24, 0.2707, []float64{0.36, 0.36, 0.28}},
+		{"n2000/ka=kb", 2000, 0.01, 0.995, 0.266, 0.266, []float64{0.365, 0.365, 0.27}},
+		{"n2000/ka>kb", 2000, 0.01, 0.995, 0.266, 0.24, []float64{0.365, 0.365, 0.27}},
+		{"n2000/ka<kb", 2000, 0.01, 0.995, 0.24, 0.266, []float64{0.365, 0.365, 0.27}},
+	} {
+		t.Run("TDBC/"+tc.name, func(t *testing.T) {
+			net := ErasureNetwork{EpsAR: tc.eps, EpsBR: tc.eps, EpsAB: tc.eab}
+			p, _, err := deriveTDBCParams(BitTrueConfig{Net: net, Rates: protocols.RatePair{Ra: tc.ra, Rb: tc.rb},
+				Durations: tc.d, BlockLength: tc.n, Trials: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ref := newTDBCWorker(net, p, 7), newTDBCWorker(net, p, 7)
+			check(t, 60, p.kr, got.runBlock, func() (bool, bool, []gf2.Vector) { return refTDBCBlock(t, ref) })
+		})
+	}
+
+	for _, tc := range []struct {
+		name      string
+		k, n1, n2 int
+		eps       float64
+	}{
+		{"k325", 325, 364, 336, 0.02},
+		{"k530", 530, 660, 540, 0.01},
+	} {
+		t.Run("MABC/"+tc.name, func(t *testing.T) {
+			cfg := MABCBitTrueConfig{EpsMAC: 0.05, EpsRA: tc.eps, EpsRB: tc.eps}
+			got, ref := newMABCWorker(cfg, tc.k, tc.n1, tc.n2, 8), newMABCWorker(cfg, tc.k, tc.n1, tc.n2, 8)
+			check(t, 60, tc.k, got.runBlock, func() (bool, bool, []gf2.Vector) { return refMABCBlock(t, ref) })
+		})
+	}
 }

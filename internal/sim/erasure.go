@@ -11,7 +11,9 @@ package sim
 // This defines the canonical random stream: within a block the masks are
 // drawn batch by batch in phase order, and within a batch in a fixed
 // documented link order (TDBC: a-r then a-b in phase 1, b-r then a-b in
-// phase 2, a-r then b-r in phase 3; MABC: MAC, then r-a, then r-b). The
+// phase 2, a-r then b-r in phase 3). MABC draws each link's masks for a
+// whole phase at once: the MAC masks, then every r-a mask of phase 2, then
+// every r-b mask. The
 // stream differs from the retired scalar engine's one-Float64-per-position
 // stream, so a given seed produces a different — equally valid — sample
 // path than releases that predate the word-parallel kernel. Determinism is
