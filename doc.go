@@ -277,7 +277,9 @@
 // terminal phase is decided by one shared elimination over the relay rows
 // both received — rows that span still span when rows are added — with a
 // per-terminal elimination as the fallback when those shared rows are rank
-// deficient. Past 512 unknowns both switch to a dense M4RI-style
+// deficient. FullRank rejects fewer rows than unknowns before eliminating,
+// so near the bound, where the shared rows fall short in number, the
+// shared decision is free, and a relay short of rows costs nothing. Past 512 unknowns both switch to a dense M4RI-style
 // multi-column eliminator (internal/gf2/m4ri.go: row echelon form only,
 // 8 pivot columns per pass via a 256-entry table indexed by the raw stripe
 // bits). The TDBC/MABC trial loops and the fading Monte Carlo run on one

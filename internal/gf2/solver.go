@@ -224,11 +224,15 @@ func (s *Solver) SolveInto(dst *Vector, k int, rows []Vector, bits []int) error 
 // the message can skip the RHS and the solution extraction entirely. The
 // incremental path stops at the k-th pivot; the dense path eliminates only
 // the first k+m4riSlack rows and falls back to the incremental path when
-// that prefix is rank deficient. A row of any other width reports false.
+// that prefix is rank deficient. Fewer than k rows cannot span, so they
+// report false before any elimination; so does a row of any other width.
 // Steady-state calls perform zero allocations once the scratch has grown.
 //
 //bicoop:noalloc
 func (s *Solver) FullRank(k int, rows []Vector) bool {
+	if len(rows) < k {
+		return false
+	}
 	for _, row := range rows {
 		if row.n != k {
 			return false

@@ -375,6 +375,23 @@ func TestSolverZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestFullRankShortRowsSkipElimination pins the row-count exit: fewer than
+// k rows report false without touching the tableau, on both sides of the
+// dense cutover, so a caller may offer a possibly short row set for free.
+func TestFullRankShortRowsSkipElimination(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	for _, cols := range []int{90, m4riMinCols + 88} {
+		rv, _ := matrixRows(RandomMatrix(cols-1, cols, r))
+		var s Solver
+		if s.FullRank(cols, rv) {
+			t.Fatalf("cols=%d: %d rows reported full rank", cols, len(rv))
+		}
+		if s.tab != nil || s.dense != nil {
+			t.Errorf("cols=%d: short row set reached an elimination", cols)
+		}
+	}
+}
+
 // TestRerandomizeMatchesRandomMatrix pins the in-place redraw to the
 // allocating constructor: from identical RNG states both must produce
 // identical matrices (same draw order, one Uint64 per word), which is part

@@ -360,6 +360,12 @@ func (w *tdbcWorker) runTrial() {
 // are among each terminal's rows; a set of rows that spans still spans when
 // rows are added, so both terminals decode. Only when the shared rows fall
 // short are the truncated rows built and each terminal decided on its own.
+// The shortcut pays off only on blocks whose shared rows span, which takes
+// at least kr of them. At the durations of the Theorem 3 optimum phase 3 is
+// too short for that unless the rates drop below about 0.4 of the bound,
+// because the terminals lean on their overheard rows. Fewer than kr shared rows cost no
+// elimination (FullRank's row-count exit), so those blocks pay only for
+// gathering row views.
 // Neither path draws randomness, so every count is the one the two
 // per-terminal decodes alone would give.
 //

@@ -129,6 +129,50 @@ func BenchmarkBitTrueMABCBlock(b *testing.B) {
 	}
 }
 
+// benchTDBCNearBoundConfig is the TDBC benchmark point with rates raised
+// near its bound: the relay rows both terminals share (about 0.72·n3 = 432)
+// fall short of kr = 520, so each block's shared decision is settled by its
+// row count and the terminals decode with their overheard rows.
+func benchTDBCNearBoundConfig() BitTrueConfig {
+	cfg := benchTDBCConfig(1)
+	cfg.Rates = protocols.RatePair{Ra: 0.26, Rb: 0.26}
+	return cfg
+}
+
+// benchMABCNearBoundConfig is the MABC benchmark point at 0.975 of its
+// bound (0.4 at equal durations): about 0.765·n2 = 765 shared broadcast
+// rows against k = 780, so the shared rows span on about one relay-decoded
+// block in ten, while the relay decodes on over nine blocks in ten.
+func benchMABCNearBoundConfig() MABCBitTrueConfig {
+	cfg := benchMABCConfig(1)
+	cfg.Rate = 0.39
+	return cfg
+}
+
+// BenchmarkBitTrueTDBCBlockNearBound measures the per-block kernel where the
+// shared relay rows fall short and the terminals take the per-terminal
+// fallback, which must cost no more than deciding them on their own.
+func BenchmarkBitTrueTDBCBlockNearBound(b *testing.B) {
+	w := benchTDBCWorker(b, benchTDBCNearBoundConfig())
+	w.runTrial()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.runTrial()
+	}
+}
+
+// BenchmarkBitTrueMABCBlockNearBound is the MABC counterpart.
+func BenchmarkBitTrueMABCBlockNearBound(b *testing.B) {
+	w := benchMABCWorkerAt(b, benchMABCNearBoundConfig())
+	w.runTrial()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.runTrial()
+	}
+}
+
 // TestBitTrueTDBCBlockZeroAllocs is the allocation-regression gate for the
 // bit-true per-block kernel: once a worker is built, a block — including
 // decode failures — must not allocate. Every buffer is pre-sized to its

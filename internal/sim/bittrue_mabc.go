@@ -247,7 +247,9 @@ func (w *mabcWorker) runTrial() {
 // Those rows are a subset of each terminal's rows, and a set of rows that
 // spans GF(2)^k still spans when rows are added, so if they span, both
 // terminals decode. Only when they fall short is each terminal decided on
-// its own. Every mask is drawn before either decision, in the order the
+// its own. Near the bound the shared rows rarely number k, and fewer than
+// k cost no elimination (FullRank's row-count exit), so the shortcut costs
+// those blocks only the gathering of row views. Every mask is drawn before either decision, in the order the
 // per-terminal decodes alone would draw them, so no count changes.
 //
 //bicoop:noalloc

@@ -343,9 +343,10 @@ func spansBitwise(k int, rows []gf2.Vector) bool {
 
 // Terminal-phase classes of a block whose relay decoded.
 const (
-	sharedSpans   = iota // the rows both terminals received span
-	sharedShortOK        // they fall short, but both terminals decode
-	terminalFails        // a terminal fails
+	sharedSpans     = iota // the rows both terminals received span
+	sharedFewOK            // they number fewer than k, but both terminals decode
+	sharedDeficitOK        // they number k or more but are rank deficient, and both terminals decode
+	terminalFails          // a terminal fails
 	numClasses
 )
 
@@ -359,8 +360,10 @@ func terminalClass(t *testing.T, ok bool, width int, shared []gf2.Vector) int {
 			t.Fatalf("shared rows span GF(2)^%d but a terminal failed", width)
 		}
 		return sharedSpans
+	case ok && len(shared) < width:
+		return sharedFewOK
 	case ok:
-		return sharedShortOK
+		return sharedDeficitOK
 	default:
 		return terminalFails
 	}
@@ -372,9 +375,11 @@ func terminalClass(t *testing.T, ok bool, width int, shared []gf2.Vector) int {
 // near-threshold points where terminal a's and b's link erasures are rare,
 // so the rows both terminals received hover at the message length. An
 // independent bitwise rank check sorts every relay-decoded block into one
-// of three classes: the shared rows span (runBlock decides both terminals
-// with one elimination), they fall short but both terminals decode (the
-// per-terminal fallback succeeds), or a terminal fails. Every class must
+// of four classes: the shared rows span (runBlock decides both terminals
+// with one elimination); they number fewer than the message length
+// (FullRank's row-count exit) or enough but are rank deficient (a full
+// shared elimination), and either way the per-terminal fallback succeeds;
+// or a terminal fails. Every class must
 // occur at every point: TDBC with ka == kb, ka > kb and ka < kb, and MABC,
 // on both sides of the M4RI cutover (message lengths near 190 and 530).
 func TestBitTrueSharedTerminalDecision(t *testing.T) {

@@ -41,7 +41,7 @@ cd "$(dirname "$0")/.."
 # every alternative must match an existing benchmark, and every benchmark in the
 # ledger packages must appear here — a new benchmark cannot be dropped from the
 # ledger silently.
-pattern='BenchmarkSimplexSolve$|BenchmarkEvaluatorSolve|BenchmarkEvaluatorFeasible$|BenchmarkOutageTrial$|BenchmarkSumRateLP$|BenchmarkFeasibility$|BenchmarkOutageBlock$|BenchmarkFig3$|BenchmarkSNRCrossover$|BenchmarkFadingOutage$|BenchmarkBitTrueTDBCBlock$|BenchmarkBitTrueMABCBlock$|BenchmarkErasureMaskScalar$|BenchmarkErasureMaskWord$|BenchmarkEngineSumRateBatch$|BenchmarkEngineSweep$|BenchmarkRegionParallel$|BenchmarkCampaign$|BenchmarkRunCore$|BenchmarkRunCoreResilient$|BenchmarkServiceJobOverhead$|BenchmarkServiceJobDirect$|BenchmarkSweepRows$|BenchmarkSumRateBatchCachedHit$|BenchmarkSumRateBatchCachedMiss$|BenchmarkSweepCached$|BenchmarkCacheHit$'
+pattern='BenchmarkSimplexSolve$|BenchmarkEvaluatorSolve|BenchmarkEvaluatorFeasible$|BenchmarkOutageTrial$|BenchmarkSumRateLP$|BenchmarkFeasibility$|BenchmarkOutageBlock$|BenchmarkFig3$|BenchmarkSNRCrossover$|BenchmarkFadingOutage$|BenchmarkBitTrueTDBCBlock$|BenchmarkBitTrueMABCBlock$|BenchmarkBitTrueTDBCBlockNearBound$|BenchmarkBitTrueMABCBlockNearBound$|BenchmarkErasureMaskScalar$|BenchmarkErasureMaskWord$|BenchmarkEngineSumRateBatch$|BenchmarkEngineSweep$|BenchmarkRegionParallel$|BenchmarkCampaign$|BenchmarkRunCore$|BenchmarkRunCoreResilient$|BenchmarkServiceJobOverhead$|BenchmarkServiceJobDirect$|BenchmarkSweepRows$|BenchmarkSumRateBatchCachedHit$|BenchmarkSumRateBatchCachedMiss$|BenchmarkSweepCached$|BenchmarkCacheHit$'
 bitpattern='BenchmarkBitTrueTDBC$|BenchmarkBitTrueTDBCParallel$|BenchmarkBitTrueMABC$|BenchmarkBitTrueMABCParallel$|BenchmarkSolveIncremental256$|BenchmarkSolveM4RI256$|BenchmarkSolveIncremental1k$|BenchmarkSolveM4RI1k$|BenchmarkSolveIncremental4k$|BenchmarkSolveM4RI4k$'
 
 # The bench runs land in a temp file first, NOT straight into the benchjson
