@@ -1,156 +1,74 @@
 package bicoop
 
 import (
-	"errors"
 	"fmt"
 
-	"bicoop/internal/channel"
 	"bicoop/internal/experiments"
 	"bicoop/internal/protocols"
 	"bicoop/internal/region"
 	"bicoop/internal/sim"
-	"bicoop/internal/xmath"
+	"bicoop/internal/sweep"
 )
 
-// Protocol selects one of the paper's transmission protocols.
-type Protocol int
+// Protocol selects one of the paper's transmission protocols. It is an
+// alias of the internal protocols.Protocol, which carries the String,
+// Phases, Validate and text-marshaling methods.
+type Protocol = protocols.Protocol
 
-// The five protocols, in presentation order.
+// The five protocols, in presentation order: direct transmission, the
+// four-phase baseline without network coding, and the paper's MABC, TDBC
+// and HBC protocols.
 const (
-	// DT is direct transmission (two phases, no relay).
-	DT Protocol = iota + 1
-	// Naive4 is four-phase relaying without network coding (baseline).
-	Naive4
-	// MABC is the two-phase multiple-access broadcast protocol.
-	MABC
-	// TDBC is the three-phase time-division broadcast protocol.
-	TDBC
-	// HBC is the four-phase hybrid broadcast protocol.
-	HBC
+	DT     = protocols.DT
+	Naive4 = protocols.Naive4
+	MABC   = protocols.MABC
+	TDBC   = protocols.TDBC
+	HBC    = protocols.HBC
 )
 
 // AllProtocols lists every protocol in presentation order.
-func AllProtocols() []Protocol { return []Protocol{DT, Naive4, MABC, TDBC, HBC} }
+func AllProtocols() []Protocol { return protocols.Protocols() }
 
-// String implements fmt.Stringer.
-func (p Protocol) String() string {
-	ip, err := p.internal()
-	if err != nil {
-		return fmt.Sprintf("Protocol(%d)", int(p))
-	}
-	return ip.String()
-}
+// Bound selects the achievable (inner) or converse (outer) bound. It is an
+// alias of the internal protocols.Bound.
+type Bound = protocols.Bound
 
-// Phases returns the number of transmission phases of the protocol.
-func (p Protocol) Phases() int {
-	ip, err := p.internal()
-	if err != nil {
-		return 0
-	}
-	return ip.Phases()
-}
-
-func (p Protocol) internal() (protocols.Protocol, error) {
-	switch p {
-	case DT:
-		return protocols.DT, nil
-	case Naive4:
-		return protocols.Naive4, nil
-	case MABC:
-		return protocols.MABC, nil
-	case TDBC:
-		return protocols.TDBC, nil
-	case HBC:
-		return protocols.HBC, nil
-	default:
-		return 0, fmt.Errorf("%w: %d", ErrUnknownProtocol, int(p))
-	}
-}
-
-// Bound selects the achievable (inner) or converse (outer) bound.
-type Bound int
-
-// The two bound kinds.
+// The two bound kinds: Inner is the achievable region (Theorems 2, 3, 5),
+// Outer the converse bound (Theorems 2, 4, 6). See protocols.BoundOuter for
+// where they coincide and for the HBC outer-bound heuristic.
 const (
-	// Inner is the achievable region (Theorems 2, 3, 5).
-	Inner Bound = iota + 1
-	// Outer is the converse bound (Theorems 2, 4, 6). For DT, Naive4 and
-	// MABC it coincides with Inner; for HBC the Gaussian evaluation is the
-	// independent-input heuristic: Theorem 6's joint input makes the exact
-	// Gaussian bound an open problem, which the paper does not plot.
-	Outer
+	Inner = protocols.BoundInner
+	Outer = protocols.BoundOuter
 )
 
-// String implements fmt.Stringer.
-func (b Bound) String() string {
-	switch b {
-	case Inner:
-		return "inner"
-	case Outer:
-		return "outer"
-	default:
-		return fmt.Sprintf("Bound(%d)", int(b))
-	}
-}
+// ParseProtocol resolves a protocol name (case-insensitive: "DT", "Naive4",
+// "MABC", "TDBC", "HBC") to its enum value. Protocol marshals as the same
+// name, so a bccd job spec reads {"protocols": ["MABC", "TDBC"]} and
+// SimResult.Fading's map keys are names.
+func ParseProtocol(name string) (Protocol, error) { return protocols.ParseProtocol(name) }
 
-func (b Bound) internal() (protocols.Bound, error) {
-	switch b {
-	case Inner:
-		return protocols.BoundInner, nil
-	case Outer:
-		return protocols.BoundOuter, nil
-	default:
-		return 0, fmt.Errorf("%w: %d", ErrUnknownBound, int(b))
-	}
-}
+// ParseBound resolves a bound name (case-insensitive: "inner" or "outer") to
+// its enum value, the name Bound marshals as.
+func ParseBound(name string) (Bound, error) { return protocols.ParseBound(name) }
 
-// Errors returned by this package.
+// Errors returned by this package for unknown enum values. They are the
+// internal protocols sentinels, so errors.Is matches them wherever the
+// error was raised.
 var (
-	ErrUnknownProtocol = errors.New("bicoop: unknown protocol")
-	ErrUnknownBound    = errors.New("bicoop: unknown bound")
+	ErrUnknownProtocol = protocols.ErrUnknownProtocol
+	ErrUnknownBound    = protocols.ErrUnknownBound
 )
 
-// Scenario is a Gaussian evaluation point in the paper's Section IV model:
-// reciprocal link gains (dB), common per-node transmit power (dB over unit
-// noise), full CSI.
-type Scenario struct {
-	// PowerDB is the per-node transmit power in dB (unit noise power).
-	PowerDB float64
-	// GabDB, GarDB, GbrDB are the effective link power gains in dB.
-	GabDB, GarDB, GbrDB float64
-}
+// Scenario is a Gaussian evaluation point in the paper's Section IV model,
+// in dB quantities. It is an alias of the internal sweep.Scenario, which
+// carries the field docs and the Validate method.
+type Scenario = sweep.Scenario
 
-func (s Scenario) internal() protocols.Scenario {
-	return protocols.NewScenarioDB(s.PowerDB, s.GabDB, s.GarDB, s.GbrDB)
-}
-
-// RelayPlacement derives a Scenario from geometry: the relay sits at
-// position Pos in (0,1) on the segment between the terminals (a at 0, b at
-// 1), with path-loss exponent Exponent (defaults to 3 when zero) and the
-// direct link normalized to GabDB.
-type RelayPlacement struct {
-	Pos      float64
-	Exponent float64
-	GabDB    float64
-}
-
-// Scenario converts the placement into a Scenario at the given power.
-func (rp RelayPlacement) Scenario(powerDB float64) (Scenario, error) {
-	g, err := (channel.LineGeometry{
-		RelayPos:  rp.Pos,
-		Exponent:  rp.Exponent,
-		RefGainAB: xmath.FromDB(rp.GabDB),
-	}).Gains()
-	if err != nil {
-		return Scenario{}, fmt.Errorf("bicoop: %w", err)
-	}
-	return Scenario{
-		PowerDB: powerDB,
-		GabDB:   xmath.DB(g.AB),
-		GarDB:   xmath.DB(g.AR),
-		GbrDB:   xmath.DB(g.BR),
-	}, nil
-}
+// RelayPlacement derives a Scenario from geometry: a relay position on the
+// a-b segment, a path-loss exponent and the direct-link gain. It is an alias
+// of the internal sweep.Placement, whose Scenario method resolves it at a
+// power.
+type RelayPlacement = sweep.Placement
 
 // RatePoint is an operating point (Ra, Rb) in bits per channel use.
 type RatePoint struct {
@@ -215,7 +133,7 @@ func HBCBeyondOuterBounds(s Scenario) ([]RatePoint, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	esc, err := protocols.HBCEscapePoints(s.internal())
+	esc, err := protocols.HBCEscapePoints(s.Linear())
 	if err != nil {
 		return nil, fmt.Errorf("bicoop: %w", err)
 	}
@@ -235,10 +153,9 @@ type FadingStats struct {
 }
 
 // ErasureLinks specifies a three-link erasure network for the bit-true
-// simulator: each link delivers a bit with probability 1-eps.
-type ErasureLinks struct {
-	EpsAR, EpsBR, EpsAB float64
-}
+// simulator: each link delivers a bit with probability 1-eps. It is an alias
+// of the internal sim.ErasureNetwork.
+type ErasureLinks = sim.ErasureNetwork
 
 // BitTrueResult reports a bit-true TDBC simulation outcome.
 type BitTrueResult struct {
@@ -253,11 +170,10 @@ type BitTrueResult struct {
 // information term equal to one minus the link's erasure probability). Use
 // it to place bit-true simulation sweeps relative to the exact boundary.
 func OptimalTDBCErasureRates(links ErasureLinks) (SumRateResult, error) {
-	net := sim.ErasureNetwork{EpsAR: links.EpsAR, EpsBR: links.EpsBR, EpsAB: links.EpsAB}
-	if err := net.Validate(); err != nil {
+	if err := links.Validate(); err != nil {
 		return SumRateResult{}, fmt.Errorf("bicoop: %w", err)
 	}
-	spec, err := protocols.Compile(protocols.TDBC, protocols.BoundInner, net.LinkInfos())
+	spec, err := protocols.Compile(protocols.TDBC, protocols.BoundInner, links.LinkInfos())
 	if err != nil {
 		return SumRateResult{}, fmt.Errorf("bicoop: %w", err)
 	}
@@ -281,7 +197,7 @@ func AmplifyForwardSumRate(s Scenario) (SumRateResult, error) {
 	if err := s.Validate(); err != nil {
 		return SumRateResult{}, err
 	}
-	res, err := protocols.AFSumRate(s.internal())
+	res, err := protocols.AFSumRate(s.Linear())
 	if err != nil {
 		return SumRateResult{}, fmt.Errorf("bicoop: %w", err)
 	}
@@ -299,7 +215,7 @@ func FullDuplexSumRate(s Scenario) (SumRateResult, error) {
 	if err := s.Validate(); err != nil {
 		return SumRateResult{}, err
 	}
-	res, err := protocols.FullDuplexSumRate(s.internal())
+	res, err := protocols.FullDuplexSumRate(s.Linear())
 	if err != nil {
 		return SumRateResult{}, fmt.Errorf("bicoop: %w", err)
 	}
@@ -312,14 +228,13 @@ func FullDuplexSumRate(s Scenario) (SumRateResult, error) {
 // HalfDuplexPenalty returns the fraction of the full-duplex DF sum rate a
 // half-duplex protocol retains at the scenario (1 means no penalty).
 func HalfDuplexPenalty(p Protocol, s Scenario) (float64, error) {
-	ip, err := p.internal()
-	if err != nil {
+	if err := p.Validate(); err != nil {
 		return 0, err
 	}
 	if err := s.Validate(); err != nil {
 		return 0, err
 	}
-	pen, err := protocols.HalfDuplexPenalty(ip, s.internal())
+	pen, err := protocols.HalfDuplexPenalty(p, s.Linear())
 	if err != nil {
 		return 0, fmt.Errorf("bicoop: %w", err)
 	}

@@ -372,17 +372,13 @@ func cmdRegion(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	proto, err := parseProtocol(*protoName)
+	proto, err := bicoop.ParseProtocol(*protoName)
 	if err != nil {
 		return err
 	}
-	bound := bicoop.Inner
-	switch strings.ToLower(*boundName) {
-	case "inner":
-	case "outer":
-		bound = bicoop.Outer
-	default:
-		return fmt.Errorf("unknown bound %q", *boundName)
+	bound, err := bicoop.ParseBound(*boundName)
+	if err != nil {
+		return err
 	}
 	s := bicoop.Scenario{PowerDB: *p, GabDB: *gab, GarDB: *gar, GbrDB: *gbr}
 	// The run context flows into the region computation, so Ctrl-C stops
@@ -446,7 +442,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 	gar := fs.Float64("gar", 0, "a-relay link gain Gar in dB (base gains)")
 	gbr := fs.Float64("gbr", 5, "b-relay link gain Gbr in dB (base gains)")
 	powers := fs.String("powers", "0:20:1", fmt.Sprintf("power axis in dB: lo:hi:step or a comma list, at most %d points", maxPowers))
-	places := fs.Int("places", 0, "relay placements spread over the a-b segment (0 = evaluate the base gains)")
+	places := fs.Int("places", 0, fmt.Sprintf("relay placements spread over the a-b segment, at most %d (0 = evaluate the base gains)", maxPlaces))
 	gamma := fs.Float64("gamma", 3, "path-loss exponent for -places")
 	protos := fs.String("protos", "", "comma-separated protocols (default: all five)")
 	boundName := fs.String("bound", "inner", "bound: inner or outer")
@@ -463,6 +459,12 @@ func cmdSweep(ctx context.Context, args []string) error {
 	if spec.PowersDB, err = parsePowers(*powers); err != nil {
 		return err
 	}
+	if *places < 0 || *places > maxPlaces {
+		return fmt.Errorf("-places %d: need 0 to %d placements", *places, maxPlaces)
+	}
+	if n := len(spec.PowersDB) * max(*places, 1); n > maxScenarios {
+		return fmt.Errorf("-powers x -places: %d scenarios, at most %d", n, maxScenarios)
+	}
 	for i := 0; i < *places; i++ {
 		pos := 0.5
 		if *places > 1 {
@@ -472,19 +474,15 @@ func cmdSweep(ctx context.Context, args []string) error {
 	}
 	if *protos != "" {
 		for _, name := range strings.Split(*protos, ",") {
-			p, err := parseProtocol(strings.TrimSpace(name))
+			p, err := bicoop.ParseProtocol(strings.TrimSpace(name))
 			if err != nil {
 				return err
 			}
 			spec.Protocols = append(spec.Protocols, p)
 		}
 	}
-	switch strings.ToLower(*boundName) {
-	case "inner":
-	case "outer":
-		spec.Bound = bicoop.Outer
-	default:
-		return fmt.Errorf("unknown bound %q", *boundName)
+	if spec.Bound, err = bicoop.ParseBound(*boundName); err != nil {
+		return err
 	}
 	ctx, cancel := withDeadline(ctx, *timeout)
 	defer cancel()
@@ -499,8 +497,14 @@ func cmdSweep(ctx context.Context, args []string) error {
 }
 
 // maxPowers caps the points of a -powers axis, so a step far below the range
-// is an error instead of an allocation that exhausts memory.
-const maxPowers = 1 << 16
+// is an error instead of an allocation that exhausts memory. maxPlaces caps
+// -places for the same reason, and maxScenarios caps the power × placement
+// pairs, which the sweep resolves up front.
+const (
+	maxPowers    = 1 << 16
+	maxPlaces    = 1 << 16
+	maxScenarios = 1 << 18
+)
 
 // parsePowers parses the power axis: "lo:hi:step" (inclusive) or a comma
 // list. Every point must be finite, and an axis holds at most maxPowers
@@ -601,8 +605,4 @@ func runSweepCSV(ctx context.Context, eng *bicoop.Engine, spec bicoop.SweepSpec,
 		runErr = err
 	}
 	return runErr
-}
-
-func parseProtocol(name string) (bicoop.Protocol, error) {
-	return bicoop.ParseProtocol(name)
 }

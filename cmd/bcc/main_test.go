@@ -41,6 +41,10 @@ func TestRunDispatch(t *testing.T) {
 		{name: "sweep bad powers", args: []string{"sweep", "-powers", "10:0:1"}, wantErr: true},
 		{name: "sweep bad proto", args: []string{"sweep", "-protos", "XYZ"}, wantErr: true},
 		{name: "sweep bad bound", args: []string{"sweep", "-bound", "sideways"}, wantErr: true},
+		{name: "sweep negative places", args: []string{"sweep", "-places", "-1"}, wantErr: true},
+		{name: "sweep too many places", args: []string{"sweep", "-places", "100000000"}, wantErr: true},
+		{name: "sweep places past cap", args: []string{"sweep", "-places", strconv.Itoa(maxPlaces + 1)}, wantErr: true},
+		{name: "sweep grid past cap", args: []string{"sweep", "-powers", "1:512:1", "-places", "513"}, wantErr: true},
 		{name: "sweep checkpoint without output", args: []string{"sweep", "-checkpoint", "x.ck"}, wantErr: true},
 		{name: "escape", args: []string{"escape", "-p", "10", "-n", "2"}, wantErr: false},
 		{name: "penalty", args: []string{"penalty", "-p", "10"}, wantErr: false},
@@ -368,7 +372,7 @@ func TestParseProtocol(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.in, func(t *testing.T) {
-			p, err := parseProtocol(tt.in)
+			p, err := bicoop.ParseProtocol(tt.in)
 			if tt.wantErr {
 				if err == nil {
 					t.Fatal("want error")
@@ -379,7 +383,7 @@ func TestParseProtocol(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !strings.EqualFold(p.String(), tt.want) {
-				t.Errorf("parseProtocol(%q) = %v, want %v", tt.in, p, tt.want)
+				t.Errorf("ParseProtocol(%q) = %v, want %v", tt.in, p, tt.want)
 			}
 		})
 	}

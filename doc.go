@@ -69,6 +69,15 @@
 // ErrInvalidTrials, ErrInvalidBlockLength, ...) so malformed scenarios fail
 // loudly instead of propagating NaNs into results.
 //
+// The spec value types have one definition each, and the facade re-exports
+// it as an alias: Protocol and Bound are internal/protocols' enums (with
+// their name parsing and text marshaling), Scenario, RelayPlacement and
+// RegionCurve are internal/sweep's Scenario, Placement and RegionCurve, and
+// ErasureLinks is internal/sim's ErasureNetwork. The sentinels
+// ErrUnknownProtocol, ErrUnknownBound and ErrInvalidScenario are the
+// internal protocols values. Specs therefore reach the engine without
+// translation, and errors.Is matches a sentinel whichever layer raised it.
+//
 // # Resilience
 //
 // Long sweeps and campaigns get interrupted: a Ctrl-C, a deadline, a killed

@@ -26,8 +26,10 @@ import (
 // Validation errors returned by the facade. They are detected up front so
 // malformed inputs fail loudly instead of propagating NaNs into results.
 var (
-	// ErrInvalidScenario reports a Scenario with NaN or infinite fields.
-	ErrInvalidScenario = errors.New("bicoop: invalid scenario")
+	// ErrInvalidScenario reports a Scenario with NaN or infinite fields,
+	// or a grid point whose gains are unusable. It is the internal
+	// protocols sentinel, so errors.Is matches it wherever it was raised.
+	ErrInvalidScenario = protocols.ErrInvalidScenario
 	// ErrInvalidRates reports a NaN or infinite target rate.
 	ErrInvalidRates = errors.New("bicoop: invalid rates")
 	// ErrInvalidTrials reports a negative trial count, or a missing one
@@ -45,27 +47,6 @@ var (
 	// an empty axis, or a degenerate angle count).
 	ErrInvalidRegionSpec = errors.New("bicoop: invalid region spec")
 )
-
-// Validate rejects NaN and infinite scenario parameters. All fields are dB
-// quantities, so any finite value is representable; non-finite values would
-// otherwise surface as NaN rates far downstream.
-func (s Scenario) Validate() error {
-	fields := [...]struct {
-		name string
-		v    float64
-	}{
-		{"PowerDB", s.PowerDB},
-		{"GabDB", s.GabDB},
-		{"GarDB", s.GarDB},
-		{"GbrDB", s.GbrDB},
-	}
-	for _, f := range fields {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("%w: %s = %g", ErrInvalidScenario, f.name, f.v)
-		}
-	}
-	return nil
-}
 
 // validateRatePoint rejects NaN and infinite target rates (negative rates
 // are semantically meaningful to Feasible — trivially infeasible — and are
@@ -174,29 +155,24 @@ func (e *Engine) poolWorkers(workers int) int {
 	return e.workers
 }
 
-// resolve maps public enums and a scenario to their internal forms,
-// validating everything up front.
-func resolve(p Protocol, b Bound, s Scenario) (protocols.Protocol, protocols.Bound, protocols.Scenario, error) {
-	ip, ib, err := resolveEnums(p, b)
-	if err != nil {
-		return 0, 0, protocols.Scenario{}, err
+// validateEnums rejects unknown protocol and bound values.
+func validateEnums(p Protocol, b Bound) error {
+	if err := p.Validate(); err != nil {
+		return err
 	}
-	if err := s.Validate(); err != nil {
-		return 0, 0, protocols.Scenario{}, err
-	}
-	return ip, ib, s.internal(), nil
+	return b.Validate()
 }
 
-func resolveEnums(p Protocol, b Bound) (protocols.Protocol, protocols.Bound, error) {
-	ip, err := p.internal()
-	if err != nil {
-		return 0, 0, err
+// resolve validates the enums and the scenario up front and converts the
+// scenario to its linear internal form.
+func resolve(p Protocol, b Bound, s Scenario) (protocols.Scenario, error) {
+	if err := validateEnums(p, b); err != nil {
+		return protocols.Scenario{}, err
 	}
-	ib, err := b.internal()
-	if err != nil {
-		return 0, 0, err
+	if err := s.Validate(); err != nil {
+		return protocols.Scenario{}, err
 	}
-	return ip, ib, nil
+	return s.Linear(), nil
 }
 
 // SumRate maximizes Ra+Rb over the protocol bound at one scenario, jointly
@@ -204,7 +180,7 @@ func resolveEnums(p Protocol, b Bound) (protocols.Protocol, protocols.Bound, err
 // evaluator from the process-wide pool, so repeated calls hit the cached
 // constraint templates; for thousands of scenarios prefer SumRateBatch.
 func (e *Engine) SumRate(p Protocol, b Bound, s Scenario) (SumRateResult, error) {
-	ip, ib, is, err := resolve(p, b, s)
+	is, err := resolve(p, b, s)
 	if err != nil {
 		return SumRateResult{}, err
 	}
@@ -212,8 +188,8 @@ func (e *Engine) SumRate(p Protocol, b Bound, s Scenario) (SumRateResult, error)
 	// memory until Solve has packed the result.
 	ev := protocols.GetEvaluator()
 	defer protocols.PutEvaluator(ev)
-	v, err := e.cache.Solve(cache.SumRateKey(ip, ib, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB),
-		func() (protocols.Optimum, error) { return ev.WeightedRate(ip, ib, is, 1, 1) })
+	v, err := e.cache.Solve(cache.SumRateKey(p, b, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB),
+		func() (protocols.Optimum, error) { return ev.WeightedRate(p, b, is, 1, 1) })
 	if err != nil {
 		return SumRateResult{}, fmt.Errorf("bicoop: %w", err)
 	}
@@ -233,8 +209,7 @@ func (e *Engine) SumRate(p Protocol, b Bound, s Scenario) (SumRateResult, error)
 // for every Workers setting, and are returned in input order. On cancellation it returns the contiguous
 // prefix of completed results alongside the context error.
 func (e *Engine) SumRateBatch(ctx context.Context, p Protocol, b Bound, scenarios []Scenario) ([]SumRateResult, error) {
-	ip, ib, err := resolveEnums(p, b)
-	if err != nil {
+	if err := validateEnums(p, b); err != nil {
 		return nil, err
 	}
 	for i, s := range scenarios {
@@ -243,8 +218,8 @@ func (e *Engine) SumRateBatch(ctx context.Context, p Protocol, b Bound, scenario
 		}
 	}
 	out := make([]SumRateResult, len(scenarios))
-	prefix, runErr := sweep.Batch(ctx, ip, ib, len(scenarios), sweep.Options{Workers: e.poolWorkers(0)}, e.cache,
-		func(i int) sweep.Scenario { return sweep.Scenario(scenarios[i]) },
+	prefix, runErr := sweep.Batch(ctx, p, b, len(scenarios), sweep.Options{Workers: e.poolWorkers(0)}, e.cache,
+		func(i int) Scenario { return scenarios[i] },
 		func(i int, r sweep.Result) {
 			out[i] = SumRateResult{
 				Sum:       r.Sum,
@@ -262,7 +237,7 @@ func (e *Engine) SumRateBatch(ctx context.Context, p Protocol, b Bound, scenario
 // some phase-duration split (an exact LP test, independent of region
 // polygon resolution). Negative rates are trivially infeasible.
 func (e *Engine) Feasible(p Protocol, b Bound, s Scenario, pt RatePoint) (bool, error) {
-	ip, ib, is, err := resolve(p, b, s)
+	is, err := resolve(p, b, s)
 	if err != nil {
 		return false, err
 	}
@@ -271,7 +246,7 @@ func (e *Engine) Feasible(p Protocol, b Bound, s Scenario, pt RatePoint) (bool, 
 	}
 	ev := protocols.GetEvaluator()
 	defer protocols.PutEvaluator(ev)
-	ok, err := ev.Feasible(ip, ib, is, protocols.RatePair{Ra: pt.Ra, Rb: pt.Rb})
+	ok, err := ev.Feasible(p, b, is, protocols.RatePair{Ra: pt.Ra, Rb: pt.Rb})
 	if err != nil {
 		return false, fmt.Errorf("bicoop: %w", err)
 	}

@@ -90,9 +90,9 @@ func runCrossover(cfg Config) (Result, error) {
 // hbcEscapeCurves are the three regions the escape search needs, computed
 // per power through the sharded region batch.
 var hbcEscapeCurves = []sweep.RegionCurve{
-	{Proto: protocols.HBC, Bound: protocols.BoundInner},
-	{Proto: protocols.MABC, Bound: protocols.BoundOuter},
-	{Proto: protocols.TDBC, Bound: protocols.BoundOuter},
+	{Protocol: protocols.HBC, Bound: protocols.BoundInner},
+	{Protocol: protocols.MABC, Bound: protocols.BoundOuter},
+	{Protocol: protocols.TDBC, Bound: protocols.BoundOuter},
 }
 
 func runHBCEscape(cfg Config) (Result, error) {
@@ -176,8 +176,8 @@ func runMABCTight(cfg Config) (Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	spec := sweep.RegionSpec{
 		Curves: []sweep.RegionCurve{
-			{Proto: protocols.MABC, Bound: protocols.BoundInner},
-			{Proto: protocols.MABC, Bound: protocols.BoundOuter},
+			{Protocol: protocols.MABC, Bound: protocols.BoundInner},
+			{Protocol: protocols.MABC, Bound: protocols.BoundOuter},
 		},
 	}
 	for trial := 0; trial < trials; trial++ {

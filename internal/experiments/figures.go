@@ -146,7 +146,7 @@ func runFig4(cfg Config, pDB float64) (Result, error) {
 	// presentation order.
 	spec := sweep.RegionSpec{Scenarios: []sweep.Scenario{fig4BaseScenario(pDB)}}
 	for _, c := range fig4Curves {
-		spec.Curves = append(spec.Curves, sweep.RegionCurve{Proto: c.proto, Bound: c.bound})
+		spec.Curves = append(spec.Curves, sweep.RegionCurve{Protocol: c.proto, Bound: c.bound})
 	}
 	curves := make([]plot.RegionCurve, 0, len(fig4Curves))
 	polys := make(map[string]region.Polygon, len(fig4Curves))

@@ -59,8 +59,8 @@ func Compile(p Protocol, b Bound, li LinkInfos) (Spec, error) {
 	if err := li.Validate(); err != nil {
 		return Spec{}, err
 	}
-	if b != BoundInner && b != BoundOuter {
-		return Spec{}, fmt.Errorf("%w: %v", ErrUnknownBound, b)
+	if err := b.Validate(); err != nil {
+		return Spec{}, err
 	}
 	switch p {
 	case DT:

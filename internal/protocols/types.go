@@ -13,18 +13,21 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"bicoop/internal/channel"
 )
 
-// Protocol identifies one of the paper's transmission protocols.
+// Protocol identifies one of the paper's transmission protocols. It
+// marshals as its canonical name ("MABC"), so JSON job specs and map keys
+// carry names instead of bare integers.
 type Protocol int
 
 const (
 	// DT is direct transmission: a->b then b->a, no relay (Fig 1-i).
 	DT Protocol = iota + 1
 	// Naive4 is the four-phase relay chain without network coding or side
-	// information (Fig 1-ii): a->r, r->b, b->r, r->a.
+	// information (Fig 1-ii): a->r, r->b, b->r, r->a. It is the baseline.
 	Naive4
 	// MABC is the two-phase multiple-access broadcast protocol (Fig 1-iv):
 	// a and b transmit together, then r broadcasts wa xor wb (Theorem 2).
@@ -58,7 +61,10 @@ func (p Protocol) String() string {
 	}
 }
 
-// Phases returns the number of phases of the protocol.
+// Phases returns the number of transmission phases of the protocol, 0 for
+// an unknown value.
+//
+//bicoop:allow deadexport — public through the bicoop.Protocol alias; root tests call it
 func (p Protocol) Phases() int {
 	switch p {
 	case DT, MABC:
@@ -72,7 +78,17 @@ func (p Protocol) Phases() int {
 	}
 }
 
-// Bound selects which bound of a theorem to evaluate.
+// Validate reports an ErrUnknownProtocol for a value outside the five
+// protocols.
+func (p Protocol) Validate() error {
+	if p < DT || p > HBC {
+		return fmt.Errorf("%w: %d", ErrUnknownProtocol, int(p))
+	}
+	return nil
+}
+
+// Bound selects which bound of a theorem to evaluate. It marshals as
+// "inner" or "outer".
 type Bound int
 
 const (
@@ -80,7 +96,9 @@ const (
 	BoundInner Bound = iota + 1
 	// BoundOuter is the converse (outer) region: Theorems 2, 4, 6. For DT,
 	// Naive4 and MABC the inner and outer bounds coincide (the MABC bounds
-	// are tight per Theorem 2).
+	// are tight per Theorem 2). For HBC the Gaussian evaluation is the
+	// independent-input heuristic: Theorem 6's joint input makes the exact
+	// Gaussian bound an open problem, which the paper does not plot.
 	BoundOuter
 )
 
@@ -96,11 +114,87 @@ func (b Bound) String() string {
 	}
 }
 
+// Validate reports an ErrUnknownBound for a value other than BoundInner and
+// BoundOuter.
+func (b Bound) Validate() error {
+	if b != BoundInner && b != BoundOuter {
+		return fmt.Errorf("%w: %d", ErrUnknownBound, int(b))
+	}
+	return nil
+}
+
+// ParseProtocol resolves a protocol name (case-insensitive: "DT", "Naive4",
+// "MABC", "TDBC", "HBC") to its enum value.
+func ParseProtocol(name string) (Protocol, error) {
+	for _, p := range Protocols() {
+		if strings.EqualFold(p.String(), name) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("%w: %q", ErrUnknownProtocol, name)
+}
+
+// ParseBound resolves a bound name (case-insensitive: "inner" or "outer") to
+// its enum value.
+func ParseBound(name string) (Bound, error) {
+	for _, b := range []Bound{BoundInner, BoundOuter} {
+		if strings.EqualFold(b.String(), name) {
+			return b, nil
+		}
+	}
+	return 0, fmt.Errorf("%w: %q", ErrUnknownBound, name)
+}
+
+// MarshalText encodes the protocol as its canonical name. Unknown values
+// are an error rather than a lossy encoding.
+//
+//bicoop:allow deadexport — encoding/json calls it for job specs and SimResult map keys
+func (p Protocol) MarshalText() ([]byte, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return []byte(p.String()), nil
+}
+
+// UnmarshalText decodes a case-insensitive protocol name.
+//
+//bicoop:allow deadexport — encoding/json calls it for job specs
+func (p *Protocol) UnmarshalText(text []byte) error {
+	v, err := ParseProtocol(string(text))
+	if err != nil {
+		return err
+	}
+	*p = v
+	return nil
+}
+
+// MarshalText encodes the bound as "inner" or "outer".
+//
+//bicoop:allow deadexport — encoding/json calls it for job specs
+func (b Bound) MarshalText() ([]byte, error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	return []byte(b.String()), nil
+}
+
+// UnmarshalText decodes a case-insensitive bound name.
+//
+//bicoop:allow deadexport — encoding/json calls it for job specs
+func (b *Bound) UnmarshalText(text []byte) error {
+	v, err := ParseBound(string(text))
+	if err != nil {
+		return err
+	}
+	*b = v
+	return nil
+}
+
 // Errors returned by this package.
 var (
 	ErrUnknownProtocol = errors.New("protocols: unknown protocol")
 	ErrUnknownBound    = errors.New("protocols: unknown bound")
-	ErrBadScenario     = errors.New("protocols: invalid scenario")
+	ErrInvalidScenario = errors.New("protocols: invalid scenario")
 	ErrBadDurations    = errors.New("protocols: invalid phase durations")
 	ErrNotEvaluable    = errors.New("protocols: bound has no exact Gaussian evaluation")
 )
@@ -125,10 +219,10 @@ func NewScenarioDB(pDB, gabDB, garDB, gbrDB float64) Scenario {
 // Validate checks the scenario parameters.
 func (s Scenario) Validate() error {
 	if !(s.P > 0) || math.IsInf(s.P, 0) {
-		return fmt.Errorf("%w: power %g", ErrBadScenario, s.P)
+		return fmt.Errorf("%w: power %g", ErrInvalidScenario, s.P)
 	}
 	if err := s.G.Validate(); err != nil {
-		return fmt.Errorf("%w: %w", ErrBadScenario, err)
+		return fmt.Errorf("%w: %w", ErrInvalidScenario, err)
 	}
 	return nil
 }

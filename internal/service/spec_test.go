@@ -52,3 +52,34 @@ func FuzzParseJobSpec(f *testing.F) {
 		}
 	})
 }
+
+// TestStoredSpecJSONStable pins spec.json bodies as the daemon writes them
+// (json.Marshal of the admitted JobSpec): each must be admitted and
+// re-encode byte for byte, so a job stored by one build recovers under the
+// next with the same work and the same file.
+func TestStoredSpecJSONStable(t *testing.T) {
+	for name, body := range map[string]string{
+		"sweep": `{"sweep":{"protocols":["MABC","TDBC","HBC"],"bound":"outer","base":{"PowerDB":10,"GabDB":-7,"GarDB":0,"GbrDB":5},` +
+			`"powers_db":[0,5.5,10],"placements":[{"Pos":0.25,"Exponent":3,"GabDB":-1.5},{"Pos":0.75,"Exponent":0,"GabDB":0}],` +
+			`"erasures":[{"EpsAR":0.1,"EpsBR":0.2,"EpsAB":0.6}],"workers":2},"timeout_ms":60000}`,
+		"region": `{"region_batch":{"scenarios":[{"PowerDB":10,"GabDB":-7,"GarDB":0,"GbrDB":5},{"PowerDB":0,"GabDB":0,"GarDB":3,"GbrDB":3}],` +
+			`"curves":[{"Protocol":"MABC","Bound":"inner"},{"Protocol":"HBC","Bound":"outer"}],"workers":1}}`,
+		"campaign": `{"campaign":{"specs":[{"fading":{"Scenario":{"PowerDB":10,"GabDB":-7,"GarDB":0,"GbrDB":5},"Protocols":["DT","TDBC"],` +
+			`"Target":{"Ra":0.5,"Rb":0.5}},"trials":20,"seed":7},{"bit_true_tdbc":{"Links":{"EpsAR":0.2,"EpsBR":0.1,"EpsAB":0.6},` +
+			`"Rates":{"Ra":0.3,"Rb":0.3},"Durations":null,"BlockLength":400},"trials":2,"seed":1}],"workers":2}}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := ParseJobSpec([]byte(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != body {
+				t.Errorf("re-encoded spec.json differs:\n got %s\nwant %s", got, body)
+			}
+		})
+	}
+}

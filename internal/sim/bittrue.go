@@ -363,11 +363,10 @@ func (w *tdbcWorker) runTrial() {
 // The shortcut pays off only on blocks whose shared rows span, which takes
 // at least kr of them. At the durations of the Theorem 3 optimum phase 3 is
 // too short for that unless the rates drop below about 0.4 of the bound,
-// because the terminals lean on their overheard rows. Fewer than kr shared rows cost no
-// elimination (FullRank's row-count exit), so those blocks pay only for
-// gathering row views.
-// Neither path draws randomness, so every count is the one the two
-// per-terminal decodes alone would give.
+// because the terminals lean on their overheard rows. Fewer than kr shared
+// rows cost no elimination (FullRank's row-count exit), so those blocks pay
+// only for gathering row views. Neither path draws randomness, so every
+// count is the one the two per-terminal decodes alone would give.
 //
 //bicoop:noalloc
 func (w *tdbcWorker) runBlock() (bool, bool) {

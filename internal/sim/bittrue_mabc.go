@@ -249,8 +249,9 @@ func (w *mabcWorker) runTrial() {
 // terminals decode. Only when they fall short is each terminal decided on
 // its own. Near the bound the shared rows rarely number k, and fewer than
 // k cost no elimination (FullRank's row-count exit), so the shortcut costs
-// those blocks only the gathering of row views. Every mask is drawn before either decision, in the order the
-// per-terminal decodes alone would draw them, so no count changes.
+// those blocks only the gathering of row views. Every mask is drawn before
+// either decision, in the order the per-terminal decodes alone would draw
+// them, so no count changes.
 //
 //bicoop:noalloc
 func (w *mabcWorker) runBlock() (bool, bool) {

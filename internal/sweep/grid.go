@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"bicoop/internal/cache"
 	"bicoop/internal/channel"
@@ -17,29 +19,57 @@ import (
 // ErrInvalidSweepSpec sentinel.
 var ErrSpec = errors.New("sweep: invalid spec")
 
-// Scenario is a Gaussian evaluation point in dB quantities, mirroring the
-// facade's scenario type field for field so the dB→linear conversion happens
+// Scenario is a Gaussian evaluation point in the paper's Section IV model:
+// reciprocal link gains (dB), common per-node transmit power (dB over unit
+// noise), full CSI. It stays in dB so the dB→linear conversion happens
 // inside the worker that evaluates the point.
 type Scenario struct {
-	PowerDB, GabDB, GarDB, GbrDB float64
+	// PowerDB is the per-node transmit power in dB (unit noise power).
+	PowerDB float64
+	// GabDB, GarDB, GbrDB are the effective link power gains in dB.
+	GabDB, GarDB, GbrDB float64
 }
 
-// internal converts to the linear-scale protocols scenario.
-func (s Scenario) internal() protocols.Scenario {
+// Validate rejects NaN and infinite scenario parameters with
+// protocols.ErrInvalidScenario. All fields are dB quantities, so any finite
+// value is representable; non-finite values would otherwise surface as NaN
+// rates far downstream.
+func (s Scenario) Validate() error {
+	fields := [...]struct {
+		name string
+		v    float64
+	}{
+		{"PowerDB", s.PowerDB},
+		{"GabDB", s.GabDB},
+		{"GarDB", s.GarDB},
+		{"GbrDB", s.GbrDB},
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%w: %s = %g", protocols.ErrInvalidScenario, f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// Linear converts to the linear-scale protocols scenario.
+func (s Scenario) Linear() protocols.Scenario {
 	return protocols.NewScenarioDB(s.PowerDB, s.GabDB, s.GarDB, s.GbrDB)
 }
 
-// Placement derives link gains from a relay position on the a-b segment with
-// a path-loss exponent, like the facade's RelayPlacement.
+// Placement derives a Scenario from geometry: the relay sits at position
+// Pos in (0,1) on the segment between the terminals (a at 0, b at 1), with
+// path-loss exponent Exponent (defaults to 3 when zero) and the direct link
+// normalized to GabDB.
 type Placement struct {
-	Pos, Exponent float64
-	// GabDB normalizes the direct link (dB).
-	GabDB float64
+	Pos      float64
+	Exponent float64
+	GabDB    float64
 }
 
-// scenario resolves the placement at a power, via the same geometry → gains
-// → dB round trip as the facade so both paths yield identical numbers.
-func (pl Placement) scenario(powerDB float64) (Scenario, error) {
+// Scenario converts the placement into a Scenario at the given power, via
+// the geometry → gains → dB round trip.
+func (pl Placement) Scenario(powerDB float64) (Scenario, error) {
 	g, err := (channel.LineGeometry{
 		RelayPos:  pl.Pos,
 		Exponent:  pl.Exponent,
@@ -56,25 +86,19 @@ func (pl Placement) scenario(powerDB float64) (Scenario, error) {
 	}, nil
 }
 
-// Erasure is one erasure-network axis entry, evaluated on the TDBC inner
-// bound.
-type Erasure struct {
-	EpsAR, EpsBR, EpsAB float64
-}
-
 // Spec declares a grid: the Gaussian cross product PowersDB × Placements ×
-// Protocols plus an independent erasure-network axis. Zero-value fields
-// default like the facade's SweepSpec: Protocols to all five, Bound to
-// inner, PowersDB to {Base.PowerDB}; an empty Placements axis evaluates the
-// Base gains. A spec with Erasures and no Gaussian axis skips the Base
-// scenario entirely.
+// Protocols plus an independent erasure-network axis, each entry evaluated
+// on the TDBC inner bound. Zero-value fields default like the facade's
+// SweepSpec: Protocols to all five, Bound to inner, PowersDB to
+// {Base.PowerDB}; an empty Placements axis evaluates the Base gains. A spec
+// with Erasures and no Gaussian axis skips the Base scenario entirely.
 type Spec struct {
 	Protocols  []protocols.Protocol
 	Bound      protocols.Bound
 	Base       Scenario
 	PowersDB   []float64
 	Placements []Placement
-	Erasures   []Erasure
+	Erasures   []sim.ErasureNetwork
 }
 
 func (spec Spec) gaussian() bool {
@@ -143,12 +167,12 @@ type resolvedGrid struct {
 	placeIdx []int // aligned with scen; -1 for base gains
 	powerOf  []float64
 	erasures []protocols.LinkInfos
-	erasSpec []Erasure // aligned with erasures; retained for cache keys
+	erasSpec []sim.ErasureNetwork // aligned with erasures; retained for cache keys
 	gaussN   int
 }
 
 func (spec Spec) resolve() (resolvedGrid, error) {
-	g := resolvedGrid{protos: spec.protos(), bound: spec.bound()}
+	g := resolvedGrid{protos: slices.Clone(spec.protos()), bound: spec.bound()}
 	powers := spec.PowersDB
 	if len(powers) == 0 {
 		powers = []float64{spec.Base.PowerDB}
@@ -166,7 +190,7 @@ func (spec Spec) resolve() (resolvedGrid, error) {
 			continue
 		}
 		for pi, pl := range spec.Placements {
-			s, err := pl.scenario(pdb)
+			s, err := pl.Scenario(pdb)
 			if err != nil {
 				return resolvedGrid{}, fmt.Errorf("%w: placement %d: %w", ErrSpec, pi, err)
 			}
@@ -177,11 +201,10 @@ func (spec Spec) resolve() (resolvedGrid, error) {
 	}
 	g.gaussN = len(g.scen) * len(g.protos)
 	for i, e := range spec.Erasures {
-		net := sim.ErasureNetwork{EpsAR: e.EpsAR, EpsBR: e.EpsBR, EpsAB: e.EpsAB}
-		if err := net.Validate(); err != nil {
+		if err := e.Validate(); err != nil {
 			return resolvedGrid{}, fmt.Errorf("%w: erasure %d: %w", ErrSpec, i, err)
 		}
-		g.erasures = append(g.erasures, net.LinkInfos())
+		g.erasures = append(g.erasures, e.LinkInfos())
 		g.erasSpec = append(g.erasSpec, e)
 	}
 	return g, nil
@@ -235,7 +258,7 @@ func Sweep(ctx context.Context, spec Spec, opts Options, store *cache.Store, yie
 				}
 				if si != lastScen {
 					var err error
-					if li, err = protocols.LinkInfosFromScenario(grid.scen[si].internal()); err != nil {
+					if li, err = protocols.LinkInfosFromScenario(grid.scen[si].Linear()); err != nil {
 						return protocols.Optimum{}, err
 					}
 					lastScen = si

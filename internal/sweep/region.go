@@ -22,8 +22,8 @@ import (
 // RegionCurve selects one protocol bound whose rate region is computed for
 // every scenario of a RegionSpec.
 type RegionCurve struct {
-	Proto protocols.Protocol
-	Bound protocols.Bound
+	Protocol protocols.Protocol
+	Bound    protocols.Bound
 }
 
 // RegionSpec declares a batch of region computations: the cross product
@@ -66,7 +66,7 @@ func RegionBatch(ctx context.Context, spec RegionSpec, opts Options, store *cach
 	// same values the serial Evaluator.Region path uses).
 	lis := make([]protocols.LinkInfos, len(spec.Scenarios))
 	for si, s := range spec.Scenarios {
-		li, err := protocols.LinkInfosFromScenario(s.internal())
+		li, err := protocols.LinkInfosFromScenario(s.Linear())
 		if err != nil {
 			return fmt.Errorf("region scenario %d: %w", si, err)
 		}
@@ -82,14 +82,14 @@ func RegionBatch(ctx context.Context, spec RegionSpec, opts Options, store *cach
 			pg, err := protocols.RefineRegion(func(muA, muB float64) (region.Point, error) {
 				// Region vertices cache as raw weighted solves keyed by the
 				// direction, so hits and misses refine identically.
-				v, err := store.Solve(cache.WeightedKey(c.Proto, c.Bound, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB, muA, muB),
+				v, err := store.Solve(cache.WeightedKey(c.Protocol, c.Bound, s.PowerDB, s.GabDB, s.GarDB, s.GbrDB, muA, muB),
 					func() (protocols.Optimum, error) {
-						return ev.WeightedRateLinks(c.Proto, c.Bound, lis[si], muA, muB)
+						return ev.WeightedRateLinks(c.Protocol, c.Bound, lis[si], muA, muB)
 					})
 				return region.Point{Ra: v.Ra, Rb: v.Rb}, err
 			})
 			if err != nil {
-				return fmt.Errorf("region curve %d (%v %v, scenario %d): %w", k, c.Proto, c.Bound, si, err)
+				return fmt.Errorf("region curve %d (%v %v, scenario %d): %w", k, c.Protocol, c.Bound, si, err)
 			}
 			polys[k] = pg
 		}

@@ -20,11 +20,11 @@ func regionTestSpec() RegionSpec {
 			{PowerDB: 15, GabDB: -3, GarDB: 2, GbrDB: 4},
 		},
 		Curves: []RegionCurve{
-			{Proto: protocols.DT, Bound: protocols.BoundInner},
-			{Proto: protocols.MABC, Bound: protocols.BoundInner},
-			{Proto: protocols.TDBC, Bound: protocols.BoundOuter},
-			{Proto: protocols.HBC, Bound: protocols.BoundInner},
-			{Proto: protocols.Naive4, Bound: protocols.BoundInner},
+			{Protocol: protocols.DT, Bound: protocols.BoundInner},
+			{Protocol: protocols.MABC, Bound: protocols.BoundInner},
+			{Protocol: protocols.TDBC, Bound: protocols.BoundOuter},
+			{Protocol: protocols.HBC, Bound: protocols.BoundInner},
+			{Protocol: protocols.Naive4, Bound: protocols.BoundInner},
 		},
 	}
 }
@@ -95,13 +95,13 @@ func TestRegionBatchMatchesSerialRegion(t *testing.T) {
 	for _, r := range got {
 		c := spec.Curves[r.CurveIdx]
 		s := spec.Scenarios[r.ScenarioIdx]
-		want, err := protocols.GaussianRegion(c.Proto, c.Bound, s.internal())
+		want, err := protocols.GaussianRegion(c.Protocol, c.Bound, s.Linear())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if gv, wv := r.Polygon.Vertices(), want.Vertices(); !reflect.DeepEqual(gv, wv) {
 			t.Errorf("%v %v scenario %d: sharded vertices differ from serial:\n  got  %v\n  want %v",
-				c.Proto, c.Bound, r.ScenarioIdx, gv, wv)
+				c.Protocol, c.Bound, r.ScenarioIdx, gv, wv)
 		}
 	}
 }
@@ -117,7 +117,7 @@ func TestRegionBatchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	spec := RegionSpec{
-		Curves: []RegionCurve{{Proto: protocols.HBC, Bound: protocols.BoundInner}},
+		Curves: []RegionCurve{{Protocol: protocols.HBC, Bound: protocols.BoundInner}},
 	}
 	// Seconds of LP solves if cancellation were ignored.
 	for i := 0; i < 100_000; i++ {
@@ -194,15 +194,15 @@ func TestRegionBatchAxisAnchors(t *testing.T) {
 	ev := protocols.NewEvaluator()
 	for _, r := range got {
 		c := spec.Curves[r.CurveIdx]
-		li, err := protocols.LinkInfosFromScenario(spec.Scenarios[r.ScenarioIdx].internal())
+		li, err := protocols.LinkInfosFromScenario(spec.Scenarios[r.ScenarioIdx].Linear())
 		if err != nil {
 			t.Fatal(err)
 		}
-		raOpt, err := ev.WeightedRateLinks(c.Proto, c.Bound, li, 1, 0)
+		raOpt, err := ev.WeightedRateLinks(c.Protocol, c.Bound, li, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rbOpt, err := ev.WeightedRateLinks(c.Proto, c.Bound, li, 0, 1)
+		rbOpt, err := ev.WeightedRateLinks(c.Protocol, c.Bound, li, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestRegionBatchAxisAnchors(t *testing.T) {
 		maxRb, _ := r.Polygon.Support(0, 1)
 		if math.Abs(maxRa-raOpt.Rates.Ra) > 1e-9 || math.Abs(maxRb-rbOpt.Rates.Rb) > 1e-9 {
 			t.Errorf("%v %v scenario %d: axis maxima (%g, %g), want (%g, %g)",
-				c.Proto, c.Bound, r.ScenarioIdx, maxRa, maxRb, raOpt.Rates.Ra, rbOpt.Rates.Rb)
+				c.Protocol, c.Bound, r.ScenarioIdx, maxRa, maxRb, raOpt.Rates.Ra, rbOpt.Rates.Rb)
 		}
 	}
 }

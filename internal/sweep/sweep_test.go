@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bicoop/internal/protocols"
+	"bicoop/internal/sim"
 )
 
 func testScenarios(n int) []Scenario {
@@ -35,7 +36,7 @@ func testSpec() Spec {
 		Base:       Scenario{GabDB: -7, GarDB: 0, GbrDB: 5},
 		PowersDB:   []float64{0, 5, 10, 15},
 		Placements: places,
-		Erasures:   []Erasure{{EpsAR: 0.2, EpsBR: 0.1, EpsAB: 0.6}, {EpsAR: 0.3, EpsBR: 0.3, EpsAB: 0.5}},
+		Erasures:   []sim.ErasureNetwork{{EpsAR: 0.2, EpsBR: 0.1, EpsAB: 0.6}, {EpsAR: 0.3, EpsBR: 0.3, EpsAB: 0.5}},
 	}
 }
 
@@ -113,7 +114,7 @@ func TestSweepMatchesSinglePointSolves(t *testing.T) {
 			if pt.ErasureIdx >= 0 {
 				return nil
 			}
-			opt, err := protocols.NewEvaluator().WeightedRate(pt.Proto, pt.Bound, pt.Scenario.internal(), 1, 1)
+			opt, err := protocols.NewEvaluator().WeightedRate(pt.Proto, pt.Bound, pt.Scenario.Linear(), 1, 1)
 			if err != nil {
 				return err
 			}

@@ -14,17 +14,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"bicoop/internal/protocols"
 	"bicoop/internal/sweep"
 )
 
 // RegionCurve selects one protocol bound whose region is computed for every
-// scenario of a RegionBatchSpec.
-type RegionCurve struct {
-	Protocol Protocol
-	Bound    Bound
-}
+// scenario of a RegionBatchSpec. It is an alias of the internal
+// sweep.RegionCurve.
+type RegionCurve = sweep.RegionCurve
 
 // RegionBatchSpec declares a batch of region computations: the cross
 // product Scenarios × Curves.
@@ -90,7 +89,7 @@ func (spec RegionBatchSpec) Validate() error {
 		}
 	}
 	for i, c := range spec.Curves {
-		if _, _, err := resolveEnums(c.Protocol, c.Bound); err != nil {
+		if err := validateEnums(c.Protocol, c.Bound); err != nil {
 			return fmt.Errorf("curve %d: %w", i, err)
 		}
 	}
@@ -125,15 +124,9 @@ func (e *Engine) RegionBatch(ctx context.Context, spec RegionBatchSpec, yield fu
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	var ispec sweep.RegionSpec
-	for _, s := range spec.Scenarios {
-		ispec.Scenarios = append(ispec.Scenarios, sweep.Scenario(s))
-	}
-	for _, c := range spec.Curves {
-		// Validate resolved these already; a failure here is unreachable.
-		ip, ib, _ := resolveEnums(c.Protocol, c.Bound)
-		ispec.Curves = append(ispec.Curves, sweep.RegionCurve{Proto: ip, Bound: ib})
-	}
+	// The workers read these copies, so a yield that edits the caller's
+	// spec cannot race them.
+	ispec := sweep.RegionSpec{Scenarios: slices.Clone(spec.Scenarios), Curves: slices.Clone(spec.Curves)}
 	opts := sweep.Options{Workers: e.poolWorkers(spec.Workers), Start: spec.Start, Checkpoint: spec.Checkpoint}
 	var yieldErr error
 	err := sweep.RegionBatch(ctx, ispec, opts, e.cache, func(r sweep.RegionResult) error {

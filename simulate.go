@@ -138,7 +138,7 @@ func (spec SimSpec) validate() error {
 			return err
 		}
 		for _, p := range fs.Protocols {
-			if _, err := p.internal(); err != nil {
+			if err := p.Validate(); err != nil {
 				return err
 			}
 		}
@@ -203,27 +203,19 @@ func simWrap(err error) error {
 
 func (e *Engine) simulateFading(ctx context.Context, spec SimSpec, workers int, progress ProgressFunc) (SimResult, error) {
 	fs := spec.Fading
-	protosPub := fs.Protocols
-	if len(protosPub) == 0 {
-		protosPub = []Protocol{MABC, TDBC, HBC}
-	}
-	protosInt := make([]protocols.Protocol, 0, len(protosPub))
-	for _, p := range protosPub {
-		ip, err := p.internal()
-		if err != nil {
-			return SimResult{}, err
-		}
-		protosInt = append(protosInt, ip)
+	protos := fs.Protocols
+	if len(protos) == 0 {
+		protos = []Protocol{MABC, TDBC, HBC}
 	}
 	trials := spec.Trials
 	if trials == 0 {
 		trials = 2000
 	}
-	is := fs.Scenario.internal()
+	is := fs.Scenario.Linear()
 	res, runErr := sim.RunOutage(ctx, sim.OutageConfig{
 		Mean:      is.G,
 		P:         is.P,
-		Protocols: protosInt,
+		Protocols: protos,
 		Target:    protocols.RatePair{Ra: fs.Target.Ra, Rb: fs.Target.Rb},
 		Trials:    trials,
 		Seed:      spec.Seed,
@@ -233,9 +225,9 @@ func (e *Engine) simulateFading(ctx context.Context, spec SimSpec, workers int, 
 	if runErr != nil && res.ByProtocol == nil {
 		return SimResult{}, simWrap(runErr)
 	}
-	out := SimResult{Fading: make(map[Protocol]FadingStats, len(protosPub))}
-	for i, p := range protosPub {
-		st := res.ByProtocol[protosInt[i]]
+	out := SimResult{Fading: make(map[Protocol]FadingStats, len(protos))}
+	for _, p := range protos {
+		st := res.ByProtocol[p]
 		out.Fading[p] = FadingStats{MeanOptSumRate: st.MeanOptSumRate, OutageProb: st.OutageProb}
 		out.Trials = st.Trials
 	}
@@ -273,7 +265,7 @@ func validateBitTrueCommon(trials, blockLength int, rates ...float64) error {
 func (e *Engine) simulateBitTrueTDBC(ctx context.Context, spec SimSpec, workers int, progress ProgressFunc) (SimResult, error) {
 	ts := spec.BitTrueTDBC
 	res, runErr := sim.RunBitTrueTDBC(ctx, sim.BitTrueConfig{
-		Net:         sim.ErasureNetwork{EpsAR: ts.Links.EpsAR, EpsBR: ts.Links.EpsBR, EpsAB: ts.Links.EpsAB},
+		Net:         ts.Links,
 		Rates:       protocols.RatePair{Ra: ts.Rates.Ra, Rb: ts.Rates.Rb},
 		Durations:   ts.Durations,
 		BlockLength: ts.BlockLength,

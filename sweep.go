@@ -16,7 +16,6 @@ import (
 	"math"
 	"slices"
 
-	"bicoop/internal/protocols"
 	"bicoop/internal/sweep"
 )
 
@@ -63,43 +62,18 @@ type SweepSpec struct {
 }
 
 // Size returns the number of points the sweep will yield.
-func (spec SweepSpec) Size() int {
-	ispec, err := spec.internal()
-	if err != nil {
-		return 0
-	}
-	return ispec.Size()
-}
+func (spec SweepSpec) Size() int { return spec.internal().Size() }
 
-// internal converts the spec to the internal grid form, resolving enums.
-func (spec SweepSpec) internal() (sweep.Spec, error) {
-	out := sweep.Spec{
-		Base:     sweep.Scenario(spec.Base),
-		PowersDB: spec.PowersDB,
+// internal copies the grid axes into the internal spec form.
+func (spec SweepSpec) internal() sweep.Spec {
+	return sweep.Spec{
+		Protocols:  spec.Protocols,
+		Bound:      spec.Bound,
+		Base:       spec.Base,
+		PowersDB:   spec.PowersDB,
+		Placements: spec.Placements,
+		Erasures:   spec.Erasures,
 	}
-	for _, p := range spec.Protocols {
-		ip, err := p.internal()
-		if err != nil {
-			return sweep.Spec{}, err
-		}
-		out.Protocols = append(out.Protocols, ip)
-	}
-	if spec.Bound != 0 {
-		ib, err := spec.Bound.internal()
-		if err != nil {
-			return sweep.Spec{}, err
-		}
-		out.Bound = ib
-	}
-	for _, rp := range spec.Placements {
-		out.Placements = append(out.Placements, sweep.Placement{
-			Pos: rp.Pos, Exponent: rp.Exponent, GabDB: rp.GabDB,
-		})
-	}
-	for _, e := range spec.Erasures {
-		out.Erasures = append(out.Erasures, sweep.Erasure(e))
-	}
-	return out, nil
 }
 
 // Validate checks the spec without running it: axis values, protocol and
@@ -114,8 +88,15 @@ func (spec SweepSpec) Validate() error {
 	if err := validateResume(spec.Start, ErrInvalidSweepSpec); err != nil {
 		return err
 	}
-	_, err := spec.internal()
-	return err
+	for _, p := range spec.Protocols {
+		if err := p.Validate(); err != nil {
+			return err
+		}
+	}
+	if spec.Bound != 0 {
+		return spec.Bound.Validate()
+	}
+	return nil
 }
 
 // validate rejects non-finite spec numbers up front with the facade's typed
@@ -163,32 +144,6 @@ type SweepPoint struct {
 	Result SumRateResult
 }
 
-// publicProtocol maps an internal protocol enum back to the facade's.
-func publicProtocol(ip protocols.Protocol) Protocol {
-	switch ip {
-	case protocols.DT:
-		return DT
-	case protocols.Naive4:
-		return Naive4
-	case protocols.MABC:
-		return MABC
-	case protocols.TDBC:
-		return TDBC
-	case protocols.HBC:
-		return HBC
-	default:
-		return 0
-	}
-}
-
-// publicBound maps an internal bound enum back to the facade's.
-func publicBound(ib protocols.Bound) Bound {
-	if ib == protocols.BoundOuter {
-		return Outer
-	}
-	return Inner
-}
-
 // Sweep evaluates the grid and streams each point to yield in enumeration
 // order: for each power, for each placement (or the base gains), for each
 // protocol — then each erasure network. A non-nil error from yield stops
@@ -207,23 +162,19 @@ func (e *Engine) Sweep(ctx context.Context, spec SweepSpec, yield func(SweepPoin
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	ispec, err := spec.internal()
-	if err != nil {
-		return err
-	}
 	opts := sweep.Options{Workers: e.poolWorkers(spec.Workers), Start: spec.Start, Checkpoint: spec.Checkpoint}
 	// Points reference these copies of the axes: no point allocates, and
 	// points stay valid whatever the caller later does to its spec.
 	placements := slices.Clone(spec.Placements)
 	erasures := slices.Clone(spec.Erasures)
 	var yieldErr error
-	err = sweep.Sweep(ctx, ispec, opts, e.cache, func(pt sweep.Point) error {
+	err := sweep.Sweep(ctx, spec.internal(), opts, e.cache, func(pt sweep.Point) error {
 		pub := SweepPoint{
 			Index:    pt.Index,
 			PowerDB:  pt.PowerDB,
-			Scenario: Scenario(pt.Scenario),
-			Protocol: publicProtocol(pt.Proto),
-			Bound:    publicBound(pt.Bound),
+			Scenario: pt.Scenario,
+			Protocol: pt.Proto,
+			Bound:    pt.Bound,
 			Result: SumRateResult{
 				Sum:       pt.Sum,
 				Point:     RatePoint{Ra: pt.Ra, Rb: pt.Rb},
@@ -249,11 +200,6 @@ func (e *Engine) Sweep(ctx context.Context, spec SweepSpec, yield func(SweepPoin
 		return yieldErr // the caller's own error, returned verbatim
 	case errors.Is(err, sweep.ErrSpec):
 		return fmt.Errorf("%w: %w", ErrInvalidSweepSpec, err)
-	case errors.Is(err, protocols.ErrBadScenario):
-		// A grid point resolved to an unusable scenario (e.g. a placement
-		// whose geometry produced non-finite gains): surface the facade's
-		// typed sentinel, like the pre-sharding sweep did.
-		return fmt.Errorf("%w: %w", ErrInvalidScenario, err)
 	default:
 		return fmt.Errorf("bicoop: %w", err)
 	}
