@@ -462,8 +462,8 @@ func cmdSweep(ctx context.Context, args []string) error {
 	if *places < 0 || *places > maxPlaces {
 		return fmt.Errorf("-places %d: need 0 to %d placements", *places, maxPlaces)
 	}
-	if n := len(spec.PowersDB) * max(*places, 1); n > maxScenarios {
-		return fmt.Errorf("-powers x -places: %d scenarios, at most %d", n, maxScenarios)
+	if n, m := len(spec.PowersDB), max(*places, 1); n > bicoop.MaxSweepScenarios/m {
+		return fmt.Errorf("-powers x -places: %d x %d scenarios, at most %d", n, m, bicoop.MaxSweepScenarios)
 	}
 	for i := 0; i < *places; i++ {
 		pos := 0.5
@@ -498,12 +498,11 @@ func cmdSweep(ctx context.Context, args []string) error {
 
 // maxPowers caps the points of a -powers axis, so a step far below the range
 // is an error instead of an allocation that exhausts memory. maxPlaces caps
-// -places for the same reason, and maxScenarios caps the power × placement
-// pairs, which the sweep resolves up front.
+// -places for the same reason; the power × placement pairs, which the sweep
+// resolves up front, are capped by bicoop.MaxSweepScenarios.
 const (
-	maxPowers    = 1 << 16
-	maxPlaces    = 1 << 16
-	maxScenarios = 1 << 18
+	maxPowers = 1 << 16
+	maxPlaces = 1 << 16
 )
 
 // parsePowers parses the power axis: "lo:hi:step" (inclusive) or a comma

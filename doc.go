@@ -144,6 +144,11 @@
 //	{"sweep": {"base": {"PowerDB": 0, "GabDB": -7, "GarDB": 0, "GbrDB": 5},
 //	           "powers_db": [0, 10, 20], "protocols": ["MABC", "TDBC"]}}
 //
+// Admission runs the facade's Validate, so a job whose work would not fit
+// in memory is a 400 before anything is queued: a sweep of more than
+// MaxSweepScenarios power × placement pairs, and a bit-true spec with a
+// block length above 16384 or a rate above 1.
+//
 // The guarantees are the CLI's, detached from any client: kill -9 the
 // daemon mid-job and the restarted daemon rescans the store, re-queues
 // interrupted jobs, truncates each results.csv to its checkpointed offset,
@@ -288,9 +293,10 @@
 // per-terminal elimination as the fallback when those shared rows are rank
 // deficient. FullRank rejects fewer rows than unknowns before eliminating,
 // so near the bound, where the shared rows fall short in number, the
-// shared decision is free, and a relay short of rows costs nothing. Past 512 unknowns both switch to a dense M4RI-style
-// multi-column eliminator (internal/gf2/m4ri.go: row echelon form only,
-// 8 pivot columns per pass via a 256-entry table indexed by the raw stripe
+// shared decision is free, and a relay short of rows costs nothing. Past
+// 512 unknowns both switch to a dense M4RI-style multi-column eliminator
+// (internal/gf2/m4ri.go: row echelon form only, 16 pivot columns per pass
+// via four 16-entry tables, each indexed by one nibble of the raw block
 // bits). The TDBC/MABC trial loops and the fading Monte Carlo run on one
 // trial sharder (internal/sim's shardTrials: worker w runs its share of the
 // trials from seed Seed + w*stride) with per-worker RNGs, codes, and

@@ -30,18 +30,21 @@ var (
 	// or a grid point whose gains are unusable. It is the internal
 	// protocols sentinel, so errors.Is matches it wherever it was raised.
 	ErrInvalidScenario = protocols.ErrInvalidScenario
-	// ErrInvalidRates reports a NaN or infinite target rate.
+	// ErrInvalidRates reports a NaN or infinite target rate, or a bit-true
+	// rate outside [0, 1].
 	ErrInvalidRates = errors.New("bicoop: invalid rates")
 	// ErrInvalidTrials reports a negative trial count, or a missing one
 	// where no default exists (the bit-true simulators).
 	ErrInvalidTrials = errors.New("bicoop: invalid trial count")
-	// ErrInvalidBlockLength reports a non-positive bit-true block length.
+	// ErrInvalidBlockLength reports a bit-true block length that is not
+	// positive or exceeds the cap of 16384 channel uses.
 	ErrInvalidBlockLength = errors.New("bicoop: invalid block length")
 	// ErrInvalidSimSpec reports a SimSpec selecting zero or several
 	// simulators, or a bit-true spec whose pinned Durations are the wrong
 	// count, outside [0,1] or do not sum to 1.
 	ErrInvalidSimSpec = errors.New("bicoop: invalid simulation spec")
-	// ErrInvalidSweepSpec reports an unusable SweepSpec (e.g. nil yield).
+	// ErrInvalidSweepSpec reports an unusable SweepSpec (e.g. nil yield, or
+	// more than MaxSweepScenarios power × placement pairs).
 	ErrInvalidSweepSpec = errors.New("bicoop: invalid sweep spec")
 	// ErrInvalidRegionSpec reports an unusable RegionBatchSpec (nil yield,
 	// an empty axis, or a degenerate angle count).

@@ -462,3 +462,95 @@ func TestEngineConcurrent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// allocatedBy returns the bytes the process allocated while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSweepScenarioCap pins the grid admission cap: a spec of exactly
+// MaxSweepScenarios power × placement pairs validates, one more power is
+// ErrInvalidSweepSpec, and a 20000 × 20000 grid, which used to be resolved
+// in full before the first point (about 19 GB), is rejected by Sweep
+// without a large allocation.
+func TestSweepScenarioCap(t *testing.T) {
+	axes := func(powers, places int) bicoop.SweepSpec {
+		spec := bicoop.SweepSpec{PowersDB: make([]float64, powers), Placements: make([]bicoop.RelayPlacement, places)}
+		for i := range spec.Placements {
+			spec.Placements[i] = bicoop.RelayPlacement{Pos: 0.5, Exponent: 3}
+		}
+		return spec
+	}
+	if err := axes(bicoop.MaxSweepScenarios/512, 512).Validate(); err != nil {
+		t.Errorf("grid at the cap: %v", err)
+	}
+	if err := axes(bicoop.MaxSweepScenarios/512+1, 512).Validate(); !errors.Is(err, bicoop.ErrInvalidSweepSpec) {
+		t.Errorf("grid one power over the cap: err = %v, want ErrInvalidSweepSpec", err)
+	}
+	if err := axes(bicoop.MaxSweepScenarios+1, 0).Validate(); !errors.Is(err, bicoop.ErrInvalidSweepSpec) {
+		t.Errorf("power axis over the cap: err = %v, want ErrInvalidSweepSpec", err)
+	}
+	huge := axes(20000, 20000)
+	var err error
+	n := allocatedBy(func() {
+		err = bicoop.NewEngine().Sweep(context.Background(), huge, func(bicoop.SweepPoint) error { return nil })
+	})
+	if !errors.Is(err, bicoop.ErrInvalidSweepSpec) {
+		t.Fatalf("20000 x 20000 grid: err = %v, want ErrInvalidSweepSpec", err)
+	}
+	if n > 16<<20 {
+		t.Errorf("rejecting a 20000 x 20000 grid allocated %d bytes", n)
+	}
+}
+
+// validateSim runs a SimSpec through campaign admission.
+func validateSim(spec bicoop.SimSpec) error {
+	return bicoop.CampaignSpec{Specs: []bicoop.SimSpec{spec}}.Validate()
+}
+
+// TestBitTrueSpecCaps pins the bit-true admission bounds that keep a
+// worker's memory bounded: a block length above the cap and a rate above 1
+// are rejected up front, a million-symbol block without a large allocation.
+func TestBitTrueSpecCaps(t *testing.T) {
+	ctx := context.Background()
+	eng := bicoop.NewEngine()
+	tdbc := bicoop.BitTrueTDBCSpec{
+		Links: bicoop.ErasureLinks{EpsAR: 0.2, EpsBR: 0.1, EpsAB: 0.6},
+		Rates: bicoop.RatePoint{Ra: 0.1, Rb: 0.1},
+	}
+	for _, n := range []int{1 << 14, 1<<14 + 1, 1000000} {
+		spec := tdbc
+		spec.BlockLength = n
+		err := validateSim(bicoop.SimSpec{BitTrueTDBC: &spec, Trials: 1})
+		if wantOK := n <= 1<<14; (err == nil) != wantOK || (!wantOK && !errors.Is(err, bicoop.ErrInvalidBlockLength)) {
+			t.Errorf("TDBC BlockLength %d: err = %v", n, err)
+		}
+		mabc := bicoop.BitTrueMABCSpec{Links: bicoop.MABCComputeForwardLinks{EpsMAC: 0.2, EpsRA: 0.1, EpsRB: 0.1}, Rate: 0.1, BlockLength: n}
+		err = validateSim(bicoop.SimSpec{BitTrueMABC: &mabc, Trials: 1})
+		if wantOK := n <= 1<<14; (err == nil) != wantOK || (!wantOK && !errors.Is(err, bicoop.ErrInvalidBlockLength)) {
+			t.Errorf("MABC BlockLength %d: err = %v", n, err)
+		}
+	}
+	huge := tdbc
+	huge.BlockLength = 1000000
+	var err error
+	if n := allocatedBy(func() { _, err = eng.Simulate(ctx, bicoop.SimSpec{BitTrueTDBC: &huge, Trials: 1}) }); n > 1<<20 {
+		t.Errorf("rejecting a %d-symbol block allocated %d bytes", huge.BlockLength, n)
+	}
+	if !errors.Is(err, bicoop.ErrInvalidBlockLength) {
+		t.Errorf("Simulate with a %d-symbol block: err = %v, want ErrInvalidBlockLength", huge.BlockLength, err)
+	}
+	for _, r := range []float64{1, 1.5, math.Inf(1)} {
+		spec := tdbc
+		spec.BlockLength = 100
+		spec.Rates.Rb = r
+		err := validateSim(bicoop.SimSpec{BitTrueTDBC: &spec, Trials: 1})
+		if (err == nil) != (r <= 1) || (r > 1 && !errors.Is(err, bicoop.ErrInvalidRates)) {
+			t.Errorf("TDBC rate %g: err = %v", r, err)
+		}
+	}
+}

@@ -6,54 +6,65 @@ import "math/bits"
 // path of Solver. The incremental basis (solver.go) eliminates one pivot
 // column per row XOR; past ~10^3 unknowns most of the solve is spent
 // re-XORing long rows one pivot at a time. This path loads the equations
-// into a dense tableau and reduces it to row echelon form m4riStripe pivot
-// columns per pass: the stripe's pivot rows are found and reduced to a
-// local reduced row echelon form, all 2^m4riStripe combinations of them are
-// precomputed into a table, and every row below the pivot block then clears
-// the whole stripe with ONE table lookup + row XOR instead of up to
-// m4riStripe pivot XORs. Rows above the pivot block are never touched: the
-// rank needs only the echelon form, and SolveInto extracts the solution by
-// back-substitution (Solver.backSubstitute, shared with the incremental
+// into a dense tableau and reduces it to row echelon form m4riBlock pivot
+// columns per pass: the block's pivot rows are found and reduced to a local
+// reduced row echelon form, the combinations of each m4riNibble of them are
+// precomputed into one small table per nibble (Albrecht, Bard & Hart,
+// "Algorithm 898", ACM TOMS 2010, use several tables the same way), and
+// every row below the pivot block then clears the whole block with one
+// lookup per table and ONE row XOR of the looked-up entries instead of up
+// to m4riBlock pivot XORs. Rows above the pivot block are never touched:
+// the rank needs only the echelon form, and SolveInto extracts the solution
+// by back-substitution (Solver.backSubstitute, shared with the incremental
 // basis).
 //
 // Two invariants keep the echelon form exact:
 //
-//   - after a stripe is processed, every row below its pivot block has zero
-//     bits in all of the stripe's columns;
+//   - after a block is processed, every row below its pivot block has zero
+//     bits in all of the block's columns;
 //   - pivot rows are drawn from below the previous pivot blocks, so by the
-//     first invariant they are zero on every earlier stripe — each pivot
-//     row's lowest set bit is its own pivot column, and the table (built
-//     from pivot rows) never re-contaminates earlier columns.
+//     first invariant they are zero on every earlier block — each pivot
+//     row's lowest set bit is its own pivot column, and the tables (built
+//     from pivot rows) never re-contaminate earlier columns.
 //
 // How the first invariant is reached depends on the pivot search:
 //
-//   - found == ge (every stripe column is a pivot — the usual case for
-//     random rows): local RREF makes pivot row j zero on every stripe
-//     column except its own, so the XOR of the pivot rows whose columns are
-//     set in a row's stripe bits clears them exactly. The table is
-//     therefore indexed by the raw stripe bits, and a row's index is one
-//     shift and mask of the word holding the stripe (m4riStripe divides
-//     64, so a stripe never straddles words).
+//   - found == ge (every block column is a pivot — the usual case for
+//     random rows): local RREF makes pivot row j zero on every block column
+//     except its own, so the XOR of the pivot rows whose columns are set in
+//     a row's block bits clears them exactly. Each nibble of those raw bits
+//     therefore indexes its own table directly, and a row's four indices
+//     come from one shift and mask of the word holding the block
+//     (m4riBlock divides 64, so a block never straddles words). In a
+//     partial last block the missing nibbles are zero and index each
+//     table's zero entry.
 //   - found < ge: the search ran out of candidate rows, so it examined every
-//     row below the block and reduced each non-pivot row to a zero stripe
-//     on the way. Nothing is left to clear; the table is neither built nor
+//     row below the block and reduced each non-pivot row to a zero block on
+//     the way. Nothing is left to clear; the tables are neither built nor
 //     applied.
 //
-// The invariants also bound the work: when stripe c0 is processed, every row
+// The invariants also bound the work: when block c0 is processed, every row
 // XOR — pivot search, table build and table application alike — involves
-// only rows that are zero on all words before c0's word, so the inner loops
-// start there and the average row operation touches half the row.
+// only rows that are zero on all words before c0's word w0, so the inner
+// loops start there, the tables hold only words w0 on, and the average row
+// operation touches half the row.
 //
 // At the end every row below the last pivot block is zero on every column,
 // so in SolveInto a surviving RHS bit there is exactly an inconsistency.
 
 const (
-	// m4riStripe is the number of pivot columns eliminated per table pass.
-	// The stripe always fits one word (8 divides 64), the table holds
-	// 2^8 = 256 rows, and a row's table index is one shift and mask — past
-	// the cutover the table build amortizes to well under one row XOR per
-	// row per stripe.
-	m4riStripe = 8
+	// m4riBlock is the number of pivot columns eliminated per pass. The
+	// block always fits one word (16 divides 64), so a row's table indices
+	// are one shift and mask away.
+	m4riBlock = 16
+	// m4riNibble is the number of block columns one table covers: the
+	// block's m4riTables tables hold m4riEntries rows each, 64 in all
+	// against the 2^16 of a single table over the block, so the build
+	// costs under four row XORs per block column while the application
+	// still clears the block in one pass over each row.
+	m4riNibble  = 4
+	m4riTables  = m4riBlock / m4riNibble
+	m4riEntries = 1 << m4riNibble
 	// m4riMinCols is the automatic cutover: systems with at least this
 	// many unknowns eliminate densely, shorter blocks keep the incremental
 	// basis (whose early-exit and truncated XORs win on small systems).
@@ -66,7 +77,7 @@ const (
 	m4riSlack = 64
 )
 
-// reserveDense pre-grows the dense tableau and combination table so the
+// reserveDense pre-grows the dense tableau and combination tables so the
 // steady state allocates nothing (companion of Reserve). It sizes rows with
 // the RHS word, the wider of the two tableau layouts.
 //
@@ -76,7 +87,7 @@ func (s *Solver) reserveDense(rows, cols int) {
 	if need := rows * stride; cap(s.dense) < need {
 		s.dense = make([]uint64, 0, need)
 	}
-	if need := (1 << m4riStripe) * stride; cap(s.table) < need {
+	if need := m4riTables * m4riEntries * stride; cap(s.table) < need {
 		s.table = make([]uint64, 0, need)
 	}
 }
@@ -99,7 +110,7 @@ func (s *Solver) beginDense(n, cols int, rows []Vector, bits []int) {
 	} else {
 		s.dense = s.dense[:need]
 	}
-	if need := (1 << m4riStripe) * s.stride; cap(s.table) < need {
+	if need := m4riTables * m4riEntries * s.stride; cap(s.table) < need {
 		s.table = make([]uint64, need)
 	} else {
 		s.table = s.table[:need]
@@ -166,30 +177,27 @@ func (s *Solver) fullRankDense(k int, rows []Vector) bool {
 }
 
 // eliminateDense reduces the n-row dense tableau to row echelon form,
-// m4riStripe pivot columns per pass, records each pivot column's row in
+// m4riBlock pivot columns per pass, records each pivot column's row in
 // colRow and returns the rank.
 //
 //bicoop:noalloc
 func (s *Solver) eliminateDense(n int) (rank int) {
 	stride := s.stride
-	var cols [m4riStripe]int // this stripe's pivot columns, discovery order
-	var at [m4riStripe]int   // stripe column offset -> pivot block offset
-	for c0 := 0; c0 < s.cols && rank < n; c0 += m4riStripe {
-		ge := m4riStripe
-		if s.cols-c0 < ge {
-			ge = s.cols - c0
-		}
+	var cols [m4riBlock]int // this block's pivot columns, discovery order
+	var at [m4riBlock]int   // block column offset -> pivot block offset
+	for c0 := 0; c0 < s.cols && rank < n; c0 += m4riBlock {
+		ge := min(m4riBlock, s.cols-c0)
 		w0, shift := c0>>6, uint(c0&63)
-		stripeMask := uint64(1)<<uint(ge) - 1
+		blockMask := uint64(1)<<uint(ge) - 1
 
-		// Pivot search: Gaussian elimination restricted to the stripe.
-		// Each candidate is reduced against the stripe pivots found so
-		// far; its lowest surviving stripe bit becomes a new pivot column,
+		// Pivot search: Gaussian elimination restricted to the block.
+		// Each candidate is reduced against the block pivots found so
+		// far; its lowest surviving block bit becomes a new pivot column,
 		// the found pivots are back-reduced against it (local RREF), and
 		// the row is swapped up to the pivot block.
 		found := 0
 		for i := rank; i < n && found < ge; i++ {
-			// Candidate rows sit below every processed stripe, so they are
+			// Candidate rows sit below every processed block, so they are
 			// zero before word w0 and every XOR here can start there.
 			row := s.dense[i*stride+w0 : (i+1)*stride]
 			for j := 0; j < found; j++ {
@@ -197,7 +205,7 @@ func (s *Solver) eliminateDense(n int) (rank int) {
 					xorWords(row, s.dense[(rank+j)*stride+w0:])
 				}
 			}
-			v := row[0] >> shift & stripeMask
+			v := row[0] >> shift & blockMask
 			if v == 0 {
 				continue
 			}
@@ -221,41 +229,67 @@ func (s *Solver) eliminateDense(n int) (rank int) {
 		}
 		if found < ge {
 			// Every row below the block was examined and reduced to a zero
-			// stripe: there is nothing left to clear.
+			// block: there is nothing left to clear.
 			rank += found
 			continue
 		}
 
-		// Direct-indexed combination table: entry b is the XOR of the pivot
-		// rows whose stripe columns are set in b, built in one row XOR each
-		// off the entry without b's lowest bit. Entries are built (and
-		// applied) from word w0 on; the words below keep stale bits from
-		// earlier stripes that nothing reads.
-		tw := s.table[w0:stride]
-		for w := range tw {
-			tw[w] = 0
-		}
-		for b := 1; b < 1<<uint(ge); b++ {
-			piv := s.dense[(rank+at[bits.TrailingZeros64(uint64(b))])*stride+w0:]
-			prev := s.table[(b&(b-1))*stride+w0:]
-			t := s.table[b*stride+w0 : (b+1)*stride]
-			piv, prev = piv[:len(t)], prev[:len(t)]
-			for w := range t {
-				t[w] = prev[w] ^ piv[w]
+		// Direct-indexed combination tables, packed at the width tw of
+		// words w0 on: entry b of table t is the XOR of the pivot rows
+		// whose block columns 4t..4t+3 are set in b, built in one row XOR
+		// each off the entry without b's lowest bit. Entry 0 of every
+		// table is zero, which is what a partial last block's missing
+		// nibbles index.
+		tw := stride - w0
+		tab := s.table[:m4riTables*m4riEntries*tw]
+		for t := 0; t < m4riTables; t++ {
+			base := t * m4riEntries * tw
+			zero := tab[base : base+tw]
+			for w := range zero {
+				zero[w] = 0
+			}
+			nb := min(max(ge-t*m4riNibble, 0), m4riNibble)
+			for b := 1; b < 1<<uint(nb); b++ {
+				piv := s.dense[(rank+at[t*m4riNibble+bits.TrailingZeros(uint(b))])*stride+w0:]
+				prev := tab[base+(b&(b-1))*tw:]
+				e := tab[base+b*tw : base+(b+1)*tw]
+				piv, prev = piv[:len(e)], prev[:len(e)]
+				for w := range e {
+					e[w] = prev[w] ^ piv[w]
+				}
 			}
 		}
 
-		// One shift, mask, lookup and XOR clears the whole stripe in every
-		// row below the pivot block.
-		rank += found
-		for i := rank; i < n; i++ {
-			row := s.dense[i*stride+w0 : (i+1)*stride]
-			if idx := int(row[0] >> shift & stripeMask); idx != 0 {
-				xorWords(row, s.table[idx*stride+w0:])
-			}
+		if rank += found; rank < n {
+			clearBlock(s.dense[rank*stride+w0:n*stride], stride, tw, shift, blockMask, tab)
 		}
 	}
 	return rank
+}
+
+// clearBlock clears a fully pivoted block in every row of rows (row-major at
+// stride, each row starting at the block's word) with the block's tables
+// (m4riTables tables of m4riEntries entries of tw words, back to back): one
+// shift and mask yields the four nibble indices, and one pass XORing the
+// four looked-up entries into the row clears the whole block. It is a
+// function of its own so the compiler keeps the loop's slices in registers.
+//
+//bicoop:noalloc
+func clearBlock(rows []uint64, stride, tw int, shift uint, blockMask uint64, tab []uint64) {
+	for off := 0; off < len(rows); off += stride {
+		v := int(rows[off] >> shift & blockMask)
+		if v == 0 {
+			continue
+		}
+		row := rows[off : off+tw]
+		e0 := tab[(v&0xf)*tw:][:len(row)]
+		e1 := tab[(m4riEntries+v>>4&0xf)*tw:][:len(row)]
+		e2 := tab[(2*m4riEntries+v>>8&0xf)*tw:][:len(row)]
+		e3 := tab[(3*m4riEntries+v>>12)*tw:][:len(row)]
+		for w := range row {
+			row[w] ^= e0[w] ^ e1[w] ^ e2[w] ^ e3[w]
+		}
+	}
 }
 
 // xorWords XORs src into dst word by word (src at least as long as dst).

@@ -2,6 +2,7 @@ package gf2
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -65,34 +66,22 @@ func TestDenseSolveMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDenseSolveWideColumns stresses systems whose stripe count exceeds one
-// word (cols > 64) and odd widths straddling word boundaries, where the
-// stripe index extraction crosses words.
+// TestDenseSolveWideColumns runs the two elimination paths side by side on
+// square, tall and short systems at widths around the m4riBlock edges — one
+// short of a block, a whole block, one past it — at blocks that start
+// mid-word (80, 112, 144, 176), where a partial last block leaves whole
+// nibbles missing, and at widths past one word, where the block index
+// extraction moves across words.
 func TestDenseSolveWideColumns(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	s := forceSolver(forceDense)
-	ref := forceSolver(forceIncremental)
-	for _, cols := range []int{63, 64, 65, 100, 127, 128, 129, 200, 300} {
-		for rep := 0; rep < 5; rep++ {
-			rows := cols + r.Intn(40)
-			m := RandomMatrix(rows, cols, r)
-			x := RandomVector(cols, r)
-			b, _ := m.MulVec(x)
-			rv, _ := matrixRows(m)
-			bits := make([]int, rows)
-			for i := range bits {
-				bits[i] = b.Bit(i)
-			}
-			got := NewVector(cols)
-			gotRef := NewVector(cols)
-			errD := s.SolveInto(&got, cols, rv, bits)
-			errI := ref.SolveInto(&gotRef, cols, rv, bits)
-			if (errD == nil) != (errI == nil) {
-				t.Fatalf("cols=%d: dense err %v vs incremental err %v", cols, errD, errI)
-			}
-			if errD == nil && !got.Equal(gotRef) {
-				t.Fatalf("cols=%d: dense and incremental solutions differ", cols)
-			}
+	widths := []int{100, 112, 127, 128, 129, 144, 176, 200, 300}
+	for m := 1; m <= 5; m++ {
+		widths = append(widths, m4riBlock*m-1, m4riBlock*m, m4riBlock*m+1)
+	}
+	for _, k := range widths {
+		for _, n := range []int{k - 3, k, k + r.Intn(40), k + m4riSlack} {
+			name := fmt.Sprintf("k=%d n=%d", k, n)
+			checkDenseMatchesIncremental(t, name, RandomMatrix(n, k, r), RandomVector(k, r))
 		}
 	}
 }
@@ -180,7 +169,7 @@ func planted(rows []Vector, x Vector) []int {
 // SolveInto returns the planted solution, and the two paths must agree
 // with each other on both answers. The system families cover full-rank
 // random rows, duplicated rows (candidates that reduce to zero inside a
-// stripe), a repeated column (a stripe whose pivot search finds fewer pivots
+// block), a repeated column (a block whose pivot search finds fewer pivots
 // than columns while rows below still carry its bits), one row short, and
 // a rank-deficient k+m4riSlack prefix completed by later rows (the dense
 // FullRank fallback).
@@ -246,13 +235,141 @@ func matrixRowsOf(m Matrix) []Vector {
 }
 
 // repeatColumn overwrites column c+1 of m with column c, capping the rank
-// at cols-1, and returns the rows. The stripe holding c+1 then finds fewer
+// at cols-1, and returns the rows. The block holding c+1 then finds fewer
 // pivots than columns whenever c and c+1 share it.
 func repeatColumn(m Matrix, c int) []Vector {
 	for i := 0; i < m.Rows(); i++ {
 		m.Set(i, c+1, m.At(i, c))
 	}
 	return matrixRowsOf(m)
+}
+
+// checkDenseMatchesIncremental compares the two elimination paths on the
+// rows of m: the dense echelon rank must equal the reference rank, forced
+// dense and forced incremental FullRank must both report whether that rank
+// is m's width, and SolveInto on both paths must return the same error
+// class, and the same solution when it is unique, for the planted right-hand
+// side m·x and for one with its last bit flipped (inconsistent whenever the
+// last row depends on the others).
+func checkDenseMatchesIncremental(t *testing.T, name string, m Matrix, x Vector) {
+	t.Helper()
+	k, n := m.Cols(), m.Rows()
+	rows := matrixRowsOf(m)
+	want := refRank(m)
+	var s Solver
+	s.beginDense(n, k, rows, nil)
+	if got := s.eliminateDense(n); got != want {
+		t.Fatalf("%s: dense rank %d, reference rank %d", name, got, want)
+	}
+	dense, inc := forceSolver(forceDense), forceSolver(forceIncremental)
+	if d, i := dense.FullRank(k, rows), inc.FullRank(k, rows); d != i || d != (want == k) {
+		t.Fatalf("%s: FullRank dense %v, incremental %v, reference rank %d of %d", name, d, i, want, k)
+	}
+	bits := planted(rows, x)
+	for _, flip := range []bool{false, true} {
+		if flip {
+			bits[n-1] ^= 1
+		}
+		gd, gi := NewVector(k), NewVector(k)
+		ed := dense.SolveInto(&gd, k, rows, bits)
+		ei := inc.SolveInto(&gi, k, rows, bits)
+		if errorClass(ed) != errorClass(ei) {
+			t.Fatalf("%s (flip %v): dense SolveInto err %v, incremental %v", name, flip, ed, ei)
+		}
+		if ed == nil && !gd.Equal(gi) {
+			t.Fatalf("%s (flip %v): dense and incremental solutions differ", name, flip)
+		}
+		if !flip && (ed == nil) != (want == k) {
+			t.Fatalf("%s: SolveInto err %v on a consistent system of rank %d of %d", name, ed, want, k)
+		}
+		if !flip && ed == nil && !gd.Equal(x) {
+			t.Fatalf("%s: dense SolveInto missed the planted solution", name)
+		}
+	}
+}
+
+// errorClass names SolveInto's outcome for comparing the two paths.
+func errorClass(err error) string {
+	switch {
+	case err == nil:
+		return "solved"
+	case errors.Is(err, ErrInconsistent):
+		return "inconsistent"
+	case errors.Is(err, ErrUnderdetermined):
+		return "underdetermined"
+	}
+	return err.Error()
+}
+
+// TestDenseDeficientBlock builds systems whose chosen 16-column block holds
+// only p independent columns, p = 1..15: the block's other columns repeat a
+// kept column or are zero, so its pivot search finds p pivots while the
+// rows below still carry the block's bits (repeats) or carry none (zeros).
+// The blocks before and after stay random, so the elimination must resume
+// exactly after the short block.
+func TestDenseDeficientBlock(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	for _, k := range []int{48, 100, 200} {
+		for p := 1; p < m4riBlock; p++ {
+			m := RandomMatrix(k+m4riSlack, k, r)
+			c0 := m4riBlock * r.Intn(k/m4riBlock)
+			perm := r.Perm(m4riBlock)
+			kept, rest := perm[:p], perm[p:]
+			for j, c := range rest {
+				src := -1 // zero column
+				if j%2 == 0 {
+					src = c0 + kept[r.Intn(p)]
+				}
+				for i := 0; i < m.Rows(); i++ {
+					bit := 0
+					if src >= 0 {
+						bit = m.At(i, src)
+					}
+					m.Set(i, c0+c, bit)
+				}
+			}
+			name := fmt.Sprintf("k=%d block %d with %d pivots", k, c0/m4riBlock, p)
+			checkDenseMatchesIncremental(t, name, m, RandomVector(k, r))
+		}
+	}
+}
+
+// FuzzDenseMatchesIncremental drives checkDenseMatchesIncremental with
+// random systems of up to 200 unknowns reshaped by fuzzed edits: each
+// 5-byte record copies or zeroes a column or a row, which puts repeated
+// and empty columns, and so short blocks, anywhere in the tableau.
+func FuzzDenseMatchesIncremental(f *testing.F) {
+	f.Add(uint8(15), uint8(m4riSlack), int64(1), []byte{})
+	f.Add(uint8(79), uint8(16), int64(2), []byte{0, 0, 64, 0, 65, 1, 0, 70, 0, 0})
+	f.Fuzz(func(t *testing.T, width, extra uint8, seed int64, edits []byte) {
+		k := 1 + int(width)%200
+		n := max(k+int(extra%96)-16, 1)
+		r := rand.New(rand.NewSource(seed))
+		m := RandomMatrix(n, k, r)
+		for e := 0; e+5 <= len(edits) && e < 5*64; e += 5 {
+			a := int(edits[e+1])<<8 | int(edits[e+2])
+			b := int(edits[e+3])<<8 | int(edits[e+4])
+			switch edits[e] % 4 {
+			case 0: // copy column a to column b
+				for i := 0; i < n; i++ {
+					m.Set(i, b%k, m.At(i, a%k))
+				}
+			case 1: // zero column a
+				for i := 0; i < n; i++ {
+					m.Set(i, a%k, 0)
+				}
+			case 2: // copy row a to row b
+				for j := 0; j < k; j++ {
+					m.Set(b%n, j, m.At(a%n, j))
+				}
+			default: // zero row a
+				for j := 0; j < k; j++ {
+					m.Set(a%n, j, 0)
+				}
+			}
+		}
+		checkDenseMatchesIncremental(t, fmt.Sprintf("k=%d n=%d", k, n), m, RandomVector(k, r))
+	})
 }
 
 // TestDenseAutoCutover pins the size cutover itself: only systems with at

@@ -40,7 +40,7 @@ type Solver struct {
 	stride int // words per tableau row, including the trailing RHS word
 
 	dense []uint64 // m4ri tableau: every equation, row-major
-	table []uint64 // m4ri combination table: 2^m4riStripe rows
+	table []uint64 // m4ri combination tables: m4riTables × m4riEntries rows
 
 	// force pins the elimination path for tests and benchmarks:
 	// forceAuto (zero value) applies the size cutover.

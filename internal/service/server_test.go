@@ -99,6 +99,9 @@ func TestHTTPSubmitAndLifecycle(t *testing.T) {
 
 func TestHTTPValidationErrors(t *testing.T) {
 	srv, _ := newTestServer(t, Options{})
+	// 513 powers x 512 placements: one power past bicoop.MaxSweepScenarios.
+	oversizedGrid := `{"sweep": {"powers_db": [` + strings.TrimSuffix(strings.Repeat("0,", 513), ",") +
+		`], "placements": [` + strings.TrimSuffix(strings.Repeat(`{"Pos": 0.5},`, 512), ",") + `]}}`
 	cases := []struct {
 		name, body string
 		wantSubstr string
@@ -113,6 +116,9 @@ func TestHTTPValidationErrors(t *testing.T) {
 		{"one region angle", `{"region_batch": {"scenarios": [{"PowerDB": 10, "GabDB": -7, "GarDB": 0, "GbrDB": 5}], "curves": [{"Protocol": "MABC", "Bound": "inner"}], "angles": 1}}`, "invalid region spec"},
 		{"region angles overflow", `{"region_batch": {"scenarios": [{"PowerDB": 10, "GabDB": -7, "GarDB": 0, "GbrDB": 5}], "curves": [{"Protocol": "MABC", "Bound": "inner"}], "angles": 4611686018427387904}}`, "invalid region spec"},
 		{"region angles out of memory", `{"region_batch": {"scenarios": [{"PowerDB": 10, "GabDB": -7, "GarDB": 0, "GbrDB": 5}], "curves": [{"Protocol": "MABC", "Bound": "inner"}], "angles": 1099511627776}}`, "invalid region spec"},
+		{"oversized sweep grid", oversizedGrid, "at most 262144 scenarios"},
+		{"bit-true block length out of memory", `{"campaign": {"specs": [{"bit_true_tdbc": {"Links": {"EpsAR": 0.2, "EpsBR": 0.1, "EpsAB": 0.6}, "Rates": {"Ra": 0.2, "Rb": 0.2}, "BlockLength": 1000000}, "trials": 2}]}}`, "invalid block length"},
+		{"bit-true rate above one", `{"campaign": {"specs": [{"bit_true_mabc": {"Links": {"EpsMAC": 0.2, "EpsRA": 0.15, "EpsRB": 0.1}, "Rate": 1.5, "BlockLength": 400}, "trials": 2}]}}`, "invalid rates"},
 		{"bit-true durations out of range", `{"campaign": {"specs": [{"bit_true_mabc": {"Links": {"EpsMAC": 0.2, "EpsRA": 0.15, "EpsRB": 0.1}, "Rate": 0.3, "Durations": [1.5, -0.5], "BlockLength": 400}, "trials": 2}]}}`, "invalid simulation spec"},
 	}
 	for _, tc := range cases {

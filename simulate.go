@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"bicoop/internal/protocols"
 	"bicoop/internal/sim"
@@ -46,14 +45,15 @@ type FadingSpec struct {
 type BitTrueTDBCSpec struct {
 	// Links is the erasure network.
 	Links ErasureLinks
-	// Rates is the target message rate pair in bits per channel use.
+	// Rates is the target message rate pair in bits per channel use, each
+	// in [0, 1] (no erasure link carries more).
 	Rates RatePoint
 	// Durations optionally pins the three phase durations: each in [0,1],
 	// summing to 1 within 1e-9, or the spec is ErrInvalidSimSpec. Nil
 	// derives them from the Theorem 3 inner bound; rates outside the bound
 	// then return an error.
 	Durations []float64
-	// BlockLength is the number of channel uses per block.
+	// BlockLength is the number of channel uses per block, 1 to 16384.
 	BlockLength int
 }
 
@@ -63,14 +63,23 @@ type BitTrueTDBCSpec struct {
 type BitTrueMABCSpec struct {
 	// Links is the MAC/broadcast erasure network.
 	Links MABCComputeForwardLinks
-	// Rate is the common per-terminal message rate in bits per channel use.
+	// Rate is the common per-terminal message rate in bits per channel use,
+	// in [0, 1].
 	Rate float64
 	// Durations optionally pins the two phase durations, held to the same
 	// checks as BitTrueTDBCSpec.Durations; nil derives the optimal split.
 	Durations []float64
-	// BlockLength is the number of channel uses per block.
+	// BlockLength is the number of channel uses per block, 1 to 16384.
 	BlockLength int
 }
+
+// maxBlockLength caps a bit-true block length. Each worker holds its codes'
+// generator matrices and its elimination scratch, O(n²) bits in all: at
+// the cap and rates of 1, a TDBC worker holds about 190 MiB (every channel
+// use in phase 3) and an MABC worker about 100 MiB (every channel use in
+// phase 1), against about 11 MiB and 6 MiB at n = 4000, the longest block
+// any experiment, example or benchmark runs.
+const maxBlockLength = 1 << 14
 
 // SimSpec describes one simulation run for Engine.Simulate. Exactly one of
 // Fading, BitTrueTDBC and BitTrueMABC must be set; the remaining fields are
@@ -247,16 +256,18 @@ func validatePinnedDurations(protocol string, durations []float64, want int) err
 }
 
 // validateBitTrueCommon checks the fields shared by both bit-true specs.
+// The block length and rate bounds also bound a worker's memory (see
+// maxBlockLength).
 func validateBitTrueCommon(trials, blockLength int, rates ...float64) error {
 	if trials <= 0 {
 		return fmt.Errorf("%w: bit-true simulation needs a positive Trials, got %d", ErrInvalidTrials, trials)
 	}
-	if blockLength <= 0 {
-		return fmt.Errorf("%w: %d", ErrInvalidBlockLength, blockLength)
+	if blockLength <= 0 || blockLength > maxBlockLength {
+		return fmt.Errorf("%w: %d, want 1 to %d", ErrInvalidBlockLength, blockLength, maxBlockLength)
 	}
 	for _, r := range rates {
-		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
-			return fmt.Errorf("%w: %g", ErrInvalidRates, r)
+		if !(r >= 0 && r <= 1) {
+			return fmt.Errorf("%w: bit-true rate %g outside [0, 1]", ErrInvalidRates, r)
 		}
 	}
 	return nil

@@ -61,6 +61,12 @@ type SweepSpec struct {
 	Checkpoint Checkpointer
 }
 
+// MaxSweepScenarios caps a SweepSpec's Gaussian scenarios, the PowersDB ×
+// Placements pairs (an empty axis counts once). The sweep resolves every
+// pair before its first point, about 48 bytes each, so the cap holds that
+// to about 12 MiB; larger grids are ErrInvalidSweepSpec.
+const MaxSweepScenarios = 1 << 18
+
 // Size returns the number of points the sweep will yield.
 func (spec SweepSpec) Size() int { return spec.internal().Size() }
 
@@ -76,11 +82,12 @@ func (spec SweepSpec) internal() sweep.Spec {
 	}
 }
 
-// Validate checks the spec without running it: axis values, protocol and
-// bound enums, and the resume offset. Engine.Sweep runs the same checks up
-// front; callers that accept specs over a wire (the bccd job service) call
-// it at admission time so a malformed job is rejected with a typed sentinel
-// before any work is queued.
+// Validate checks the spec without running it: the scenario count against
+// MaxSweepScenarios, axis values, protocol and bound enums, and the resume
+// offset. Engine.Sweep runs the same checks up front; callers that accept
+// specs over a wire (the bccd job service) call it at admission time so a
+// malformed job is rejected with a typed sentinel before any work is
+// queued.
 func (spec SweepSpec) Validate() error {
 	if err := spec.validate(); err != nil {
 		return err
@@ -99,11 +106,15 @@ func (spec SweepSpec) Validate() error {
 	return nil
 }
 
-// validate rejects non-finite spec numbers up front with the facade's typed
-// sentinels: every power-axis value, and the Base scenario where the grid
+// validate rejects an oversized grid and non-finite spec numbers up front
+// with the facade's typed sentinels: every power-axis value, and the Base scenario where the grid
 // will actually evaluate it (placements supply their own gains, and an
 // erasures-only sweep never touches Base).
 func (spec SweepSpec) validate() error {
+	// Division, not a product, so no axis length can overflow the check.
+	if powers, places := max(len(spec.PowersDB), 1), max(len(spec.Placements), 1); powers > MaxSweepScenarios/places {
+		return fmt.Errorf("%w: %d powers x %d placements, at most %d scenarios", ErrInvalidSweepSpec, powers, places, MaxSweepScenarios)
+	}
 	for i, pdb := range spec.PowersDB {
 		if math.IsNaN(pdb) || math.IsInf(pdb, 0) {
 			return fmt.Errorf("%w: PowersDB[%d] = %g", ErrInvalidScenario, i, pdb)
