@@ -14,12 +14,15 @@ import (
 //	go test ./internal/experiments/ -run TestGoldenFigures -update
 var update = flag.Bool("update", false, "rewrite the golden figure artifacts under testdata/figures")
 
-// goldenIDs lists the experiments pinned as canonical artifacts: the
-// deterministic analytic figures (no Monte Carlo), in quick mode with seed 1.
-// Every reproduced number of these figures is a golden-file diff away from
-// review — numeric drift cannot land silently. Both Fig 4 power levels are
-// pinned so the sharded region-batch path has a golden region table at each.
-var goldenIDs = []string{"fig3", "fig4a", "fig4b", "crossover"}
+// goldenIDs lists the experiments pinned as canonical artifacts, in quick
+// mode with seed 1: the analytic figures and the two bit-true waterfalls.
+// Every reproduced number of these is a golden-file diff away from review —
+// numeric drift cannot land silently. Both Fig 4 power levels are pinned so
+// the sharded region-batch path has a golden region table at each. The
+// bit-true runs are deterministic at any GOMAXPROCS: each scale has its own
+// seed and a fixed inner worker count, so its counts depend on neither the
+// host nor the campaign's outer pool (CI runs this test at -cpu 1,4).
+var goldenIDs = []string{"fig3", "fig4a", "fig4b", "crossover", "bitsim", "bitsim-mabc"}
 
 func goldenPath(id, ext string) string {
 	return filepath.Join("testdata", "figures", id+ext)
