@@ -25,8 +25,8 @@ package protocols
 //     attained at an intersection of the (few) kink and boundary lines.
 //
 //  3. A reusable simplex.Workspace plus preallocated LP row buffers for the
-//     protocols the fast path does not cover (Naive4, HBC), so even the
-//     general-solver fallback performs no steady-state allocation.
+//     protocols the fast path does not cover (Naive4, HBC), so the general
+//     solver performs no steady-state allocation either.
 //
 // An Evaluator is cheap to create but not goroutine-safe: give each worker
 // its own (as internal/sim does), or lease one from the single
@@ -91,9 +91,10 @@ const (
 	maxPhases = MaxPhases
 	// maxTplCons bounds the constraint count of any compiled bound.
 	maxTplCons = 8
-	// maxKinkLines bounds the candidate kink/boundary line set of the fast
-	// path (see fastWeighted); sized with ample slack over the worst real
-	// template (TDBC outer: 10 kinks + 3 boundaries).
+	// maxKinkLines bounds the candidate kink line set of the fast path (see
+	// fastWeighted and fastFeasible); sized with ample slack over the worst
+	// real template (TDBC outer: 10 kinks), and checked for every template
+	// when the templates are built.
 	maxKinkLines = 64
 )
 
@@ -106,9 +107,6 @@ type conTemplate struct {
 
 // specTemplate is the scenario-independent structure of one compiled bound.
 type specTemplate struct {
-	// ok reports that template derivation succeeded; when false the
-	// Evaluator falls back to Compile per call.
-	ok bool
 	// fast reports that the closed-form candidate enumeration applies:
 	// two or three phases, 0/1 rate coefficients, and at least one
 	// constraint bounding each individual rate.
@@ -130,18 +128,25 @@ var (
 	templateTab [HBC + 1][BoundOuter + 1]specTemplate
 )
 
-// templateFor returns the cached template, or nil for unknown enums.
-func templateFor(p Protocol, b Bound) *specTemplate {
+// templateFor returns the cached template, or the Protocol.Validate or
+// Bound.Validate error for an unknown enum.
+func templateFor(p Protocol, b Bound) (*specTemplate, error) {
 	templateOnce.Do(buildTemplates)
-	if p < DT || p > HBC || b < BoundInner || b > BoundOuter {
-		return nil
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
-	return &templateTab[p][b]
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	return &templateTab[p][b], nil
 }
 
 // buildTemplates derives every template by compiling sentinel link
 // informations: each field carries a distinct marker value, so each PhaseCap
-// entry of the compiled constraints identifies its term exactly.
+// entry of the compiled constraints identifies its term exactly. Every
+// compiled-in bound must derive and fit the fast path's kink-line budget;
+// a theorem transcription that breaks either is a programming error, so it
+// panics on first use instead of falling back per call.
 func buildTemplates() {
 	sentinel := LinkInfos{
 		AtoR: 1, BtoR: 2, AtoB: 3, BtoA: 4, RtoA: 5, RtoB: 6,
@@ -151,15 +156,26 @@ func buildTemplates() {
 	sentinel.termValues(&marks)
 	for _, p := range Protocols() {
 		for _, b := range []Bound{BoundInner, BoundOuter} {
-			templateTab[p][b] = deriveTemplate(p, b, sentinel, &marks)
+			tpl, err := deriveTemplate(p, b, sentinel, &marks)
+			if err != nil {
+				panic(err)
+			}
+			if n := tpl.kinkLines(); n > maxKinkLines {
+				panic(fmt.Sprintf("protocols: %v %v template needs %d kink lines, budget %d", p, b, n, maxKinkLines))
+			}
+			templateTab[p][b] = tpl
 		}
 	}
 }
 
-func deriveTemplate(p Protocol, b Bound, sentinel LinkInfos, marks *[numTerms]float64) specTemplate {
+func deriveTemplate(p Protocol, b Bound, sentinel LinkInfos, marks *[numTerms]float64) (specTemplate, error) {
 	spec, err := Compile(p, b, sentinel)
-	if err != nil || spec.Phases < 1 || spec.Phases > maxPhases || len(spec.Cons) > maxTplCons {
-		return specTemplate{}
+	if err != nil {
+		return specTemplate{}, err
+	}
+	if spec.Phases < 1 || spec.Phases > maxPhases || len(spec.Cons) > maxTplCons {
+		return specTemplate{}, fmt.Errorf("protocols: %v %v has %d phases and %d constraints, past the template buffers",
+			p, b, spec.Phases, len(spec.Cons))
 	}
 	tpl := specTemplate{phases: spec.Phases, cons: make([]conTemplate, 0, len(spec.Cons))}
 	coefOK := true
@@ -172,7 +188,7 @@ func deriveTemplate(p Protocol, b Bound, sentinel LinkInfos, marks *[numTerms]fl
 			}
 			t, found := termOfMark(v, marks)
 			if !found {
-				return specTemplate{} // not a plain term reference; use Compile
+				return specTemplate{}, fmt.Errorf("protocols: %v %v constraint %d phase %d is not a plain link term", p, b, ci, l)
 			}
 			ct.phase[l] = t
 			tpl.needs[t] = true
@@ -189,11 +205,22 @@ func deriveTemplate(p Protocol, b Bound, sentinel LinkInfos, marks *[numTerms]fl
 			coefOK = false
 		}
 	}
-	tpl.ok = true
 	tpl.fast = coefOK &&
 		(spec.Phases == 2 || spec.Phases == 3) &&
 		len(tpl.aIdx) >= 1 && len(tpl.bIdx) >= 1
-	return tpl
+	return tpl, nil
+}
+
+// kinkLines counts the kink lines the fast path enumerates for the template
+// (zero when it takes the simplex): the larger of fastWeighted's set and
+// fastFeasible's pairwise set.
+func (tpl *specTemplate) kinkLines() int {
+	if !tpl.fast {
+		return 0
+	}
+	pairs := func(n int) int { return n * (n - 1) / 2 }
+	a, b, c := len(tpl.aIdx), len(tpl.bIdx), len(tpl.cIdx)
+	return max(pairs(a)+pairs(b)+pairs(c)+c*(a+b+a*b), pairs(len(tpl.cons)))
 }
 
 func termOfMark(v float64, marks *[numTerms]float64) (term, bool) {
@@ -272,12 +299,13 @@ func (e *Evaluator) WeightedRate(p Protocol, b Bound, s Scenario, muA, muB float
 }
 
 // linkInfosFor evaluates the scenario's link informations, masked to the
-// bound's template when one exists.
+// bound's template.
 func (e *Evaluator) linkInfosFor(p Protocol, b Bound, s Scenario) (LinkInfos, error) {
-	if tpl := templateFor(p, b); tpl != nil && tpl.ok {
-		return linkInfosMasked(s, &tpl.needs)
+	tpl, err := templateFor(p, b)
+	if err != nil {
+		return LinkInfos{}, err
 	}
-	return LinkInfosFromScenario(s)
+	return linkInfosMasked(s, &tpl.needs)
 }
 
 // linkInfosMasked evaluates only the terms marked in need. Exact aliases
@@ -341,34 +369,16 @@ func (e *Evaluator) WeightedRateLinks(p Protocol, b Bound, li LinkInfos, muA, mu
 	if muA < 0 || muB < 0 {
 		return Optimum{}, fmt.Errorf("protocols: negative weights (%g, %g)", muA, muB)
 	}
-	tpl := templateFor(p, b)
-	if tpl == nil || !tpl.ok {
-		// Unknown enums or a non-template bound shape (e.g. more phases
-		// than the fixed buffers hold): the full Compile path reports the
-		// right error or handles the exotic spec. This path may allocate —
-		// it never runs for the compiled-in protocols.
-		spec, err := Compile(p, b, li)
-		if err != nil {
-			return Optimum{}, err
-		}
-		sol, err := spec.lp(muA, muB).SolveIn(&e.ws)
-		if err != nil {
-			return Optimum{}, fmt.Errorf("protocols: %v %v weighted-rate LP: %w", p, b, err)
-		}
-		return Optimum{
-			Rates:     RatePair{Ra: sol.X[0], Rb: sol.X[1]},
-			Durations: append([]float64(nil), sol.X[2:2+spec.Phases]...),
-			Objective: sol.Objective,
-		}, nil
+	tpl, err := templateFor(p, b)
+	if err != nil {
+		return Optimum{}, err
 	}
 	if err := li.Validate(); err != nil {
 		return Optimum{}, err
 	}
 	e.loadCaps(tpl, li)
 	if tpl.fast {
-		if opt, ok := e.fastWeighted(tpl, muA, muB); ok {
-			return opt, nil
-		}
+		return e.fastWeighted(tpl, muA, muB), nil
 	}
 	return e.simplexWeighted(tpl, p, b, muA, muB)
 }
@@ -389,13 +399,9 @@ func (e *Evaluator) FeasibleLinks(p Protocol, b Bound, li LinkInfos, r RatePair)
 	if r.Ra < 0 || r.Rb < 0 {
 		return false, nil
 	}
-	tpl := templateFor(p, b)
-	if tpl == nil || !tpl.ok {
-		spec, err := Compile(p, b, li)
-		if err != nil {
-			return false, err
-		}
-		return spec.Feasible(r)
+	tpl, err := templateFor(p, b)
+	if err != nil {
+		return false, err
 	}
 	if err := li.Validate(); err != nil {
 		return false, err
@@ -405,9 +411,7 @@ func (e *Evaluator) FeasibleLinks(p Protocol, b Bound, li LinkInfos, r RatePair)
 		return true, nil
 	}
 	if tpl.fast {
-		if feasible, ok := e.fastFeasible(tpl, r); ok {
-			return feasible, nil
-		}
+		return e.fastFeasible(tpl, r), nil
 	}
 	return e.simplexFeasible(tpl, r)
 }
@@ -497,10 +501,9 @@ func fastEnv(fa, fb, fc []lin, d1, d2 float64) (a, b, c float64) {
 	return a, b, c
 }
 
-// fastWeighted solves the weighted-rate LP by candidate enumeration. The
-// bool result is false only if the enumeration overflowed its line budget
-// (impossible for the compiled templates, guarded for robustness).
-func (e *Evaluator) fastWeighted(tpl *specTemplate, muA, muB float64) (Optimum, bool) {
+// fastWeighted solves the weighted-rate LP by candidate enumeration. Its
+// kink lines fit maxKinkLines (checked by buildTemplates).
+func (e *Evaluator) fastWeighted(tpl *specTemplate, muA, muB float64) Optimum {
 	var faArr, fbArr, fcArr [maxTplCons]lin
 	fa := gatherLins(faArr[:0], tpl.aIdx, &e.caps, tpl.phases)
 	fb := gatherLins(fbArr[:0], tpl.bIdx, &e.caps, tpl.phases)
@@ -522,51 +525,29 @@ func (e *Evaluator) fastWeighted(tpl *specTemplate, muA, muB float64) (Optimum, 
 	// starts binding jointly).
 	var lines [maxKinkLines]lin
 	n := 0
-	add := func(f lin) bool {
-		if n >= maxKinkLines {
-			return false
-		}
+	add := func(f lin) {
 		lines[n] = f
 		n++
-		return true
 	}
-	ok := true
-	for i := 0; i < len(fa) && ok; i++ {
-		for j := i + 1; j < len(fa) && ok; j++ {
-			ok = add(linDiff(fa[i], fa[j]))
-		}
-	}
-	for i := 0; i < len(fb) && ok; i++ {
-		for j := i + 1; j < len(fb) && ok; j++ {
-			ok = add(linDiff(fb[i], fb[j]))
-		}
-	}
-	for i := 0; i < len(fc) && ok; i++ {
-		for j := i + 1; j < len(fc) && ok; j++ {
-			ok = add(linDiff(fc[i], fc[j]))
+	for _, f := range [...][]lin{fa, fb, fc} {
+		for i := range f {
+			for j := i + 1; j < len(f); j++ {
+				add(linDiff(f[i], f[j]))
+			}
 		}
 	}
 	for _, fcv := range fc {
 		for _, fav := range fa {
-			if ok {
-				ok = add(linDiff(fcv, fav))
-			}
+			add(linDiff(fcv, fav))
 		}
 		for _, fbv := range fb {
-			if ok {
-				ok = add(linDiff(fcv, fbv))
-			}
+			add(linDiff(fcv, fbv))
 		}
 		for _, fav := range fa {
 			for _, fbv := range fb {
-				if ok {
-					ok = add(linDiff(fcv, lin{fav.c0 + fbv.c0, fav.c1 + fbv.c1, fav.c2 + fbv.c2}))
-				}
+				add(linDiff(fcv, lin{fav.c0 + fbv.c0, fav.c1 + fbv.c1, fav.c2 + fbv.c2}))
 			}
 		}
-	}
-	if !ok {
-		return Optimum{}, false
 	}
 
 	if tpl.phases == 2 {
@@ -585,7 +566,7 @@ func (e *Evaluator) fastWeighted(tpl *specTemplate, muA, muB float64) (Optimum, 
 		Rates:     RatePair{Ra: best.ra, Rb: best.rb},
 		Durations: e.durs[:tpl.phases:tpl.phases],
 		Objective: best.val,
-	}, true
+	}
 }
 
 // witnessFeasible tries two sufficient witnesses of feasibility: the
@@ -611,11 +592,9 @@ func (e *Evaluator) witnessFeasible(tpl *specTemplate, r RatePair) bool {
 
 // fastFeasible maximizes the uniform slack min_i(cap_i(d) - need_i) over the
 // duration simplex by the same candidate enumeration; the pair is feasible
-// iff the maximal slack is (numerically) non-negative. The second result is
-// false when the kink-line budget overflowed (impossible for the compiled
-// templates); the caller must then fall back to the LP rather than trust a
-// truncated enumeration.
-func (e *Evaluator) fastFeasible(tpl *specTemplate, r RatePair) (feasible, ok bool) {
+// iff the maximal slack is (numerically) non-negative. Its kink lines fit
+// maxKinkLines (checked by buildTemplates).
+func (e *Evaluator) fastFeasible(tpl *specTemplate, r RatePair) bool {
 	var gArr [maxTplCons]lin
 	g := gArr[:0]
 	for ci := range tpl.cons {
@@ -641,9 +620,6 @@ func (e *Evaluator) fastFeasible(tpl *specTemplate, r RatePair) (feasible, ok bo
 	n := 0
 	for i := 0; i < len(g); i++ {
 		for j := i + 1; j < len(g); j++ {
-			if n >= maxKinkLines {
-				return false, false
-			}
 			lines[n] = linDiff(g[i], g[j])
 			n++
 		}
@@ -653,7 +629,7 @@ func (e *Evaluator) fastFeasible(tpl *specTemplate, r RatePair) (feasible, ok bo
 	} else {
 		enumerate2D(lines[:n], eval)
 	}
-	return best >= -feasSlackTol, true
+	return best >= -feasSlackTol
 }
 
 // feasSlackTol matches the simplex phase-1 feasibility tolerance so the fast

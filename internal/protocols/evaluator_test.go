@@ -1,6 +1,7 @@
 package protocols
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -12,16 +13,23 @@ import (
 // allBounds lists both bound kinds for table-driven sweeps.
 var allBounds = []Bound{BoundInner, BoundOuter}
 
+// TestTemplatesDerived pins all ten templates: each derives, takes the
+// closed form exactly when it has at most three phases, and needs the kink
+// lines listed (zero for the simplex ones), far inside maxKinkLines.
 func TestTemplatesDerived(t *testing.T) {
 	wantFast := map[Protocol]bool{
 		DT: true, MABC: true, TDBC: true, // ≤ 3 phases: closed form
-		Naive4: false, HBC: false, // 4 phases: simplex fallback
+		Naive4: false, HBC: false, // 4 phases: simplex
 	}
+	wantKinks := map[Protocol][2]int{DT: {1, 1}, MABC: {10, 10}, TDBC: {6, 10}}
 	for _, p := range Protocols() {
-		for _, b := range allBounds {
-			tpl := templateFor(p, b)
-			if tpl == nil || !tpl.ok {
-				t.Fatalf("%v %v: template not derived", p, b)
+		for bi, b := range allBounds {
+			tpl, err := templateFor(p, b)
+			if err != nil {
+				t.Fatalf("%v %v: %v", p, b, err)
+			}
+			if got, want := tpl.kinkLines(), wantKinks[p][bi]; got != want {
+				t.Errorf("%v %v: %d kink lines, want %d", p, b, got, want)
 			}
 			if tpl.fast != wantFast[p] {
 				t.Errorf("%v %v: fast = %v, want %v", p, b, tpl.fast, wantFast[p])
@@ -33,6 +41,12 @@ func TestTemplatesDerived(t *testing.T) {
 				t.Errorf("%v %v: missing per-rate constraints (a=%d b=%d)", p, b, len(tpl.aIdx), len(tpl.bIdx))
 			}
 		}
+	}
+	if _, err := templateFor(Protocol(42), BoundInner); !errors.Is(err, ErrUnknownProtocol) {
+		t.Errorf("unknown protocol: err = %v, want ErrUnknownProtocol", err)
+	}
+	if _, err := templateFor(MABC, Bound(42)); !errors.Is(err, ErrUnknownBound) {
+		t.Errorf("unknown bound: err = %v, want ErrUnknownBound", err)
 	}
 }
 
@@ -54,7 +68,10 @@ func TestTemplateCapsMatchCompile(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tpl := templateFor(p, b)
+				tpl, err := templateFor(p, b)
+				if err != nil {
+					t.Fatal(err)
+				}
 				e.loadCaps(tpl, li)
 				if len(tpl.cons) != len(spec.Cons) {
 					t.Fatalf("%v %v: %d template cons vs %d compiled", p, b, len(tpl.cons), len(spec.Cons))
