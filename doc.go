@@ -146,8 +146,12 @@
 //
 // Admission runs the facade's Validate, so a job whose work would not fit
 // in memory is a 400 before anything is queued: a sweep of more than
-// MaxSweepScenarios power × placement pairs, and a bit-true spec with a
-// block length above 16384 or a rate above 1.
+// MaxSweepScenarios power × placement pairs, and a bit-true spec that breaks
+// any of the bit-true rules (listed once, on internal/sim's
+// BitTrueConfig.Validate, and run by both the admission check and the
+// simulators): among them a block length above 16384 and a rate above 1.
+// The one bit-true failure left to run time is a TDBC spec whose durations
+// are derived and whose rates fall outside the Theorem 3 inner bound.
 //
 // The guarantees are the CLI's, detached from any client: kill -9 the
 // daemon mid-job and the restarted daemon rescans the store, re-queues
@@ -270,10 +274,10 @@
 // or the host's core count.
 // The figure pipeline streams: experiments consume sweep points through
 // callbacks, tables accumulate raw floats (plot.ColumnTable) and format
-// once at render time, and each canonical figure emits a text+CSV artifact
-// pinned by golden-file tests (internal/experiments/testdata/figures;
-// regenerate with `go test ./internal/experiments/ -run TestGoldenFigures
-// -update`).
+// once at render time, and each canonical figure and both bit-true
+// waterfalls emit a text+CSV artifact pinned by golden-file tests
+// (internal/experiments/testdata/figures; regenerate with
+// `go test ./internal/experiments/ -run TestGoldenFigures -update`).
 //
 // The bit-true simulators are word-parallel end to end: internal/gf2 packs
 // rows into flat []uint64 matrices redrawn in place per block

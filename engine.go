@@ -20,6 +20,7 @@ import (
 	"bicoop/internal/cache"
 	"bicoop/internal/experiments"
 	"bicoop/internal/protocols"
+	"bicoop/internal/sim"
 	"bicoop/internal/sweep"
 )
 
@@ -30,18 +31,21 @@ var (
 	// or a grid point whose gains are unusable. It is the internal
 	// protocols sentinel, so errors.Is matches it wherever it was raised.
 	ErrInvalidScenario = protocols.ErrInvalidScenario
-	// ErrInvalidRates reports a NaN or infinite target rate, or a bit-true
-	// rate outside [0, 1].
-	ErrInvalidRates = errors.New("bicoop: invalid rates")
+	// ErrInvalidRates reports a NaN or infinite target rate, or bit-true
+	// rates outside [0, 1] or too low to carry a message bit. It is the
+	// internal sim sentinel, so errors.Is matches it wherever it was raised.
+	ErrInvalidRates = sim.ErrInvalidRates
 	// ErrInvalidTrials reports a negative trial count, or a missing one
-	// where no default exists (the bit-true simulators).
-	ErrInvalidTrials = errors.New("bicoop: invalid trial count")
+	// where no default exists (the bit-true simulators). It is the internal
+	// sim sentinel.
+	ErrInvalidTrials = sim.ErrInvalidTrials
 	// ErrInvalidBlockLength reports a bit-true block length that is not
-	// positive or exceeds the cap of 16384 channel uses.
-	ErrInvalidBlockLength = errors.New("bicoop: invalid block length")
+	// positive or exceeds the cap of 16384 channel uses. It is the internal
+	// sim sentinel.
+	ErrInvalidBlockLength = sim.ErrInvalidBlockLength
 	// ErrInvalidSimSpec reports a SimSpec selecting zero or several
-	// simulators, or a bit-true spec whose pinned Durations are the wrong
-	// count, outside [0,1] or do not sum to 1.
+	// simulators, or a bit-true spec that breaks a bit-true rule (see
+	// BitTrueTDBCSpec); it then wraps the rule's own error as well.
 	ErrInvalidSimSpec = errors.New("bicoop: invalid simulation spec")
 	// ErrInvalidSweepSpec reports an unusable SweepSpec (e.g. nil yield, or
 	// more than MaxSweepScenarios power × placement pairs).

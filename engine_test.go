@@ -129,9 +129,12 @@ func TestEngineValidation(t *testing.T) {
 // TestSimulatePinnedDurationsValidation pins the admission check on bit-true
 // phase splits: a pinned Durations slice of the wrong count, with a
 // non-finite entry, an entry outside [0,1] or a sum away from 1 is
-// ErrInvalidSimSpec from Simulate and SimulateBatch alike, before any worker
-// is built (some of these used to panic sizing a negative phase, one ran
-// with n1+n2 > n).
+// ErrInvalidSimSpec from CampaignSpec.Validate, Simulate and SimulateBatch
+// alike, before any worker is built (some of these used to panic sizing a
+// negative phase, one ran with n1+n2 > n). So is a spec that breaks one of
+// the other bit-true rules only the simulators used to check (the rows
+// from "MABC rate 0" on), which passed admission and then failed the
+// campaign's first run.
 func TestSimulatePinnedDurationsValidation(t *testing.T) {
 	eng := bicoop.NewEngine()
 	ctx := context.Background()
@@ -163,7 +166,25 @@ func TestSimulatePinnedDurationsValidation(t *testing.T) {
 		"MABC sum 0.9":         mabc(0.45, 0.45),
 		"MABC empty":           mabc([]float64{}...),
 	}
+	zeroRate := mabc()
+	zeroRate.BitTrueMABC.Rate = 0
+	bad["MABC rate 0"] = zeroRate
+	zeroRates := tdbc(0.3, 0.3, 0.4)
+	zeroRates.BitTrueTDBC.Rates = bicoop.RatePoint{}
+	bad["TDBC rates 0, pinned durations"] = zeroRates
+	oneUse := tdbc()
+	oneUse.BitTrueTDBC.Rates, oneUse.BitTrueTDBC.BlockLength = bicoop.RatePoint{Ra: 0.3, Rb: 0.3}, 1
+	bad["TDBC block length 1"] = oneUse
+	badAR := tdbc()
+	badAR.BitTrueTDBC.Links.EpsAR = 2
+	bad["TDBC EpsAR 2"] = badAR
+	badMAC := mabc()
+	badMAC.BitTrueMABC.Links.EpsMAC = -0.5
+	bad["MABC EpsMAC -0.5"] = badMAC
 	for name, spec := range bad {
+		if err := validateSim(spec); !errors.Is(err, bicoop.ErrInvalidSimSpec) {
+			t.Errorf("%s: CampaignSpec.Validate err = %v, want ErrInvalidSimSpec", name, err)
+		}
 		if _, err := eng.Simulate(ctx, spec); !errors.Is(err, bicoop.ErrInvalidSimSpec) {
 			t.Errorf("%s: Simulate err = %v, want ErrInvalidSimSpec", name, err)
 		}

@@ -118,8 +118,8 @@ func runBitSimMABC(cfg Config) (Result, error) {
 		Headers: []string{"rate scale", "success", "95% CI", "relay fails", "terminal fails"},
 	}
 	// Scale axis as a campaign: deterministic per-scale runs pipelined
-	// across cfg.Workers (see the bitsim experiment).
-	results := make([]sim.MABCBitTrueResult, len(scales))
+	// across GOMAXPROCS workers (see the bitsim experiment).
+	results := make([]sim.BitTrueResult, len(scales))
 	if err := campaign(cfg, len(scales), func(i int) error {
 		res, err := sim.RunBitTrueMABC(cfg.ctx(), sim.MABCBitTrueConfig{
 			EpsMAC: epsMAC, EpsRA: epsRA, EpsRB: epsRB,
@@ -143,8 +143,12 @@ func runBitSimMABC(cfg Config) (Result, error) {
 	for i, sc := range scales {
 		res := results[i]
 		success[i] = res.SuccessProb
+		ci, err := stats.WilsonInterval(res.Trials-res.RelayFailures-res.TerminalFailures, res.Trials, 0.95)
+		if err != nil {
+			return Result{}, err
+		}
 		table.AddRow(fmt.Sprintf("%.2f", sc), fmt.Sprintf("%.3f", res.SuccessProb),
-			fmt.Sprintf("[%.3f, %.3f]", res.SuccessCI.Lo, res.SuccessCI.Hi),
+			fmt.Sprintf("[%.3f, %.3f]", ci.Lo, ci.Hi),
 			fmt.Sprintf("%d", res.RelayFailures), fmt.Sprintf("%d", res.TerminalFailures))
 	}
 	res := Result{

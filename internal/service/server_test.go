@@ -120,6 +120,11 @@ func TestHTTPValidationErrors(t *testing.T) {
 		{"bit-true block length out of memory", `{"campaign": {"specs": [{"bit_true_tdbc": {"Links": {"EpsAR": 0.2, "EpsBR": 0.1, "EpsAB": 0.6}, "Rates": {"Ra": 0.2, "Rb": 0.2}, "BlockLength": 1000000}, "trials": 2}]}}`, "invalid block length"},
 		{"bit-true rate above one", `{"campaign": {"specs": [{"bit_true_mabc": {"Links": {"EpsMAC": 0.2, "EpsRA": 0.15, "EpsRB": 0.1}, "Rate": 1.5, "BlockLength": 400}, "trials": 2}]}}`, "invalid rates"},
 		{"bit-true durations out of range", `{"campaign": {"specs": [{"bit_true_mabc": {"Links": {"EpsMAC": 0.2, "EpsRA": 0.15, "EpsRB": 0.1}, "Rate": 0.3, "Durations": [1.5, -0.5], "BlockLength": 400}, "trials": 2}]}}`, "invalid simulation spec"},
+		{"bit-true MABC zero rate", `{"campaign": {"specs": [{"bit_true_mabc": {"Links": {"EpsMAC": 0.2, "EpsRA": 0.15, "EpsRB": 0.1}, "Rate": 0, "BlockLength": 400}, "trials": 2}]}}`, "invalid simulation spec"},
+		{"bit-true TDBC zero rates", `{"campaign": {"specs": [{"bit_true_tdbc": {"Links": {"EpsAR": 0.2, "EpsBR": 0.1, "EpsAB": 0.6}, "Rates": {"Ra": 0, "Rb": 0}, "Durations": [0.3, 0.3, 0.4], "BlockLength": 400}, "trials": 2}]}}`, "invalid simulation spec"},
+		{"bit-true TDBC block of one", `{"campaign": {"specs": [{"bit_true_tdbc": {"Links": {"EpsAR": 0.2, "EpsBR": 0.1, "EpsAB": 0.6}, "Rates": {"Ra": 0.3, "Rb": 0.3}, "BlockLength": 1}, "trials": 2}]}}`, "invalid simulation spec"},
+		{"bit-true TDBC erasure above one", `{"campaign": {"specs": [{"bit_true_tdbc": {"Links": {"EpsAR": 2, "EpsBR": 0.1, "EpsAB": 0.6}, "Rates": {"Ra": 0.3, "Rb": 0.3}, "BlockLength": 400}, "trials": 2}]}}`, "invalid simulation spec"},
+		{"bit-true MABC negative erasure", `{"campaign": {"specs": [{"bit_true_mabc": {"Links": {"EpsMAC": -0.5, "EpsRA": 0.15, "EpsRB": 0.1}, "Rate": 0.3, "BlockLength": 400}, "trials": 2}]}}`, "invalid simulation spec"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -25,7 +25,9 @@ func TestParseJobSpecTrailingWhitespace(t *testing.T) {
 // whose re-marshalled form — what Store.Create writes as spec.json — parses
 // back to the same bytes, so a recovered job runs what was admitted. The
 // committed corpus (testdata/fuzz/FuzzParseJobSpec) holds a valid sweep,
-// region batch and campaign plus two bodies with trailing data.
+// region batch and campaign, two bodies with trailing data, and six
+// campaigns that each break one bit-true rule (an oversized block, a block
+// of one channel use, zero rates, an erasure probability outside [0,1]).
 func FuzzParseJobSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := ParseJobSpec(data)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -25,8 +24,13 @@ type ErasureNetwork struct {
 
 // Validate checks the erasure probabilities.
 func (n ErasureNetwork) Validate() error {
-	for _, e := range []float64{n.EpsAR, n.EpsBR, n.EpsAB} {
-		if e < 0 || e > 1 || math.IsNaN(e) {
+	return checkErasures(n.EpsAR, n.EpsBR, n.EpsAB)
+}
+
+// checkErasures checks that each erasure probability is in [0,1].
+func checkErasures(eps ...float64) error {
+	for _, e := range eps {
+		if !(e >= 0 && e <= 1) {
 			return fmt.Errorf("sim: erasure probability %g out of [0,1]", e)
 		}
 	}
@@ -56,7 +60,8 @@ func (n ErasureNetwork) LinkInfos() protocols.LinkInfos {
 	}
 }
 
-// BitTrueConfig parameterizes a bit-true TDBC run.
+// BitTrueConfig parameterizes a bit-true TDBC run. Its fields obey the
+// rules that Validate checks.
 type BitTrueConfig struct {
 	// Net is the erasure network.
 	Net ErasureNetwork
@@ -90,6 +95,64 @@ type BitTrueConfig struct {
 	Progress func(done, total int)
 }
 
+// maxBlockLength caps a bit-true block length. Each worker holds its codes'
+// generator matrices and its elimination scratch, O(n²) bits in all: at
+// the cap and rates of 1, a TDBC worker holds about 190 MiB (every channel
+// use in phase 3) and an MABC worker about 100 MiB (every channel use in
+// phase 1), against about 11 MiB and 6 MiB at n = 4000, the longest block
+// any experiment, example or benchmark runs.
+const maxBlockLength = 1 << 14
+
+// Validate checks the config without running it. These are the rules of
+// both bit-true simulators (MABCBitTrueConfig.Validate applies them to its
+// own fields):
+//   - Trials is positive (ErrInvalidTrials);
+//   - every erasure probability is in [0,1];
+//   - BlockLength is 1 to 16384 (ErrInvalidBlockLength), which with the
+//     rate bound caps a worker's memory (see maxBlockLength);
+//   - every rate is in [0,1], and the rates give at least one message bit
+//     at BlockLength (ErrInvalidRates);
+//   - pinned Durations pass CheckDurations.
+//
+// A config that passes can fail at run time in one way only: a TDBC config
+// whose durations are derived (nil Durations) and whose rates fall outside
+// the Theorem 3 inner bound returns ErrInfeasibleRates.
+func (cfg BitTrueConfig) Validate() error {
+	if err := cfg.Net.Validate(); err != nil {
+		return err
+	}
+	return checkBitTrue("TDBC", cfg.Trials, cfg.BlockLength, cfg.Durations, 3, cfg.Rates.Ra, cfg.Rates.Rb)
+}
+
+// checkBitTrue checks the rules of BitTrueConfig.Validate that both
+// bit-true configs share.
+func checkBitTrue(protocol string, trials, n int, durations []float64, phases int, rates ...float64) error {
+	if trials <= 0 {
+		return fmt.Errorf("%w: bit-true simulation needs a positive Trials, got %d", ErrInvalidTrials, trials)
+	}
+	if n <= 0 || n > maxBlockLength {
+		return fmt.Errorf("%w: %d, want 1 to %d", ErrInvalidBlockLength, n, maxBlockLength)
+	}
+	bits := 0
+	for _, r := range rates {
+		if !(r >= 0 && r <= 1) {
+			return fmt.Errorf("%w: bit-true rate %g outside [0, 1]", ErrInvalidRates, r)
+		}
+		bits += messageBits(r, n)
+	}
+	if bits == 0 {
+		return fmt.Errorf("%w: rates %v give no message bit in a block of %d", ErrInvalidRates, rates, n)
+	}
+	if durations == nil {
+		return nil
+	}
+	return CheckDurations(protocol, durations, phases)
+}
+
+// messageBits is the length of a message at rate r in a block of n channel
+// uses.
+func messageBits(r float64, n int) int { return int(math.Floor(r * float64(n))) }
+
 // BitTrueResult reports bit-true decoding outcomes.
 type BitTrueResult struct {
 	// SuccessProb is the fraction of blocks where both terminals recovered
@@ -107,8 +170,54 @@ type BitTrueResult struct {
 	Durations []float64
 }
 
-// ErrInfeasibleRates is returned when no durations support the target rates.
-var ErrInfeasibleRates = errors.New("sim: target rates outside the TDBC inner bound")
+// tally counts one worker's block outcomes. Both bit-true workers embed it,
+// and bitTrueResult merges the workers' tallies into the run's result.
+type tally struct {
+	successes, relayFailures, terminalFailures int
+}
+
+// record counts one block from its (success, relayDecoded) outcome.
+//
+//bicoop:noalloc
+func (t *tally) record(ok, relayOK bool) {
+	switch {
+	case ok:
+		t.successes++
+	case !relayOK:
+		t.relayFailures++
+	default:
+		t.terminalFailures++
+	}
+}
+
+// counts exposes the embedded tally to bitTrueResult.
+func (t *tally) counts() *tally { return t }
+
+// bitTrueResult merges the workers' tallies into the run's result. A run
+// whose context ended keeps the counts of the blocks completed so far and
+// reports the (wrapped) context error beside them.
+func bitTrueResult[W interface{ counts() *tally }](ctx context.Context, parts []W, durations []float64) (BitTrueResult, error) {
+	var sum tally
+	for _, wk := range parts {
+		t := wk.counts()
+		sum.successes += t.successes
+		sum.relayFailures += t.relayFailures
+		sum.terminalFailures += t.terminalFailures
+	}
+	res := BitTrueResult{
+		RelayFailures:    sum.relayFailures,
+		TerminalFailures: sum.terminalFailures,
+		Trials:           sum.successes + sum.relayFailures + sum.terminalFailures,
+		Durations:        durations,
+	}
+	if res.Trials > 0 {
+		res.SuccessProb = float64(sum.successes) / float64(res.Trials)
+	}
+	if err := CtxErr(ctx); err != nil {
+		return res, fmt.Errorf("sim: %w", err)
+	}
+	return res, nil
+}
 
 // tdbcParams are the integer block dimensions of one TDBC run, derived once
 // from the config and shared by every worker.
@@ -120,19 +229,9 @@ type tdbcParams struct {
 // deriveTDBCParams validates the config and resolves durations and block
 // dimensions.
 func deriveTDBCParams(cfg BitTrueConfig) (tdbcParams, []float64, error) {
-	if err := cfg.Net.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return tdbcParams{}, nil, err
 	}
-	if cfg.BlockLength <= 0 {
-		return tdbcParams{}, nil, fmt.Errorf("sim: block length %d", cfg.BlockLength)
-	}
-	if cfg.Trials <= 0 {
-		return tdbcParams{}, nil, ErrNoTrials
-	}
-	if cfg.Rates.Ra < 0 || cfg.Rates.Rb < 0 {
-		return tdbcParams{}, nil, fmt.Errorf("sim: negative rates %+v", cfg.Rates)
-	}
-
 	durations := cfg.Durations
 	if durations == nil {
 		spec, err := protocols.Compile(protocols.TDBC, protocols.BoundInner, cfg.Net.LinkInfos())
@@ -143,28 +242,17 @@ func deriveTDBCParams(cfg BitTrueConfig) (tdbcParams, []float64, error) {
 		if err != nil {
 			return tdbcParams{}, nil, fmt.Errorf("%w: %w", ErrInfeasibleRates, err)
 		}
-	} else if err := CheckDurations("TDBC", durations, 3); err != nil {
-		return tdbcParams{}, nil, err
 	}
 
 	n := cfg.BlockLength
 	p := tdbcParams{
 		n1: int(math.Round(durations[0] * float64(n))),
 		n2: int(math.Round(durations[1] * float64(n))),
-		ka: int(math.Floor(cfg.Rates.Ra * float64(n))),
-		kb: int(math.Floor(cfg.Rates.Rb * float64(n))),
+		ka: messageBits(cfg.Rates.Ra, n),
+		kb: messageBits(cfg.Rates.Rb, n),
 	}
-	p.n3 = n - p.n1 - p.n2
-	if p.n3 < 0 {
-		p.n3 = 0
-	}
-	if p.ka == 0 && p.kb == 0 {
-		return tdbcParams{}, nil, fmt.Errorf("sim: block length %d too short for rates %+v", n, cfg.Rates)
-	}
-	p.kr = p.ka
-	if p.kb > p.kr {
-		p.kr = p.kb
-	}
+	p.n3 = max(n-p.n1-p.n2, 0)
+	p.kr = max(p.ka, p.kb)
 	return p, durations, nil
 }
 
@@ -210,22 +298,8 @@ func RunBitTrueTDBC(ctx context.Context, cfg BitTrueConfig) (BitTrueResult, erro
 	// returns no error.
 	parts, _ := shardTrials(ctx, cfg.Trials, cfg.Workers, cfg.Seed, cfg.Progress,
 		func(seed int64) (*tdbcWorker, error) { return newTDBCWorker(cfg.Net, p, seed), nil },
-		func(wk *tdbcWorker) error { wk.runTrial(); return nil })
-	res := BitTrueResult{Durations: durations}
-	successes := 0
-	for _, wk := range parts {
-		successes += wk.successes
-		res.RelayFailures += wk.relayFailures
-		res.TerminalFailures += wk.terminalFailures
-	}
-	res.Trials = successes + res.RelayFailures + res.TerminalFailures
-	if res.Trials > 0 {
-		res.SuccessProb = float64(successes) / float64(res.Trials)
-	}
-	if err := CtxErr(ctx); err != nil {
-		return res, fmt.Errorf("sim: %w", err)
-	}
-	return res, nil
+		func(wk *tdbcWorker) error { wk.record(wk.runBlock()); return nil })
+	return bitTrueResult(ctx, parts, durations)
 }
 
 // tdbcWorker owns one goroutine's share of the bit-true Monte Carlo: a
@@ -268,7 +342,7 @@ type tdbcWorker struct {
 	survA, survB []uint64
 	shared       []gf2.Vector
 
-	successes, relayFailures, terminalFailures int
+	tally
 }
 
 // newTDBCWorker allocates a worker with every buffer sized to its maximum:
@@ -319,21 +393,6 @@ func (w *tdbcWorker) reset() {
 	w.relayRowsA, w.relayRowsB = w.relayRowsA[:0], w.relayRowsB[:0]
 	w.rowsForA, w.rowsForB = w.rowsForA[:0], w.rowsForB[:0]
 	w.shared = w.shared[:0]
-}
-
-// runTrial runs one block and tallies the outcome.
-//
-//bicoop:noalloc
-func (w *tdbcWorker) runTrial() {
-	ok, relayOK := w.runBlock()
-	switch {
-	case ok:
-		w.successes++
-	case !relayOK:
-		w.relayFailures++
-	default:
-		w.terminalFailures++
-	}
 }
 
 // runBlock simulates one block. Returns (success, relayDecoded). Erasures

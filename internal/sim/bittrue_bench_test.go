@@ -98,8 +98,7 @@ func benchMABCWorkerAt(tb testing.TB, cfg MABCBitTrueConfig) *mabcWorker {
 	tb.Helper()
 	n := cfg.BlockLength
 	n1 := int(math.Round(cfg.Durations[0] * float64(n)))
-	k := int(math.Floor(cfg.Rate * float64(n)))
-	return newMABCWorker(cfg, k, n1, n-n1, cfg.Seed)
+	return newMABCWorker(cfg, messageBits(cfg.Rate, n), n1, n-n1, cfg.Seed)
 }
 
 // BenchmarkBitTrueTDBCBlock measures the per-block kernel: three in-place
@@ -108,11 +107,11 @@ func benchMABCWorkerAt(tb testing.TB, cfg MABCBitTrueConfig) *mabcWorker {
 // Steady state must report 0 allocs/op (see TestBitTrueTDBCBlockZeroAllocs).
 func BenchmarkBitTrueTDBCBlock(b *testing.B) {
 	w := benchTDBCWorker(b, benchTDBCConfig(1))
-	w.runTrial()
+	w.record(w.runBlock())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.runTrial()
+		w.record(w.runBlock())
 	}
 }
 
@@ -121,11 +120,11 @@ func BenchmarkBitTrueTDBCBlock(b *testing.B) {
 // broadcast rows both terminals share fall short).
 func BenchmarkBitTrueMABCBlock(b *testing.B) {
 	w := benchMABCWorkerAt(b, benchMABCConfig(1))
-	w.runTrial()
+	w.record(w.runBlock())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.runTrial()
+		w.record(w.runBlock())
 	}
 }
 
@@ -154,22 +153,22 @@ func benchMABCNearBoundConfig() MABCBitTrueConfig {
 // fallback, which must cost no more than deciding them on their own.
 func BenchmarkBitTrueTDBCBlockNearBound(b *testing.B) {
 	w := benchTDBCWorker(b, benchTDBCNearBoundConfig())
-	w.runTrial()
+	w.record(w.runBlock())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.runTrial()
+		w.record(w.runBlock())
 	}
 }
 
 // BenchmarkBitTrueMABCBlockNearBound is the MABC counterpart.
 func BenchmarkBitTrueMABCBlockNearBound(b *testing.B) {
 	w := benchMABCWorkerAt(b, benchMABCNearBoundConfig())
-	w.runTrial()
+	w.record(w.runBlock())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.runTrial()
+		w.record(w.runBlock())
 	}
 }
 
@@ -181,9 +180,9 @@ func BenchmarkBitTrueMABCBlockNearBound(b *testing.B) {
 func TestBitTrueTDBCBlockZeroAllocs(t *testing.T) {
 	w := benchTDBCWorker(t, benchTDBCConfig(1))
 	for i := 0; i < 3; i++ {
-		w.runTrial()
+		w.record(w.runBlock())
 	}
-	if n := testing.AllocsPerRun(200, func() { w.runTrial() }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { w.record(w.runBlock()) }); n != 0 {
 		t.Errorf("TDBC block allocates %.2f/op, want 0", n)
 	}
 	// Also at an operating point above the bound, where decodes fail and the
@@ -192,9 +191,9 @@ func TestBitTrueTDBCBlockZeroAllocs(t *testing.T) {
 	cfg.Rates = protocols.RatePair{Ra: 0.4, Rb: 0.4}
 	wf := benchTDBCWorker(t, cfg)
 	for i := 0; i < 3; i++ {
-		wf.runTrial()
+		wf.record(wf.runBlock())
 	}
-	if n := testing.AllocsPerRun(200, func() { wf.runTrial() }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { wf.record(wf.runBlock()) }); n != 0 {
 		t.Errorf("failing TDBC block allocates %.2f/op, want 0", n)
 	}
 	if wf.successes > 0 {
@@ -206,18 +205,18 @@ func TestBitTrueTDBCBlockZeroAllocs(t *testing.T) {
 func TestBitTrueMABCBlockZeroAllocs(t *testing.T) {
 	w := benchMABCWorkerAt(t, benchMABCConfig(1))
 	for i := 0; i < 3; i++ {
-		w.runTrial()
+		w.record(w.runBlock())
 	}
-	if n := testing.AllocsPerRun(200, func() { w.runTrial() }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { w.record(w.runBlock()) }); n != 0 {
 		t.Errorf("MABC block allocates %.2f/op, want 0", n)
 	}
 	cfg := benchMABCConfig(1)
 	cfg.Rate = 0.55 // above both phase constraints
 	wf := benchMABCWorkerAt(t, cfg)
 	for i := 0; i < 3; i++ {
-		wf.runTrial()
+		wf.record(wf.runBlock())
 	}
-	if n := testing.AllocsPerRun(200, func() { wf.runTrial() }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { wf.record(wf.runBlock()) }); n != 0 {
 		t.Errorf("failing MABC block allocates %.2f/op, want 0", n)
 	}
 }

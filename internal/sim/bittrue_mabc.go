@@ -2,14 +2,12 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 
 	"bicoop/internal/gf2"
 	"bicoop/internal/prob"
-	"bicoop/internal/stats"
 )
 
 // MABCBitTrueConfig parameterizes the bit-true two-phase compute-and-forward
@@ -19,7 +17,7 @@ import (
 // phase makes exact: when both terminals transmit the same random linear
 // code's parities of their own messages simultaneously, the relay observes
 // the parity of the XOR (physical-layer network coding), erased with
-// probability EpsMAC.
+// probability EpsMAC. Its fields obey the rules that Validate checks.
 type MABCBitTrueConfig struct {
 	// EpsMAC is the erasure probability of the multiple-access phase at the
 	// relay; EpsRA and EpsRB are the broadcast-phase erasure probabilities
@@ -53,25 +51,15 @@ type MABCBitTrueConfig struct {
 	Progress func(done, total int)
 }
 
-// successConfidence is the confidence level of MABCBitTrueResult.SuccessCI.
-const successConfidence = 0.95
-
-// MABCBitTrueResult reports the outcome with a confidence interval.
-type MABCBitTrueResult struct {
-	// SuccessProb is the fraction of blocks where both terminals recovered
-	// the peer message.
-	SuccessProb float64
-	// SuccessCI is the 95% Wilson confidence interval on SuccessProb.
-	SuccessCI stats.Interval
-	// RelayFailures counts blocks where the relay could not decode the XOR.
-	RelayFailures int
-	// TerminalFailures counts blocks lost at a terminal after relay success.
-	TerminalFailures int
-	// Trials is the number of trials actually completed — the configured
-	// count unless the run's context was cancelled mid-flight.
-	Trials int
-	// Durations echoes the phase split used.
-	Durations []float64
+// Validate checks the config without running it, by the rules of
+// BitTrueConfig.Validate: EpsMAC, EpsRA and EpsRB are the erasure
+// probabilities, Rate is the one rate, and pinned Durations have two
+// entries. A config that passes does not fail at run time.
+func (cfg MABCBitTrueConfig) Validate() error {
+	if err := checkErasures(cfg.EpsMAC, cfg.EpsRA, cfg.EpsRB); err != nil {
+		return err
+	}
+	return checkBitTrue("MABC", cfg.Trials, cfg.BlockLength, cfg.Durations, 2, cfg.Rate)
 }
 
 // MABCComputeForwardBound returns the symmetric-rate bound of the
@@ -98,62 +86,26 @@ func MABCComputeForwardBound(epsMAC, epsRA, epsRB float64) (rate float64, durati
 // RunBitTrueMABC executes the compute-and-forward MABC protocol bit by bit,
 // deciding each decode by the rank of the surviving rows (see
 // mabcWorker.runBlock) and sharding trials across cfg.Workers goroutines
-// with per-worker RNGs, codes, and elimination scratch. Cancelling ctx stops every worker within
-// one block; the counts over the blocks completed so far are returned
-// alongside the (wrapped) context error.
-func RunBitTrueMABC(ctx context.Context, cfg MABCBitTrueConfig) (MABCBitTrueResult, error) {
-	for _, e := range []float64{cfg.EpsMAC, cfg.EpsRA, cfg.EpsRB} {
-		if e < 0 || e > 1 || math.IsNaN(e) {
-			return MABCBitTrueResult{}, fmt.Errorf("sim: erasure probability %g out of [0,1]", e)
-		}
-	}
-	if cfg.BlockLength <= 0 {
-		return MABCBitTrueResult{}, fmt.Errorf("sim: block length %d", cfg.BlockLength)
-	}
-	if cfg.Trials <= 0 {
-		return MABCBitTrueResult{}, ErrNoTrials
-	}
-	if cfg.Rate <= 0 {
-		return MABCBitTrueResult{}, fmt.Errorf("sim: rate %g must be positive", cfg.Rate)
+// with per-worker RNGs, codes, and elimination scratch. Cancelling ctx stops
+// every worker within one block; the counts over the blocks completed so far
+// are returned alongside the (wrapped) context error.
+func RunBitTrueMABC(ctx context.Context, cfg MABCBitTrueConfig) (BitTrueResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return BitTrueResult{}, err
 	}
 	durations := cfg.Durations
 	if durations == nil {
 		_, durations = MABCComputeForwardBound(cfg.EpsMAC, cfg.EpsRA, cfg.EpsRB)
-	} else if err := CheckDurations("MABC", durations, 2); err != nil {
-		return MABCBitTrueResult{}, err
 	}
 	n := cfg.BlockLength
 	n1 := int(math.Round(durations[0] * float64(n)))
-	n2 := n - n1
-	k := int(math.Floor(cfg.Rate * float64(n)))
-	if k == 0 {
-		return MABCBitTrueResult{}, fmt.Errorf("sim: block length %d too short for rate %g", n, cfg.Rate)
-	}
+	k := messageBits(cfg.Rate, n)
 	// Neither a worker constructor nor a block can fail, so the sharder
 	// returns no error.
 	parts, _ := shardTrials(ctx, cfg.Trials, cfg.Workers, cfg.Seed, cfg.Progress,
-		func(seed int64) (*mabcWorker, error) { return newMABCWorker(cfg, k, n1, n2, seed), nil },
-		func(wk *mabcWorker) error { wk.runTrial(); return nil })
-	res := MABCBitTrueResult{Durations: durations}
-	successes := 0
-	for _, wk := range parts {
-		successes += wk.successes
-		res.RelayFailures += wk.relayFailures
-		res.TerminalFailures += wk.terminalFailures
-	}
-	res.Trials = successes + res.RelayFailures + res.TerminalFailures
-	if res.Trials > 0 {
-		res.SuccessProb = float64(successes) / float64(res.Trials)
-		ci, err := stats.WilsonInterval(successes, res.Trials, successConfidence)
-		if err != nil {
-			return MABCBitTrueResult{}, err
-		}
-		res.SuccessCI = ci
-	}
-	if err := CtxErr(ctx); err != nil {
-		return res, fmt.Errorf("sim: %w", err)
-	}
-	return res, nil
+		func(seed int64) (*mabcWorker, error) { return newMABCWorker(cfg, k, n1, n-n1, seed), nil },
+		func(wk *mabcWorker) error { wk.record(wk.runBlock()); return nil })
+	return bitTrueResult(ctx, parts, durations)
 }
 
 // mabcWorker owns one goroutine's share of the compute-and-forward Monte
@@ -184,7 +136,7 @@ type mabcWorker struct {
 	survA, survB, both []uint64
 	rows               []gf2.Vector
 
-	successes, relayFailures, terminalFailures int
+	tally
 }
 
 // newMABCWorker allocates a worker with every buffer at its maximum size.
@@ -210,21 +162,6 @@ func newMABCWorker(cfg MABCBitTrueConfig, k, n1, n2 int, seed int64) *mabcWorker
 	}
 	w.solver.Reserve(maxN, k)
 	return w
-}
-
-// runTrial runs one block and tallies the outcome.
-//
-//bicoop:noalloc
-func (w *mabcWorker) runTrial() {
-	ok, relayOK := w.runBlock()
-	switch {
-	case ok:
-		w.successes++
-	case !relayOK:
-		w.relayFailures++
-	default:
-		w.terminalFailures++
-	}
 }
 
 // runBlock simulates one block. Returns (success, relayDecoded). Erasures

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"bicoop/internal/stats"
 	"bicoop/internal/xmath"
 )
 
@@ -47,7 +48,7 @@ func TestMABCComputeForwardBound(t *testing.T) {
 func TestRunBitTrueMABCWaterfall(t *testing.T) {
 	const epsMAC, epsRA, epsRB = 0.2, 0.15, 0.1
 	bound, durations := MABCComputeForwardBound(epsMAC, epsRA, epsRB)
-	run := func(scale float64) MABCBitTrueResult {
+	run := func(scale float64) BitTrueResult {
 		t.Helper()
 		res, err := RunBitTrueMABC(context.Background(), MABCBitTrueConfig{
 			EpsMAC: epsMAC, EpsRA: epsRA, EpsRB: epsRB,
@@ -68,7 +69,12 @@ func TestRunBitTrueMABCWaterfall(t *testing.T) {
 		t.Errorf("85%% of bound: success %v (relay %d, terminal %d)",
 			below.SuccessProb, below.RelayFailures, below.TerminalFailures)
 	}
-	if ci := below.SuccessCI; below.SuccessProb < ci.Lo || below.SuccessProb > ci.Hi {
+	successes := below.Trials - below.RelayFailures - below.TerminalFailures
+	ci, err := stats.WilsonInterval(successes, below.Trials, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if below.SuccessProb < ci.Lo || below.SuccessProb > ci.Hi {
 		t.Error("CI excludes the point estimate")
 	}
 	above := run(1.15)
@@ -124,7 +130,7 @@ func TestRunBitTrueMABCValidation(t *testing.T) {
 	t.Run("no trials", func(t *testing.T) {
 		cfg := good
 		cfg.Trials = 0
-		if _, err := RunBitTrueMABC(context.Background(), cfg); !errors.Is(err, ErrNoTrials) {
+		if _, err := RunBitTrueMABC(context.Background(), cfg); !errors.Is(err, ErrInvalidTrials) {
 			t.Errorf("err = %v", err)
 		}
 	})

@@ -23,10 +23,23 @@ import (
 	"bicoop/internal/protocols"
 )
 
-// Errors returned by this package.
+// Errors returned by this package. The bicoop facade re-exports
+// ErrInvalidTrials, ErrInvalidBlockLength and ErrInvalidRates, so errors.Is
+// matches them at every layer.
 var (
-	ErrNoTrials  = errors.New("sim: trials must be positive")
+	// ErrInvalidTrials reports a trial count that is not positive.
+	ErrInvalidTrials = errors.New("sim: invalid trial count")
+	// ErrNoTargets reports a fading run with no protocols.
 	ErrNoTargets = errors.New("sim: no protocols requested")
+	// ErrInvalidBlockLength reports a bit-true block length outside 1 to
+	// maxBlockLength.
+	ErrInvalidBlockLength = errors.New("sim: invalid block length")
+	// ErrInvalidRates reports a bit-true rate outside [0, 1], or rates that
+	// give no message bit at the block length.
+	ErrInvalidRates = errors.New("sim: invalid rates")
+	// ErrInfeasibleRates reports TDBC rates outside the inner bound when the
+	// durations are left to the simulator.
+	ErrInfeasibleRates = errors.New("sim: target rates outside the TDBC inner bound")
 )
 
 // workerSeedStride separates the deterministic per-worker RNG streams: every
@@ -153,7 +166,7 @@ func (w *outageWorker) runTrial() error {
 // report partial results.
 func RunOutage(ctx context.Context, cfg OutageConfig) (OutageResult, error) {
 	if cfg.Trials <= 0 {
-		return OutageResult{}, ErrNoTrials
+		return OutageResult{}, fmt.Errorf("%w: %d", ErrInvalidTrials, cfg.Trials)
 	}
 	if len(cfg.Protocols) == 0 {
 		return OutageResult{}, ErrNoTargets

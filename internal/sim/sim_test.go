@@ -26,8 +26,8 @@ func TestRunOutageValidation(t *testing.T) {
 	t.Run("no trials", func(t *testing.T) {
 		cfg := good
 		cfg.Trials = 0
-		if _, err := RunOutage(context.Background(), cfg); !errors.Is(err, ErrNoTrials) {
-			t.Errorf("err = %v, want ErrNoTrials", err)
+		if _, err := RunOutage(context.Background(), cfg); !errors.Is(err, ErrInvalidTrials) {
+			t.Errorf("err = %v, want ErrInvalidTrials", err)
 		}
 	})
 	t.Run("no protocols", func(t *testing.T) {
@@ -235,10 +235,12 @@ func TestBitTrueTDBCDerivesDurations(t *testing.T) {
 }
 
 func TestBitTrueTDBCInfeasibleRates(t *testing.T) {
+	// Rates in [0,1] pass Validate; these lie outside the inner bound, whose
+	// sum rate is below the 0.5 capacity of each relay link.
 	net := ErasureNetwork{EpsAR: 0.5, EpsBR: 0.5, EpsAB: 0.9}
 	_, err := RunBitTrueTDBC(context.Background(), BitTrueConfig{
 		Net:         net,
-		Rates:       protocols.RatePair{Ra: 2, Rb: 2},
+		Rates:       protocols.RatePair{Ra: 0.9, Rb: 0.9},
 		BlockLength: 500,
 		Trials:      5,
 		Seed:        1,
@@ -271,8 +273,8 @@ func TestBitTrueTDBCConfigValidation(t *testing.T) {
 	t.Run("no trials", func(t *testing.T) {
 		cfg := good
 		cfg.Trials = 0
-		if _, err := RunBitTrueTDBC(context.Background(), cfg); !errors.Is(err, ErrNoTrials) {
-			t.Errorf("err = %v, want ErrNoTrials", err)
+		if _, err := RunBitTrueTDBC(context.Background(), cfg); !errors.Is(err, ErrInvalidTrials) {
+			t.Errorf("err = %v, want ErrInvalidTrials", err)
 		}
 	})
 	t.Run("negative rates", func(t *testing.T) {
@@ -280,6 +282,13 @@ func TestBitTrueTDBCConfigValidation(t *testing.T) {
 		cfg.Rates = protocols.RatePair{Ra: -0.1, Rb: 0.1}
 		if _, err := RunBitTrueTDBC(context.Background(), cfg); err == nil {
 			t.Error("want error")
+		}
+	})
+	t.Run("rate above one", func(t *testing.T) {
+		cfg := good
+		cfg.Rates = protocols.RatePair{Ra: 2, Rb: 2}
+		if _, err := RunBitTrueTDBC(context.Background(), cfg); !errors.Is(err, ErrInvalidRates) {
+			t.Errorf("err = %v, want ErrInvalidRates", err)
 		}
 	})
 	t.Run("wrong duration count", func(t *testing.T) {

@@ -42,44 +42,41 @@ type FadingSpec struct {
 // BitTrueTDBCSpec selects the bit-true TDBC simulator: random linear codes,
 // overheard side information, XOR network coding at the relay,
 // Gaussian-elimination decoding over a three-link erasure network.
+//
+// Its fields, with the SimSpec's Trials, obey the bit-true rules listed on
+// internal/sim's BitTrueConfig.Validate. SimSpec validation runs that
+// Validate on the converted spec and rejects a spec that breaks a rule with
+// ErrInvalidSimSpec, wrapping the rule's own error (ErrInvalidTrials,
+// ErrInvalidBlockLength, ErrInvalidRates, or an erasure or duration error).
 type BitTrueTDBCSpec struct {
 	// Links is the erasure network.
 	Links ErasureLinks
-	// Rates is the target message rate pair in bits per channel use, each
-	// in [0, 1] (no erasure link carries more).
+	// Rates is the target message rate pair in bits per channel use.
 	Rates RatePoint
-	// Durations optionally pins the three phase durations: each in [0,1],
-	// summing to 1 within 1e-9, or the spec is ErrInvalidSimSpec. Nil
-	// derives them from the Theorem 3 inner bound; rates outside the bound
-	// then return an error.
+	// Durations optionally pins the three phase durations. Nil derives them
+	// from the Theorem 3 inner bound; rates outside the bound then fail at
+	// run time, the one bit-true error that validation cannot see.
 	Durations []float64
-	// BlockLength is the number of channel uses per block, 1 to 16384.
+	// BlockLength is the number of channel uses per block.
 	BlockLength int
 }
 
 // BitTrueMABCSpec selects the bit-true compute-and-forward MABC simulator:
 // both terminals transmit parities of their messages over a shared linear
 // code simultaneously, the relay decodes only the XOR and rebroadcasts it.
+// It is validated like BitTrueTDBCSpec, by internal/sim's
+// MABCBitTrueConfig.Validate; a spec that passes does not fail at run time.
 type BitTrueMABCSpec struct {
 	// Links is the MAC/broadcast erasure network.
 	Links MABCComputeForwardLinks
-	// Rate is the common per-terminal message rate in bits per channel use,
-	// in [0, 1].
+	// Rate is the common per-terminal message rate in bits per channel use.
 	Rate float64
-	// Durations optionally pins the two phase durations, held to the same
-	// checks as BitTrueTDBCSpec.Durations; nil derives the optimal split.
+	// Durations optionally pins the two phase durations; nil derives the
+	// optimal split.
 	Durations []float64
-	// BlockLength is the number of channel uses per block, 1 to 16384.
+	// BlockLength is the number of channel uses per block.
 	BlockLength int
 }
-
-// maxBlockLength caps a bit-true block length. Each worker holds its codes'
-// generator matrices and its elimination scratch, O(n²) bits in all: at
-// the cap and rates of 1, a TDBC worker holds about 190 MiB (every channel
-// use in phase 3) and an MABC worker about 100 MiB (every channel use in
-// phase 1), against about 11 MiB and 6 MiB at n = 4000, the longest block
-// any experiment, example or benchmark runs.
-const maxBlockLength = 1 << 14
 
 // SimSpec describes one simulation run for Engine.Simulate. Exactly one of
 // Fading, BitTrueTDBC and BitTrueMABC must be set; the remaining fields are
@@ -137,6 +134,7 @@ func (spec SimSpec) validate() error {
 	if variants != 1 {
 		return fmt.Errorf("%w: %d simulators selected, want exactly 1", ErrInvalidSimSpec, variants)
 	}
+	var err error
 	switch {
 	case spec.Fading != nil:
 		fs := spec.Fading
@@ -152,19 +150,46 @@ func (spec SimSpec) validate() error {
 			}
 		}
 	case spec.BitTrueTDBC != nil:
-		ts := spec.BitTrueTDBC
-		if err := validatePinnedDurations("TDBC", ts.Durations, 3); err != nil {
-			return err
-		}
-		return validateBitTrueCommon(spec.Trials, ts.BlockLength, ts.Rates.Ra, ts.Rates.Rb)
+		err = spec.tdbcConfig(0).Validate()
 	default:
-		ms := spec.BitTrueMABC
-		if err := validatePinnedDurations("MABC", ms.Durations, 2); err != nil {
-			return err
-		}
-		return validateBitTrueCommon(spec.Trials, ms.BlockLength, ms.Rate)
+		err = spec.mabcConfig(0).Validate()
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidSimSpec, err)
 	}
 	return nil
+}
+
+// tdbcConfig converts a bit-true TDBC spec to the simulator's config, for
+// both validation and the run.
+func (spec SimSpec) tdbcConfig(workers int) sim.BitTrueConfig {
+	ts := spec.BitTrueTDBC
+	return sim.BitTrueConfig{
+		Net:         ts.Links,
+		Rates:       protocols.RatePair{Ra: ts.Rates.Ra, Rb: ts.Rates.Rb},
+		Durations:   ts.Durations,
+		BlockLength: ts.BlockLength,
+		Trials:      spec.Trials,
+		Seed:        spec.Seed,
+		Workers:     workers,
+		Progress:    spec.Progress,
+	}
+}
+
+// mabcConfig converts a bit-true MABC spec to the simulator's config, for
+// both validation and the run.
+func (spec SimSpec) mabcConfig(workers int) sim.MABCBitTrueConfig {
+	ms := spec.BitTrueMABC
+	return sim.MABCBitTrueConfig{
+		EpsMAC: ms.Links.EpsMAC, EpsRA: ms.Links.EpsRA, EpsRB: ms.Links.EpsRB,
+		Rate:        ms.Rate,
+		Durations:   ms.Durations,
+		BlockLength: ms.BlockLength,
+		Trials:      spec.Trials,
+		Seed:        spec.Seed,
+		Workers:     workers,
+		Progress:    spec.Progress,
+	}
 }
 
 // Simulate runs the simulator selected by spec under the common run
@@ -182,15 +207,31 @@ func (e *Engine) Simulate(ctx context.Context, spec SimSpec) (SimResult, error) 
 // runSim dispatches a validated spec to its simulator with a resolved
 // worker count.
 func (e *Engine) runSim(ctx context.Context, spec SimSpec, workers int) (SimResult, error) {
-	progress := spec.Progress
 	switch {
 	case spec.Fading != nil:
-		return e.simulateFading(ctx, spec, workers, progress)
+		return e.simulateFading(ctx, spec, workers)
 	case spec.BitTrueTDBC != nil:
-		return e.simulateBitTrueTDBC(ctx, spec, workers, progress)
+		return bitTrueSimResult(sim.RunBitTrueTDBC(ctx, spec.tdbcConfig(workers)))
 	default:
-		return e.simulateBitTrueMABC(ctx, spec, workers, progress)
+		return bitTrueSimResult(sim.RunBitTrueMABC(ctx, spec.mabcConfig(workers)))
 	}
+}
+
+// bitTrueSimResult converts either bit-true simulator's result. A run that
+// stopped before any worker started (Durations unset) has no result.
+func bitTrueSimResult(res sim.BitTrueResult, runErr error) (SimResult, error) {
+	if runErr != nil && res.Durations == nil {
+		return SimResult{}, simWrap(runErr)
+	}
+	return SimResult{
+		BitTrue: &BitTrueResult{
+			SuccessProb:      res.SuccessProb,
+			RelayFailures:    res.RelayFailures,
+			TerminalFailures: res.TerminalFailures,
+		},
+		Trials:    res.Trials,
+		Durations: res.Durations,
+	}, simWrap(runErr)
 }
 
 // simWrap converts a simulator error: context cancellation passes through
@@ -206,11 +247,9 @@ func simWrap(err error) error {
 	return fmt.Errorf("bicoop: %w", err)
 }
 
-// The simulate* helpers below assume a spec that already passed validate()
-// — both entry points (Simulate and SimulateBatch) run it up front, so the
-// static checks live in exactly one place.
-
-func (e *Engine) simulateFading(ctx context.Context, spec SimSpec, workers int, progress ProgressFunc) (SimResult, error) {
+// simulateFading assumes a spec that already passed validate() — both entry
+// points (Simulate and SimulateBatch) run it up front.
+func (e *Engine) simulateFading(ctx context.Context, spec SimSpec, workers int) (SimResult, error) {
 	fs := spec.Fading
 	protos := fs.Protocols
 	if len(protos) == 0 {
@@ -229,7 +268,7 @@ func (e *Engine) simulateFading(ctx context.Context, spec SimSpec, workers int, 
 		Trials:    trials,
 		Seed:      spec.Seed,
 		Workers:   workers,
-		Progress:  progress,
+		Progress:  spec.Progress,
 	})
 	if runErr != nil && res.ByProtocol == nil {
 		return SimResult{}, simWrap(runErr)
@@ -241,62 +280,6 @@ func (e *Engine) simulateFading(ctx context.Context, spec SimSpec, workers int, 
 		out.Trials = st.Trials
 	}
 	return out, simWrap(runErr)
-}
-
-// validatePinnedDurations checks a bit-true spec's optional phase split
-// (nil asks the simulator to derive it).
-func validatePinnedDurations(protocol string, durations []float64, want int) error {
-	if durations == nil {
-		return nil
-	}
-	if err := sim.CheckDurations(protocol, durations, want); err != nil {
-		return fmt.Errorf("%w: %w", ErrInvalidSimSpec, err)
-	}
-	return nil
-}
-
-// validateBitTrueCommon checks the fields shared by both bit-true specs.
-// The block length and rate bounds also bound a worker's memory (see
-// maxBlockLength).
-func validateBitTrueCommon(trials, blockLength int, rates ...float64) error {
-	if trials <= 0 {
-		return fmt.Errorf("%w: bit-true simulation needs a positive Trials, got %d", ErrInvalidTrials, trials)
-	}
-	if blockLength <= 0 || blockLength > maxBlockLength {
-		return fmt.Errorf("%w: %d, want 1 to %d", ErrInvalidBlockLength, blockLength, maxBlockLength)
-	}
-	for _, r := range rates {
-		if !(r >= 0 && r <= 1) {
-			return fmt.Errorf("%w: bit-true rate %g outside [0, 1]", ErrInvalidRates, r)
-		}
-	}
-	return nil
-}
-
-func (e *Engine) simulateBitTrueTDBC(ctx context.Context, spec SimSpec, workers int, progress ProgressFunc) (SimResult, error) {
-	ts := spec.BitTrueTDBC
-	res, runErr := sim.RunBitTrueTDBC(ctx, sim.BitTrueConfig{
-		Net:         ts.Links,
-		Rates:       protocols.RatePair{Ra: ts.Rates.Ra, Rb: ts.Rates.Rb},
-		Durations:   ts.Durations,
-		BlockLength: ts.BlockLength,
-		Trials:      spec.Trials,
-		Seed:        spec.Seed,
-		Workers:     workers,
-		Progress:    progress,
-	})
-	if runErr != nil && res.Durations == nil {
-		return SimResult{}, simWrap(runErr)
-	}
-	return SimResult{
-		BitTrue: &BitTrueResult{
-			SuccessProb:      res.SuccessProb,
-			RelayFailures:    res.RelayFailures,
-			TerminalFailures: res.TerminalFailures,
-		},
-		Trials:    res.Trials,
-		Durations: res.Durations,
-	}, simWrap(runErr)
 }
 
 // CampaignSpec declares a simulation campaign: many SimSpecs — a waterfall
@@ -407,30 +390,4 @@ func (e *Engine) SimulateBatch(ctx context.Context, spec CampaignSpec, yield fun
 	default:
 		return results[:prefix], simWrap(err)
 	}
-}
-
-func (e *Engine) simulateBitTrueMABC(ctx context.Context, spec SimSpec, workers int, progress ProgressFunc) (SimResult, error) {
-	ms := spec.BitTrueMABC
-	res, runErr := sim.RunBitTrueMABC(ctx, sim.MABCBitTrueConfig{
-		EpsMAC: ms.Links.EpsMAC, EpsRA: ms.Links.EpsRA, EpsRB: ms.Links.EpsRB,
-		Rate:        ms.Rate,
-		Durations:   ms.Durations,
-		BlockLength: ms.BlockLength,
-		Trials:      spec.Trials,
-		Seed:        spec.Seed,
-		Workers:     workers,
-		Progress:    progress,
-	})
-	if runErr != nil && res.Durations == nil {
-		return SimResult{}, simWrap(runErr)
-	}
-	return SimResult{
-		BitTrue: &BitTrueResult{
-			SuccessProb:      res.SuccessProb,
-			RelayFailures:    res.RelayFailures,
-			TerminalFailures: res.TerminalFailures,
-		},
-		Trials:    res.Trials,
-		Durations: res.Durations,
-	}, simWrap(runErr)
 }
