@@ -103,7 +103,7 @@ func runPathLoss(cfg Config) (Result, error) {
 	var maxGain float64
 	nP := len(pathLossProtocols)
 	row := make([]float64, nP) // hbc, mabc, tdbc of the current placement
-	err := sweep.Sweep(cfg.ctx(), spec, cfg.sweepOpts(), nil, func(pt sweep.Point) error {
+	err := sweep.Sweep(cfg.ctx(), spec, sweep.Options{}, nil, func(pt sweep.Point) error {
 		pi := pt.Index % nP
 		row[pi] = pt.Sum
 		if pi != nP-1 {

@@ -47,7 +47,7 @@ func runCrossover(cfg Config) (Result, error) {
 		plot.Col{Name: "HBC", Prec: 4},
 	)
 	row := make([]float64, 1+len(protos))
-	err := sweep.Sweep(cfg.ctx(), spec, cfg.sweepOpts(), nil, func(pt sweep.Point) error {
+	err := sweep.Sweep(cfg.ctx(), spec, sweep.Options{}, nil, func(pt sweep.Point) error {
 		pi := pt.Index % len(protos)
 		series[pi].Y = append(series[pi].Y, pt.Sum)
 		row[1+pi] = pt.Sum
@@ -117,7 +117,7 @@ func runHBCEscape(cfg Config) (Result, error) {
 		spec.Scenarios = append(spec.Scenarios, fig4BaseScenario(pdb))
 	}
 	triple := make([]region.Polygon, len(hbcEscapeCurves))
-	err := sweep.RegionBatch(cfg.ctx(), spec, cfg.sweepOpts(), nil, func(r sweep.RegionResult) error {
+	err := sweep.RegionBatch(cfg.ctx(), spec, sweep.Options{}, nil, func(r sweep.RegionResult) error {
 		triple[r.CurveIdx] = r.Polygon
 		if r.CurveIdx < len(hbcEscapeCurves)-1 {
 			return nil
@@ -199,7 +199,7 @@ func runMABCTight(cfg Config) (Result, error) {
 		plot.Col{Name: "Hausdorff-like gap", Prec: 4},
 	)
 	var inner region.Polygon
-	err := sweep.RegionBatch(cfg.ctx(), spec, cfg.sweepOpts(), nil, func(r sweep.RegionResult) error {
+	err := sweep.RegionBatch(cfg.ctx(), spec, sweep.Options{}, nil, func(r sweep.RegionResult) error {
 		if r.CurveIdx == 0 {
 			inner = r.Polygon
 			return nil

@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"bicoop/internal/plot"
-	"bicoop/internal/sweep"
 )
 
 // Config tunes an experiment run.
@@ -25,13 +24,6 @@ type Config struct {
 	Quick bool
 	// Seed drives every randomized component.
 	Seed int64
-	// Workers bounds the goroutines sharding the analytic figure sweeps,
-	// the region batches, and the outer pool of the Monte Carlo campaigns;
-	// zero means GOMAXPROCS. Results are bit-identical for every value (the
-	// Monte Carlo experiments pin their own inner worker counts for seed
-	// reproducibility, so campaign resharding never changes a random
-	// stream).
-	Workers int
 
 	// runCtx bounds the run; Run threads its ctx argument here, and every
 	// runner hands it to the Monte Carlo simulators and analytic sweeps it
@@ -47,12 +39,6 @@ func (c Config) ctx() context.Context {
 		return c.runCtx
 	}
 	return context.Background() //bicoop:allow ctxflow — zero-value Config means an unbounded run by contract
-}
-
-// sweepOpts resolves the sharding options of every internal/sweep run: the
-// analytic sweeps, the region batches and the simulation campaigns.
-func (c Config) sweepOpts() sweep.Options {
-	return sweep.Options{Workers: c.Workers}
 }
 
 // Result is a completed experiment: charts and tables ready to render, plus

@@ -78,7 +78,7 @@ func relayPlacementSweep(cfg Config, gamma, powerDB float64) (Result, error) {
 		plot.Col{Name: "HBC", Prec: 4},
 	)
 	row := make([]float64, 1+nP)
-	err := sweep.Sweep(cfg.ctx(), spec, cfg.sweepOpts(), nil, func(pt sweep.Point) error {
+	err := sweep.Sweep(cfg.ctx(), spec, sweep.Options{}, nil, func(pt sweep.Point) error {
 		pi := pt.Index % nP
 		series[pi].Y = append(series[pi].Y, pt.Sum)
 		row[1+pi] = pt.Sum
@@ -154,7 +154,7 @@ func runFig4(cfg Config, pDB float64) (Result, error) {
 		Title:   fmt.Sprintf("Rate-region summary at P = %.0f dB (bits/use)", pDB),
 		Headers: []string{"curve", "max Ra", "max Rb", "max Ra+Rb", "area"},
 	}
-	err := sweep.RegionBatch(cfg.ctx(), spec, cfg.sweepOpts(), nil, func(r sweep.RegionResult) error {
+	err := sweep.RegionBatch(cfg.ctx(), spec, sweep.Options{}, nil, func(r sweep.RegionResult) error {
 		c := fig4Curves[r.CurveIdx]
 		pg := r.Polygon
 		polys[c.name] = pg

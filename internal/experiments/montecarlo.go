@@ -12,12 +12,12 @@ import (
 
 // campaign runs n independent simulation points through the generic sharded
 // core with one run per chunk, so a family of Monte Carlo runs (a waterfall
-// scale axis, a seed/SNR family) pipelines across cfg.Workers instead of
-// executing scales-in-series. Each point must be individually deterministic
+// scale axis, a seed/SNR family) pipelines across GOMAXPROCS workers instead
+// of executing scales-in-series. Each point must be individually deterministic
 // (fixed seed and inner worker count), which makes the campaign's results
 // independent of the outer worker count; run(i) stores its own result.
 func campaign(cfg Config, n int, run func(i int) error) error {
-	_, err := sweep.RunCore(cfg.ctx(), n, 1, cfg.sweepOpts(), sweep.Hooks[struct{}]{},
+	_, err := sweep.RunCore(cfg.ctx(), n, 1, sweep.Options{}, sweep.Hooks[struct{}]{},
 		func(_ struct{}, lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if err := run(i); err != nil {
@@ -57,7 +57,7 @@ func runFading(cfg Config) (Result, error) {
 	var findings []string
 	// The SNR family is a campaign: every power level is one deterministic
 	// run (per-power seed, fixed inner worker count), pipelined across
-	// cfg.Workers instead of executing powers-in-series.
+	// GOMAXPROCS workers instead of executing powers-in-series.
 	results := make([]sim.OutageResult, len(powersDB))
 	err := campaign(cfg, len(powersDB), func(pi int) error {
 		res, err := sim.RunOutage(cfg.ctx(), sim.OutageConfig{
@@ -145,8 +145,8 @@ func runBitSim(cfg Config) (Result, error) {
 		Headers: []string{"rate scale", "success prob", "relay fails", "terminal fails"},
 	}
 	// The waterfall's scale axis is a campaign: each scale is one
-	// deterministic bit-true run, pipelined across cfg.Workers instead of
-	// executing scales-in-series.
+	// deterministic bit-true run, pipelined across GOMAXPROCS workers
+	// instead of executing scales-in-series.
 	results := make([]sim.BitTrueResult, len(scales))
 	if err := campaign(cfg, len(scales), func(i int) error {
 		res, err := sim.RunBitTrueTDBC(cfg.ctx(), sim.BitTrueConfig{
