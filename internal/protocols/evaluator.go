@@ -93,8 +93,8 @@ const (
 	maxTplCons = 8
 	// maxKinkLines bounds the candidate kink line set of the fast path (see
 	// fastWeighted and fastFeasible); sized with ample slack over the worst
-	// real template (TDBC outer: 10 kinks), and checked for every template
-	// when the templates are built.
+	// real templates (MABC and TDBC outer: 10 kinks), and checked for every
+	// template when the templates are built.
 	maxKinkLines = 64
 )
 

@@ -35,7 +35,8 @@ var (
 	// maxBlockLength.
 	ErrInvalidBlockLength = errors.New("sim: invalid block length")
 	// ErrInvalidRates reports a bit-true rate outside [0, 1], or rates that
-	// give no message bit at the block length.
+	// give no message bit at the block length; the facade also raises it
+	// for a NaN or infinite target rate.
 	ErrInvalidRates = errors.New("sim: invalid rates")
 	// ErrInfeasibleRates reports TDBC rates outside the inner bound when the
 	// durations are left to the simulator.
