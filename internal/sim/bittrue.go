@@ -244,14 +244,18 @@ func deriveTDBCParams(cfg BitTrueConfig) (tdbcParams, []float64, error) {
 		}
 	}
 
+	// Each phase is rounded on its own, so phase 2 is clamped to what phase
+	// 1 leaves: two fractions that both round up (0.5, 0.5 at an odd n)
+	// would otherwise overrun the block. Phase 3 takes the rest, so the
+	// phases always fill exactly n channel uses.
 	n := cfg.BlockLength
 	p := tdbcParams{
 		n1: int(math.Round(durations[0] * float64(n))),
-		n2: int(math.Round(durations[1] * float64(n))),
 		ka: messageBits(cfg.Rates.Ra, n),
 		kb: messageBits(cfg.Rates.Rb, n),
 	}
-	p.n3 = max(n-p.n1-p.n2, 0)
+	p.n2 = min(int(math.Round(durations[1]*float64(n))), n-p.n1)
+	p.n3 = n - p.n1 - p.n2
 	p.kr = max(p.ka, p.kb)
 	return p, durations, nil
 }

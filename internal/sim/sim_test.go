@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"bicoop/internal/channel"
@@ -334,6 +335,47 @@ func TestBitTruePinnedDurationsRejected(t *testing.T) {
 		if _, err := RunBitTrueMABC(context.Background(), cfg); err == nil {
 			t.Errorf("MABC durations %v: want error", d)
 		}
+	}
+}
+
+// TestTDBCPhasesFillBlock pins that the three TDBC phases always fill
+// exactly the block: n1+n2+n3 == n and no phase is negative, for random
+// pinned durations that pass CheckDurations — half of them on the
+// half-channel-use grid, where phases 1 and 2 can both round up — at block
+// lengths across the admitted range. (0.5, 0.5, 0) at n = 301 once gave
+// n1 = n2 = 151, 302 channel uses.
+func TestTDBCPhasesFillBlock(t *testing.T) {
+	cfg := BitTrueConfig{
+		Net:   ErasureNetwork{EpsAR: 0.2, EpsBR: 0.1, EpsAB: 0.6},
+		Rates: protocols.RatePair{Ra: 1, Rb: 1}, Trials: 1,
+	}
+	check := func(n int, d []float64) {
+		t.Helper()
+		cfg.BlockLength, cfg.Durations = n, d
+		p, _, err := deriveTDBCParams(cfg)
+		if err != nil {
+			t.Fatalf("n=%d durations %v: %v", n, d, err)
+		}
+		if p.n1 < 0 || p.n2 < 0 || p.n3 < 0 || p.n1+p.n2+p.n3 != n {
+			t.Fatalf("n=%d durations %v: phases %d+%d+%d, want a split of %d", n, d, p.n1, p.n2, p.n3, n)
+		}
+	}
+	check(301, []float64{0.5, 0.5, 0})
+	r := rand.New(rand.NewSource(32))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + r.Intn(maxBlockLength)
+		a, b := r.Float64(), r.Float64()
+		if trial%2 == 0 {
+			// Odd multiples of half a channel use round away from zero.
+			a = float64(2*r.Intn(n)+1) / float64(2*n)
+			b = float64(2*r.Intn(n)+1) / float64(2*n)
+		}
+		a, b = min(a, b), max(a, b)
+		d := []float64{a, b - a, 1 - b}
+		if CheckDurations("TDBC", d, 3) != nil {
+			t.Fatalf("durations %v do not pass CheckDurations", d)
+		}
+		check(n, d)
 	}
 }
 
