@@ -368,10 +368,11 @@ func (s *Service) List() []JobStatus {
 	return out
 }
 
-// Results returns the job's CSV output and its state. For a terminal job
-// the whole file is returned; for a live job, only the checkpointed prefix
-// — the bytes the watermark vouches for — so a reader never observes rows a
-// crash could retract.
+// Results returns the job's CSV output and its state. For a done job the
+// whole file is returned; for every other state, live or ended by a
+// failure, cancel or timeout, only the checkpointed prefix — the bytes the
+// watermark vouches for — so a reader never observes rows a crash could
+// retract, nor the torn tail a failed write left behind.
 func (s *Service) Results(id string) ([]byte, State, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -385,7 +386,7 @@ func (s *Service) Results(id string) ([]byte, State, error) {
 	// in the file, whereas an offset read after the CSV could vouch for a
 	// partial row the read caught mid-flush.
 	limit := int64(-1)
-	if !state.Terminal() {
+	if state != StateDone {
 		ck, err := loadLogCheckpoint(s.store.CheckpointPath(id))
 		if err != nil {
 			return nil, state, err

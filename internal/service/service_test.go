@@ -405,3 +405,50 @@ func TestCampaignJobRunsToDone(t *testing.T) {
 		t.Errorf("campaign results differ from direct run")
 	}
 }
+
+// TestResultsBodyOfEndedJobs pins which bytes Results serves once a job has
+// ended. A job that failed, was canceled or timed out serves exactly the
+// prefix its checkpoint vouches for, even when a failed write left a torn
+// row past it; a done job serves its whole file, byte for byte.
+func TestResultsBodyOfEndedJobs(t *testing.T) {
+	const vouched, torn = "p,proto,sum\n0,MABC,1.5\n", "1,MAB"
+	dir := filepath.Join(t.TempDir(), "jobs")
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, state := range []State{StateFailed, StateCanceled, StateTimeout, StateDone} {
+		id, err := st.Create(longSweep(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(st.ResultsPath(id), []byte(vouched+torn), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := json.Marshal(logCheckpoint{Watermark: 1, Offset: int64(len(vouched))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(st.CheckpointPath(id), ck, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.SetState(id, state, ""); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = vouched
+		if state == StateDone {
+			want[id] = vouched + torn
+		}
+	}
+	svc, _ := newTestService(t, dir, Options{})
+	for id, w := range want {
+		got, state, err := svc.Results(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != w {
+			t.Errorf("%s job: Results = %q, want %q", state, got, w)
+		}
+	}
+}
