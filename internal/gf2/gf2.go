@@ -12,10 +12,18 @@
 // alone, and the Vector methods Randomize, CopyPrefix, XorWith and the Dot
 // function operate on whole 64-bit words.
 //
+// Systems of at least m4riMinCols unknowns and as many equations go through
+// the dense M4RI path (m4ri.go). Its row-clearing kernel is chosen once at
+// package init: clearBlockAVX2, AVX2 assembly, on amd64 CPUs that have AVX2
+// with the YMM state enabled by the OS; clearBlockGo off amd64, without
+// AVX2 and under the purego build tag. Both give bit-identical results.
+//
 // The package directive below puts the whole package under the noalloc
 // analyzer: every function is held to the 0-allocs contract unless its doc
 // comment ends with an audited //bicoop:allow noalloc waiver (the cold
-// constructors and scratch growers).
+// constructors and scratch growers). The assembly functions' Go
+// declarations are bodyless, so the analyzer skips them; they allocate
+// nothing.
 //
 //bicoop:noalloc
 package gf2

@@ -51,6 +51,22 @@ import "math/bits"
 //
 // At the end every row below the last pivot block is zero on every column,
 // so in SolveInto a surviving RHS bit there is exactly an inconsistency.
+//
+// Clearing the rows below each pivot block (clearBlock) is most of the
+// dense path's time, so it has two kernels, chosen once at package init:
+//
+//   - clearBlockAVX2 (m4ri_amd64.s) when haveAVX2: the CPU reports AVX2
+//     (CPUID leaf 7, EBX bit 5) and AVX with OSXSAVE, and XCR0 shows the OS
+//     saving the XMM and YMM state. It XORs the four table entries into a
+//     row four words per VPXOR, with a scalar tail.
+//   - clearBlockGo everywhere else: off amd64, on CPUs without AVX2 and
+//     under the purego build tag. It is also the AVX2 kernel's test oracle
+//     (FuzzClearBlockMatchesGo).
+//
+// The assembly kernel checks no bounds, so clearBlock checks the slice
+// shapes once per call before either kernel runs. Its Go declaration is
+// bodyless, which the noalloc analyzer skips; the kernel allocates nothing,
+// so the package's //bicoop:noalloc contract holds on both paths.
 
 const (
 	// m4riBlock is the number of pivot columns eliminated per pass. The
@@ -271,11 +287,33 @@ func (s *Solver) eliminateDense(n int) (rank int) {
 // stride, each row starting at the block's word) with the block's tables
 // (m4riTables tables of m4riEntries entries of tw words, back to back): one
 // shift and mask yields the four nibble indices, and one pass XORing the
-// four looked-up entries into the row clears the whole block. It is a
-// function of its own so the compiler keeps the loop's slices in registers.
+// four looked-up entries into the row clears the whole block.
+//
+// It checks the shapes once per call — whole rows of tw words at stride,
+// every table entry inside tab, a block index below 2^m4riBlock, a shift
+// inside the word — so a caller bug panics here rather than letting the
+// unchecked AVX2 kernel write out of bounds, then runs clearBlockAVX2 where
+// haveAVX2 and clearBlockGo otherwise.
 //
 //bicoop:noalloc
 func clearBlock(rows []uint64, stride, tw int, shift uint, blockMask uint64, tab []uint64) {
+	if tw < 1 || stride < tw || len(rows) < tw || (len(rows)-tw)%stride != 0 ||
+		len(tab) < m4riTables*m4riEntries*tw || blockMask>>m4riBlock != 0 || shift >= 64 {
+		panic(ErrShape)
+	}
+	if haveAVX2 {
+		clearBlockAVX2(rows, stride, tw, shift, blockMask, tab)
+		return
+	}
+	clearBlockGo(rows, stride, tw, shift, blockMask, tab)
+}
+
+// clearBlockGo is clearBlock's portable kernel and the AVX2 kernel's test
+// oracle. It is a function of its own so the compiler keeps the loop's
+// slices in registers.
+//
+//bicoop:noalloc
+func clearBlockGo(rows []uint64, stride, tw int, shift uint, blockMask uint64, tab []uint64) {
 	for off := 0; off < len(rows); off += stride {
 		v := int(rows[off] >> shift & blockMask)
 		if v == 0 {
