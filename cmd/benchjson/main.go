@@ -5,8 +5,12 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem ./... | benchjson > BENCH.json
+//	go test -run '^$' -bench . -benchmem -count 3 ./... | benchjson > BENCH.json
 //	benchjson compare old.json new.json [-threshold 1.25] [-min-speedup Slow/Fast:5]
+//
+// Repeated lines of one benchmark (go test -count) merge into one ledger
+// row: the median ns/op, and the largest B/op and allocs/op, so one noisy
+// run neither sets the time nor hides an allocation.
 //
 // compare exits nonzero when any benchmark regresses: its ns/op grows past
 // the threshold factor, a zero-allocation benchmark starts allocating, its
@@ -21,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -89,7 +94,42 @@ func parse(sc *bufio.Scanner) (Ledger, error) {
 	if len(ledger.Benchmarks) == 0 {
 		return Ledger{}, fmt.Errorf("no benchmark lines found on stdin")
 	}
+	ledger.Benchmarks = mergeRuns(ledger.Benchmarks)
 	return ledger, nil
+}
+
+// mergeRuns folds repeated rows of one benchmark into one, in the order of
+// first appearance: the median ns/op (the mean of the middle two for an
+// even count), the largest B/op and allocs/op, and the first run's
+// iteration count.
+func mergeRuns(rows []Result) []Result {
+	var order []string
+	runs := map[string][]Result{}
+	for _, r := range rows {
+		if _, seen := runs[r.Name]; !seen {
+			order = append(order, r.Name)
+		}
+		runs[r.Name] = append(runs[r.Name], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, name := range order {
+		rs := runs[name]
+		merged := rs[0]
+		ns := make([]float64, len(rs))
+		for i, r := range rs {
+			ns[i] = r.NsPerOp
+			merged.BytesPerOp = max(merged.BytesPerOp, r.BytesPerOp)
+			merged.AllocsPerOp = max(merged.AllocsPerOp, r.AllocsPerOp)
+		}
+		sort.Float64s(ns)
+		mid := len(ns) / 2
+		merged.NsPerOp = ns[mid]
+		if len(ns)%2 == 0 {
+			merged.NsPerOp = (ns[mid-1] + ns[mid]) / 2
+		}
+		out = append(out, merged)
+	}
+	return out
 }
 
 // parseBench parses a line like

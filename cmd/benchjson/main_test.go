@@ -265,3 +265,36 @@ func TestParseStripsGomaxprocsSuffix(t *testing.T) {
 		t.Errorf("platform fields lost: %+v", l)
 	}
 }
+
+// TestParseMergesRepeatedRuns pins the -count merge: one row per benchmark
+// in first-appearance order, the median ns/op (mean of the middle two for
+// an even count), and the largest B/op and allocs/op of any run.
+func TestParseMergesRepeatedRuns(t *testing.T) {
+	const text = `goos: linux
+BenchmarkOdd-8    100   300 ns/op   64 B/op   1 allocs/op
+BenchmarkEven-8   10    50 ns/op
+BenchmarkOdd-8    100   100 ns/op   96 B/op   3 allocs/op
+BenchmarkEven-8   10    10 ns/op
+BenchmarkOdd-8    100   900 ns/op   32 B/op   2 allocs/op
+BenchmarkEven-8   10    20 ns/op
+BenchmarkEven-8   10    90 ns/op
+BenchmarkOnce-8   7     5 ns/op
+`
+	l, err := parse(bufio.NewScanner(strings.NewReader(text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Result{
+		{Name: "BenchmarkOdd", Iterations: 100, NsPerOp: 300, BytesPerOp: 96, AllocsPerOp: 3},
+		{Name: "BenchmarkEven", Iterations: 10, NsPerOp: 35},
+		{Name: "BenchmarkOnce", Iterations: 7, NsPerOp: 5},
+	}
+	if len(l.Benchmarks) != len(want) {
+		t.Fatalf("merged rows %+v, want %+v", l.Benchmarks, want)
+	}
+	for i, r := range l.Benchmarks {
+		if r != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, r, want[i])
+		}
+	}
+}

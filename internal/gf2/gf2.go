@@ -193,9 +193,11 @@ func (m Matrix) rowWords(i int) []uint64 {
 	return m.words[i*m.stride : (i+1)*m.stride]
 }
 
-// RowView returns row i sharing the matrix's storage. The caller must treat
-// it as read-only; hot loops use it to accumulate decode equations without
-// copying rows.
+// RowView returns row i sharing the matrix's storage; hot loops use it to
+// accumulate decode equations without copying rows. Writes through the view
+// land in the matrix, so only the matrix's owner may write through it (the
+// bit-true TDBC worker fills its truncated relay rows this way); everyone
+// else must treat it as read-only.
 func (m Matrix) RowView(i int) Vector {
 	return Vector{n: m.cols, words: m.rowWords(i)}
 }

@@ -27,24 +27,34 @@ import "math/bits"
 //     row's lowest set bit is its own pivot column, and the tables (built
 //     from pivot rows) never re-contaminate earlier columns.
 //
-// How the first invariant is reached depends on the pivot search:
+// The first invariant is reached in three steps per block. No row is XORed
+// until the block's pivots are known, and the search branches only on
+// whether a candidate is a new pivot, which random rows almost always are:
 //
-//   - found == ge (every block column is a pivot — the usual case for
-//     random rows): local RREF makes pivot row j zero on every block column
-//     except its own, so the XOR of the pivot rows whose columns are set in
-//     a row's block bits clears them exactly. Each nibble of those raw bits
-//     therefore indexes its own table directly, and a row's four indices
-//     come from one shift and mask of the word holding the block
-//     (m4riBlock divides 64, so a block never straddles words). In a
-//     partial last block the missing nibbles are zero and index each
+//   - the pivot search reads each candidate's m4riBlock block bits into a
+//     register and reduces them against the found pivots' keys (their block
+//     bits, kept in local RREF) with masks, not branches; a 16-bit comb per
+//     pivot records which raw pivot rows make it up. A candidate that
+//     reduces to zero stays in place; a new pivot is swapped up into the
+//     pivot block;
+//   - the pivot rows are rewritten: tables over the raw pivot rows give each
+//     reduced pivot row, zero on every block column but its own, as one
+//     lookup per table of its comb;
+//   - tables over the reduced pivot rows, indexed by block bits, clear every
+//     row below. Those rows are all in the pivots' span on the block: when
+//     found == ge (every block column is a pivot, the usual case for random
+//     rows) trivially, and when found < ge because the search ran out of
+//     candidates and so saw every one of them. A column without a pivot
+//     gives zero table entries, so the XOR of the reduced pivot rows whose
+//     columns are set in a row's raw block bits clears them exactly. Each
+//     nibble of those bits therefore indexes its own table directly, and a
+//     row's four indices come from one shift and mask of the word holding
+//     the block (m4riBlock divides 64, so a block never straddles words).
+//     In a partial last block the missing nibbles are zero and index each
 //     table's zero entry.
-//   - found < ge: the search ran out of candidate rows, so it examined every
-//     row below the block and reduced each non-pivot row to a zero block on
-//     the way. Nothing is left to clear; the tables are neither built nor
-//     applied.
 //
 // The invariants also bound the work: when block c0 is processed, every row
-// XOR — pivot search, table build and table application alike — involves
+// operation — swap, table build, pivot rewrite and clear alike — involves
 // only rows that are zero on all words before c0's word w0, so the inner
 // loops start there, the tables hold only words w0 on, and the average row
 // operation touches half the row.
@@ -199,83 +209,93 @@ func (s *Solver) fullRankDense(k int, rows []Vector) bool {
 //bicoop:noalloc
 func (s *Solver) eliminateDense(n int) (rank int) {
 	stride := s.stride
-	var cols [m4riBlock]int // this block's pivot columns, discovery order
-	var at [m4riBlock]int   // block column offset -> pivot block offset
+	// Pivot j of the block, in discovery order, sits at block column
+	// col[j]; key[j] is its block bits reduced against the other pivots,
+	// and bit l of comb[j] is set when raw pivot row l is part of the XOR
+	// that gives pivot row j.
+	var col [m4riBlock]uint
+	var key, comb [m4riBlock]uint64
+	var src [m4riBlock]int // table slot -> tableau row, or -1 for a zero row
 	for c0 := 0; c0 < s.cols && rank < n; c0 += m4riBlock {
 		ge := min(m4riBlock, s.cols-c0)
 		w0, shift := c0>>6, uint(c0&63)
 		blockMask := uint64(1)<<uint(ge) - 1
+		tw := stride - w0
+		tab := s.table[:m4riTables*m4riEntries*tw]
 
-		// Pivot search: Gaussian elimination restricted to the block.
-		// Each candidate is reduced against the block pivots found so
-		// far; its lowest surviving block bit becomes a new pivot column,
-		// the found pivots are back-reduced against it (local RREF), and
-		// the row is swapped up to the pivot block.
+		// Pivot search on the block bits alone, keeping the keys in local
+		// RREF. Each candidate's bits v are reduced against the found keys
+		// with masks, not branches (the bits are random, so a branch would
+		// miss half the time): a key is zero on every other pivot column,
+		// so each term depends on v alone. c records the raw pivot rows
+		// that took. A candidate left with a zero block is in the pivots'
+		// span and stays where it is for the clear pass; any other becomes
+		// a pivot on its lowest surviving block column, is swapped up to
+		// the pivot block, and back-reduces the found keys on that column.
 		found := 0
 		for i := rank; i < n && found < ge; i++ {
-			// Candidate rows sit below every processed block, so they are
-			// zero before word w0 and every XOR here can start there.
-			row := s.dense[i*stride+w0 : (i+1)*stride]
+			v := s.dense[i*stride+w0] >> shift & blockMask
+			r, c := v, uint64(1)<<uint(found)
 			for j := 0; j < found; j++ {
-				if row[0]>>uint(cols[j]&63)&1 != 0 {
-					xorWords(row, s.dense[(rank+j)*stride+w0:])
-				}
+				m := -(v >> col[j] & 1)
+				r ^= key[j] & m
+				c ^= comb[j] & m
 			}
-			v := row[0] >> shift & blockMask
-			if v == 0 {
+			if r == 0 {
 				continue
 			}
-			c := c0 + bits.TrailingZeros64(v)
-			for j := 0; j < found; j++ {
-				piv := s.dense[(rank+j)*stride+w0 : (rank+j+1)*stride]
-				if piv[0]>>uint(c&63)&1 != 0 {
-					xorWords(piv, row)
-				}
-			}
 			if top := rank + found; i != top {
+				// Candidate rows sit below every processed block, so they
+				// are zero before word w0 and the swap can start there.
+				row := s.dense[i*stride+w0 : (i+1)*stride]
 				other := s.dense[top*stride+w0 : (top+1)*stride]
 				for w := range row {
 					row[w], other[w] = other[w], row[w]
 				}
 			}
-			cols[found] = c
-			at[c-c0] = found
-			s.colRow[c] = int32(rank + found)
+			p := uint(bits.TrailingZeros64(r))
+			for j := 0; j < found; j++ {
+				m := -(key[j] >> p & 1)
+				key[j] ^= r & m
+				comb[j] ^= c & m
+			}
+			col[found], key[found], comb[found] = p, r, c
+			s.colRow[c0+int(p)] = int32(rank + found)
 			found++
 		}
-		if found < ge {
-			// Every row below the block was examined and reduced to a zero
-			// block: there is nothing left to clear.
-			rank += found
-			continue
-		}
 
-		// Direct-indexed combination tables, packed at the width tw of
-		// words w0 on: entry b of table t is the XOR of the pivot rows
-		// whose block columns 4t..4t+3 are set in b, built in one row XOR
-		// each off the entry without b's lowest bit. Entry 0 of every
-		// table is zero, which is what a partial last block's missing
-		// nibbles index.
-		tw := stride - w0
-		tab := s.table[:m4riTables*m4riEntries*tw]
-		for t := 0; t < m4riTables; t++ {
-			base := t * m4riEntries * tw
-			zero := tab[base : base+tw]
-			for w := range zero {
-				zero[w] = 0
-			}
-			nb := min(max(ge-t*m4riNibble, 0), m4riNibble)
-			for b := 1; b < 1<<uint(nb); b++ {
-				piv := s.dense[(rank+at[t*m4riNibble+bits.TrailingZeros(uint(b))])*stride+w0:]
-				prev := tab[base+(b&(b-1))*tw:]
-				e := tab[base+b*tw : base+(b+1)*tw]
-				piv, prev = piv[:len(e)], prev[:len(e)]
-				for w := range e {
-					e[w] = prev[w] ^ piv[w]
-				}
+		// Rewrite the pivot rows: tables over the raw pivot rows, then each
+		// reduced pivot row is one four-entry lookup of its comb, written
+		// over its raw row (the tables hold copies).
+		for j := 0; j < found; j++ {
+			src[j] = rank + j
+		}
+		s.buildTables(tab, w0, tw, src[:found])
+		for j := 0; j < found; j++ {
+			c := int(comb[j])
+			row := s.dense[(rank+j)*stride+w0:][:tw]
+			e0 := tab[(c&0xf)*tw:][:tw]
+			e1 := tab[(m4riEntries+c>>4&0xf)*tw:][:tw]
+			e2 := tab[(2*m4riEntries+c>>8&0xf)*tw:][:tw]
+			e3 := tab[(3*m4riEntries+c>>12)*tw:][:tw]
+			for w := range row {
+				row[w] = e0[w] ^ e1[w] ^ e2[w] ^ e3[w]
 			}
 		}
 
+		// Block-indexed tables over the reduced pivot rows, in the same
+		// table rows (the raw tables are dead): a column without a pivot
+		// contributes a zero row. Every row below the pivot block is in
+		// the pivots' span on the block — all of them when found == ge,
+		// and when found < ge because the search examined every one — so
+		// one lookup per nibble of its raw block bits clears the block.
+		for j := range src[:ge] {
+			src[j] = -1
+		}
+		for j := 0; j < found; j++ {
+			src[col[j]] = rank + j
+		}
+		s.buildTables(tab, w0, tw, src[:ge])
 		if rank += found; rank < n {
 			clearBlock(s.dense[rank*stride+w0:n*stride], stride, tw, shift, blockMask, tab)
 		}
@@ -283,8 +303,38 @@ func (s *Solver) eliminateDense(n int) (rank int) {
 	return rank
 }
 
-// clearBlock clears a fully pivoted block in every row of rows (row-major at
-// stride, each row starting at the block's word) with the block's tables
+// buildTables fills the m4riTables tables in tab, m4riEntries entries of tw
+// words each: entry b of table t is the XOR of the tableau rows src[4t+l],
+// read from word w0 on, for the bits l set in b, a negative src standing for
+// a zero row. Each entry is one row XOR off the entry without b's lowest
+// bit. Entry 0 of every table is zero; entries over slots past len(src) are
+// left unbuilt, as no index reaches them.
+//
+//bicoop:noalloc
+func (s *Solver) buildTables(tab []uint64, w0, tw int, src []int) {
+	for t := 0; t < m4riTables; t++ {
+		base := t * m4riEntries * tw
+		zero := tab[base : base+tw]
+		clear(zero)
+		nb := min(max(len(src)-t*m4riNibble, 0), m4riNibble)
+		for b := 1; b < 1<<uint(nb); b++ {
+			row := zero
+			if r := src[t*m4riNibble+bits.TrailingZeros(uint(b))]; r >= 0 {
+				row = s.dense[r*s.stride+w0:]
+			}
+			prev := tab[base+(b&(b-1))*tw:]
+			e := tab[base+b*tw : base+(b+1)*tw]
+			row, prev = row[:len(e)], prev[:len(e)]
+			for w := range e {
+				e[w] = prev[w] ^ row[w]
+			}
+		}
+	}
+}
+
+// clearBlock clears a block in every row of rows (row-major at stride, each
+// row starting at the block's word), every row being in the span of the
+// block's pivot rows there, with the block's tables
 // (m4riTables tables of m4riEntries entries of tw words, back to back): one
 // shift and mask yields the four nibble indices, and one pass XORing the
 // four looked-up entries into the row clears the whole block.
@@ -327,15 +377,5 @@ func clearBlockGo(rows []uint64, stride, tw int, shift uint, blockMask uint64, t
 		for w := range row {
 			row[w] ^= e0[w] ^ e1[w] ^ e2[w] ^ e3[w]
 		}
-	}
-}
-
-// xorWords XORs src into dst word by word (src at least as long as dst).
-//
-//bicoop:noalloc
-func xorWords(dst, src []uint64) {
-	src = src[:len(dst)]
-	for w := range dst {
-		dst[w] ^= src[w]
 	}
 }

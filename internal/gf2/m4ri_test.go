@@ -334,6 +334,53 @@ func TestDenseDeficientBlock(t *testing.T) {
 	}
 }
 
+// TestDenseDependentCandidates builds systems in which about a third of the
+// rows repeat an earlier row or XOR two of the eight rows before them, so
+// every block meets, among its first 16 candidates, rows in the span of
+// candidates before them: clears are linear, so such a row stays dependent
+// through every earlier block. The pivot search must skip them (their block
+// bits reduce to zero), leave them in place and let the clear pass alone
+// zero them, on full-rank and rank-deficient systems alike.
+func TestDenseDependentCandidates(t *testing.T) {
+	r := rand.New(rand.NewSource(38))
+	for _, k := range []int{48, 200, 800} {
+		ns := []int{3*k/2 + m4riSlack} // full rank despite the dependents
+		if k < 800 {
+			// Rank deficient as well: the last blocks come up short. (The
+			// reference rank at k = 800 costs seconds per system.)
+			ns = append(ns, k+m4riSlack)
+		}
+		for _, n := range ns {
+			m := RandomMatrix(n, k, r)
+			dependent := 0
+			for i := 8; i < n; i++ {
+				a, b := i-1-r.Intn(8), i-1-r.Intn(8)
+				switch r.Intn(6) {
+				case 0: // repeat an earlier row
+					copyRow(m, i, a)
+				case 1: // XOR two earlier rows
+					copyRow(m, i, a)
+					if a != b {
+						for w := range m.rowWords(i) {
+							m.rowWords(i)[w] ^= m.rowWords(b)[w]
+						}
+					}
+				default:
+					continue
+				}
+				dependent++
+			}
+			name := fmt.Sprintf("k=%d n=%d with %d dependent rows", k, n, dependent)
+			checkDenseMatchesIncremental(t, name, m, RandomVector(k, r))
+		}
+	}
+}
+
+// copyRow overwrites row dst of m with row src.
+func copyRow(m Matrix, dst, src int) {
+	copy(m.rowWords(dst), m.rowWords(src))
+}
+
 // FuzzDenseMatchesIncremental drives checkDenseMatchesIncremental with
 // random systems of up to 200 unknowns reshaped by fuzzed edits: each
 // 5-byte record copies or zeroes a column or a row, which puts repeated

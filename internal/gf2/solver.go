@@ -40,7 +40,13 @@ type Solver struct {
 	stride int // words per tableau row, including the trailing RHS word
 
 	dense []uint64 // m4ri tableau: every equation, row-major
-	table []uint64 // m4ri combination tables: m4riTables × m4riEntries rows
+	// table holds m4ri's m4riTables × m4riEntries combination rows. Each
+	// block uses them twice: first over the raw pivot rows, to rewrite
+	// them as the reduced pivot rows, then, once those tables are dead,
+	// over the reduced pivot rows indexed by block bits, to clear the rows
+	// below. The second use reuses the first's rows, so the scratch stays
+	// at 64 rows.
+	table []uint64
 
 	// force pins the elimination path for tests and benchmarks:
 	// forceAuto (zero value) applies the size cutover.

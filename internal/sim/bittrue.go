@@ -337,9 +337,11 @@ type tdbcWorker struct {
 	// overheard rows, then truncated relay rows); rowsForB likewise for
 	// terminal b and wa.
 	rowsForA, rowsForB []gf2.Vector
-	// truncA/truncB pool the truncated relay rows destined for terminals a
-	// and b (kb- and ka-bit vectors), indexed by relay symbol position.
-	truncA, truncB []gf2.Vector
+	// truncA/truncB hold the truncated relay rows destined for terminals a
+	// and b (kb- and ka-bit rows), indexed by relay symbol position and
+	// written through their row views: one allocation per side, whatever
+	// the block length.
+	truncA, truncB gf2.Matrix
 	// survA, survB hold phase 3's survivor words at terminals a and b, one
 	// per 64 relay symbols; shared accumulates the untruncated relay rows
 	// both terminals received.
@@ -372,20 +374,18 @@ func newTDBCWorker(net ErasureNetwork, p tdbcParams, seed int64) *tdbcWorker {
 		relayRowsB: make([]gf2.Vector, 0, p.n2),
 		rowsForA:   make([]gf2.Vector, 0, p.n2+p.n3),
 		rowsForB:   make([]gf2.Vector, 0, p.n1+p.n3),
-		truncA:     make([]gf2.Vector, p.n3),
-		truncB:     make([]gf2.Vector, p.n3),
+		truncA:     gf2.NewMatrix(p.n3, p.kb),
+		truncB:     gf2.NewMatrix(p.n3, p.ka),
 		survA:      make([]uint64, (p.n3+63)/64),
 		survB:      make([]uint64, (p.n3+63)/64),
 		shared:     make([]gf2.Vector, 0, p.n3),
 	}
-	for i := range w.truncA {
-		w.truncA[i] = gf2.NewVector(p.kb)
-		w.truncB[i] = gf2.NewVector(p.ka)
-	}
-	w.solver.Reserve(p.n1, p.ka)
-	w.solver.Reserve(p.n2, p.kb)
+	// The terminals' shapes have the most rows: reserving them first keeps
+	// the later calls from growing the scratch again.
 	w.solver.Reserve(p.n2+p.n3, p.kb)
 	w.solver.Reserve(p.n1+p.n3, p.ka)
+	w.solver.Reserve(p.n1, p.ka)
+	w.solver.Reserve(p.n2, p.kb)
 	w.solver.Reserve(p.n3, p.kr)
 	return w
 }
@@ -500,13 +500,15 @@ func (w *tdbcWorker) runBlock() (bool, bool) {
 		base := b << 6
 		for m := w.survA[b]; m != 0; m &= m - 1 {
 			i := base + bits.TrailingZeros64(m)
-			w.truncA[i].CopyPrefix(w.codeR.RowView(i))
-			w.rowsForA = append(w.rowsForA, w.truncA[i])
+			row := w.truncA.RowView(i)
+			row.CopyPrefix(w.codeR.RowView(i))
+			w.rowsForA = append(w.rowsForA, row)
 		}
 		for m := w.survB[b]; m != 0; m &= m - 1 {
 			i := base + bits.TrailingZeros64(m)
-			w.truncB[i].CopyPrefix(w.codeR.RowView(i))
-			w.rowsForB = append(w.rowsForB, w.truncB[i])
+			row := w.truncB.RowView(i)
+			row.CopyPrefix(w.codeR.RowView(i))
+			w.rowsForB = append(w.rowsForB, row)
 		}
 	}
 

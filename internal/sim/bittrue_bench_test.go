@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"bicoop/internal/protocols"
@@ -198,6 +199,34 @@ func TestBitTrueTDBCBlockZeroAllocs(t *testing.T) {
 	}
 	if wf.successes > 0 {
 		t.Errorf("expected only failures far above the bound, got %d successes", wf.successes)
+	}
+}
+
+// TestTDBCWorkerAllocsFlat pins that a TDBC run's allocation count does
+// not grow with the block. Past the sharding's fixed cost, a run allocates
+// its workers, and each worker's buffers are one allocation apiece (the
+// truncated relay rows are two matrices, not a vector per relay position).
+// The worker is measured alone, with the collector off, because goroutine
+// starts and collection cycles add runtime allocations to the count, more
+// of them the more a run allocates. BlockLength 1000 (k = 200) and 4000
+// (k = 800) sit on either side of the solver's M4RI cutover, whose dense
+// scratch is a fixed few allocations more, so each is compared with a
+// block twice as long on the same side.
+func TestTDBCWorkerAllocsFlat(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(n int) float64 {
+		cfg := benchTDBCConfig(1)
+		cfg.BlockLength = n
+		p, _, err := deriveTDBCParams(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() { newTDBCWorker(cfg.Net, p, cfg.Seed) })
+	}
+	for _, n := range []int{1000, 4000} {
+		if short, long := allocs(n), allocs(2*n); short != long {
+			t.Errorf("TDBC worker allocates %.0f at BlockLength %d and %.0f at %d, want equal", short, n, long, 2*n)
+		}
 	}
 }
 
