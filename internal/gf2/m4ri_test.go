@@ -357,9 +357,9 @@ func TestDenseDependentCandidates(t *testing.T) {
 				a, b := i-1-r.Intn(8), i-1-r.Intn(8)
 				switch r.Intn(6) {
 				case 0: // repeat an earlier row
-					copyRow(m, i, a)
+					copy(m.rowWords(i), m.rowWords(a))
 				case 1: // XOR two earlier rows
-					copyRow(m, i, a)
+					copy(m.rowWords(i), m.rowWords(a))
 					if a != b {
 						for w := range m.rowWords(i) {
 							m.rowWords(i)[w] ^= m.rowWords(b)[w]
@@ -374,11 +374,6 @@ func TestDenseDependentCandidates(t *testing.T) {
 			checkDenseMatchesIncremental(t, name, m, RandomVector(k, r))
 		}
 	}
-}
-
-// copyRow overwrites row dst of m with row src.
-func copyRow(m Matrix, dst, src int) {
-	copy(m.rowWords(dst), m.rowWords(src))
 }
 
 // FuzzDenseMatchesIncremental drives checkDenseMatchesIncremental with

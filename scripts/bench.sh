@@ -2,9 +2,9 @@
 # bench.sh — run the performance-ledger benchmark set and write a JSON
 # snapshot (see cmd/benchjson). Usage:
 #
-#   ./scripts/bench.sh BENCH_after.json [benchtime] [bittime] [count]
+#   ./scripts/bench.sh BENCH_after.json [benchtime] [bittime]
 #
-# Each benchmark runs count times (default 3) and cmd/benchjson merges the
+# Each benchmark runs three times and cmd/benchjson merges the
 # runs into one ledger row: the median ns/op and the largest B/op and
 # allocs/op, so one noisy run neither sets a row nor fails the gate alone.
 #
@@ -39,7 +39,6 @@ set -eu
 out="${1:-BENCH.json}"
 benchtime="${2:-200x}"
 bittime="${3:-10x}"
-count="${4:-3}"
 cd "$(dirname "$0")/.."
 
 # The pattern lists are guarded by TestBenchLedgerCoverage (bench_ledger_test.go):
@@ -57,10 +56,10 @@ bitpattern='BenchmarkBitTrueTDBC$|BenchmarkBitTrueTDBCParallel$|BenchmarkBitTrue
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT INT TERM
 
-go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -count "$count" -cpu 1 \
+go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -count 3 -cpu 1 \
     . ./internal/protocols/ ./internal/sim/ ./internal/simplex/ ./internal/sweep/ \
     ./internal/service/ ./internal/cache/ > "$raw"
-go test -run '^$' -bench "$bitpattern" -benchmem -benchtime "$bittime" -count "$count" -cpu 1 \
+go test -run '^$' -bench "$bitpattern" -benchmem -benchtime "$bittime" -count 3 -cpu 1 \
     ./internal/sim/ ./internal/gf2/ >> "$raw"
 
 tee /dev/stderr < "$raw" | go run ./cmd/benchjson > "$out"
