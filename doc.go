@@ -297,12 +297,13 @@
 // per-terminal elimination as the fallback when those shared rows are rank
 // deficient. FullRank rejects fewer rows than unknowns before eliminating,
 // so near the bound, where the shared rows fall short in number, the
-// shared decision is free, and a relay short of rows costs nothing. Past
-// 512 unknowns both switch to a dense M4RI-style multi-column eliminator
+// shared decision is free, and a relay short of rows costs nothing. From
+// 64 unknowns both switch to a dense M4RI-style multi-column eliminator
 // (internal/gf2/m4ri.go: row echelon form only, 16 pivot columns per pass
 // via four 16-entry tables, each indexed by one nibble of the raw block
-// bits). The TDBC/MABC trial loops and the fading Monte Carlo run on one
-// trial sharder (internal/sim's shardTrials: worker w runs its share of the
+// bits), which beats the incremental basis from about 48 unknowns up. The
+// TDBC/MABC trial loops and the fading Monte Carlo run on one trial
+// sharder (internal/sim's shardTrials: worker w runs its share of the
 // trials from seed Seed + w*stride) with per-worker RNGs, codes, and
 // scratch — zero allocations per block. Context cancellation costs one atomic flag load per trial
 // (internal/sim's runGate), so a cancelled run stops within one trial

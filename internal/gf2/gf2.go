@@ -12,11 +12,14 @@
 // alone, and the Vector methods Randomize, CopyPrefix, XorWith and the Dot
 // function operate on whole 64-bit words.
 //
-// Systems of at least m4riMinCols unknowns and as many equations go through
-// the dense M4RI path (m4ri.go). Its row-clearing kernel is chosen once at
-// package init: clearBlockAVX2, AVX2 assembly, on amd64 CPUs that have AVX2
-// with the YMM state enabled by the OS; clearBlockGo off amd64, without
-// AVX2 and under the purego build tag. Both give bit-identical results.
+// Systems of at least m4riMinCols (64) unknowns and as many equations go
+// through the dense M4RI path (m4ri.go), which is faster than the
+// incremental basis from about 48 unknowns up; narrower or underdetermined
+// systems keep the incremental basis. The dense path's row-clearing kernel
+// is chosen once at package init: clearBlockAVX2, AVX2 assembly, on amd64
+// CPUs that have AVX2 with the YMM state enabled by the OS; clearBlockGo
+// off amd64, without AVX2 and under the purego build tag. Both give
+// bit-identical results.
 //
 // The package directive below puts the whole package under the noalloc
 // analyzer: every function is held to the 0-allocs contract unless its doc

@@ -94,7 +94,11 @@ const (
 	// m4riMinCols is the automatic cutover: systems with at least this
 	// many unknowns eliminate densely, shorter blocks keep the incremental
 	// basis (whose early-exit and truncated XORs win on small systems).
-	m4riMinCols = 512
+	// FullRank on k+40 random rows, incremental time over dense time,
+	// crosses 1 at k ≈ 40–48 on both clearBlock kernels and reads about
+	// 1.7 (AVX2) and 1.4 (Go) at k = 64 and 3.1 and 2.4 at 128; 64 leaves
+	// a margin and is a multiple of m4riBlock and of the word.
+	m4riMinCols = 64
 	// m4riSlack is the number of surplus equations FullRank loads beyond
 	// the unknown count: random systems reach full rank within a handful
 	// of extra rows, so processing the full equation set (the incremental
@@ -105,12 +109,13 @@ const (
 
 // reserveDense pre-grows the dense tableau and combination tables so the
 // steady state allocates nothing (companion of Reserve). It sizes rows with
-// the RHS word, the wider of the two tableau layouts.
+// the RHS word, the wider of the two tableau layouts, and sizes the tableau
+// for the at most cols+m4riSlack rows FullRank loads.
 //
 //bicoop:allow noalloc — scratch grower: allocates here so solves never do
 func (s *Solver) reserveDense(rows, cols int) {
 	stride := wordsFor(cols) + 1
-	if need := rows * stride; cap(s.dense) < need {
+	if need := min(rows, cols+m4riSlack) * stride; cap(s.dense) < need {
 		s.dense = make([]uint64, 0, need)
 	}
 	if need := m4riTables * m4riEntries * stride; cap(s.table) < need {

@@ -426,8 +426,8 @@ func TestDenseAutoCutover(t *testing.T) {
 		{m4riMinCols + 100, m4riMinCols, true},
 		{m4riMinCols - 1, m4riMinCols, false}, // underdetermined: stay incremental
 		{m4riMinCols, m4riMinCols - 1, false}, // short block: stay incremental
-		{64, 64, false},
-		{4096, 4096, true},
+		{m4riMinCols / 2, m4riMinCols / 2, false},
+		{64 * m4riMinCols, 64 * m4riMinCols, true},
 	}
 	for _, c := range cases {
 		if got := s.useDense(c.nrows, c.cols); got != c.want {
@@ -444,13 +444,25 @@ func TestDenseAutoCutover(t *testing.T) {
 	}
 }
 
+// TestReserveDenseSizedForFullRank pins the dense reservation to what
+// FullRank loads: at most cols+m4riSlack rows with the RHS word, not every
+// equation. Reserve(2600, 800) is a TDBC worker's widest shape at
+// BlockLength 4000.
+func TestReserveDenseSizedForFullRank(t *testing.T) {
+	var s Solver
+	s.Reserve(2600, 800)
+	if got, want := cap(s.dense), (800+m4riSlack)*(wordsFor(800)+1); got != want {
+		t.Errorf("Reserve(2600, 800): dense capacity %d words, want %d", got, want)
+	}
+}
+
 // TestDenseZeroAllocSteadyState extends the allocation contract across the
 // cutover: after Reserve for a dense-path shape, repeated solves — the auto
 // path at a real simulator shape — allocate nothing, and neither does
 // FullRank on either path, deciding full rank or not.
 func TestDenseZeroAllocSteadyState(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
-	const cols = m4riMinCols + 88 // 600 unknowns: the waterfall-test shape
+	const cols = 600 // the waterfall-test shape
 	const rows = cols + m4riSlack
 	m := RandomMatrix(rows, cols, r)
 	x := RandomVector(cols, r)

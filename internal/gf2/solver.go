@@ -25,11 +25,13 @@ import (
 // to zero in the spare slot and are discarded (after their RHS bit is
 // checked for consistency).
 //
-// Wide systems (at least m4riMinCols unknowns) are eliminated by the dense
-// multi-column path in m4ri.go instead — same results, fewer row XORs; the
-// incremental basis remains the short-block and underdetermined path. Both
-// paths stop at row echelon form, and SolveInto reads the solution off it
-// with one shared back-substitution.
+// Systems of at least m4riMinCols (64) unknowns are eliminated by the dense
+// multi-column path in m4ri.go instead — same results, fewer row XORs, and
+// less time from about 48 unknowns up; the incremental basis remains the
+// path for narrower and underdetermined systems and the fallback after a
+// rank-deficient dense FullRank prefix. Both paths stop at row echelon
+// form, and SolveInto reads the solution off it with one shared
+// back-substitution.
 //
 // The zero value is ready to use. A Solver is NOT safe for concurrent use;
 // give each goroutine its own (the simulator's worker pool does).
@@ -63,7 +65,9 @@ const (
 // Reserve grows the scratch so a subsequent rows-by-cols solve performs no
 // allocation. Calling it for each system shape a worker will see makes the
 // steady state strictly allocation-free (the AllocsPerRun gates in
-// internal/sim rely on this).
+// internal/sim rely on this). The dense tableau is sized for the
+// cols+m4riSlack rows FullRank loads at most, so a dense SolveInto with
+// more equations than that may grow it once.
 //
 //bicoop:allow noalloc — scratch grower: allocates here so solves never do
 func (s *Solver) Reserve(rows, cols int) {

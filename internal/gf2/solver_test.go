@@ -335,6 +335,8 @@ func TestSolverShapeErrors(t *testing.T) {
 // TestSolverZeroAllocSteadyState pins the allocation contract: after
 // Reserve (or one warm solve), repeated solves of the same shape allocate
 // nothing — including failing ones, whose sentinel errors are unwrapped.
+// The 120×90 system is past m4riMinCols, so the automatic solver takes the
+// dense path; a forced-incremental solver pins the incremental basis too.
 func TestSolverZeroAllocSteadyState(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	const rows, cols = 120, 90
@@ -349,29 +351,30 @@ func TestSolverZeroAllocSteadyState(t *testing.T) {
 	short := rv[:cols-5] // underdetermined variant
 	shortBits := bits[:cols-5]
 
-	var s Solver
-	s.Reserve(rows, cols)
-	dst := NewVector(cols)
-	if n := testing.AllocsPerRun(100, func() {
-		if err := s.SolveInto(&dst, cols, rv, bits); err != nil {
-			t.Fatal(err)
+	for _, s := range []*Solver{new(Solver), forceSolver(forceIncremental)} {
+		s.Reserve(rows, cols)
+		dst := NewVector(cols)
+		if n := testing.AllocsPerRun(100, func() {
+			if err := s.SolveInto(&dst, cols, rv, bits); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("successful solve (force %d) allocates %.1f/op, want 0", s.force, n)
 		}
-	}); n != 0 {
-		t.Errorf("successful solve allocates %.1f/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := s.SolveInto(&dst, cols, short, shortBits); !errors.Is(err, ErrUnderdetermined) {
-			t.Fatalf("err = %v", err)
+		if n := testing.AllocsPerRun(100, func() {
+			if err := s.SolveInto(&dst, cols, short, shortBits); !errors.Is(err, ErrUnderdetermined) {
+				t.Fatalf("err = %v", err)
+			}
+		}); n != 0 {
+			t.Errorf("failing solve (force %d) allocates %.1f/op, want 0", s.force, n)
 		}
-	}); n != 0 {
-		t.Errorf("failing solve allocates %.1f/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if !s.FullRank(cols, rv) || s.FullRank(cols, short) {
-			t.Fatal("FullRank disagrees with the system's rank")
+		if n := testing.AllocsPerRun(100, func() {
+			if !s.FullRank(cols, rv) || s.FullRank(cols, short) {
+				t.Fatal("FullRank disagrees with the system's rank")
+			}
+		}); n != 0 {
+			t.Errorf("FullRank (force %d) allocates %.1f/op, want 0", s.force, n)
 		}
-	}); n != 0 {
-		t.Errorf("FullRank allocates %.1f/op, want 0", n)
 	}
 }
 
@@ -380,7 +383,7 @@ func TestSolverZeroAllocSteadyState(t *testing.T) {
 // dense cutover, so a caller may offer a possibly short row set for free.
 func TestFullRankShortRowsSkipElimination(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
-	for _, cols := range []int{90, m4riMinCols + 88} {
+	for _, cols := range []int{m4riMinCols - 24, m4riMinCols + 88} {
 		rv, _ := matrixRows(RandomMatrix(cols-1, cols, r))
 		var s Solver
 		if s.FullRank(cols, rv) {

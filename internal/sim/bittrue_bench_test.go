@@ -208,10 +208,10 @@ func TestBitTrueTDBCBlockZeroAllocs(t *testing.T) {
 // truncated relay rows are two matrices, not a vector per relay position).
 // The worker is measured alone, with the collector off, because goroutine
 // starts and collection cycles add runtime allocations to the count, more
-// of them the more a run allocates. BlockLength 1000 (k = 200) and 4000
-// (k = 800) sit on either side of the solver's M4RI cutover, whose dense
-// scratch is a fixed few allocations more, so each is compared with a
-// block twice as long on the same side.
+// of them the more a run allocates. BlockLength 100 (k = 20) sits below
+// the solver's M4RI cutover and 1000 (k = 200) and 4000 (k = 800) above
+// it, where the dense scratch is a fixed few allocations more, so each is
+// compared with a block twice as long on the same side.
 func TestTDBCWorkerAllocsFlat(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(n int) float64 {
@@ -223,7 +223,7 @@ func TestTDBCWorkerAllocsFlat(t *testing.T) {
 		}
 		return testing.AllocsPerRun(5, func() { newTDBCWorker(cfg.Net, p, cfg.Seed) })
 	}
-	for _, n := range []int{1000, 4000} {
+	for _, n := range []int{100, 1000, 4000} {
 		if short, long := allocs(n), allocs(2*n); short != long {
 			t.Errorf("TDBC worker allocates %.0f at BlockLength %d and %.0f at %d, want equal", short, n, long, 2*n)
 		}

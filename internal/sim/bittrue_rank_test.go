@@ -202,7 +202,7 @@ func outcome(ok, relayOK bool) int {
 // same outcome for every block. refDecode additionally checks every single
 // decode: FullRank is true exactly when SolveInto returns the message.
 func TestBitTrueRankDecodeMatchesFullDecode(t *testing.T) {
-	for _, n := range []int{700, 2000} {
+	for _, n := range []int{150, 700, 2000} {
 		var tally [2][3]int
 		tcfg := BitTrueConfig{
 			Net:         ErasureNetwork{EpsAR: 0.3, EpsBR: 0.25, EpsAB: 0.6},
@@ -381,7 +381,8 @@ func terminalClass(t *testing.T, ok bool, width int, shared []gf2.Vector) int {
 // shared elimination), and either way the per-terminal fallback succeeds;
 // or a terminal fails. Every class must
 // occur at every point: TDBC with ka == kb, ka > kb and ka < kb, and MABC,
-// on both sides of the M4RI cutover (message lengths near 190 and 530).
+// below the M4RI cutover (message lengths near 60) and above it (near 190
+// and 530).
 func TestBitTrueSharedTerminalDecision(t *testing.T) {
 	check := func(t *testing.T, blocks, width int, runBlock func() (bool, bool),
 		ref func() (bool, bool, []gf2.Vector)) {
@@ -411,6 +412,9 @@ func TestBitTrueSharedTerminalDecision(t *testing.T) {
 		ra, rb   float64
 		d        []float64
 	}{
+		{"n230/ka=kb", 230, 0.015, 0.99, 0.2707, 0.2707, []float64{0.36, 0.36, 0.28}},
+		{"n230/ka>kb", 230, 0.015, 0.99, 0.2707, 0.24, []float64{0.36, 0.36, 0.28}},
+		{"n230/ka<kb", 230, 0.015, 0.99, 0.24, 0.2707, []float64{0.36, 0.36, 0.28}},
 		{"n700/ka=kb", 700, 0.02, 0.99, 0.2707, 0.2707, []float64{0.36, 0.36, 0.28}},
 		{"n700/ka>kb", 700, 0.02, 0.99, 0.2707, 0.24, []float64{0.36, 0.36, 0.28}},
 		{"n700/ka<kb", 700, 0.02, 0.99, 0.24, 0.2707, []float64{0.36, 0.36, 0.28}},
@@ -435,6 +439,7 @@ func TestBitTrueSharedTerminalDecision(t *testing.T) {
 		k, n1, n2 int
 		eps       float64
 	}{
+		{"k60", 60, 67, 67, 0.05},
 		{"k325", 325, 364, 336, 0.02},
 		{"k530", 530, 660, 540, 0.01},
 	} {

@@ -28,7 +28,7 @@
 # pairs (BenchmarkErasureMaskWord vs ...Scalar — CI requires the masked
 # erasure sampling ≥3x over the retired per-position path — and the
 # BenchmarkSolve{M4RI,Incremental}{256,1k,4k} elimination ladder, with the
-# 4k M4RI-vs-incremental speedup gated in CI).
+# 4k and 256 M4RI-vs-incremental speedups gated in CI).
 # The bit-true full-run benchmarks already iterate 64 blocks
 # internally, so they get a smaller default -benchtime than the
 # microbenchmarks. Both runs pin -cpu 1: sharded benchmarks allocate per
